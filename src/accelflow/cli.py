@@ -37,6 +37,7 @@ from .discrete import (
     nesterov_two_step_iterate,
 )
 from .export import (
+    atomic_write,
     discrete_summary,
     flow_summary,
     read_trajectory_csv,
@@ -129,8 +130,7 @@ def _emit(config: RunConfig, payload: dict[str, Any],
     if report is not None:
         payload["checks"] = report.to_dict()
     write_summary_json(payload, os.path.join(out_dir, "summary.json"))
-    with open(os.path.join(out_dir, "config_echo.yaml"), "w") as fh:
-        fh.write(config.to_yaml())
+    atomic_write(os.path.join(out_dir, "config_echo.yaml"), config.to_yaml())
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
     if report is not None:
         for line in report.lines():

@@ -10,6 +10,7 @@ flows from the single problem.seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -79,7 +80,13 @@ class _Block:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{path}: must be finite, got {out}")
+    return out
 
 
 def _as_positive(value: Any, path: str) -> float:
@@ -340,6 +347,9 @@ def _parse_flow_method(b: _Block) -> FlowMethodConfig:
         v0=_as_vector(b.take("v0"), "method.v0"),
     )
     b.finish()
+    if cfg.t_max < cfg.h:
+        raise ConfigError(f"method.t_max: must be at least one step "
+                          f"(h = {cfg.h}), got {cfg.t_max}")
     cfg.build_controller()
     return cfg
 

@@ -319,6 +319,8 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     x = np.asarray(x, dtype=float)
     if x.shape != (oracle.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({oracle.dim},)")
+    if vv.shape != x.shape:
+        raise ValueError(f"v has shape {vv.shape}, expected ({oracle.dim},)")
 
     if spec.family is ControllerFamily.MIN_P:
         return _min_p(spec, oracle, x, lam, vv)
@@ -348,6 +350,22 @@ def control_direct(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     return evaluate_control(spec, oracle, x, lambda_x, v).u
 
 
+def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
+                    d: Array) -> Array:
+    """W^{-1} d for the metric resolved at x.
+
+    The identity metric (Euclidean, or quasi-Newton before its first
+    update) needs no solve. d + 0.0 matches the solve bit for bit except
+    at a -0.0 in d: it always maps that to +0.0, while the LAPACK solve
+    does so at some positions and keeps -0.0 at others, depending on the
+    signs of the other entries.
+    """
+    if metric.kind is MetricKind.EUCLIDEAN or (
+            metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
+        return d + 0.0
+    return metric_solve(metric_matrix(metric, oracle, x), d)
+
+
 def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
            lam: Array, vv: Array) -> ControlResult:
     d = clf_grad_v(spec.clf, lam, vv)
@@ -355,8 +373,7 @@ def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         # no descent direction for V through the control channel
         return ControlResult(np.zeros_like(vv), branch="origin", sigma=0.0)
 
-    W = metric_matrix(spec.metric, oracle, x)
-    z = metric_solve(W, d)
+    z = _metric_inverse(spec.metric, oracle, x, d)
     quad = float(d @ z)
 
     if spec.delta_mode is DeltaMode.FIXED_SIGMA:
@@ -381,8 +398,7 @@ def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         return ControlResult(np.zeros_like(vv), branch="inactive", sigma=0.0,
                              drift=drift, rho=rho)
     if np.linalg.norm(d) > eps_v(lam, vv):
-        W = metric_matrix(spec.metric, oracle, x)
-        z = metric_solve(W, d)
+        z = _metric_inverse(spec.metric, oracle, x, d)
         quad = float(d @ z)
         sigma = (rho + drift) / quad
         # lie V = drift - sigma * quad = -rho, the rate binds exactly

@@ -35,7 +35,7 @@ def decade_label(tol: float) -> str:
     return f"1e-{round(-np.log10(tol)):02d}"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -70,15 +70,18 @@ def trajectory_header(dim: int, full_mode: bool) -> list[str]:
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     dim = int(record.meta["dim"])
     full_mode = record.meta.get("mode") == "full_primal_dual"
-    lines = [",".join(trajectory_header(dim, full_mode))]
+    header = trajectory_header(dim, full_mode)
+    # one % per row; each field is formatted exactly as _fmt would
+    row_fmt = ",".join([FLOAT_FMT] * len(header))
+    lines = [",".join(header)]
     for s in record.samples:
         st = s.state
-        row = ([st.t] + list(st.x) + list(st.v)
+        row = ([st.t] + st.x.tolist() + st.v.tolist()
                + [st.y, s.E, s.grad_norm, s.V, s.lieV])
         if full_mode:
-            row += list(st.lambda_x) + list(st.lambda_v)
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+            row += st.lambda_x.tolist() + st.lambda_v.tolist()
+        lines.append(row_fmt % tuple(row))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
@@ -131,12 +134,13 @@ def trajectory_from_arrays(data: dict[str, np.ndarray],
     for k in range(data["t"].shape[0]):
         x = data["x"][k]
         v = data["v"][k]
-        lam_x = data["lambda_x"][k] if full else -oracle.gradient(x)
+        g = oracle.gradient(x)
+        lam_x = data["lambda_x"][k] if full else -g
         lam_v = data["lambda_v"][k] if full else np.zeros_like(x)
         state = AugmentedState(t=float(data["t"][k]), x=x, v=v,
                                y=float(data["y"][k]), lambda_x=lam_x,
                                lambda_v=lam_v)
-        u = evaluate_control(spec, oracle, x, -oracle.gradient(x), v).u
+        u = evaluate_control(spec, oracle, x, -g, v).u
         samples.append(TrajectorySample(
             state=state, u=u, E=float(data["E"][k]),
             grad_norm=float(data["grad_norm"][k]), V=float(data["V"][k]),
@@ -157,7 +161,7 @@ def trajectory_from_arrays(data: dict[str, np.ndarray],
                  and final.t < float(t_max) - 0.5 * float(h))
     diverged = beyond or (truncated and not rule_met)
     converged = not diverged and rule_met
-    return TrajectoryRecord(samples=tuple(samples), converged=converged,
+    return TrajectoryRecord(samples=samples, converged=converged,
                             diverged=diverged, meta=dict(meta))
 
 
@@ -174,7 +178,7 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
             e, g = float("nan"), float("nan")
         row = [float(k)] + list(x) + [e, g]
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,7 @@ def _json_default(value: Any) -> Any:
 def write_summary_json(payload: dict[str, Any], path: str) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2,
                       default=_json_default)
-    _atomic_write(path, text + "\n")
+    atomic_write(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -282,4 +286,4 @@ def write_compare_csv(rows: Sequence[dict[str, Any]], path: str) -> None:
         final_e = row.get("final_E")
         cells.append("nan" if final_e is None else _fmt(float(final_e)))
         lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -198,6 +198,14 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     from the observed (step, gradient change) pair; stage evaluations
     within a step all see the matrix from the step's start.
 
+    The control at each accepted state is evaluated once, after that
+    state's metric update, and shared: its sample records it, and the
+    next step uses it as the first RK4 stage or the semi-implicit Euler
+    velocity update. An RK4 step therefore costs four control
+    evaluations. In full_primal_dual RK4 mode the adjoint step's endpoint
+    control is that same value, except with a quasi-Newton metric, where
+    the adjoint sees the control under the matrix the primal step used.
+
     An InfeasibleStateError from the controller propagates to the caller
     untouched: it is a statement about the problem/rate pairing, not
     something the integrator can step over.
@@ -221,29 +229,30 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     def control_at(x: Array, g: Array, v: Array) -> Array:
         return evaluate_control(live_spec, oracle, x, -g, v).u
 
-    def rhs(zz: Array, g: Optional[Array] = None) -> Array:
-        x = zz[:n]
+    def rhs(zz: Array, g: Array, u: Array) -> Array:
         v = zz[n:2 * n]
-        if g is None:
-            g = oracle.gradient(x)
         out = np.empty_like(zz)
         out[:n] = v
-        out[n:2 * n] = control_at(x, g, v)
+        out[n:2 * n] = u
         out[2 * n] = g @ v
         return out
 
-    def rk4_step(zz: Array, g: Array) -> Array:
-        k1 = rhs(zz, g)
-        k2 = rhs(zz + 0.5 * h * k1)
-        k3 = rhs(zz + 0.5 * h * k2)
-        k4 = rhs(zz + h * k3)
+    def stage(zz: Array) -> Array:
+        x = zz[:n]
+        g = oracle.gradient(x)
+        return rhs(zz, g, control_at(x, g, zz[n:2 * n]))
+
+    def rk4_step(zz: Array, g: Array, u: Array) -> Array:
+        k1 = rhs(zz, g, u)
+        k2 = stage(zz + 0.5 * h * k1)
+        k3 = stage(zz + 0.5 * h * k2)
+        k4 = stage(zz + h * k3)
         return zz + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def sie_step(zz: Array, g: Array) -> Array:
+    def sie_step(zz: Array, g: Array, u: Array) -> Array:
         # symplectic-flavoured first order: v first, then x rides v_new
         x = zz[:n]
-        v = zz[n:2 * n]
-        v1 = v + h * control_at(x, g, v)
+        v1 = zz[n:2 * n] + h * u
         out = zz.copy()
         out[:n] = x + h * v1
         out[n:2 * n] = v1
@@ -289,11 +298,11 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         lamv = lamv + h * (-lamx - g0)
         lamx = lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n])
 
-    def make_sample(t: float, zz: Array, g: Array) -> TrajectorySample:
+    def make_sample(t: float, zz: Array, g: Array,
+                    u: Array) -> TrajectorySample:
         x = zz[:n].copy()
         v = zz[n:2 * n].copy()
         y = float(zz[2 * n])
-        u = control_at(x, g, v)
         # diagnostics always use the substituted costate, so reduced and
         # full runs of the same flow report the same certificate values
         V = clf_value(live_spec.clf, -g, v)
@@ -318,7 +327,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 or np.linalg.norm(zz[n:2 * n]) > DIVERGENCE_LIMIT)
 
     g = oracle.gradient(z[:n])
-    samples = [make_sample(0.0, z, g)]
+    u = control_at(z[:n], g, z[n:2 * n])
+    samples = [make_sample(0.0, z, g, u)]
     converged = stopped(g, z)
     diverged = False
     n_steps = int(np.ceil(t_max / h - 1e-12))
@@ -326,20 +336,21 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     if not converged:
         qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
-        u_cur = control_at(z[:n], g, z[n:2 * n]) if full else None
+        adjoint_rk4 = full and method is Integrator.RK4
+        u_adj = u  # the adjoint step's control at the primal step's start
         last_recorded = 0
         for k in range(1, n_steps + 1):
-            z_new = step(z, g)
+            z_new = step(z, g, u)
             if blown_up(z_new):
                 diverged = True
                 k -= 1
                 break
             g_new = oracle.gradient(z_new[:n])
             if full:
-                if method is Integrator.RK4:
+                if adjoint_rk4:
                     u_new = control_at(z_new[:n], g_new, z_new[n:2 * n])
-                    adjoint_rk4_step(z, g, u_cur, z_new, g_new, u_new)
-                    u_cur = u_new
+                    adjoint_rk4_step(z, g, u_adj, z_new, g_new, u_new)
+                    u_adj = u_new
                 else:
                     adjoint_euler_step(z, g, z_new)
                 if not (np.all(np.isfinite(lamx)) and np.all(np.isfinite(lamv))):
@@ -351,17 +362,21 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                     live_spec.metric, z_new[:n] - z[:n], g_new - g)
                 live_spec = dataclasses.replace(live_spec, metric=new_metric)
             z, g = z_new, g_new
+            if adjoint_rk4 and not qn:
+                u = u_new
+            else:
+                u = control_at(z[:n], g, z[n:2 * n])
             t = k * h
             if stopped(g, z):
                 converged = True
-                samples.append(make_sample(t, z, g))
+                samples.append(make_sample(t, z, g, u))
                 last_recorded = k
                 break
             if k % record_stride == 0:
-                samples.append(make_sample(t, z, g))
+                samples.append(make_sample(t, z, g, u))
                 last_recorded = k
         if not converged and k > last_recorded:
-            samples.append(make_sample(k * h, z, g))
+            samples.append(make_sample(k * h, z, g, u))
 
     meta = {
         "mode": mode.value,

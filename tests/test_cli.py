@@ -1,11 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
+from accelflow import cli
 from accelflow.cli import main
-from accelflow.export import read_trajectory_csv
+from accelflow.export import atomic_write, read_trajectory_csv
 
 PROBLEM = {"name": "quadratic", "dim": 4, "kappa": 10.0, "seed": 3}
 
@@ -43,6 +45,20 @@ class TestRunFlow:
         assert summary["kind"] == "flow"
         assert summary["converged"]
         assert summary["final"]["grad_norm"] <= 1e-6
+
+    def test_config_echo_is_written_atomically(self, tmp_path, monkeypatch):
+        written = []
+
+        def recording(path, text):
+            written.append(os.path.basename(path))
+            atomic_write(path, text)
+
+        monkeypatch.setattr(cli, "atomic_write", recording)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "run.yaml", flow_data(out, t_max=0.5))
+        assert main(["run", cfg]) == 0
+        assert written == ["config_echo.yaml"]
+        assert not list(out.glob("*.tmp"))
 
     def test_trajectory_time_is_monotone(self, tmp_path):
         out = tmp_path / "run"
@@ -142,6 +158,28 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2
         assert "absent.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, block, key, value", [
+        ("method.h", "method", "h", float("inf")),
+        ("method.t_max", "method", "t_max", float("nan")),
+        ("method.t_max", "method", "t_max", 0.001),  # below h = 0.01
+        ("method.gamma_a", "method", "gamma_a", float("nan")),
+        ("method.gamma_b", "method", "gamma_b", 10 ** 400),
+        ("method.clf.c", "method", "clf",
+         {"a": 2.0, "b": 1.0, "c": float("nan")}),
+        ("problem.kappa", "problem", "kappa", float("inf")),
+        ("problem.x0[1]", "problem", "x0", [0.0, -float("inf"), 0.0, 0.0]),
+        ("verify.eta", "verify", "eta", float("inf")),
+    ], ids=["h-inf", "t_max-nan", "t_max-below-h", "gamma_a-nan",
+            "gamma_b-overflow", "clf.c-nan", "kappa-inf", "x0-inf", "eta-inf"])
+    def test_bad_number_exits_two_naming_the_field(self, tmp_path, capsys,
+                                                   field, block, key, value):
+        data = flow_data(tmp_path / "run")
+        data.setdefault(block, {})[key] = value
+        cfg = write_config(tmp_path, "bad.yaml", data)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{field}:" in err[0]
 
 
 class TestCompare:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from accelflow.clf import DEFAULT_CLF, ClfParams, clf_value, lie_derivative
+from accelflow.clf import (
+    DEFAULT_CLF,
+    ClfParams,
+    clf_grad_v,
+    clf_value,
+    lie_derivative,
+)
 from accelflow.control import (
     ControllerFamily,
     ControllerSpec,
@@ -22,7 +28,7 @@ from accelflow.control import (
     polyak_controller,
     validate_direct_gains,
 )
-from accelflow.metric import MetricKind, MetricSpec, metric_matrix
+from accelflow.metric import MetricKind, MetricSpec, metric_matrix, metric_solve
 from accelflow.objective import (
     quadratic_problem,
     random_quadratic,
@@ -52,6 +58,14 @@ def test_family_parameter_blocks_are_exclusive():
                        delta=1.0, rate_eta=1.0)
     with pytest.raises(ValueError, match="needs gains"):
         ControllerSpec(ControllerFamily.DIRECT, DEFAULT_CLF, EUCLID)
+
+
+def test_state_shapes_are_checked():
+    spec = min_p_controller()
+    with pytest.raises(ValueError, match="x has shape"):
+        evaluate_control(spec, Q2, np.zeros(2), np.ones(1), np.ones(1))
+    with pytest.raises(ValueError, match="v has shape"):
+        evaluate_control(spec, Q2, np.zeros(1), np.ones(2), np.ones(2))
 
 
 def test_family_wrappers_check_family():
@@ -130,6 +144,51 @@ def test_min_p_taper_winds_down_near_target():
     v = np.array([5.0, 0.0])
     res = evaluate_control(spec, oracle, np.zeros(2), np.zeros(2), v)
     assert res.u @ res.u == pytest.approx(1.0, rel=1e-10)
+
+
+def test_identity_metric_control_matches_the_solve():
+    # the identity metric skips the solve; u must still be the solve's u.
+    # Zero entries come out +0.0 in W^{-1} d. The LAPACK solve maps a -0.0
+    # in grad_v V to +0.0 too, but not at every position (it depends on
+    # the signs of the other entries), so where the solve keeps a -0.0
+    # the two are compared by value only.
+    n = 4
+    oracle = random_quadratic(n, kappa=30.0, seed=3).oracle
+    qn_fresh = MetricSpec(MetricKind.QUASI_NEWTON)
+    specs = [
+        min_p_controller(delta=0.7),
+        min_p_controller(delta=0.7, delta_mode=DeltaMode.TAPER),
+        min_p_controller(delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=1.3),
+        min_p_star_controller(rate_eta=50.0),
+        min_p_controller(metric=qn_fresh, delta=0.7),
+        min_p_star_controller(metric=qn_fresh, rate_eta=50.0),
+    ]
+    rng = np.random.default_rng(11)
+    generic = [tuple(rng.standard_normal((3, n))) for _ in range(20)]
+    # grad_v V = c lam + b v is -0.0 where lam = +0.0 and v = -0.0 (c < 0);
+    # first at an entry LAPACK keeps as -0.0, then after a negative entry,
+    # where it maps it to +0.0
+    signed_zero = [
+        (np.ones(n), np.array([0.0, 1.0, 2.0, 3.0]),
+         np.array([-0.0, 2.0, 3.0, 5.0])),
+        (np.ones(n), np.array([1.0, 0.0, 2.0, 3.0]),
+         np.array([-2.0, -0.0, 1.0, 5.0])),
+    ]
+    bitwise_signed_zero = 0
+    for spec in specs:
+        for x, lam, v in generic + signed_zero:
+            res = evaluate_control(spec, oracle, x, lam, v)
+            assert res.branch in ("boundary", "active")
+            d = clf_grad_v(spec.clf, lam, v)
+            z = metric_solve(np.eye(n), d)
+            solved = -res.sigma * z
+            np.testing.assert_array_equal(res.u, solved)
+            assert res.u.tobytes() == (-res.sigma * (d + 0.0)).tobytes()
+            if not np.any(np.signbit(z[z == 0.0])):
+                assert res.u.tobytes() == solved.tobytes()
+                bitwise_signed_zero += bool(np.any(np.signbit(d[d == 0.0])))
+    # the second signed-zero state is bit-identical to the solve
+    assert bitwise_signed_zero == len(specs)
 
 
 # ---------------------------------------------------------------------------

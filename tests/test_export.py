@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -20,7 +21,14 @@ from accelflow.export import (
     write_summary_json,
     write_trajectory_csv,
 )
-from accelflow.flow import FlowMode, initial_state, integrate
+from accelflow.flow import (
+    AugmentedState,
+    FlowMode,
+    TrajectoryRecord,
+    TrajectorySample,
+    initial_state,
+    integrate,
+)
 from accelflow.metric import MetricKind, MetricSpec
 from accelflow.clf import DEFAULT_CLF
 from accelflow.objective import random_quadratic
@@ -100,6 +108,33 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError):
             read_trajectory_csv(str(path))
 
+    def test_rows_are_the_per_value_format(self, tmp_path):
+        # signed zero, subnormal, huge and non-finite values, in every
+        # column group of the full-mode layout
+        odd = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf])
+        samples = []
+        for k in range(5):
+            r = np.roll(odd, -k)  # each column sees every value once
+            state = AugmentedState(t=r[0], x=r[1:3], v=r[3:5], y=r[2],
+                                   lambda_x=r[2:4], lambda_v=-r[:2])
+            samples.append(TrajectorySample(
+                state=state, u=np.zeros(2), E=r[1], grad_norm=r[3],
+                V=r[4], lieV=-r[0]))
+        record = TrajectoryRecord(samples=samples, converged=False,
+                                  diverged=False,
+                                  meta={"dim": 2, "mode": "full_primal_dual"})
+        path = tmp_path / "odd.csv"
+        write_trajectory_csv(record, str(path))
+        rows = path.read_text().splitlines()[1:]
+        expected = []
+        for s in samples:
+            st = s.state
+            values = ([st.t] + list(st.x) + list(st.v)
+                      + [st.y, s.E, s.grad_norm, s.V, s.lieV]
+                      + list(st.lambda_x) + list(st.lambda_v))
+            expected.append(",".join("%.17g" % v for v in values))
+        assert rows == expected
+
     def test_write_is_atomic_and_makes_dirs(self, reduced_record, tmp_path):
         nested = tmp_path / "a" / "b" / "traj.csv"
         write_trajectory_csv(reduced_record, str(nested))
@@ -124,6 +159,26 @@ class TestRecordReconstruction:
                       if c.name == "cached_diagnostics")
         assert cached.passed
         assert cached.worst_value == 0.0
+
+    def test_rebuild_takes_one_gradient_per_row(self, quad, reduced_record,
+                                                tmp_path):
+        path = str(tmp_path / "traj.csv")
+        write_trajectory_csv(reduced_record, path)
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return quad.oracle.gradient(x)
+
+        oracle = dataclasses.replace(quad.oracle, gradient=gradient)
+        spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
+        rebuilt = trajectory_from_arrays(read_trajectory_csv(path), oracle,
+                                         spec, dict(reduced_record.meta))
+        assert isinstance(rebuilt.samples, list)
+        assert len(calls) == len(reduced_record.samples)
+        for old, new in zip(reduced_record.samples, rebuilt.samples):
+            assert np.array_equal(new.state.lambda_x, old.state.lambda_x)
+            assert np.array_equal(new.u, old.u)
 
     def test_convergence_flags_recovered(self, quad, tmp_path):
         spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)

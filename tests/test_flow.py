@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from accelflow import flow
 from accelflow.control import (
     InfeasibleStateError,
+    accelerated_newton_controller,
     direct_controller,
+    evaluate_control,
     min_p_controller,
     min_p_star_controller,
+    nesterov_flow_controller,
     polyak_controller,
     quasi_newton_flow_controller,
 )
@@ -234,15 +238,42 @@ def test_full_mode_costates_track_arc_identities():
 
 
 def test_full_mode_reduced_mode_same_primal():
-    # costate propagation must not feed back into the primal trajectory
+    # costate propagation must not feed back into the primal trajectory,
+    # nor into the recorded control, for any metric or integrator
     prob = random_quadratic(5, kappa=10.0, seed=4)
     s0 = initial_state(prob.oracle, prob.x0)
-    spec = min_p_star_controller(rate_eta=0.5)
-    kw = dict(h=1e-2, t_max=2.0, stop=RUN_FOREVER, record_stride=20)
-    red = integrate(spec, prob.oracle, s0, **kw)
-    ful = integrate(spec, prob.oracle, s0, mode=FlowMode.FULL_PRIMAL_DUAL, **kw)
-    np.testing.assert_array_equal(red.as_arrays()["x"], ful.as_arrays()["x"])
-    np.testing.assert_array_equal(red.as_arrays()["v"], ful.as_arrays()["v"])
+    specs = [polyak_controller(2.0, 2.0), nesterov_flow_controller(2.0),
+             accelerated_newton_controller(2.0, 2.0),
+             quasi_newton_flow_controller(2.0, 2.0),
+             min_p_star_controller(rate_eta=0.5)]
+    for spec in specs:
+        for method in Integrator:
+            kw = dict(h=1e-2, t_max=2.0, method=method, stop=RUN_FOREVER,
+                      record_stride=20)
+            red = integrate(spec, prob.oracle, s0, **kw).as_arrays()
+            ful = integrate(spec, prob.oracle, s0,
+                            mode=FlowMode.FULL_PRIMAL_DUAL, **kw).as_arrays()
+            for key in ("x", "v", "y", "u"):
+                np.testing.assert_array_equal(red[key], ful[key])
+
+
+@pytest.mark.parametrize("mode", list(FlowMode))
+def test_rk4_evaluates_the_control_four_times_per_step(mode, monkeypatch):
+    # the control at each accepted state feeds its sample and the next
+    # step's first stage, so a step adds only its three inner stages
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_control(*args)
+
+    monkeypatch.setattr(flow, "evaluate_control", counting)
+    prob = random_quadratic(4, kappa=5.0, seed=2)
+    s0 = initial_state(prob.oracle, prob.x0)
+    rec = integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-2,
+                    t_max=0.5, mode=mode, stop=RUN_FOREVER, record_stride=1)
+    assert rec.meta["steps_taken"] == 50
+    assert len(calls) == 4 * 50 + 1
 
 
 def test_quasi_newton_flow_converges():
