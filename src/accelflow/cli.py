@@ -24,7 +24,7 @@ from .config import (
     flow_mode,
     load_config,
 )
-from .control import InfeasibleStateError
+from .control import ControllerSpec, InfeasibleStateError
 from .discrete import (
     IterateSequence,
     accelerated_newton_iterate,
@@ -58,9 +58,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _run_flow(config: RunConfig, problem: ProblemInstance) -> TrajectoryRecord:
+def _run_flow(config: RunConfig, problem: ProblemInstance,
+              spec: ControllerSpec) -> TrajectoryRecord:
     method = config.method
-    spec = method.build_controller()
     v0 = None if method.v0 is None else np.array(method.v0, dtype=float)
     state0 = initial_state(problem.oracle, problem.x0, v0)
     return integrate(spec, problem.oracle, state0, method.h, method.t_max,
@@ -107,11 +107,13 @@ def _run_discrete(config: RunConfig,
 
 
 def _verify_flow_record(config: RunConfig, problem: ProblemInstance,
+                        spec: ControllerSpec,
                         record: TrajectoryRecord) -> Optional[VerificationReport]:
+    """Run the config's checks under the controller's own certificate."""
     v = config.verify
     if not v.checks:
         return None
-    return run_checks(record, problem.oracle, config.method.clf_params(),
+    return run_checks(record, problem.oracle, spec.clf,
                       v.checks, dissipation_mode=v.mode(), eta=v.eta,
                       tol=v.effective_tol(), adjoint_coeff=v.adjoint_coeff,
                       singular_tol=v.singular_tol)
@@ -144,12 +146,13 @@ def _execute_run(config: RunConfig) -> tuple[int, dict[str, Any]]:
     label = config.run_label()
 
     if isinstance(config.method, FlowMethodConfig):
-        record = _run_flow(config, problem)
+        spec = config.method.build_controller()
+        record = _run_flow(config, problem, spec)
         csv_path = os.path.join(out_dir, "trajectory.csv")
         write_trajectory_csv(record, csv_path)
         print(f"wrote {csv_path}")
         payload = flow_summary(record, problem.oracle, label)
-        report = _verify_flow_record(config, problem, record)
+        report = _verify_flow_record(config, problem, spec, record)
         _emit(config, payload, report)
         if record.diverged:
             print("run diverged", file=sys.stderr)
@@ -277,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = config.verify.checks or ("dissipation", "adjoint_consistency",
                                       "singular_arc", "stationarity")
     v = config.verify
-    report = run_checks(record, problem.oracle, method.clf_params(), checks,
+    report = run_checks(record, problem.oracle, spec.clf, checks,
                         dissipation_mode=v.mode(), eta=v.eta,
                         tol=v.effective_tol(), adjoint_coeff=v.adjoint_coeff,
                         singular_tol=v.singular_tol)

@@ -351,19 +351,22 @@ def control_direct(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
 
 
 def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
-                    d: Array) -> Array:
+                    d: Array, H: Optional[Array] = None) -> Array:
     """W^{-1} d for the metric resolved at x.
 
     The identity metric (Euclidean, or quasi-Newton before its first
     update) needs no solve. d + 0.0 matches the solve bit for bit except
     at a -0.0 in d: it always maps that to +0.0, while the LAPACK solve
     does so at some positions and keeps -0.0 at others, depending on the
-    signs of the other entries.
+    signs of the other entries. H is hess E(x) when the caller already
+    holds it. The Hessian metric is not factored again for the solve:
+    shift_to_floor's floor test already certified it.
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
         return d + 0.0
-    return metric_solve(metric_matrix(metric, oracle, x), d)
+    return metric_solve(metric_matrix(metric, oracle, x, H), d,
+                        certified=metric.kind is MetricKind.HESSIAN)
 
 
 def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
@@ -389,7 +392,8 @@ def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
 def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
                 lam: Array, vv: Array) -> ControlResult:
     d = clf_grad_v(spec.clf, lam, vv)
-    Hv = oracle.hessian(x) @ vv
+    H = oracle.hessian(x)
+    Hv = H @ vv
     drift = float(-clf_grad_lambda(spec.clf, lam, vv) @ Hv)
     rho = spec.rate_eta * clf_value(spec.clf, lam, vv)
 
@@ -398,7 +402,7 @@ def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         return ControlResult(np.zeros_like(vv), branch="inactive", sigma=0.0,
                              drift=drift, rho=rho)
     if np.linalg.norm(d) > eps_v(lam, vv):
-        z = _metric_inverse(spec.metric, oracle, x, d)
+        z = _metric_inverse(spec.metric, oracle, x, d, H)
         quad = float(d @ z)
         sigma = (rho + drift) / quad
         # lie V = drift - sigma * quad = -rho, the rate binds exactly

@@ -151,8 +151,10 @@ def accelerated_newton_step(oracle: ObjectiveOracle, metric: MetricSpec,
     x_k = np.asarray(x_k, dtype=float)
     v_k = np.asarray(v_k, dtype=float)
     W = metric_matrix(metric, oracle, x_k)
+    # shift_to_floor already certified a Hessian metric
     v_kp1 = v_k - h * metric_solve(W, gamma_a * oracle.gradient(x_k)
-                                   + gamma_b * v_k)
+                                   + gamma_b * v_k,
+                                   certified=metric.kind is MetricKind.HESSIAN)
     return x_k + h * v_kp1, v_kp1
 
 

@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .clf import clf_value, lie_derivative
-from .control import ControllerSpec, evaluate_control
+from .clf import clf_grad_v, clf_value, lie_derivative
+from .control import ControllerSpec, ControlResult, evaluate_control
 from .metric import MetricKind, quasi_newton_update
 from .objective import ObjectiveOracle
 
@@ -202,9 +202,12 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     state's metric update, and shared: its sample records it, and the
     next step uses it as the first RK4 stage or the semi-implicit Euler
     velocity update. An RK4 step therefore costs four control
-    evaluations. In full_primal_dual RK4 mode the adjoint step's endpoint
-    control is that same value, except with a quasi-Newton metric, where
-    the adjoint sees the control under the matrix the primal step used.
+    evaluations. When the law computed the drift term of lie V
+    (min_p_star does), the sample adds grad_v V . u to it instead of
+    taking a Hessian of its own. In full_primal_dual RK4 mode the
+    adjoint step's endpoint control is that same value, except with a
+    quasi-Newton metric, where the adjoint sees the control under the
+    matrix the primal step used.
 
     An InfeasibleStateError from the controller propagates to the caller
     untouched: it is a statement about the problem/rate pairing, not
@@ -226,8 +229,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     lamx = state0.lambda_x.copy()
     lamv = state0.lambda_v.copy()
 
-    def control_at(x: Array, g: Array, v: Array) -> Array:
-        return evaluate_control(live_spec, oracle, x, -g, v).u
+    def control_at(x: Array, g: Array, v: Array) -> ControlResult:
+        return evaluate_control(live_spec, oracle, x, -g, v)
 
     def rhs(zz: Array, g: Array, u: Array) -> Array:
         v = zz[n:2 * n]
@@ -240,7 +243,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     def stage(zz: Array) -> Array:
         x = zz[:n]
         g = oracle.gradient(x)
-        return rhs(zz, g, control_at(x, g, zz[n:2 * n]))
+        return rhs(zz, g, control_at(x, g, zz[n:2 * n]).u)
 
     def rk4_step(zz: Array, g: Array, u: Array) -> Array:
         k1 = rhs(zz, g, u)
@@ -299,14 +302,20 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         lamx = lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n])
 
     def make_sample(t: float, zz: Array, g: Array,
-                    u: Array) -> TrajectorySample:
+                    res: ControlResult) -> TrajectorySample:
         x = zz[:n].copy()
         v = zz[n:2 * n].copy()
         y = float(zz[2 * n])
+        u = res.u
         # diagnostics always use the substituted costate, so reduced and
         # full runs of the same flow report the same certificate values
         V = clf_value(live_spec.clf, -g, v)
-        lie = lie_derivative(live_spec.clf, oracle, x, -g, v, u)
+        if res.drift is None:
+            lie = lie_derivative(live_spec.clf, oracle, x, -g, v, u)
+        else:
+            # the law already paid a Hessian for the drift term; the sum
+            # is lie_derivative's, bit for bit
+            lie = float(res.drift + clf_grad_v(live_spec.clf, -g, v) @ u)
         state = AugmentedState(
             t=t, x=x, v=v, y=y,
             lambda_x=lamx.copy() if full else -g.copy(),
@@ -327,8 +336,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 or np.linalg.norm(zz[n:2 * n]) > DIVERGENCE_LIMIT)
 
     g = oracle.gradient(z[:n])
-    u = control_at(z[:n], g, z[n:2 * n])
-    samples = [make_sample(0.0, z, g, u)]
+    res = control_at(z[:n], g, z[n:2 * n])
+    samples = [make_sample(0.0, z, g, res)]
     converged = stopped(g, z)
     diverged = False
     n_steps = int(np.ceil(t_max / h - 1e-12))
@@ -337,10 +346,10 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     if not converged:
         qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
         adjoint_rk4 = full and method is Integrator.RK4
-        u_adj = u  # the adjoint step's control at the primal step's start
+        u_adj = res.u  # the adjoint step's control at the primal step's start
         last_recorded = 0
         for k in range(1, n_steps + 1):
-            z_new = step(z, g, u)
+            z_new = step(z, g, res.u)
             if blown_up(z_new):
                 diverged = True
                 k -= 1
@@ -348,9 +357,9 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
             g_new = oracle.gradient(z_new[:n])
             if full:
                 if adjoint_rk4:
-                    u_new = control_at(z_new[:n], g_new, z_new[n:2 * n])
-                    adjoint_rk4_step(z, g, u_adj, z_new, g_new, u_new)
-                    u_adj = u_new
+                    res_new = control_at(z_new[:n], g_new, z_new[n:2 * n])
+                    adjoint_rk4_step(z, g, u_adj, z_new, g_new, res_new.u)
+                    u_adj = res_new.u
                 else:
                     adjoint_euler_step(z, g, z_new)
                 if not (np.all(np.isfinite(lamx)) and np.all(np.isfinite(lamv))):
@@ -363,20 +372,20 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 live_spec = dataclasses.replace(live_spec, metric=new_metric)
             z, g = z_new, g_new
             if adjoint_rk4 and not qn:
-                u = u_new
+                res = res_new
             else:
-                u = control_at(z[:n], g, z[n:2 * n])
+                res = control_at(z[:n], g, z[n:2 * n])
             t = k * h
             if stopped(g, z):
                 converged = True
-                samples.append(make_sample(t, z, g, u))
+                samples.append(make_sample(t, z, g, res))
                 last_recorded = k
                 break
             if k % record_stride == 0:
-                samples.append(make_sample(t, z, g, u))
+                samples.append(make_sample(t, z, g, res))
                 last_recorded = k
         if not converged and k > last_recorded:
-            samples.append(make_sample(k * h, z, g, u))
+            samples.append(make_sample(k * h, z, g, res))
 
     meta = {
         "mode": mode.value,

@@ -49,22 +49,57 @@ class MetricSpec:
             raise ValueError(f"eig_floor must be positive, got {self.eig_floor}")
 
 
+def _has_cholesky(M: Array) -> bool:
+    """True when M has a finite Cholesky factor.
+
+    numpy's Cholesky returns NaN instead of raising on a NaN diagonal, so
+    success alone does not prove M positive definite.
+    """
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(M)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def shift_to_floor(M: Array, floor: float) -> Array:
-    """Add a multiple of the identity so the smallest eigenvalue is >= floor."""
+    """Symmetrize M and lift its smallest eigenvalue to at least floor.
+
+    A Cholesky factorization of M_sym - floor*I (floor subtracted on the
+    diagonal of a copy) is tried first. When it succeeds with a finite
+    factor, M_sym already sits at or above the floor and is returned
+    unchanged, and that factor is also the certificate that the result is
+    positive definite: callers need not factor it again. Only when the
+    factorization fails, or its factor is not finite, does eigvalsh
+    find the smallest eigenvalue, and the diagonal is raised by the gap
+    to floor. A matrix with a NaN or infinite entry raises ValueError.
+    """
     M = np.asarray(M, dtype=float)
     M = 0.5 * (M + M.T)
+    diag = slice(None, None, M.shape[0] + 1)
+    shifted = M.copy()
+    shifted.flat[diag] -= floor
+    if _has_cholesky(shifted):
+        return M
+    if not np.isfinite(M).all():
+        raise ValueError("matrix is not finite; no floor applies")
     min_eig = float(np.linalg.eigvalsh(M)[0])
     if min_eig < floor:
-        M = M + (floor - min_eig) * np.eye(M.shape[0])
+        M.flat[diag] += floor - min_eig
     return M
 
 
-def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array) -> Array:
-    """Resolve the metric W at the current point."""
+def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
+                  H: Optional[Array] = None) -> Array:
+    """Resolve the metric W at the current point.
+
+    H, when given, is hess E(x) already evaluated by the caller; the
+    Hessian metric uses it instead of asking the oracle again.
+    """
     if spec.kind is MetricKind.EUCLIDEAN:
         return np.eye(oracle.dim)
     if spec.kind is MetricKind.HESSIAN:
-        return shift_to_floor(oracle.hessian(x), spec.eig_floor)
+        return shift_to_floor(oracle.hessian(x) if H is None else H,
+                              spec.eig_floor)
     if spec.kind is MetricKind.QUASI_NEWTON:
         if spec.qn_state is None:
             return np.eye(oracle.dim)
@@ -77,22 +112,23 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array) -> Array:
     raise ValueError(f"unknown metric kind {spec.kind!r}")
 
 
-def metric_solve(W: Array, rhs: Array) -> Array:
+def metric_solve(W: Array, rhs: Array, certified: bool = False) -> Array:
     """Solve W z = rhs after certifying W is positive definite.
 
-    The Cholesky factorization doubles as the definiteness check; a
-    failure here means a safeguard upstream was skipped, so it is raised
-    as an error instead of being patched over.
+    The certificate is a finite W with a finite Cholesky factor; the solve
+    itself is np.linalg.solve. A failed certificate means a safeguard
+    upstream was skipped, so it is raised as an error instead of being
+    patched over. certified=True skips the certificate for a W that
+    shift_to_floor returned: its floor test already proved W positive
+    definite.
     """
     W = np.asarray(W, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or rhs.shape != (W.shape[0],):
         raise ValueError(f"shape mismatch: W {W.shape}, rhs {rhs.shape}")
-    try:
-        np.linalg.cholesky(W)
-    except np.linalg.LinAlgError as exc:
+    if not (certified or (np.isfinite(W).all() and _has_cholesky(W))):
         raise ValueError("metric is not positive definite; apply "
-                         "shift_to_floor or fix the quasi-Newton state") from exc
+                         "shift_to_floor or fix the quasi-Newton state")
     return np.linalg.solve(W, rhs)
 
 

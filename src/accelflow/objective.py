@@ -184,9 +184,17 @@ def log_sum_exp_problem(A: Array, b: Array,
 
         grad E = A^T p,    hess E = A^T (diag(p) - p p^T) A,
 
-    with p the softmax of A x + b. The Hessian is positive semidefinite,
-    which is exactly the marginal case the Hessian-metric safeguards have
-    to handle, so this objective doubles as a stress test for them.
+    with p the softmax of A x + b. The Hessian is computed in the
+    equivalent centered form sum_i p_i (a_i - grad E)(a_i - grad E)^T,
+    i.e. C^T diag(p) C with the rows of C = A - 1 (grad E)^T, then
+    symmetrized. That costs O(m n^2) for m terms in n dimensions instead
+    of the O(m^2 n) of forming the m x m middle matrix, and it does not
+    cancel: where p concentrates on one term, both A^T diag(p) A and
+    (grad E)(grad E)^T approach a_i a_i^T while their difference is
+    tiny, and subtracting them (or diag(p) - p p^T) can lose every
+    digit. The Hessian is positive semidefinite, which is exactly the
+    marginal case the Hessian-metric safeguards have to handle, so this
+    objective doubles as a stress test for them.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -218,7 +226,8 @@ def log_sum_exp_problem(A: Array, b: Array,
 
     def hessian(x: Array) -> Array:
         _, p = _softmax(x)
-        H = A.T @ (np.diag(p) - np.outer(p, p)) @ A
+        C = A - A.T @ p
+        H = (C.T * p) @ C
         return 0.5 * (H + H.T)
 
     oracle = ObjectiveOracle(n, value, gradient, hessian, name="log_sum_exp")

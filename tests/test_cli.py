@@ -277,6 +277,22 @@ class TestVerifyVerb:
         for name in ("dissipation", "singular_arc", "adjoint", "stationarity"):
             assert name in stdout
 
+    def test_dissipation_uses_the_controllers_certificate(self, tmp_path,
+                                                          capsys):
+        # polyak records V and lie V under its own momentum certificate,
+        # which for gains (5, 10) is not the config's default clf; both
+        # verbs must check under the controller's
+        out = tmp_path / "run"
+        data = flow_data(out, gamma_a=5.0)
+        data["verify"] = {"checks": ["dissipation"]}
+        cfg = write_config(tmp_path, "polyak.yaml", data)
+        main(["run", cfg])
+        ran = capsys.readouterr().out
+        main(["verify", str(out / "trajectory.csv"), cfg])
+        verified = capsys.readouterr().out
+        for stdout in (ran, verified):
+            assert "PASS cached_diagnostics" in stdout
+
     def test_tampered_certificate_column_caught(self, finished_run,
                                                 capsys, tmp_path):
         traj, cfg = finished_run

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,36 @@ def test_min_p_star_exactness_random_states():
             saw_inactive = True
             assert lie <= -rho + 1e-12
     assert saw_active and saw_inactive
+
+
+def test_hessian_metric_min_p_star_takes_one_hessian_per_evaluation():
+    # the drift's H v and the Hessian metric share one oracle call
+    prob = random_quadratic(4, kappa=10.0, seed=6)
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return prob.oracle.hessian(x)
+
+    oracle = dataclasses.replace(prob.oracle, hessian=hessian)
+    spec = min_p_star_controller(metric=MetricSpec(MetricKind.HESSIAN),
+                                 rate_eta=1.0)
+    x = prob.x0
+    res = evaluate_control(spec, oracle, x, -oracle.gradient(x), np.zeros(4))
+    assert res.branch == "active"
+    assert len(calls) == 1
+    np.testing.assert_array_equal(
+        res.u, evaluate_control(spec, prob.oracle, x, -oracle.gradient(x),
+                                np.zeros(4)).u)
+
+
+def test_a_nan_quasi_newton_state_is_rejected():
+    metric = MetricSpec(MetricKind.QUASI_NEWTON,
+                        qn_state=np.diag([1.0, np.nan]))
+    oracle = rosenbrock_problem().oracle
+    with pytest.raises(ValueError, match="not positive definite"):
+        evaluate_control(momentum_flow_controller(1.0, 1.0, metric), oracle,
+                         np.zeros(2), np.ones(2), np.zeros(2))
 
 
 def test_min_p_star_equilibrium_is_inactive():

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from accelflow import flow
+from accelflow.clf import lie_derivative
 from accelflow.control import (
     InfeasibleStateError,
     accelerated_newton_controller,
@@ -23,6 +26,7 @@ from accelflow.flow import (
     integrate,
     terminal_residuals,
 )
+from accelflow.metric import MetricKind, MetricSpec
 from accelflow.objective import quadratic_problem, random_quadratic
 
 Q2 = quadratic_problem(np.array([[2.0]]))
@@ -274,6 +278,45 @@ def test_rk4_evaluates_the_control_four_times_per_step(mode, monkeypatch):
                     t_max=0.5, mode=mode, stop=RUN_FOREVER, record_stride=1)
     assert rec.meta["steps_taken"] == 50
     assert len(calls) == 4 * 50 + 1
+
+
+HESSIAN_MIN_P_STAR = min_p_star_controller(
+    metric=MetricSpec(MetricKind.HESSIAN), rate_eta=1.0)
+
+
+def test_rk4_takes_four_hessians_per_step_with_the_hessian_metric():
+    # each control evaluation takes one Hessian, and a sample takes none:
+    # it reads lie V off the drift term of its state's control
+    prob = random_quadratic(4, kappa=5.0, seed=2)
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return prob.oracle.hessian(x)
+
+    oracle = dataclasses.replace(prob.oracle, hessian=hessian)
+    s0 = initial_state(oracle, prob.x0)
+    rec = integrate(HESSIAN_MIN_P_STAR, oracle, s0, h=1e-2, t_max=0.5,
+                    stop=RUN_FOREVER, record_stride=1)
+    assert rec.meta["steps_taken"] == 50
+    assert len(rec.samples) == 51
+    assert len(calls) == 4 * 50 + 1
+
+
+@pytest.mark.parametrize("spec", [
+    min_p_star_controller(rate_eta=1.0), HESSIAN_MIN_P_STAR,
+    nesterov_flow_controller(2.0)],
+    ids=["min_p_star", "min_p_star_hessian", "nesterov"])
+def test_sample_lie_derivative_is_lie_derivative_bit_for_bit(spec):
+    prob = random_quadratic(5, kappa=10.0, seed=4)
+    s0 = initial_state(prob.oracle, prob.x0)
+    rec = integrate(spec, prob.oracle, s0, h=1e-2, t_max=3.0,
+                    stop=RUN_FOREVER, record_stride=1)
+    for s in rec.samples:
+        x, v = s.state.x, s.state.v
+        lie = lie_derivative(spec.clf, prob.oracle, x,
+                             -prob.oracle.gradient(x), v, s.u)
+        assert s.lieV == lie
 
 
 def test_quasi_newton_flow_converges():

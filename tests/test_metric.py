@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelflow.metric import (
     MetricKind,
@@ -61,6 +63,55 @@ def test_metric_solve_residual():
 def test_metric_solve_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive definite"):
         metric_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+
+def test_metric_solve_rejects_a_nan_quasi_newton_state():
+    # numpy's Cholesky returns NaN instead of raising on a NaN diagonal
+    spec = MetricSpec(MetricKind.QUASI_NEWTON, qn_state=np.diag([1.0, np.nan]))
+    W = metric_matrix(spec, ROSEN, np.zeros(2))
+    with pytest.raises(ValueError, match="not positive definite"):
+        metric_solve(W, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shift_to_floor_rejects_a_non_finite_matrix(bad):
+    for M in (np.diag([1.0, bad]), np.array([[1.0, bad], [bad, 1.0]]),
+              np.where(np.eye(3) > 0, bad, 0.0)):
+        with pytest.raises(ValueError):
+            shift_to_floor(M, 1e-6)
+
+
+def _eigvalsh_floor(M, floor):
+    """shift_to_floor by eigenvalues alone, with no Cholesky test."""
+    M = 0.5 * (M + M.T)
+    min_eig = float(np.linalg.eigvalsh(M)[0])
+    if min_eig < floor:
+        M = M + (floor - min_eig) * np.eye(M.shape[0])
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data(), st.floats(1e-6, 1.0),
+       st.floats(-2.0, 2.0))
+def test_cholesky_first_floor_matches_the_eigenvalue_floor(n, data, floor,
+                                                           lowest):
+    entries = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n * n,
+                                 max_size=n * n))
+    M = np.array(entries).reshape(n, n)
+    # move the spectrum so that draws land on both sides of the floor
+    M = M + (lowest - np.linalg.eigvalsh(0.5 * (M + M.T))[0]) * np.eye(n)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    margin = 1e-9 * (1.0 + np.max(np.abs(M)))
+
+    W = shift_to_floor(M, floor)
+    np.testing.assert_array_equal(W, W.T)
+    if min_eig >= floor + margin:
+        np.testing.assert_array_equal(W, _eigvalsh_floor(M, floor))
+    elif min_eig < floor - margin:
+        assert np.linalg.eigvalsh(W)[0] == pytest.approx(floor, abs=1e-12)
+    else:
+        # within rounding of the floor either branch may answer
+        assert abs(np.linalg.eigvalsh(W)[0] - floor) <= margin + 1e-12
 
 
 def test_qn_default_state_is_identity():

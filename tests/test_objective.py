@@ -103,6 +103,34 @@ def test_log_sum_exp_hand_gradient():
     np.testing.assert_allclose(prob.oracle.hessian(np.zeros(1)), [[1.0]])
 
 
+def test_log_sum_exp_hessian_matches_the_middle_matrix_form():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((40, 8))
+    b = rng.standard_normal(40)
+    prob = log_sum_exp_problem(A, b)
+    for _ in range(20):
+        x = rng.standard_normal(8)
+        z = A @ x + b
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        ref = A.T @ (np.diag(p) - np.outer(p, p)) @ A
+        H = prob.oracle.hessian(x)
+        assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("gap", [5.0, 20.0, 35.0])
+def test_log_sum_exp_hessian_keeps_its_digits_where_one_term_dominates(gap):
+    # two terms: hess E = s (1 - s) d d^T with d = a_1 - a_2 and s the
+    # logistic of the gap, both weights computed without cancellation
+    a1, a2 = np.array([1.0, 2.0, -1.0]), np.array([0.5, -1.0, 3.0])
+    prob = log_sum_exp_problem(np.stack([a1, a2]), np.array([gap, 0.0]))
+    d = a1 - a2
+    s, s_c = 1.0 / (1.0 + np.exp(-gap)), 1.0 / (1.0 + np.exp(gap))
+    ref = s * s_c * np.outer(d, d)
+    H = prob.oracle.hessian(np.zeros(3))
+    assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_build_problem_dispatch():
     assert build_problem("rosenbrock").oracle.name == "rosenbrock"
     assert build_problem("quadratic", dim=3, kappa=10.0, seed=1).oracle.dim == 3
