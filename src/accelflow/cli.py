@@ -1,9 +1,10 @@
 """Command line entry points: run, compare, verify.
 
 Exit codes: 0 success, 1 failed verification checks, 2 invalid
-configuration, 3 runtime failure (divergence or an infeasible-rate
-abort). Artifacts land in the config's output directory: trajectory or
-iterate CSV, summary JSON, and an echo of the resolved config.
+configuration, 3 runtime failure (divergence, an infeasible-rate abort,
+or a ValueError the library raises while a method runs). Artifacts land
+in the config's output directory: trajectory or iterate CSV, summary
+JSON, and an echo of the resolved config.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ EXIT_OK = 0
 EXIT_CHECKS = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+#: raised while a method runs; ConfigError, itself a ValueError, is caught
+#: before these
+RUNTIME_ERRORS = (InfeasibleStateError, ValueError)
+
+
+def _runtime_failure(e: Exception) -> str:
+    kind = "infeasible state" if isinstance(e, InfeasibleStateError) \
+        else "runtime failure"
+    return f"{kind}: {e}"
 
 
 def _run_flow(config: RunConfig, problem: ProblemInstance,
@@ -162,16 +173,19 @@ def _execute_run(config: RunConfig) -> tuple[int, dict[str, Any]]:
         return EXIT_OK, payload
 
     _check_discrete_verify(config)
-    seq = _run_discrete(config, problem)
-    csv_path = os.path.join(out_dir, "iterates.csv")
-    write_iterates_csv(seq, problem.oracle, csv_path)
-    print(f"wrote {csv_path}")
-    payload = discrete_summary(seq, problem.oracle, label,
-                               config.method.tol_g)
-    report = None
-    if "stationarity" in config.verify.checks:
-        report = check_stationarity(seq, problem.oracle,
-                                    tol_g=config.method.tol_g)
+    # a diverging method overflows on its way to the non-finite iterate
+    # that stops it; the summary reports that as divergence, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = _run_discrete(config, problem)
+        csv_path = os.path.join(out_dir, "iterates.csv")
+        write_iterates_csv(seq, problem.oracle, csv_path)
+        print(f"wrote {csv_path}")
+        payload = discrete_summary(seq, problem.oracle, label,
+                                   config.method.tol_g)
+        report = None
+        if "stationarity" in config.verify.checks:
+            report = check_stationarity(seq, problem.oracle,
+                                        tol_g=config.method.tol_g)
     _emit(config, payload, report)
     if payload["diverged"]:
         print("run diverged", file=sys.stderr)
@@ -217,7 +231,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for cfg, label in zip(configs, labels):
         cfg = _apply_overrides(cfg, args).with_out_dir(
             os.path.join(out_dir, label))
-        code, payload = _execute_run(cfg)
+        try:
+            code, payload = _execute_run(cfg)
+        except ConfigError:
+            raise
+        except RUNTIME_ERRORS as e:
+            # a failed member is a row of nan cells; the others still run
+            print(f"{label}: {_runtime_failure(e)}", file=sys.stderr)
+            worst = max(worst, EXIT_RUNTIME)
+            rows.append({"label": label, "cells": {}, "final_E": None})
+            continue
         worst = max(worst, code)
         if payload["kind"] == "flow":
             cells = payload["time_to_grad"]
@@ -333,8 +356,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleStateError as e:
-        print(f"infeasible state: {e}", file=sys.stderr)
+    except RUNTIME_ERRORS as e:
+        print(_runtime_failure(e), file=sys.stderr)
         return EXIT_RUNTIME
 
 

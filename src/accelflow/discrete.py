@@ -6,7 +6,9 @@ gradient-corrected momentum generate identical sequences, and the flow
 gains map onto step-size/momentum/correction coefficients. The tests pin
 these identities at rounding-error tolerances, so every function keeps
 the update exactly in the stated form rather than an algebraically
-rearranged one.
+rearranged one. Each formula exists once, as a private update that the
+public single step and its driver share; every driver runs on one loop
+that evaluates the gradient once per iterate and carries it forward.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ Schedule = Callable[[int], float]
 
 @dataclass(frozen=True, eq=False)
 class StepAux:
-    """Per-step coefficients and quantities, where applicable."""
+    """Coefficients and quantities of step k, where applicable.
+
+    g is the gradient the step used, the one at points[k]; v is the step's
+    direction (CG, accelerated Newton) or its descent point (two-step form).
+    """
 
     alpha: Optional[float] = None
     beta: Optional[float] = None
@@ -38,15 +44,28 @@ class StepAux:
 
 @dataclass(eq=False)
 class IterateSequence:
+    """Iterates with the gradient at each of them.
+
+    The drivers fill grads as they go; they hold the same array objects as
+    the StepAux.g entries. A sequence built without grads has its
+    gradients evaluated on demand.
+    """
+
     points: list[Array]
     aux: list[StepAux] = field(default_factory=list)
+    grads: list[Array] = field(default_factory=list)
 
     def as_array(self) -> Array:
         return np.array(self.points)
 
+    def gradient(self, k: int, oracle: ObjectiveOracle) -> Array:
+        if len(self.grads) == len(self.points):
+            return self.grads[k]
+        return oracle.gradient(self.points[k])
+
     def grad_norms(self, oracle: ObjectiveOracle) -> Array:
-        return np.array([np.linalg.norm(oracle.gradient(x))
-                         for x in self.points])
+        return np.array([np.linalg.norm(self.gradient(k, oracle))
+                         for k in range(len(self.points))])
 
 
 def constant(value: float) -> Schedule:
@@ -59,12 +78,17 @@ def constant(value: float) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
+def _heavy_ball(x_k: Array, x_km1: Array, g_k: Array, alpha_k: float,
+                beta_k: float) -> Array:
+    return x_k - alpha_k * g_k + beta_k * (x_k - x_km1)
+
+
 def heavy_ball_step(oracle: ObjectiveOracle, x_k: Array, x_km1: Array,
                     alpha_k: float, beta_k: float) -> Array:
     """x_{k+1} = x_k - alpha_k grad E(x_k) + beta_k (x_k - x_{k-1})."""
     x_k = np.asarray(x_k, dtype=float)
     x_km1 = np.asarray(x_km1, dtype=float)
-    return x_k - alpha_k * oracle.gradient(x_k) + beta_k * (x_k - x_km1)
+    return _heavy_ball(x_k, x_km1, oracle.gradient(x_k), alpha_k, beta_k)
 
 
 def cg_to_momentum(alpha_k: float, alpha_km1: float, beta_cg_k: float) -> float:
@@ -79,14 +103,27 @@ def cg_to_momentum(alpha_k: float, alpha_km1: float, beta_cg_k: float) -> float:
     return alpha_k * beta_cg_k / alpha_km1
 
 
+def _nesterov_two_step(y_k: Array, x_km1: Optional[Array], g_k: Array,
+                       alpha_k: float, beta_k: float) -> tuple[Array, Array]:
+    x_k = y_k - alpha_k * g_k
+    # x_{k-1} = None extrapolates from x_k itself: no momentum
+    y_kp1 = x_k + beta_k * (x_k - (x_k if x_km1 is None else x_km1))
+    return x_k, y_kp1
+
+
 def nesterov_two_step(oracle: ObjectiveOracle, y_k: Array, x_km1: Array,
                       alpha_k: float, beta_k: float) -> tuple[Array, Array]:
     """Lookahead form: descend at y_k, then extrapolate past the new point."""
     y_k = np.asarray(y_k, dtype=float)
     x_km1 = np.asarray(x_km1, dtype=float)
-    x_k = y_k - alpha_k * oracle.gradient(y_k)
-    y_kp1 = x_k + beta_k * (x_k - x_km1)
-    return x_k, y_kp1
+    return _nesterov_two_step(y_k, x_km1, oracle.gradient(y_k), alpha_k,
+                              beta_k)
+
+
+def _nesterov_one_step(x_k: Array, x_km1: Array, g_k: Array, g_km1: Array,
+                       alpha_k: float, beta_k: float, gamma_k: float) -> Array:
+    return (x_k - alpha_k * g_k + beta_k * (x_k - x_km1)
+            - gamma_k * (g_k - g_km1))
 
 
 def nesterov_one_step(oracle: ObjectiveOracle, x_k: Array, x_km1: Array,
@@ -103,9 +140,8 @@ def nesterov_one_step(oracle: ObjectiveOracle, x_k: Array, x_km1: Array,
     x_k = np.asarray(x_k, dtype=float)
     x_km1 = np.asarray(x_km1, dtype=float)
     g_km1 = np.asarray(g_km1, dtype=float)
-    g_k = oracle.gradient(x_k)
-    return (x_k - alpha_k * g_k + beta_k * (x_k - x_km1)
-            - gamma_k * (g_k - g_km1))
+    return _nesterov_one_step(x_k, x_km1, oracle.gradient(x_k), g_km1,
+                              alpha_k, beta_k, gamma_k)
 
 
 def flow_to_discrete(gains: Sequence[float], h: float) -> tuple[float, float, float]:
@@ -130,6 +166,24 @@ def flow_to_discrete(gains: Sequence[float], h: float) -> tuple[float, float, fl
     return gamma_a * h * h, beta, gamma_c * h
 
 
+def _check_newton(metric: MetricSpec, h: float) -> None:
+    if metric.kind is MetricKind.EUCLIDEAN:
+        raise ValueError("accelerated_newton_step needs a hessian or "
+                         "quasi_newton metric")
+    if not (h > 0.0):
+        raise ValueError(f"h must be positive, got {h}")
+
+
+def _accelerated_newton(oracle: ObjectiveOracle, metric: MetricSpec,
+                        x_k: Array, v_k: Array, g_k: Array, gamma_a: float,
+                        gamma_b: float, h: float) -> tuple[Array, Array]:
+    W = metric_matrix(metric, oracle, x_k)
+    # shift_to_floor already certified a Hessian metric
+    v_kp1 = v_k - h * metric_solve(W, gamma_a * g_k + gamma_b * v_k,
+                                   certified=metric.kind is MetricKind.HESSIAN)
+    return x_k + h * v_kp1, v_kp1
+
+
 def accelerated_newton_step(oracle: ObjectiveOracle, metric: MetricSpec,
                             x_k: Array, v_k: Array, gains: Sequence[float],
                             h: float) -> tuple[Array, Array]:
@@ -142,25 +196,47 @@ def accelerated_newton_step(oracle: ObjectiveOracle, metric: MetricSpec,
     the identity there is nothing Newton-like about the step. Quasi-Newton
     state updates belong to the caller, which sees both endpoints.
     """
-    if metric.kind is MetricKind.EUCLIDEAN:
-        raise ValueError("accelerated_newton_step needs a hessian or "
-                         "quasi_newton metric")
-    if not (h > 0.0):
-        raise ValueError(f"h must be positive, got {h}")
+    _check_newton(metric, h)
     gamma_a, gamma_b = (float(g) for g in gains)
     x_k = np.asarray(x_k, dtype=float)
     v_k = np.asarray(v_k, dtype=float)
-    W = metric_matrix(metric, oracle, x_k)
-    # shift_to_floor already certified a Hessian metric
-    v_kp1 = v_k - h * metric_solve(W, gamma_a * oracle.gradient(x_k)
-                                   + gamma_b * v_k,
-                                   certified=metric.kind is MetricKind.HESSIAN)
-    return x_k + h * v_kp1, v_kp1
+    return _accelerated_newton(oracle, metric, x_k, v_k, oracle.gradient(x_k),
+                               gamma_a, gamma_b, h)
 
 
 # ---------------------------------------------------------------------------
 # iteration drivers
 # ---------------------------------------------------------------------------
+
+#: step(k, x_k, g_k) -> (x_{k+1}, the StepAux of step k)
+Step = Callable[[int, Array, Array], tuple[Array, StepAux]]
+
+
+def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
+             tol_g: Optional[float], step: Step) -> IterateSequence:
+    """The one iteration loop behind every driver.
+
+    The gradient is evaluated once per point, at x0 and then at each new
+    iterate, where it serves the tol_g test, the sequence's grads and the
+    next step. A non-finite iterate ends the run: it is kept, with a NaN
+    gradient the oracle is not asked for, so the sequence reads as
+    diverged.
+    """
+    x = np.array(x0, dtype=float)
+    g = oracle.gradient(x)
+    seq = IterateSequence(points=[x], grads=[g])
+    for k in range(steps):
+        x, aux = step(k, x, g)
+        seq.points.append(x)
+        seq.aux.append(aux)
+        if not np.isfinite(x).all():
+            seq.grads.append(np.full_like(x, np.nan))
+            break
+        g = oracle.gradient(x)
+        seq.grads.append(g)
+        if tol_g is not None and np.linalg.norm(g) <= tol_g:
+            break
+    return seq
 
 
 def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
@@ -168,18 +244,16 @@ def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
                        x_m1: Optional[Array] = None,
                        tol_g: Optional[float] = None) -> IterateSequence:
     """Run heavy_ball_step; x_{-1} defaults to x0 (no initial momentum)."""
-    x = np.asarray(x0, dtype=float)
-    x_prev = x.copy() if x_m1 is None else np.asarray(x_m1, dtype=float)
-    seq = IterateSequence(points=[x.copy()])
-    for k in range(steps):
+    x_prev = np.asarray(x0 if x_m1 is None else x_m1, dtype=float)
+
+    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+        nonlocal x_prev
         a, b = alpha(k), beta(k)
-        x_new = heavy_ball_step(oracle, x, x_prev, a, b)
-        seq.aux.append(StepAux(alpha=a, beta=b, g=oracle.gradient(x)))
-        x_prev, x = x, x_new
-        seq.points.append(x.copy())
-        if tol_g is not None and np.linalg.norm(oracle.gradient(x)) <= tol_g:
-            break
-    return seq
+        x_new = _heavy_ball(x, x_prev, g, a, b)
+        x_prev = x
+        return x_new, StepAux(alpha=a, beta=b, g=g)
+
+    return _iterate(oracle, x0, steps, tol_g, step)
 
 
 def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
@@ -194,12 +268,11 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     (oracle, k, x_k, g_k, v_km1 or g_km1) so both canned and custom
     schedules fit one shape.
     """
-    x = np.asarray(x0, dtype=float)
-    v = np.zeros_like(x)
-    g_prev = None
-    seq = IterateSequence(points=[x.copy()])
-    for k in range(steps):
-        g = oracle.gradient(x)
+    v = np.zeros_like(np.asarray(x0, dtype=float))
+    g_prev: Optional[Array] = None
+
+    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+        nonlocal v, g_prev
         b = 0.0 if k == 0 else float(beta_cg_rule(oracle, k, g, g_prev))
         if b < 0.0:
             raise ValueError(f"beta_cg_rule returned {b} < 0 at step {k}")
@@ -207,13 +280,10 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
         a = float(alpha_rule(oracle, k, x, g, v))
         if a < 0.0:
             raise ValueError(f"alpha_rule returned {a} < 0 at step {k}")
-        x = x + a * v
-        seq.aux.append(StepAux(alpha=a, beta_cg=b, g=g, v=v.copy()))
-        seq.points.append(x.copy())
         g_prev = g
-        if tol_g is not None and np.linalg.norm(oracle.gradient(x)) <= tol_g:
-            break
-    return seq
+        return x + a * v, StepAux(alpha=a, beta_cg=b, g=g, v=v)
+
+    return _iterate(oracle, x0, steps, tol_g, step)
 
 
 def exact_line_search_alpha(oracle: ObjectiveOracle, k: int, x: Array,
@@ -245,21 +315,19 @@ def nesterov_one_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     which this sequence coincides with the lookahead sequence of the
     two-step form.
     """
-    x = np.asarray(x0, dtype=float)
-    x_prev = x.copy()
-    g_prev = oracle.gradient(x)
-    seq = IterateSequence(points=[x.copy()])
-    for k in range(steps):
+    x_prev = np.asarray(x0, dtype=float)
+    g_prev: Optional[Array] = None
+
+    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+        nonlocal x_prev, g_prev
         a, b = alpha(k), beta(k)
         c = a * b if gamma is None else gamma(k)
-        g = oracle.gradient(x)
-        x_new = nesterov_one_step(oracle, x, x_prev, g_prev, a, b, c)
-        seq.aux.append(StepAux(alpha=a, beta=b, gamma=c, g=g))
-        x_prev, x, g_prev = x, x_new, g
-        seq.points.append(x.copy())
-        if tol_g is not None and np.linalg.norm(oracle.gradient(x)) <= tol_g:
-            break
-    return seq
+        x_new = _nesterov_one_step(x, x_prev, g,
+                                   g if g_prev is None else g_prev, a, b, c)
+        x_prev, g_prev = x, g
+        return x_new, StepAux(alpha=a, beta=b, gamma=c, g=g)
+
+    return _iterate(oracle, x0, steps, tol_g, step)
 
 
 def nesterov_two_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
@@ -272,39 +340,41 @@ def nesterov_two_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     The first extrapolation uses x_{-1} = x_0 (the first descent point),
     so it starts momentum-free, matching the one-step driver's seeding.
     """
-    y = np.asarray(x0, dtype=float)
     x_prev: Optional[Array] = None
-    seq = IterateSequence(points=[y.copy()])
-    for k in range(steps):
+
+    def step(k: int, y: Array, g: Array) -> tuple[Array, StepAux]:
+        nonlocal x_prev
         a, b = alpha(k), beta(k)
-        g = oracle.gradient(y)
-        x_k = y - a * g
-        y = x_k + b * (x_k - (x_k if x_prev is None else x_prev))
+        x_k, y_new = _nesterov_two_step(y, x_prev, g, a, b)
         x_prev = x_k
-        seq.aux.append(StepAux(alpha=a, beta=b, g=g, v=x_k.copy()))
-        seq.points.append(y.copy())
-        if tol_g is not None and np.linalg.norm(oracle.gradient(y)) <= tol_g:
-            break
-    return seq
+        return y_new, StepAux(alpha=a, beta=b, g=g, v=x_k)
+
+    return _iterate(oracle, x0, steps, tol_g, step)
 
 
 def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
                                x0: Array, gains: Sequence[float], h: float,
                                steps: int, v0: Optional[Array] = None,
                                tol_g: Optional[float] = None) -> IterateSequence:
-    """Drive accelerated_newton_step, owning quasi-Newton state updates."""
-    x = np.asarray(x0, dtype=float)
-    v = np.zeros_like(x) if v0 is None else np.asarray(v0, dtype=float)
-    g = oracle.gradient(x)
-    seq = IterateSequence(points=[x.copy()])
-    for k in range(steps):
-        x_new, v_new = accelerated_newton_step(oracle, metric, x, v, gains, h)
-        g_new = oracle.gradient(x_new)
-        if metric.kind is MetricKind.QUASI_NEWTON:
-            metric = quasi_newton_update(metric, x_new - x, g_new - g)
-        x, v, g = x_new, v_new, g_new
-        seq.aux.append(StepAux(alpha=h, g=g, v=v.copy()))
-        seq.points.append(x.copy())
-        if tol_g is not None and np.linalg.norm(g) <= tol_g:
-            break
-    return seq
+    """Drive accelerated_newton_step, owning quasi-Newton state updates.
+
+    The update for the pair (x_{k-1}, x_k) runs at the start of step k,
+    the first point where both gradients are at hand and the metric is
+    needed. aux.v holds v_{k+1}, the direction of step k.
+    """
+    _check_newton(metric, h)
+    gamma_a, gamma_b = (float(c) for c in gains)
+    v = np.zeros_like(np.asarray(x0, dtype=float)) if v0 is None \
+        else np.asarray(v0, dtype=float)
+    last: Optional[tuple[Array, Array]] = None
+
+    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+        nonlocal metric, v, last
+        if last is not None and metric.kind is MetricKind.QUASI_NEWTON:
+            metric = quasi_newton_update(metric, x - last[0], g - last[1])
+        x_new, v = _accelerated_newton(oracle, metric, x, v, g, gamma_a,
+                                       gamma_b, h)
+        last = (x, g)
+        return x_new, StepAux(alpha=h, g=g, v=v)
+
+    return _iterate(oracle, x0, steps, tol_g, step)

@@ -169,15 +169,16 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
                        path: str) -> None:
     dim = seq.points[0].shape[0]
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["E", "grad_norm"]
+    # one % per row; each field is formatted exactly as _fmt would
+    row_fmt = ",".join([FLOAT_FMT] * len(header))
+    norms = seq.grad_norms(oracle).tolist()
     lines = [",".join(header)]
     for k, x in enumerate(seq.points):
-        if np.all(np.isfinite(x)):
-            e = float(oracle.value(x))
-            g = float(np.linalg.norm(oracle.gradient(x)))
+        if np.isfinite(x).all():
+            e, g = float(oracle.value(x)), norms[k]
         else:
             e, g = float("nan"), float("nan")
-        row = [float(k)] + list(x) + [e, g]
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(row_fmt % (float(k), *x.tolist(), e, g))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -230,7 +231,7 @@ def discrete_summary(seq: IterateSequence, oracle: ObjectiveOracle,
                      label: str, tol_g: float) -> dict[str, Any]:
     x_final = seq.points[-1]
     finite = bool(np.all(np.isfinite(x_final)))
-    gnorm = float(np.linalg.norm(oracle.gradient(x_final))) if finite \
+    gnorm = float(np.linalg.norm(seq.gradient(-1, oracle))) if finite \
         else float("inf")
     return {
         "label": label,

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
 from accelflow import cli
-from accelflow.cli import main
+from accelflow.cli import _execute_run, main
+from accelflow.config import ProblemConfig, load_config
 from accelflow.export import atomic_write, read_trajectory_csv
 
 PROBLEM = {"name": "quadratic", "dim": 4, "kappa": 10.0, "seed": 3}
@@ -148,6 +151,72 @@ class TestRunDiscrete:
         assert "verify.checks" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("method", [
+        {"name": "heavy_ball", "alpha": 0.05, "beta": 0.5},
+        {"name": "nesterov1", "alpha": 0.05, "beta": 0.5},
+        {"name": "nesterov2", "alpha": 0.05, "beta": 0.5},
+        {"name": "cg", "alpha": "exact_line_search",
+         "beta_cg": "fletcher_reeves"},
+        {"name": "accel_newton", "gamma_a": 1.0, "gamma_b": 2.0, "h": 0.5},
+        {"name": "accel_qn", "gamma_a": 1.0, "gamma_b": 2.0, "h": 0.2},
+    ], ids=lambda m: m["name"])
+    def test_a_run_takes_one_gradient_per_iterate(self, tmp_path,
+                                                  monkeypatch, method):
+        # driver, iterates CSV, summary and stationarity check together
+        calls = [0]
+        build = ProblemConfig.build
+
+        def counted_build(problem_config):
+            instance = build(problem_config)
+            gradient = instance.oracle.gradient
+
+            def counting(x):
+                calls[0] += 1
+                return gradient(x)
+
+            oracle = dataclasses.replace(instance.oracle, gradient=counting)
+            return dataclasses.replace(instance, oracle=oracle)
+
+        monkeypatch.setattr(ProblemConfig, "build", counted_build)
+        data = discrete_data(tmp_path / "run", **method)
+        data["verify"] = {"checks": ["stationarity"]}
+        config = load_config(write_config(tmp_path, "m.yaml", data))
+        code, payload = _execute_run(config)
+        assert code == 0 and payload["converged"]
+        assert calls[0] == payload["iterations"] + 1
+
+    def test_stops_at_the_first_non_finite_iterate(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        data = discrete_data(out, alpha=5.0, beta=0.5, max_iters=2000)
+        data["problem"] = {"name": "quadratic", "dim": 5, "kappa": 100.0,
+                           "seed": 1}
+        cfg = write_config(tmp_path, "div.yaml", data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg]) == 3
+        assert capsys.readouterr().err == "run diverged\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged"] and not summary["converged"]
+        assert summary["iterations"] == 115
+        rows = (out / "iterates.csv").read_text().splitlines()[1:]
+        assert len(rows) == 116
+        assert [r for r in rows if "nan" in r] == [rows[-1]]
+        assert rows[-1].startswith("115,")
+
+    def test_library_value_error_exits_three_in_one_line(self, tmp_path,
+                                                          capsys):
+        data = discrete_data(tmp_path / "run", name="cg",
+                             alpha="exact_line_search",
+                             beta_cg="fletcher_reeves", max_iters=100)
+        del data["method"]["beta"]
+        data["problem"] = {"name": "rosenbrock", "dim": 2}
+        cfg = write_config(tmp_path, "cg.yaml", data)
+        assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("runtime failure: nonpositive curvature")
+
+
 class TestConfigErrors:
     def test_unknown_method_name(self, tmp_path, capsys):
         data = discrete_data(tmp_path / "run", name="bogus")
@@ -222,6 +291,40 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "final_E" in stdout
         assert "hb" in stdout and "cg" in stdout
+
+    def test_a_failed_member_is_a_nan_row_and_the_rest_still_run(
+            self, tmp_path, capsys):
+        problem = {"name": "rosenbrock", "dim": 2}
+        hb = write_config(tmp_path, "hb.yaml", {
+            "problem": problem,
+            "method": {"kind": "discrete", "name": "heavy_ball",
+                       "alpha": 1.0e-3, "beta": 0.5, "max_iters": 100},
+            "label": "hb"})
+        cg = write_config(tmp_path, "cg.yaml", {
+            "problem": problem,
+            "method": {"kind": "discrete", "name": "cg",
+                       "alpha": "exact_line_search",
+                       "beta_cg": "fletcher_reeves", "max_iters": 100},
+            "label": "cg"})
+        later = write_config(tmp_path, "later.yaml", {
+            "problem": problem,
+            "method": {"kind": "discrete", "name": "nesterov1",
+                       "alpha": 1.0e-3, "beta": 0.5, "max_iters": 100},
+            "label": "later"})
+        out = tmp_path / "cmp"
+        assert main(["compare", hb, cg, later, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("cg: runtime failure: nonpositive curvature")
+        lines = (out / "compare.csv").read_text().splitlines()
+        assert lines[0] == ("label,grad_le_1e-01,grad_le_1e-02,"
+                            "grad_le_1e-03,grad_le_1e-04,grad_le_1e-05,"
+                            "grad_le_1e-06,final_E")
+        assert lines[2] == "cg," + ",".join(["nan"] * 7)
+        for row, label in ((lines[1], "hb"), (lines[3], "later")):
+            final_e = row.split(",")[-1]
+            assert row.startswith(label + ",") and final_e != "nan"
+        assert (out / "later" / "summary.json").exists()
 
     def test_different_problems_rejected(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.yaml", discrete_data(tmp_path / "x"))

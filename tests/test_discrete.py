@@ -1,5 +1,7 @@
 """Discrete steps: hand values, algebraic equivalences, convergence checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from accelflow.discrete import (
     nesterov_two_step,
     nesterov_two_step_iterate,
 )
-from accelflow.metric import MetricKind, MetricSpec
+from accelflow.metric import MetricKind, MetricSpec, quasi_newton_update
 from accelflow.objective import quadratic_problem, random_quadratic
 
 
@@ -349,3 +351,166 @@ class TestIterateSequence:
         seq = cg_iterate(prob.oracle, prob.x0, 50, exact_line_search_alpha,
                          fletcher_reeves_beta, tol_g=1e-10)
         assert len(seq.points) - 1 <= 2
+
+
+def counting(oracle):
+    """The oracle with a gradient that counts its calls, and the count."""
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return oracle.gradient(x)
+
+    return dataclasses.replace(oracle, gradient=gradient), calls
+
+
+HESSIAN = MetricSpec(kind=MetricKind.HESSIAN)
+QUASI_NEWTON = MetricSpec(kind=MetricKind.QUASI_NEWTON)
+
+DRIVERS = {
+    "heavy_ball": lambda o, x0, n, tol: heavy_ball_iterate(
+        o, x0, n, constant(0.05), constant(0.5), tol_g=tol),
+    "cg": lambda o, x0, n, tol: cg_iterate(
+        o, x0, n, exact_line_search_alpha, fletcher_reeves_beta, tol_g=tol),
+    "nesterov1": lambda o, x0, n, tol: nesterov_one_step_iterate(
+        o, x0, n, constant(0.05), constant(0.5), tol_g=tol),
+    "nesterov2": lambda o, x0, n, tol: nesterov_two_step_iterate(
+        o, x0, n, constant(0.05), constant(0.5), tol_g=tol),
+    "accel_newton": lambda o, x0, n, tol: accelerated_newton_iterate(
+        o, HESSIAN, x0, (1.0, 2.0), 0.5, n, tol_g=tol),
+    "accel_qn": lambda o, x0, n, tol: accelerated_newton_iterate(
+        o, QUASI_NEWTON, x0, (1.0, 2.0), 0.2, n, tol_g=tol),
+}
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("tol", [None, 1e-8], ids=["fixed", "to-tol"])
+    @pytest.mark.parametrize("name", list(DRIVERS))
+    def test_one_gradient_per_iterate_shared_with_aux(self, name, tol):
+        prob = random_quadratic(dim=6, kappa=10.0, seed=5)
+        oracle, calls = counting(prob.oracle)
+        seq = DRIVERS[name](oracle, prob.x0, 40, tol)
+        assert calls[0] == len(seq.points)
+        assert len(seq.grads) == len(seq.points) == len(seq.aux) + 1
+        for k, aux in enumerate(seq.aux):
+            assert aux.g is seq.grads[k]
+        for x, g in zip(seq.points, seq.grads):
+            np.testing.assert_array_equal(g, prob.oracle.gradient(x))
+        np.testing.assert_array_equal(
+            seq.grad_norms(oracle),
+            [np.linalg.norm(prob.oracle.gradient(x)) for x in seq.points])
+        assert calls[0] == len(seq.points)
+
+    def test_grad_norms_fall_back_to_the_oracle_without_grads(self):
+        prob = random_quadratic(dim=3, kappa=3.0, seed=4)
+        points = [prob.x0, prob.x0 * 0.5]
+        oracle, calls = counting(prob.oracle)
+        seq = IterateSequence(points=points)
+        np.testing.assert_array_equal(
+            seq.grad_norms(oracle),
+            [np.linalg.norm(prob.oracle.gradient(x)) for x in points])
+        assert calls[0] == 2
+
+    @pytest.mark.parametrize("name", list(DRIVERS))
+    def test_stops_at_the_first_non_finite_iterate(self, name):
+        # far too long a step: every method blows up within a few hundred
+        # iterations and must stop there, not run to max_iters
+        prob = random_quadratic(dim=5, kappa=100.0, seed=1)
+        blow_up = {
+            "heavy_ball": lambda o, x0: heavy_ball_iterate(
+                o, x0, 2000, constant(5.0), constant(0.5)),
+            "cg": lambda o, x0: cg_iterate(
+                o, x0, 2000, lambda *a: 5.0, lambda *a: 0.5),
+            "nesterov1": lambda o, x0: nesterov_one_step_iterate(
+                o, x0, 2000, constant(5.0), constant(0.5)),
+            "nesterov2": lambda o, x0: nesterov_two_step_iterate(
+                o, x0, 2000, constant(5.0), constant(0.5)),
+            "accel_newton": lambda o, x0: accelerated_newton_iterate(
+                o, HESSIAN, x0, (1.0, -10.0), 0.5, 2000),
+            "accel_qn": lambda o, x0: accelerated_newton_iterate(
+                o, QUASI_NEWTON, x0, (1.0, -10.0), 0.5, 2000),
+        }[name]
+        oracle, calls = counting(prob.oracle)
+        with np.errstate(over="ignore", invalid="ignore"):
+            seq = blow_up(oracle, prob.x0)
+        assert len(seq.points) < 2001
+        assert not np.all(np.isfinite(seq.points[-1]))
+        assert all(np.all(np.isfinite(x)) for x in seq.points[:-1])
+        # the non-finite point's gradient is not asked of the oracle
+        assert calls[0] == len(seq.points) - 1
+        assert np.all(np.isnan(seq.grads[-1]))
+
+
+def iterate_step(step, x0, n):
+    """Drive a public single step by hand: the reference for its driver."""
+    points = [np.asarray(x0, dtype=float)]
+    state = None
+    for k in range(n):
+        x, state = step(k, points[-1], state)
+        points.append(x)
+    return points
+
+
+class TestDriversAreTheirSteps:
+    """Each driver shares its update with the public step, bit for bit."""
+
+    def setup_method(self):
+        self.prob = random_quadratic(dim=6, kappa=20.0, seed=8)
+        self.o = self.prob.oracle
+
+    def test_heavy_ball(self):
+        def step(k, x, x_prev):
+            x_prev = x if x_prev is None else x_prev
+            return heavy_ball_step(self.o, x, x_prev, 0.04, 0.6), x
+
+        want = iterate_step(step, self.prob.x0, 60)
+        got = heavy_ball_iterate(self.o, self.prob.x0, 60, constant(0.04),
+                                 constant(0.6)).points
+        np.testing.assert_array_equal(got, want)
+
+    def test_nesterov_one_step(self):
+        def step(k, x, prev):
+            x_prev, g_prev = (x, self.o.gradient(x)) if prev is None else prev
+            x_new = nesterov_one_step(self.o, x, x_prev, g_prev, 0.04, 0.6,
+                                      0.01)
+            return x_new, (x, self.o.gradient(x))
+
+        want = iterate_step(step, self.prob.x0, 60)
+        got = nesterov_one_step_iterate(self.o, self.prob.x0, 60,
+                                        constant(0.04), constant(0.6),
+                                        constant(0.01)).points
+        np.testing.assert_array_equal(got, want)
+
+    def test_nesterov_two_step(self):
+        def step(k, y, x_prev):
+            # the first extrapolation is momentum-free: x_{-1} = x_0
+            if x_prev is None:
+                x_prev = y - 0.04 * self.o.gradient(y)
+            x_k, y_new = nesterov_two_step(self.o, y, x_prev, 0.04, 0.6)
+            return y_new, x_k
+
+        want = iterate_step(step, self.prob.x0, 60)
+        seq = nesterov_two_step_iterate(self.o, self.prob.x0, 60,
+                                        constant(0.04), constant(0.6))
+        np.testing.assert_array_equal(seq.points, want)
+
+    @pytest.mark.parametrize("metric", [HESSIAN, QUASI_NEWTON],
+                             ids=["hessian", "quasi_newton"])
+    def test_accelerated_newton(self, metric):
+        gains, h = (1.0, 2.0), 0.3
+
+        def step(k, x, state):
+            spec, v = (metric, np.zeros_like(x)) if state is None else state
+            x_new, v_new = accelerated_newton_step(self.o, spec, x, v,
+                                                   gains, h)
+            if spec.kind is MetricKind.QUASI_NEWTON:
+                # the pre-refactor order: update right after each step
+                spec = quasi_newton_update(
+                    spec, x_new - x, self.o.gradient(x_new)
+                    - self.o.gradient(x))
+            return x_new, (spec, v_new)
+
+        want = iterate_step(step, self.prob.x0, 30)
+        seq = accelerated_newton_iterate(self.o, metric, self.prob.x0, gains,
+                                         h, 30)
+        np.testing.assert_array_equal(seq.points, want)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from accelflow.control import min_p_star_controller, polyak_controller
-from accelflow.discrete import cg_iterate, constant, heavy_ball_iterate
+from accelflow.discrete import (
+    IterateSequence,
+    cg_iterate,
+    constant,
+    heavy_ball_iterate,
+)
 from accelflow.export import (
     decade_label,
     discrete_summary,
@@ -219,6 +224,34 @@ class TestIteratesCsv:
         last = [float(c) for c in lines[-1].split(",")]
         assert last[0] == len(seq.points) - 1
         np.testing.assert_array_equal(last[1:5], seq.points[-1])
+
+    def test_rows_are_the_per_value_format(self, quad, tmp_path):
+        # signed zero, subnormal and huge values in every column, stored
+        # gradients whose norms are zero, subnormal-squared and overflowing,
+        # and a non-finite last row
+        odd = np.array([-0.0, 5e-324, 1e308, -1e308])
+        points = [np.roll(odd, -k) for k in range(4)]
+        points.append(np.array([1.0, np.nan, -np.inf, 0.0]))
+        grads = [np.roll(odd, k) for k in range(5)]
+        seq = IterateSequence(points=points, grads=grads)
+        oracle = dataclasses.replace(quad.oracle, value=lambda x: x[0] * 0.5,
+                                     gradient=None)
+        path = tmp_path / "odd.csv"
+        with np.errstate(over="ignore"):
+            write_iterates_csv(seq, oracle, str(path))
+            norms = [np.linalg.norm(g) for g in grads]
+        rows = path.read_text().splitlines()[1:]
+        expected = []
+        for k, x in enumerate(points):
+            if np.all(np.isfinite(x)):
+                e, g = float(oracle.value(x)), float(norms[k])
+            else:
+                e, g = float("nan"), float("nan")
+            values = [float(k)] + list(x) + [e, g]
+            expected.append(",".join("%.17g" % v for v in values))
+        assert rows == expected
+        assert "-0" in rows[0] and "4.9406564584124654e-324" in rows[0]
+        assert rows[-1].endswith("nan,nan")
 
     def test_non_finite_points_become_nan_rows(self, quad, tmp_path):
         seq = heavy_ball_iterate(quad.oracle, quad.x0, 3,
