@@ -55,7 +55,7 @@ def unit_step_row(problem, spectrum, kind):
             seq = accelerated_newton_iterate(problem.oracle, MetricSpec(kind),
                                              problem.x0, GAINS, UNIT_STEP,
                                              MAX_ITERS, tol_g=TOL_G)
-        grad = seq.grad_norms(problem.oracle)[-1]
+        grad = seq.grad_norms[-1]
     iters = len(seq.points) - 1
     if not np.isfinite(grad):
         return (spectrum, "unit step", kind.value, f"{iters} iters",

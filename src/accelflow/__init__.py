@@ -1,172 +1,3 @@
 """Accelerated optimization methods as feedback controls of a double integrator."""
 
-from accelflow.clf import (
-    DEFAULT_CLF,
-    ClfParams,
-    DriftReport,
-    clf_grad_lambda,
-    clf_grad_v,
-    clf_value,
-    drift_condition_check,
-    lie_derivative,
-)
-from accelflow.config import ConfigError, RunConfig, load_config, parse_config
-from accelflow.control import (
-    ControllerFamily,
-    ControllerSpec,
-    ControlResult,
-    DeltaMode,
-    DirectGains,
-    InfeasibleStateError,
-    accelerated_newton_controller,
-    direct_controller,
-    evaluate_control,
-    gains_from_sigma,
-    min_p_controller,
-    min_p_star_controller,
-    momentum_flow_controller,
-    nesterov_flow_controller,
-    polyak_controller,
-    quasi_newton_flow_controller,
-    validate_direct_gains,
-)
-from accelflow.discrete import (
-    IterateSequence,
-    accelerated_newton_iterate,
-    cg_iterate,
-    cg_to_momentum,
-    constant,
-    exact_line_search_alpha,
-    fletcher_reeves_beta,
-    flow_to_discrete,
-    heavy_ball_iterate,
-    nesterov_one_step_iterate,
-    nesterov_two_step_iterate,
-)
-from accelflow.export import (
-    flow_summary,
-    discrete_summary,
-    read_trajectory_csv,
-    trajectory_from_arrays,
-    write_iterates_csv,
-    write_summary_json,
-    write_trajectory_csv,
-)
-from accelflow.flow import (
-    AugmentedState,
-    FlowMode,
-    Integrator,
-    StoppingRule,
-    TrajectoryRecord,
-    initial_state,
-    integrate,
-)
-from accelflow.metric import (
-    MetricKind,
-    MetricSpec,
-    metric_matrix,
-    metric_solve,
-    quasi_newton_update,
-)
-from accelflow.objective import (
-    ObjectiveOracle,
-    ProblemInstance,
-    build_problem,
-    log_sum_exp_problem,
-    quadratic_problem,
-    random_log_sum_exp,
-    random_quadratic,
-    rosenbrock_problem,
-)
-from accelflow.verify import (
-    CheckResult,
-    CheckStatus,
-    DissipationMode,
-    VerificationReport,
-    check_adjoint_consistency,
-    check_dissipation,
-    check_singular_arc,
-    check_stationarity,
-    run_checks,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_CLF",
-    "AugmentedState",
-    "CheckResult",
-    "CheckStatus",
-    "ClfParams",
-    "ConfigError",
-    "ControlResult",
-    "ControllerFamily",
-    "ControllerSpec",
-    "DeltaMode",
-    "DirectGains",
-    "DissipationMode",
-    "DriftReport",
-    "FlowMode",
-    "InfeasibleStateError",
-    "Integrator",
-    "IterateSequence",
-    "MetricKind",
-    "MetricSpec",
-    "ObjectiveOracle",
-    "ProblemInstance",
-    "RunConfig",
-    "StoppingRule",
-    "TrajectoryRecord",
-    "VerificationReport",
-    "accelerated_newton_controller",
-    "accelerated_newton_iterate",
-    "build_problem",
-    "cg_iterate",
-    "cg_to_momentum",
-    "check_adjoint_consistency",
-    "check_dissipation",
-    "check_singular_arc",
-    "check_stationarity",
-    "clf_grad_lambda",
-    "clf_grad_v",
-    "clf_value",
-    "constant",
-    "direct_controller",
-    "discrete_summary",
-    "drift_condition_check",
-    "evaluate_control",
-    "exact_line_search_alpha",
-    "fletcher_reeves_beta",
-    "flow_summary",
-    "flow_to_discrete",
-    "gains_from_sigma",
-    "heavy_ball_iterate",
-    "initial_state",
-    "integrate",
-    "lie_derivative",
-    "load_config",
-    "log_sum_exp_problem",
-    "metric_matrix",
-    "metric_solve",
-    "min_p_controller",
-    "min_p_star_controller",
-    "momentum_flow_controller",
-    "nesterov_flow_controller",
-    "nesterov_one_step_iterate",
-    "nesterov_two_step_iterate",
-    "parse_config",
-    "polyak_controller",
-    "quadratic_problem",
-    "quasi_newton_flow_controller",
-    "quasi_newton_update",
-    "random_log_sum_exp",
-    "random_quadratic",
-    "read_trajectory_csv",
-    "rosenbrock_problem",
-    "run_checks",
-    "trajectory_from_arrays",
-    "validate_direct_gains",
-    "write_iterates_csv",
-    "write_summary_json",
-    "write_trajectory_csv",
-]

@@ -21,8 +21,6 @@ from .config import (
     DiscreteMethodConfig,
     FlowMethodConfig,
     RunConfig,
-    flow_integrator,
-    flow_mode,
     load_config,
 )
 from .control import ControllerSpec, InfeasibleStateError
@@ -48,10 +46,21 @@ from .export import (
     write_summary_json,
     write_trajectory_csv,
 )
-from .flow import TrajectoryRecord, initial_state, integrate
+from .flow import (
+    FlowMode,
+    Integrator,
+    TrajectoryRecord,
+    initial_state,
+    integrate,
+)
 from .metric import MetricKind, MetricSpec
 from .objective import ProblemInstance
-from .verify import VerificationReport, check_stationarity, run_checks
+from .verify import (
+    CHECK_NAMES,
+    VerificationReport,
+    check_stationarity,
+    run_checks,
+)
 
 EXIT_OK = 0
 EXIT_CHECKS = 1
@@ -75,7 +84,8 @@ def _run_flow(config: RunConfig, problem: ProblemInstance,
     v0 = None if method.v0 is None else np.array(method.v0, dtype=float)
     state0 = initial_state(problem.oracle, problem.x0, v0)
     return integrate(spec, problem.oracle, state0, method.h, method.t_max,
-                     method=flow_integrator(method), mode=flow_mode(method),
+                     method=Integrator(method.integrator),
+                     mode=FlowMode(method.mode),
                      stop=method.stopping_rule(),
                      record_stride=config.output.stride)
 
@@ -118,14 +128,13 @@ def _run_discrete(config: RunConfig,
 
 
 def _verify_flow_record(config: RunConfig, problem: ProblemInstance,
-                        spec: ControllerSpec,
-                        record: TrajectoryRecord) -> Optional[VerificationReport]:
-    """Run the config's checks under the controller's own certificate."""
+                        spec: ControllerSpec, record: TrajectoryRecord,
+                        checks: tuple[str, ...]) -> VerificationReport:
+    """Run checks with the config's verify settings, under the
+    controller's own certificate."""
     v = config.verify
-    if not v.checks:
-        return None
     return run_checks(record, problem.oracle, spec.clf,
-                      v.checks, dissipation_mode=v.mode(), eta=v.eta,
+                      checks, dissipation_mode=v.mode(), eta=v.eta,
                       tol=v.effective_tol(), adjoint_coeff=v.adjoint_coeff,
                       singular_tol=v.singular_tol)
 
@@ -162,8 +171,11 @@ def _execute_run(config: RunConfig) -> tuple[int, dict[str, Any]]:
         csv_path = os.path.join(out_dir, "trajectory.csv")
         write_trajectory_csv(record, csv_path)
         print(f"wrote {csv_path}")
-        payload = flow_summary(record, problem.oracle, label)
-        report = _verify_flow_record(config, problem, spec, record)
+        payload = flow_summary(record, label)
+        report = None
+        if config.verify.checks:
+            report = _verify_flow_record(config, problem, spec, record,
+                                         config.verify.checks)
         _emit(config, payload, report)
         if record.diverged:
             print("run diverged", file=sys.stderr)
@@ -278,13 +290,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not isinstance(method, FlowMethodConfig):
         raise ConfigError("verify works on flow trajectories; the config's "
                           "method block is discrete")
-    if method.metric == "quasi_newton" or method.controller == "quasi_newton":
+    spec = method.build_controller()
+    if spec.metric.kind is MetricKind.QUASI_NEWTON:
         raise ConfigError(
             "method: quasi_newton metric state is path-dependent and cannot "
             "be rebuilt from a CSV; rerun with a verify block instead")
 
     problem = config.problem.build()
-    spec = method.build_controller()
     try:
         data = read_trajectory_csv(args.trajectory)
     except (OSError, ValueError) as e:
@@ -300,13 +312,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "controller": method.controller}
     record = trajectory_from_arrays(data, problem.oracle, spec, meta)
 
-    checks = config.verify.checks or ("dissipation", "adjoint_consistency",
-                                      "singular_arc", "stationarity")
-    v = config.verify
-    report = run_checks(record, problem.oracle, spec.clf, checks,
-                        dissipation_mode=v.mode(), eta=v.eta,
-                        tol=v.effective_tol(), adjoint_coeff=v.adjoint_coeff,
-                        singular_tol=v.singular_tol)
+    report = _verify_flow_record(config, problem, spec, record,
+                                 config.verify.checks or CHECK_NAMES)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_CHECKS

@@ -21,16 +21,13 @@ from .clf import DEFAULT_CLF, ClfParams
 from .control import (
     ControllerSpec,
     DeltaMode,
-    accelerated_newton_controller,
     direct_controller,
     min_p_controller,
     min_p_star_controller,
     momentum_flow_controller,
     nesterov_flow_controller,
-    polyak_controller,
-    quasi_newton_flow_controller,
 )
-from .flow import FlowMode, Integrator, StoppingRule
+from .flow import StoppingRule
 from .metric import MetricKind, MetricSpec
 from .objective import (
     ProblemInstance,
@@ -45,6 +42,12 @@ FLOW_CONTROLLERS = ("min_p", "min_p_star", "direct", "momentum_flow",
 DISCRETE_METHODS = ("heavy_ball", "nesterov1", "nesterov2", "cg",
                     "accel_newton", "accel_qn")
 PROBLEM_NAMES = ("quadratic", "rosenbrock", "log_sum_exp")
+#: the momentum flows, each with the metric kind its name fixes (None:
+#: the config's method.metric)
+MOMENTUM_FLOWS = {"momentum_flow": None,
+                  "polyak": MetricKind.EUCLIDEAN,
+                  "accel_newton": MetricKind.HESSIAN,
+                  "quasi_newton": MetricKind.QUASI_NEWTON}
 
 
 class ConfigError(ValueError):
@@ -134,13 +137,18 @@ class ProblemConfig:
     x0: Optional[tuple[float, ...]] = None
 
     def build(self) -> ProblemInstance:
+        """The problem registry: one constructor per name in PROBLEM_NAMES."""
         x0 = None if self.x0 is None else np.array(self.x0, dtype=float)
         if self.name == "quadratic":
             return random_quadratic(self.dim, self.kappa, seed=self.seed,
                                     x0=x0, scale=self.scale)
         if self.name == "rosenbrock":
             return rosenbrock_problem(x0=x0)
-        return random_log_sum_exp(self.dim, self.terms, seed=self.seed, x0=x0)
+        if self.name == "log_sum_exp":
+            return random_log_sum_exp(self.dim, self.terms, seed=self.seed,
+                                      x0=x0)
+        raise ConfigError(f"problem.name: unknown problem {self.name!r}, "
+                          f"expected one of {list(PROBLEM_NAMES)}")
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {"name": self.name, "dim": self.dim,
@@ -165,10 +173,17 @@ def _parse_problem(data: Any) -> ProblemConfig:
         x0=_as_vector(b.take("x0"), "problem.x0"),
     )
     b.finish()
-    if cfg.name == "rosenbrock" and cfg.x0 is not None and len(cfg.x0) != 2:
-        raise ConfigError(f"problem.x0: rosenbrock needs 2 entries, "
-                          f"got {len(cfg.x0)}")
+    _check_length(cfg.x0, cfg, "problem.x0")
     return cfg
+
+
+def _check_length(vector: Optional[tuple[float, ...]], problem: ProblemConfig,
+                  path: str) -> None:
+    # rosenbrock is 2-D whatever problem.dim says
+    n = 2 if problem.name == "rosenbrock" else problem.dim
+    if vector is not None and len(vector) != n:
+        raise ConfigError(f"{path}: {problem.name} needs {n} entries, got "
+                          f"{len(vector)}")
 
 
 @dataclass(frozen=True)
@@ -228,10 +243,6 @@ class FlowMethodConfig:
     tol_v: float = 1e-6
     v0: Optional[tuple[float, ...]] = None
 
-    @property
-    def kind(self) -> str:
-        return "flow"
-
     def clf_params(self) -> ClfParams:
         return DEFAULT_CLF if self.clf is None else self.clf.build()
 
@@ -246,7 +257,10 @@ class FlowMethodConfig:
 
     def build_controller(self) -> ControllerSpec:
         clf = self.clf_params()
-        metric = MetricSpec(MetricKind(self.metric), eig_floor=self.eig_floor)
+        kind = MOMENTUM_FLOWS.get(self.controller) or MetricKind(self.metric)
+        # polyak's Euclidean metric has no floor to set: MetricSpec's default
+        metric = MetricSpec(kind) if self.controller == "polyak" \
+            else MetricSpec(kind, eig_floor=self.eig_floor)
         try:
             if self.controller == "min_p":
                 mode = DeltaMode(self.delta_mode)
@@ -265,24 +279,10 @@ class FlowMethodConfig:
                                         gamma_b=self.gamma_b,
                                         gamma_c=self.gamma_c)
                 return direct_controller(ga, gb, gc, clf=clf, metric=metric)
-            if self.controller == "momentum_flow":
+            if self.controller in MOMENTUM_FLOWS:
                 ga, gb = self._need(gamma_a=self.gamma_a,
                                     gamma_b=self.gamma_b)
                 return momentum_flow_controller(ga, gb, metric)
-            if self.controller == "polyak":
-                ga, gb = self._need(gamma_a=self.gamma_a,
-                                    gamma_b=self.gamma_b)
-                return polyak_controller(ga, gb)
-            if self.controller == "accel_newton":
-                ga, gb = self._need(gamma_a=self.gamma_a,
-                                    gamma_b=self.gamma_b)
-                return accelerated_newton_controller(ga, gb,
-                                                     eig_floor=self.eig_floor)
-            if self.controller == "quasi_newton":
-                ga, gb = self._need(gamma_a=self.gamma_a,
-                                    gamma_b=self.gamma_b)
-                return quasi_newton_flow_controller(ga, gb,
-                                                    eig_floor=self.eig_floor)
             ga, = self._need(gamma_a=self.gamma_a)
             return nesterov_flow_controller(ga, clf=clf)
         except ConfigError:
@@ -367,10 +367,6 @@ class DiscreteMethodConfig:
     h: Optional[float] = None
     eig_floor: float = 1e-6
     tol_g: float = 1e-6
-
-    @property
-    def kind(self) -> str:
-        return "discrete"
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {"kind": "discrete", "name": self.name,
@@ -577,6 +573,8 @@ def parse_config(data: Any, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"label: expected a non-empty string, got "
                           f"{label!r}")
     b.finish()
+    if isinstance(method, FlowMethodConfig):
+        _check_length(method.v0, problem, "method.v0")
     return RunConfig(problem=problem, method=method, output=output,
                      verify=verify, label=label)
 
@@ -592,11 +590,3 @@ def load_config(path: str) -> RunConfig:
         where = f"{path}:{mark.line + 1}" if mark is not None else path
         raise ConfigError(f"{where}: YAML parse error: {e}") from e
     return parse_config(data, source=path)
-
-
-def flow_mode(cfg: FlowMethodConfig) -> FlowMode:
-    return FlowMode(cfg.mode)
-
-
-def flow_integrator(cfg: FlowMethodConfig) -> Integrator:
-    return Integrator(cfg.integrator)

@@ -329,27 +329,6 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     return _direct(spec, oracle, x, lam, vv)
 
 
-def control_min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-                  lambda_x: Array, v: Array) -> Array:
-    if spec.family is not ControllerFamily.MIN_P:
-        raise ValueError(f"spec is {spec.family.value}, not min_p")
-    return evaluate_control(spec, oracle, x, lambda_x, v).u
-
-
-def control_min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-                       lambda_x: Array, v: Array) -> Array:
-    if spec.family is not ControllerFamily.MIN_P_STAR:
-        raise ValueError(f"spec is {spec.family.value}, not min_p_star")
-    return evaluate_control(spec, oracle, x, lambda_x, v).u
-
-
-def control_direct(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-                   lambda_x: Array, v: Array) -> Array:
-    if spec.family is not ControllerFamily.DIRECT:
-        raise ValueError(f"spec is {spec.family.value}, not direct")
-    return evaluate_control(spec, oracle, x, lambda_x, v).u
-
-
 def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
                     d: Array, H: Optional[Array] = None) -> Array:
     """W^{-1} d for the metric resolved at x.

@@ -44,28 +44,19 @@ class StepAux:
 
 @dataclass(eq=False)
 class IterateSequence:
-    """Iterates with the gradient at each of them.
+    """Iterates with the gradient at each of them, and its norm.
 
-    The drivers fill grads as they go; they hold the same array objects as
-    the StepAux.g entries. A sequence built without grads has its
-    gradients evaluated on demand.
+    The drivers fill grads and grad_norms as they go; grads holds the same
+    array objects as the StepAux.g entries.
     """
 
     points: list[Array]
     aux: list[StepAux] = field(default_factory=list)
     grads: list[Array] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
 
     def as_array(self) -> Array:
         return np.array(self.points)
-
-    def gradient(self, k: int, oracle: ObjectiveOracle) -> Array:
-        if len(self.grads) == len(self.points):
-            return self.grads[k]
-        return oracle.gradient(self.points[k])
-
-    def grad_norms(self, oracle: ObjectiveOracle) -> Array:
-        return np.array([np.linalg.norm(self.gradient(k, oracle))
-                         for k in range(len(self.points))])
 
 
 def constant(value: float) -> Schedule:
@@ -218,25 +209,41 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 
     The gradient is evaluated once per point, at x0 and then at each new
     iterate, where it serves the tol_g test, the sequence's grads and the
-    next step. A non-finite iterate ends the run: it is kept, with a NaN
-    gradient the oracle is not asked for, so the sequence reads as
-    diverged.
+    next step; its norm is taken once too, for the tol_g test and the
+    sequence's grad_norms. A non-finite iterate ends the run: it is kept,
+    with a NaN gradient the oracle is not asked for, so the sequence reads
+    as diverged.
     """
     x = np.array(x0, dtype=float)
     g = oracle.gradient(x)
-    seq = IterateSequence(points=[x], grads=[g])
+    seq = IterateSequence(points=[x], grads=[g], grad_norms=[_norm(g)])
     for k in range(steps):
         x, aux = step(k, x, g)
         seq.points.append(x)
         seq.aux.append(aux)
         if not np.isfinite(x).all():
             seq.grads.append(np.full_like(x, np.nan))
+            seq.grad_norms.append(float("nan"))
             break
         g = oracle.gradient(x)
         seq.grads.append(g)
-        if tol_g is not None and np.linalg.norm(g) <= tol_g:
+        seq.grad_norms.append(_norm(g))
+        if tol_g is not None and seq.grad_norms[-1] <= tol_g:
             break
     return seq
+
+
+def _norm(g: Array) -> float:
+    """Euclidean norm of a gradient, finite whenever the true norm is.
+
+    The plain norm squares the entries, so it overflows once they pass
+    about 1.3e154. Only then is g rescaled by its largest entry.
+    """
+    out = float(np.linalg.norm(g))
+    if out == np.inf and np.isfinite(g).all():
+        scale = float(np.max(np.abs(g)))
+        out = scale * float(np.linalg.norm(g / scale))
+    return out
 
 
 def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,

@@ -63,16 +63,6 @@ class AugmentedState:
     lambda_y: float = 1.0
 
 
-@dataclass(frozen=True, eq=False)
-class StateDerivative:
-    dx: Array
-    dv: Array
-    dy: float
-    dlambda_x: Array
-    dlambda_v: Array
-    dlambda_y: float = 0.0
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Declare convergence when both the gradient and the velocity are small."""
@@ -120,16 +110,6 @@ class TrajectoryRecord:
         }
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Distances from the final-time targets grad E = 0, v = 0, lambda = 0."""
-
-    r_grad: float
-    r_v: float
-    r_lambda_x: float
-    r_lambda_v: float
-
-
 def initial_state(oracle: ObjectiveOracle, x0: Array,
                   v0: Optional[Array] = None) -> AugmentedState:
     """Augmented initial condition consistent with the arc identities."""
@@ -143,45 +123,6 @@ def initial_state(oracle: ObjectiveOracle, x0: Array,
     return AugmentedState(t=0.0, x=x0.copy(), v=v0.copy(),
                           y=oracle.value(x0), lambda_x=-g0,
                           lambda_v=np.zeros(oracle.dim), lambda_y=1.0)
-
-
-def closed_loop_rhs(spec: ControllerSpec, oracle: ObjectiveOracle,
-                    state: AugmentedState,
-                    mode: FlowMode = FlowMode.REDUCED) -> StateDerivative:
-    """Right-hand side of the closed loop at one augmented state.
-
-    The control is evaluated on the substituted costate -grad E(x), not on
-    state.lambda_x; in full_primal_dual mode the carried costates evolve by
-    their own equations and their agreement with the substitution is a
-    diagnostic, not an input. In reduced mode lambda_v and lambda_y are
-    frozen, so their slots read zero.
-    """
-    g = oracle.gradient(state.x)
-    u = evaluate_control(spec, oracle, state.x, -g, state.v).u
-    Hv = oracle.hessian(state.x) @ state.v
-    if mode is FlowMode.FULL_PRIMAL_DUAL:
-        dlambda_v = -state.lambda_x - state.lambda_y * g
-    else:
-        dlambda_v = np.zeros(oracle.dim)
-    return StateDerivative(dx=state.v.copy(), dv=u, dy=float(g @ state.v),
-                           dlambda_x=-Hv, dlambda_v=dlambda_v, dlambda_y=0.0)
-
-
-def terminal_residuals(state: AugmentedState,
-                       oracle: ObjectiveOracle) -> ResidualReport:
-    """Norm of each final-time target at one state.
-
-    Under the arc identity lambda_x = -grad E(x), r_lambda_x and r_grad
-    coincide: driving the costate to zero is the same thing as reaching a
-    stationary point.
-    """
-    g = oracle.gradient(state.x)
-    return ResidualReport(
-        r_grad=float(np.linalg.norm(g)),
-        r_v=float(np.linalg.norm(state.v)),
-        r_lambda_x=float(np.linalg.norm(state.lambda_x)),
-        r_lambda_v=float(np.linalg.norm(state.lambda_v)),
-    )
 
 
 def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,

@@ -3,7 +3,8 @@
 Every objective is packaged as an :class:`ObjectiveOracle` holding callables
 for the value, gradient, and Hessian. Controllers and integrators only ever
 talk to the oracle interface, so adding a new objective means adding one
-constructor here and nothing else.
+constructor here and its name to the config layer's problem registry
+(``ProblemConfig.build``).
 """
 
 from __future__ import annotations
@@ -247,21 +248,8 @@ def random_log_sum_exp(dim: int, terms: int, seed: SeedLike = None,
 
 
 # ---------------------------------------------------------------------------
-# catalog dispatch and finite differences
+# finite differences
 # ---------------------------------------------------------------------------
-
-CATALOG = ("quadratic", "rosenbrock", "log_sum_exp")
-
-
-def build_problem(name: str, **params) -> ProblemInstance:
-    """Construct a catalog problem by name; used by the config layer."""
-    if name == "quadratic":
-        return random_quadratic(**params)
-    if name == "rosenbrock":
-        return rosenbrock_problem(**params)
-    if name == "log_sum_exp":
-        return random_log_sum_exp(**params)
-    raise ValueError(f"unknown problem {name!r}, expected one of {CATALOG}")
 
 
 def finite_diff_gradient(oracle: ObjectiveOracle, x: Array, h: float = 1e-6) -> Array:

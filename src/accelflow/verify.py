@@ -281,7 +281,7 @@ def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
                 location=float(len(run.points) - 1),
                 detail="non-finite final iterate"))
         else:
-            gnorm = float(np.linalg.norm(run.gradient(-1, oracle)))
+            gnorm = run.grad_norms[-1]
             checks.append(CheckResult(
                 name="stationarity_grad", status=_status(gnorm, tol_g),
                 worst_value=gnorm, tolerance=tol_g,

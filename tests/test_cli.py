@@ -125,6 +125,17 @@ class TestRunFlow:
         assert summary["diverged"]
 
 
+DISCRETE_METHODS = [
+    {"name": "heavy_ball", "alpha": 0.05, "beta": 0.5},
+    {"name": "nesterov1", "alpha": 0.05, "beta": 0.5},
+    {"name": "nesterov2", "alpha": 0.05, "beta": 0.5},
+    {"name": "cg", "alpha": "exact_line_search",
+     "beta_cg": "fletcher_reeves"},
+    {"name": "accel_newton", "gamma_a": 1.0, "gamma_b": 2.0, "h": 0.5},
+    {"name": "accel_qn", "gamma_a": 1.0, "gamma_b": 2.0, "h": 0.2},
+]
+
+
 class TestRunDiscrete:
     def test_writes_iterates_and_summary(self, tmp_path):
         out = tmp_path / "run"
@@ -150,16 +161,8 @@ class TestRunDiscrete:
         assert main(["run", cfg]) == 2
         assert "verify.checks" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize("method", [
-        {"name": "heavy_ball", "alpha": 0.05, "beta": 0.5},
-        {"name": "nesterov1", "alpha": 0.05, "beta": 0.5},
-        {"name": "nesterov2", "alpha": 0.05, "beta": 0.5},
-        {"name": "cg", "alpha": "exact_line_search",
-         "beta_cg": "fletcher_reeves"},
-        {"name": "accel_newton", "gamma_a": 1.0, "gamma_b": 2.0, "h": 0.5},
-        {"name": "accel_qn", "gamma_a": 1.0, "gamma_b": 2.0, "h": 0.2},
-    ], ids=lambda m: m["name"])
+    @pytest.mark.parametrize("method", DISCRETE_METHODS,
+                             ids=lambda m: m["name"])
     def test_a_run_takes_one_gradient_per_iterate(self, tmp_path,
                                                   monkeypatch, method):
         # driver, iterates CSV, summary and stationarity check together
@@ -184,6 +187,71 @@ class TestRunDiscrete:
         code, payload = _execute_run(config)
         assert code == 0 and payload["converged"]
         assert calls[0] == payload["iterations"] + 1
+
+    @pytest.mark.parametrize("method", DISCRETE_METHODS,
+                             ids=lambda m: m["name"])
+    def test_a_run_takes_one_norm_per_gradient(self, tmp_path, monkeypatch,
+                                               method):
+        # the norm the loop takes for its tol_g test serves the iterates
+        # CSV, the summary and the stationarity check too
+        grads = {}
+        normed = []
+        build = ProblemConfig.build
+        norm = np.linalg.norm
+
+        def counted_build(problem_config):
+            instance = build(problem_config)
+            gradient = instance.oracle.gradient
+
+            def keeping(x):
+                g = gradient(x)
+                grads[id(g)] = g
+                return g
+
+            oracle = dataclasses.replace(instance.oracle, gradient=keeping)
+            return dataclasses.replace(instance, oracle=oracle)
+
+        def counting_norm(x, *args, **kwargs):
+            if grads.get(id(x)) is x:
+                normed.append(id(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(ProblemConfig, "build", counted_build)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        data = discrete_data(tmp_path / "run", **method)
+        data["verify"] = {"checks": ["stationarity"]}
+        config = load_config(write_config(tmp_path, "m.yaml", data))
+        code, payload = _execute_run(config)
+        assert code == 0 and payload["converged"]
+        assert len(grads) == payload["iterations"] + 1
+        assert sorted(normed) == sorted(grads)
+
+    def test_overflowing_gradient_norms_stay_finite(self, tmp_path):
+        # the diverging run below: its iterates pass 1e154 long before
+        # they stop being finite
+        out = tmp_path / "run"
+        data = discrete_data(out, alpha=5.0, beta=0.5, max_iters=2000)
+        data["problem"] = {"name": "quadratic", "dim": 5, "kappa": 100.0,
+                           "seed": 1}
+        assert main(["run", write_config(tmp_path, "div.yaml", data)]) == 3
+        oracle = load_config(str(tmp_path / "div.yaml")).problem.build() \
+            .oracle
+        rows = np.loadtxt(out / "iterates.csv", delimiter=",", skiprows=1,
+                          ndmin=2)
+        overflowed = 0
+        with np.errstate(over="ignore"):
+            for row in rows[:-1]:  # the last row is the non-finite iterate
+                g = oracle.gradient(row[1:-2])
+                if not np.isfinite(g).all():
+                    # x about 1e307: the gradient itself overflows
+                    assert row[-1] == np.inf
+                    continue
+                scale = np.max(np.abs(g))
+                rescaled = scale * np.linalg.norm(g / scale)
+                overflowed += np.linalg.norm(g) == np.inf
+                assert np.isfinite(row[-1])
+                assert abs(row[-1] - rescaled) <= 1e-15 * rescaled
+        assert overflowed == 57
 
     def test_stops_at_the_first_non_finite_iterate(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -223,6 +291,23 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "bad.yaml", data)
         assert main(["run", cfg]) == 2
         assert "method.name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, problem, v0", [
+        ("problem.x0", {"name": "quadratic", "dim": 3, "x0": [1.0, 2.0]},
+         None),
+        ("method.v0", {"name": "quadratic", "dim": 3}, [1.0]),
+        ("problem.x0", {"name": "log_sum_exp", "dim": 3, "x0": [1.0]},
+         None),
+    ], ids=["quadratic-x0", "v0", "log_sum_exp-x0"])
+    def test_start_vector_of_the_wrong_length_exits_two(
+            self, tmp_path, capsys, field, problem, v0):
+        data = flow_data(tmp_path / "run")
+        data["problem"] = problem
+        if v0 is not None:
+            data["method"]["v0"] = v0
+        assert main(["run", write_config(tmp_path, "bad.yaml", data)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"config error: {field}:" in err[0]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2

@@ -10,13 +10,16 @@ from accelflow.config import (
     DiscreteMethodConfig,
     FlowMethodConfig,
     RunConfig,
-    flow_integrator,
-    flow_mode,
     load_config,
     parse_config,
 )
-from accelflow.control import ControllerFamily
-from accelflow.flow import FlowMode, Integrator
+from accelflow.cli import _run_flow
+from accelflow.control import (
+    ControllerFamily,
+    accelerated_newton_controller,
+    polyak_controller,
+    quasi_newton_flow_controller,
+)
 
 
 def flow_config(**method_overrides):
@@ -64,6 +67,18 @@ class TestProblemBlock:
         with pytest.raises(ConfigError, match="problem.x0"):
             parse_config(data)
 
+    def test_v0_length_must_match_the_problem(self):
+        data = flow_config(v0=[1.0])
+        with pytest.raises(ConfigError,
+                           match="method.v0: quadratic needs 4 entries, got 1"):
+            parse_config(data)
+        data["problem"] = {"name": "rosenbrock", "dim": 1}
+        with pytest.raises(ConfigError,
+                           match="method.v0: rosenbrock needs 2 entries"):
+            parse_config(data)
+        data["method"]["v0"] = [0.5, 0.5]
+        assert parse_config(data).method.v0 == (0.5, 0.5)
+
     def test_unknown_problem_name(self):
         data = flow_config()
         data["problem"]["name"] = "himmelblau"
@@ -88,7 +103,7 @@ class TestFlowMethodBlock:
         cfg = parse_config(flow_config())
         method = cfg.method
         assert isinstance(method, FlowMethodConfig)
-        assert method.kind == "flow"
+        assert method.to_dict()["kind"] == "flow"
         assert method.metric == "euclidean"
         assert method.integrator == "rk4"
         assert method.mode == "reduced"
@@ -141,9 +156,33 @@ class TestFlowMethodBlock:
 
     def test_enum_converters(self):
         cfg = parse_config(flow_config(integrator="semi_implicit_euler",
-                                       mode="full_primal_dual"))
-        assert flow_integrator(cfg.method) is Integrator.SEMI_IMPLICIT_EULER
-        assert flow_mode(cfg.method) is FlowMode.FULL_PRIMAL_DUAL
+                                       mode="full_primal_dual", t_max=0.02))
+        record = _run_flow(cfg, cfg.problem.build(),
+                           cfg.method.build_controller())
+        assert record.meta["method"] == "semi_implicit_euler"
+        assert record.meta["mode"] == "full_primal_dual"
+
+    @pytest.mark.parametrize("controller, factory", [
+        ("polyak", lambda ga, gb, floor: polyak_controller(ga, gb)),
+        ("accel_newton", accelerated_newton_controller),
+        ("quasi_newton", quasi_newton_flow_controller),
+    ])
+    @pytest.mark.parametrize("metric", ["euclidean", "hessian"])
+    def test_named_momentum_flows_are_their_factories(self, controller,
+                                                      factory, metric):
+        # the name fixes the metric; method.metric does not enter
+        method = parse_config(flow_config(
+            controller=controller, gamma_a=3.0, gamma_b=5.0, metric=metric,
+            eig_floor=1e-3)).method
+        built = method.build_controller()
+        expected = factory(3.0, 5.0, 1e-3)
+        for f in dataclasses.fields(expected):
+            if f.name != "metric":
+                assert getattr(built, f.name) == getattr(expected, f.name), \
+                    f.name
+        for f in dataclasses.fields(expected.metric):
+            assert getattr(built.metric, f.name) \
+                == getattr(expected.metric, f.name), f.name
 
     def test_nonpositive_h_rejected(self):
         with pytest.raises(ConfigError, match="method.h"):
@@ -154,7 +193,7 @@ class TestDiscreteMethodBlock:
     def test_minimal_parse(self):
         method = parse_config(discrete_config()).method
         assert isinstance(method, DiscreteMethodConfig)
-        assert method.kind == "discrete"
+        assert method.to_dict()["kind"] == "discrete"
         assert method.alpha == 0.01
 
     @pytest.mark.parametrize("name,missing", [

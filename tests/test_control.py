@@ -17,9 +17,6 @@ from accelflow.control import (
     DirectGains,
     InfeasibleStateError,
     accelerated_newton_controller,
-    control_direct,
-    control_min_p,
-    control_min_p_star,
     direct_controller,
     evaluate_control,
     gains_from_sigma,
@@ -68,14 +65,6 @@ def test_state_shapes_are_checked():
         evaluate_control(spec, Q2, np.zeros(2), np.ones(1), np.ones(1))
     with pytest.raises(ValueError, match="v has shape"):
         evaluate_control(spec, Q2, np.zeros(1), np.ones(2), np.ones(2))
-
-
-def test_family_wrappers_check_family():
-    spec = min_p_controller()
-    with pytest.raises(ValueError, match="not min_p_star"):
-        control_min_p_star(spec, Q2, np.zeros(1), np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError, match="not direct"):
-        control_direct(spec, Q2, np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +400,11 @@ def test_validate_direct_gains_needs_negative_c():
 
 def test_direct_hand_cases():
     spec = direct_controller(1.0, 1.0, 2.0)
-    u = control_direct(spec, Q2, np.zeros(1), np.array([-1.0]), np.zeros(1))
+    u = evaluate_control(spec, Q2, np.zeros(1), np.array([-1.0]),
+                         np.zeros(1)).u
     np.testing.assert_allclose(u, [-1.0])
-    u = control_direct(spec, Q2, np.zeros(1), np.zeros(1), np.array([1.0]))
+    u = evaluate_control(spec, Q2, np.zeros(1), np.zeros(1),
+                         np.array([1.0])).u
     np.testing.assert_allclose(u, [-5.0])
 
 

@@ -342,8 +342,8 @@ class TestIterateSequence:
         assert len(seq.points) == 8
         assert len(seq.aux) == 7
         assert seq.as_array().shape == (8, 3)
-        norms = seq.grad_norms(prob.oracle)
-        assert norms.shape == (8,)
+        norms = seq.grad_norms
+        assert len(norms) == 8
         assert norms[-1] < norms[0]
 
     def test_early_stop_on_tolerance(self):
@@ -397,19 +397,9 @@ class TestOneLoop:
         for x, g in zip(seq.points, seq.grads):
             np.testing.assert_array_equal(g, prob.oracle.gradient(x))
         np.testing.assert_array_equal(
-            seq.grad_norms(oracle),
+            seq.grad_norms,
             [np.linalg.norm(prob.oracle.gradient(x)) for x in seq.points])
         assert calls[0] == len(seq.points)
-
-    def test_grad_norms_fall_back_to_the_oracle_without_grads(self):
-        prob = random_quadratic(dim=3, kappa=3.0, seed=4)
-        points = [prob.x0, prob.x0 * 0.5]
-        oracle, calls = counting(prob.oracle)
-        seq = IterateSequence(points=points)
-        np.testing.assert_array_equal(
-            seq.grad_norms(oracle),
-            [np.linalg.norm(prob.oracle.gradient(x)) for x in points])
-        assert calls[0] == 2
 
     @pytest.mark.parametrize("name", list(DRIVERS))
     def test_stops_at_the_first_non_finite_iterate(self, name):

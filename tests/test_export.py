@@ -233,13 +233,14 @@ class TestIteratesCsv:
         points = [np.roll(odd, -k) for k in range(4)]
         points.append(np.array([1.0, np.nan, -np.inf, 0.0]))
         grads = [np.roll(odd, k) for k in range(5)]
-        seq = IterateSequence(points=points, grads=grads)
+        with np.errstate(over="ignore"):
+            norms = [np.linalg.norm(g) for g in grads]
+        seq = IterateSequence(points=points, grads=grads,
+                              grad_norms=[float(n) for n in norms])
         oracle = dataclasses.replace(quad.oracle, value=lambda x: x[0] * 0.5,
                                      gradient=None)
         path = tmp_path / "odd.csv"
-        with np.errstate(over="ignore"):
-            write_iterates_csv(seq, oracle, str(path))
-            norms = [np.linalg.norm(g) for g in grads]
+        write_iterates_csv(seq, oracle, str(path))
         rows = path.read_text().splitlines()[1:]
         expected = []
         for k, x in enumerate(points):
@@ -279,15 +280,15 @@ class TestSummaries:
         seq = cg_iterate(quad.oracle, quad.x0, 30,
                          lambda o, k, x, g, v: 0.05,
                          lambda o, k, g, gp: 0.2)
-        hits = iterations_to_gradient_decades(seq, quad.oracle)
+        hits = iterations_to_gradient_decades(seq)
         first = hits["1e-01"]
         assert first is not None
-        norms = seq.grad_norms(quad.oracle)
+        norms = seq.grad_norms
         assert norms[first] <= 1e-1
         assert first == 0 or norms[first - 1] > 1e-1
 
     def test_flow_summary_fields(self, reduced_record, quad):
-        payload = flow_summary(reduced_record, quad.oracle, "demo")
+        payload = flow_summary(reduced_record, "demo")
         assert payload["label"] == "demo"
         assert payload["kind"] == "flow"
         assert payload["t_final"] == pytest.approx(12.0)

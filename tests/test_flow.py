@@ -5,6 +5,7 @@ import pytest
 
 from accelflow import flow
 from accelflow.clf import lie_derivative
+from accelflow.export import flow_summary
 from accelflow.control import (
     InfeasibleStateError,
     accelerated_newton_controller,
@@ -21,10 +22,8 @@ from accelflow.flow import (
     FlowMode,
     Integrator,
     StoppingRule,
-    closed_loop_rhs,
     initial_state,
     integrate,
-    terminal_residuals,
 )
 from accelflow.metric import MetricKind, MetricSpec
 from accelflow.objective import quadratic_problem, random_quadratic
@@ -45,44 +44,72 @@ def test_initial_state_consistency():
         initial_state(Q2.oracle, np.zeros(1), v0=np.zeros(2))
 
 
-def test_rhs_hand_case():
+def one_step(spec, state, h, method=Integrator.SEMI_IMPLICIT_EULER,
+             mode=FlowMode.FULL_PRIMAL_DUAL):
+    """The start sample and the state after one integrate step.
+
+    Negative tolerances are never met, so even an equilibrium start takes
+    the step. A full_primal_dual semi-implicit Euler step reads the vector
+    field off directly: v1 = v + h u, x1 = x + h v1, y1 = y + h g.v1,
+    lambda_v1 = lambda_v + h (-lambda_x - g), lambda_x1 = lambda_x - h H v1.
+    """
+    rec = integrate(spec, Q2.oracle, state, h=h, t_max=h, method=method,
+                    mode=mode, stop=StoppingRule(tol_g=-1.0, tol_v=-1.0))
+    assert rec.meta["steps_taken"] == 1 and len(rec.samples) == 2
+    return rec.samples[0], rec.samples[1].state
+
+
+def test_vector_field_hand_case():
+    # E = x^2 at x = 3, v = 1: g = 6, H = 2; the direct law gives
+    # u = -6 - 1 - 2 * 2 = -11, and h = 0.5 keeps every product exact
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
-    d = closed_loop_rhs(direct_controller(1.0, 1.0, 2.0), Q2.oracle, s)
-    assert d.dy == pytest.approx(6.0)
-    np.testing.assert_allclose(d.dlambda_x, [-2.0])
-    np.testing.assert_allclose(d.dx, [1.0])
-    np.testing.assert_array_equal(d.dlambda_v, [0.0])
-    assert d.dlambda_y == 0.0
+    start, s1 = one_step(direct_controller(1.0, 1.0, 2.0), s, 0.5)
+    np.testing.assert_array_equal(start.u, [-11.0])
+    np.testing.assert_array_equal(s1.v, [1.0 - 0.5 * 11.0])          # dv = u
+    np.testing.assert_array_equal(s1.x, [3.0 + 0.5 * s1.v[0]])       # dx = v
+    assert s1.y == 9.0 + 0.5 * 6.0 * s1.v[0]                         # dy = g.v
+    np.testing.assert_array_equal(s1.lambda_x,
+                                  [-6.0 - 0.5 * 2.0 * s1.v[0]])      # -H v
+    np.testing.assert_array_equal(s1.lambda_v, [0.0])
+    assert s1.lambda_y == 1.0
 
 
-def test_rhs_equilibrium_is_stationary():
+@pytest.mark.parametrize("method", list(Integrator))
+def test_vector_field_equilibrium_is_stationary(method):
     s = initial_state(Q2.oracle, np.zeros(1))
     for spec in (direct_controller(1.0, 1.0, 2.0), min_p_controller(),
                  min_p_star_controller()):
-        d = closed_loop_rhs(spec, Q2.oracle, s)
-        for part in (d.dx, d.dv, d.dlambda_x, d.dlambda_v):
+        start, s1 = one_step(spec, s, 0.1, method=method)
+        for part in (start.u, s1.x, s1.v, s1.lambda_x, s1.lambda_v):
             np.testing.assert_array_equal(part, [0.0])
-        assert d.dy == 0.0
+        assert s1.y == 0.0
 
 
-def test_rhs_full_mode_lambda_v_identity():
+def test_vector_field_full_mode_lambda_v_identity():
     # with lambda_x = -grad E exactly, the lambda_v equation reads zero
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
-    d = closed_loop_rhs(min_p_controller(), Q2.oracle, s,
-                        mode=FlowMode.FULL_PRIMAL_DUAL)
-    np.testing.assert_allclose(d.dlambda_v, [0.0], atol=1e-15)
+    _, s1 = one_step(min_p_controller(), s, 0.5)
+    np.testing.assert_allclose(s1.lambda_v, [0.0], atol=1e-15)
 
 
-def test_terminal_residuals_hand_case():
+def test_flow_summary_final_norms_hand_case():
+    # one exact step of the hand case above: x1 = 0.75, v1 = -4.5, and
+    # lambda_x1 = -1.5 = -grad E(x1)
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
-    r = terminal_residuals(s, Q2.oracle)
-    assert r.r_grad == pytest.approx(6.0)
-    assert r.r_lambda_x == pytest.approx(6.0)
-    assert r.r_v == pytest.approx(1.0)
-    assert r.r_lambda_v == 0.0
+    rec = integrate(direct_controller(1.0, 1.0, 2.0), Q2.oracle, s, h=0.5,
+                    t_max=0.5, method=Integrator.SEMI_IMPLICIT_EULER,
+                    mode=FlowMode.FULL_PRIMAL_DUAL, stop=RUN_FOREVER)
+    final = flow_summary(rec, "hand")["final"]
+    assert final["grad_norm"] == pytest.approx(1.5)
+    assert final["lambda_x_norm"] == pytest.approx(1.5)
+    assert final["v_norm"] == pytest.approx(4.5)
+    assert final["lambda_v_norm"] == 0.0
     at_target = initial_state(Q2.oracle, np.zeros(1))
-    r = terminal_residuals(at_target, Q2.oracle)
-    assert (r.r_grad, r.r_v, r.r_lambda_x, r.r_lambda_v) == (0.0, 0.0, 0.0, 0.0)
+    rec = integrate(min_p_controller(), Q2.oracle, at_target, h=0.5,
+                    t_max=0.5)
+    final = flow_summary(rec, "target")["final"]
+    assert (final["grad_norm"], final["v_norm"], final["lambda_x_norm"],
+            final["lambda_v_norm"]) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_integrate_equilibrium_stops_immediately():
@@ -109,8 +136,8 @@ def test_direct_flow_matches_closed_form():
     arr = rec.as_arrays()
     exact = _direct_closed_form(arr["t"])
     assert np.max(np.abs(arr["x"][:, 0] - exact)) <= 1e-9
-    r = terminal_residuals(rec.final.state, Q2.oracle)
-    assert r.r_grad <= 1e-6 and r.r_v <= 1e-6
+    final = flow_summary(rec, "direct")["final"]
+    assert final["grad_norm"] <= 1e-6 and final["v_norm"] <= 1e-6
 
 
 def test_rk4_is_fourth_order():
@@ -325,8 +352,7 @@ def test_quasi_newton_flow_converges():
     rec = integrate(quasi_newton_flow_controller(10.0, 10.0), prob.oracle, s0,
                     h=1e-2, t_max=100.0, record_stride=50)
     assert rec.converged
-    r = terminal_residuals(rec.final.state, prob.oracle)
-    assert r.r_grad <= 1e-6
+    assert flow_summary(rec, "quasi_newton")["final"]["grad_norm"] <= 1e-6
 
 
 def test_trajectory_meta_records_setup():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accelflow.config import ProblemConfig
 from accelflow.objective import (
-    build_problem,
     finite_diff_gradient,
     finite_diff_hessian,
     log_sum_exp_problem,
@@ -131,12 +131,14 @@ def test_log_sum_exp_hessian_keeps_its_digits_where_one_term_dominates(gap):
     assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_build_problem_dispatch():
-    assert build_problem("rosenbrock").oracle.name == "rosenbrock"
-    assert build_problem("quadratic", dim=3, kappa=10.0, seed=1).oracle.dim == 3
-    assert build_problem("log_sum_exp", dim=2, terms=5, seed=1).oracle.dim == 2
+def test_problem_config_build_dispatch():
+    assert ProblemConfig("rosenbrock").build().oracle.name == "rosenbrock"
+    assert ProblemConfig("quadratic", dim=3, kappa=10.0,
+                         seed=1).build().oracle.dim == 3
+    assert ProblemConfig("log_sum_exp", dim=2, terms=5,
+                         seed=1).build().oracle.dim == 2
     with pytest.raises(ValueError, match="unknown problem"):
-        build_problem("himmelblau")
+        ProblemConfig("himmelblau").build()
 
 
 def _catalog_instances():
