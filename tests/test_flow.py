@@ -59,7 +59,7 @@ def one_step(spec, state, h, method=Integrator.SEMI_IMPLICIT_EULER,
     return rec.samples[0], rec.samples[1].state
 
 
-def test_vector_field_hand_case():
+def test_rhs_hand_case():
     # E = x^2 at x = 3, v = 1: g = 6, H = 2; the direct law gives
     # u = -6 - 1 - 2 * 2 = -11, and h = 0.5 keeps every product exact
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
@@ -74,25 +74,25 @@ def test_vector_field_hand_case():
     assert s1.lambda_y == 1.0
 
 
-@pytest.mark.parametrize("method", list(Integrator))
-def test_vector_field_equilibrium_is_stationary(method):
+def test_rhs_equilibrium_is_stationary():
     s = initial_state(Q2.oracle, np.zeros(1))
-    for spec in (direct_controller(1.0, 1.0, 2.0), min_p_controller(),
-                 min_p_star_controller()):
-        start, s1 = one_step(spec, s, 0.1, method=method)
-        for part in (start.u, s1.x, s1.v, s1.lambda_x, s1.lambda_v):
-            np.testing.assert_array_equal(part, [0.0])
-        assert s1.y == 0.0
+    for method in Integrator:
+        for spec in (direct_controller(1.0, 1.0, 2.0), min_p_controller(),
+                     min_p_star_controller()):
+            start, s1 = one_step(spec, s, 0.1, method=method)
+            for part in (start.u, s1.x, s1.v, s1.lambda_x, s1.lambda_v):
+                np.testing.assert_array_equal(part, [0.0])
+            assert s1.y == 0.0
 
 
-def test_vector_field_full_mode_lambda_v_identity():
+def test_rhs_full_mode_lambda_v_identity():
     # with lambda_x = -grad E exactly, the lambda_v equation reads zero
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
     _, s1 = one_step(min_p_controller(), s, 0.5)
     np.testing.assert_allclose(s1.lambda_v, [0.0], atol=1e-15)
 
 
-def test_flow_summary_final_norms_hand_case():
+def test_terminal_residuals_hand_case():
     # one exact step of the hand case above: x1 = 0.75, v1 = -4.5, and
     # lambda_x1 = -1.5 = -grad E(x1)
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))

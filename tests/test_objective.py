@@ -131,7 +131,7 @@ def test_log_sum_exp_hessian_keeps_its_digits_where_one_term_dominates(gap):
     assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_problem_config_build_dispatch():
+def test_build_problem_dispatch():
     assert ProblemConfig("rosenbrock").build().oracle.name == "rosenbrock"
     assert ProblemConfig("quadratic", dim=3, kappa=10.0,
                          seed=1).build().oracle.dim == 3
