@@ -71,10 +71,10 @@ def flow_row(problem, spectrum):
                        initial_state(problem.oracle, problem.x0),
                        FLOW_STEP, 100.0, stop=StoppingRule(tol_g=TOL_G),
                        record_stride=100)
-    final = record.final
     status = "converged" if record.converged else "stalled"
     return (spectrum, f"flow h={FLOW_STEP}", "euclidean",
-            f"t={final.state.t:.1f}", f"{final.grad_norm:.1e}", status)
+            f"t={record.columns['t'][-1]:.1f}",
+            f"{record.columns['grad_norm'][-1]:.1e}", status)
 
 
 def print_table(rows):

@@ -298,19 +298,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     problem = config.problem.build()
     try:
-        data = read_trajectory_csv(args.trajectory)
+        columns = read_trajectory_csv(args.trajectory)
     except (OSError, ValueError) as e:
-        raise ConfigError(f"{args.trajectory}: {e}") from e
-    if data["x"].shape[1] != problem.oracle.dim:
+        reason = getattr(e, "strerror", None) or e  # OSError text has the path
+        raise ConfigError(f"{args.trajectory}: {reason}") from e
+    if columns["x"].shape[1] != problem.oracle.dim:
         raise ConfigError(f"{args.trajectory}: trajectory dimension "
-                          f"{data['x'].shape[1]} does not match the "
+                          f"{columns['x'].shape[1]} does not match the "
                           f"config problem ({problem.oracle.dim})")
 
     meta = {"mode": method.mode, "method": method.integrator, "h": method.h,
             "t_max": method.t_max, "dim": problem.oracle.dim,
             "tol_g": method.tol_g, "tol_v": method.tol_v,
             "controller": method.controller}
-    record = trajectory_from_arrays(data, problem.oracle, spec, meta)
+    record = trajectory_from_arrays(columns, problem.oracle, spec, meta)
 
     report = _verify_flow_record(config, problem, spec, record,
                                  config.verify.checks or CHECK_NAMES)

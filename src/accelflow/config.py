@@ -150,14 +150,6 @@ class ProblemConfig:
         raise ConfigError(f"problem.name: unknown problem {self.name!r}, "
                           f"expected one of {list(PROBLEM_NAMES)}")
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"name": self.name, "dim": self.dim,
-                               "kappa": self.kappa, "scale": self.scale,
-                               "terms": self.terms, "seed": self.seed}
-        if self.x0 is not None:
-            out["x0"] = list(self.x0)
-        return out
-
 
 def _parse_problem(data: Any) -> ProblemConfig:
     b = _Block(data, "problem")
@@ -186,26 +178,7 @@ def _check_length(vector: Optional[tuple[float, ...]], problem: ProblemConfig,
                           f"{len(vector)}")
 
 
-@dataclass(frozen=True)
-class ClfConfig:
-    a: float
-    b: float
-    c: float
-    pd_hessian_mode: bool = False
-
-    def build(self) -> ClfParams:
-        try:
-            return ClfParams(a=self.a, b=self.b, c=self.c,
-                             pd_hessian_mode=self.pd_hessian_mode)
-        except ValueError as e:
-            raise ConfigError(f"method.clf: {e}") from e
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c,
-                "pd_hessian_mode": self.pd_hessian_mode}
-
-
-def _parse_clf(data: Any) -> Optional[ClfConfig]:
+def _parse_clf(data: Any) -> Optional[ClfParams]:
     if data is None:
         return None
     b = _Block(data, "method.clf")
@@ -213,13 +186,13 @@ def _parse_clf(data: Any) -> Optional[ClfConfig]:
     if not isinstance(pd, bool):
         raise ConfigError(f"method.clf.pd_hessian_mode: expected a boolean, "
                           f"got {pd!r}")
-    cfg = ClfConfig(a=_as_float(b.take("a", required=True), "method.clf.a"),
-                    b=_as_float(b.take("b", required=True), "method.clf.b"),
-                    c=_as_float(b.take("c", required=True), "method.clf.c"),
-                    pd_hessian_mode=pd)
+    coeffs = {key: _as_float(b.take(key, required=True), f"method.clf.{key}")
+              for key in ("a", "b", "c")}
     b.finish()
-    cfg.build()
-    return cfg
+    try:
+        return ClfParams(**coeffs, pd_hessian_mode=pd)
+    except ValueError as e:
+        raise ConfigError(f"method.clf: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -229,7 +202,7 @@ class FlowMethodConfig:
     t_max: float
     metric: str = "euclidean"
     eig_floor: float = 1e-6
-    clf: Optional[ClfConfig] = None
+    clf: Optional[ClfParams] = None
     gamma_a: Optional[float] = None
     gamma_b: Optional[float] = None
     gamma_c: Optional[float] = None
@@ -244,7 +217,7 @@ class FlowMethodConfig:
     v0: Optional[tuple[float, ...]] = None
 
     def clf_params(self) -> ClfParams:
-        return DEFAULT_CLF if self.clf is None else self.clf.build()
+        return DEFAULT_CLF if self.clf is None else self.clf
 
     def _need(self, **fields: Optional[float]) -> list[float]:
         out = []
@@ -292,25 +265,6 @@ class FlowMethodConfig:
 
     def stopping_rule(self) -> StoppingRule:
         return StoppingRule(tol_g=self.tol_g, tol_v=self.tol_v)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "kind": "flow", "controller": self.controller, "h": self.h,
-            "t_max": self.t_max, "metric": self.metric,
-            "eig_floor": self.eig_floor, "delta_mode": self.delta_mode,
-            "integrator": self.integrator, "mode": self.mode,
-            "tol_g": self.tol_g, "tol_v": self.tol_v,
-        }
-        if self.clf is not None:
-            out["clf"] = self.clf.to_dict()
-        for key in ("gamma_a", "gamma_b", "gamma_c", "delta", "sigma_q",
-                    "eta"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.v0 is not None:
-            out["v0"] = list(self.v0)
-        return out
 
 
 def _parse_flow_method(b: _Block) -> FlowMethodConfig:
@@ -367,18 +321,6 @@ class DiscreteMethodConfig:
     h: Optional[float] = None
     eig_floor: float = 1e-6
     tol_g: float = 1e-6
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": "discrete", "name": self.name,
-                               "max_iters": self.max_iters,
-                               "eig_floor": self.eig_floor,
-                               "tol_g": self.tol_g}
-        for key in ("alpha", "beta", "gamma", "beta_cg", "gamma_a",
-                    "gamma_b", "h"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 def _parse_discrete_method(b: _Block) -> DiscreteMethodConfig:
@@ -452,9 +394,6 @@ class OutputConfig:
     out_dir: str = "runs"
     stride: int = 1
 
-    def to_dict(self) -> dict:
-        return {"out_dir": self.out_dir, "stride": self.stride}
-
 
 def _parse_output(data: Any) -> OutputConfig:
     b = _Block(data, "output")
@@ -486,16 +425,6 @@ class VerifyConfig:
             return self.tol
         return 1e-12 if self.dissipation_mode == "strict" else 1e-6
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"checks": list(self.checks),
-                               "dissipation_mode": self.dissipation_mode,
-                               "eta": self.eta,
-                               "adjoint_coeff": self.adjoint_coeff,
-                               "singular_tol": self.singular_tol}
-        if self.tol is not None:
-            out["tol"] = self.tol
-        return out
-
 
 def _parse_verify(data: Any) -> VerifyConfig:
     b = _Block(data, "verify")
@@ -519,6 +448,18 @@ def _parse_verify(data: Any) -> VerifyConfig:
     )
     b.finish()
     return cfg
+
+
+def _plain(value: Any) -> Any:
+    """A config value as YAML-ready data: a dataclass becomes a mapping of
+    its fields that are not None, a tuple a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -549,12 +490,12 @@ class RunConfig:
             self, output=dataclasses.replace(self.output, out_dir=out_dir))
 
     def to_dict(self) -> dict:
-        out = {"problem": self.problem.to_dict(),
-               "method": self.method.to_dict(),
-               "output": self.output.to_dict(),
-               "verify": self.verify.to_dict()}
-        if self.label is not None:
-            out["label"] = self.label
+        """Every block as plain data, with method.kind naming the method's
+        block type as a config file does."""
+        out = _plain(self)
+        out["method"]["kind"] = ("flow"
+                                 if isinstance(self.method, FlowMethodConfig)
+                                 else "discrete")
         return out
 
     def to_yaml(self) -> str:

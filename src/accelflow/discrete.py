@@ -55,9 +55,6 @@ class IterateSequence:
     grads: list[Array] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
 
-    def as_array(self) -> Array:
-        return np.array(self.points)
-
 
 def constant(value: float) -> Schedule:
     """Constant coefficient schedule."""

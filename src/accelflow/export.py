@@ -1,5 +1,11 @@
 """Trajectory CSV, summary JSON, and comparison-table export.
 
+A trajectory CSV is a TrajectoryRecord's table written out: its header
+expands flow.COLUMNS, each vector column once per coordinate under its
+VECTOR_PREFIX, and read_trajectory_csv returns the same columns. Only the
+control u is left out; it is a function of the state and is re-evaluated
+on the way back in.
+
 CSV columns carry full double precision (17 significant digits) so the
 algebraic equivalences can be re-checked offline from the artifacts
 alone. All files are written atomically (temp file in the target
@@ -9,6 +15,7 @@ with the same config and seed produces byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -18,12 +25,7 @@ import numpy as np
 
 from .control import ControllerSpec, evaluate_control
 from .discrete import IterateSequence
-from .flow import (
-    DIVERGENCE_LIMIT,
-    AugmentedState,
-    TrajectoryRecord,
-    TrajectorySample,
-)
+from .flow import COLUMNS, DIVERGENCE_LIMIT, TrajectoryRecord
 from .objective import ObjectiveOracle
 
 FLOAT_FMT = "%.17g"
@@ -56,111 +58,112 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: CSV column prefix of each vector column, written once per coordinate
+VECTOR_PREFIX = {"x": "x", "v": "v", "lambda_x": "lx", "lambda_v": "lv"}
+
+
+def _csv_columns(full_mode: bool) -> tuple[str, ...]:
+    """The record columns a file holds; a reduced-mode file stops before
+    the costates, which it defines rather than records."""
+    return COLUMNS if full_mode else COLUMNS[:COLUMNS.index("lambda_x")]
+
+
 def trajectory_header(dim: int, full_mode: bool) -> list[str]:
-    cols = (["t"] + [f"x{i}" for i in range(dim)]
-            + [f"v{i}" for i in range(dim)]
-            + ["y", "E", "grad_norm", "V", "lieV"])
-    if full_mode:
-        cols += [f"lx{i}" for i in range(dim)]
-        cols += [f"lv{i}" for i in range(dim)]
-    return cols
+    header: list[str] = []
+    for name in _csv_columns(full_mode):
+        prefix = VECTOR_PREFIX.get(name)
+        header += ([name] if prefix is None
+                   else [f"{prefix}{i}" for i in range(dim)])
+    return header
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     dim = int(record.meta["dim"])
     full_mode = record.meta.get("mode") == "full_primal_dual"
     header = trajectory_header(dim, full_mode)
+    cols = record.columns
+    body = np.column_stack([cols[name] for name in _csv_columns(full_mode)])
     # one % per row; each field is formatted exactly as _fmt would
     row_fmt = ",".join([FLOAT_FMT] * len(header))
     lines = [",".join(header)]
-    for s in record.samples:
-        st = s.state
-        row = ([st.t] + st.x.tolist() + st.v.tolist()
-               + [st.y, s.E, s.grad_norm, s.V, s.lieV])
-        if full_mode:
-            row += st.lambda_x.tolist() + st.lambda_v.tolist()
-        lines.append(row_fmt % tuple(row))
+    for row in body:
+        lines.append(row_fmt % tuple(row.tolist()))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
-    """Parse a trajectory CSV back into named arrays.
+    """Parse a trajectory CSV back into the record's columns.
 
-    Returns t, x, v, y, E, grad_norm, V, lieV and, when present,
-    lambda_x / lambda_v; x and v have shape (n_samples, dim).
+    A reduced-mode file gives every column but lambda_x and lambda_v.
+    Raises ValueError, without the path, on a malformed file, on one with
+    no samples, and on a non-finite cell.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError("the file has no samples")
+        body = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                          ndmin=2)
     dim = sum(1 for c in header if c.startswith("x"))
-    expected = trajectory_header(dim, full_mode="lx0" in header)
-    if header != expected:
-        raise ValueError(f"{path}: unexpected columns {header}")
+    full_mode = "lx0" in header
+    if header != trajectory_header(dim, full_mode):
+        raise ValueError(f"unexpected columns {header}")
     if body.shape[1] != len(header):
-        raise ValueError(f"{path}: {body.shape[1]} columns of data under "
+        raise ValueError(f"{body.shape[1]} columns of data under "
                          f"{len(header)} header fields")
-    out: dict[str, np.ndarray] = {
-        "t": body[:, 0],
-        "x": body[:, 1:1 + dim],
-        "v": body[:, 1 + dim:1 + 2 * dim],
-        "y": body[:, 1 + 2 * dim],
-        "E": body[:, 2 + 2 * dim],
-        "grad_norm": body[:, 3 + 2 * dim],
-        "V": body[:, 4 + 2 * dim],
-        "lieV": body[:, 5 + 2 * dim],
-    }
-    if "lx0" in header:
-        base = 6 + 2 * dim
-        out["lambda_x"] = body[:, base:base + dim]
-        out["lambda_v"] = body[:, base + dim:base + 2 * dim]
-    return out
+    bad = np.argwhere(~np.isfinite(body))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"row {r + 1}, column {header[c]}: non-finite "
+                         f"value {body[r, c]}")
+    names = _csv_columns(full_mode)
+    widths = [dim if name in VECTOR_PREFIX else 1 for name in names]
+    blocks = np.split(body, np.cumsum(widths)[:-1], axis=1)
+    return {name: block if name in VECTOR_PREFIX else block[:, 0]
+            for name, block in zip(names, blocks)}
 
 
-def trajectory_from_arrays(data: dict[str, np.ndarray],
+def trajectory_from_arrays(columns: dict[str, np.ndarray],
                            oracle: ObjectiveOracle, spec: ControllerSpec,
                            meta: dict[str, Any]) -> TrajectoryRecord:
-    """Rebuild a TrajectoryRecord from exported arrays.
+    """Rebuild a TrajectoryRecord from the columns of an exported file.
 
     The control is re-evaluated from the controller spec at each stored
     state (it is a pure function of the state), while the diagnostic
     columns keep their exported values so the honesty check in
-    check_dissipation still compares cached against recomputed. Metrics
-    with path-dependent state cannot be rebuilt this way; callers reject
-    those before getting here.
+    check_dissipation still compares cached against recomputed. A
+    reduced-mode file's costates are filled in from their definitions.
+    Metrics with path-dependent state cannot be rebuilt this way; callers
+    reject those before getting here.
     """
-    full = "lambda_x" in data
-    samples = []
-    for k in range(data["t"].shape[0]):
-        x = data["x"][k]
-        v = data["v"][k]
+    cols = dict(columns)
+    u, lam_x = np.empty_like(cols["x"]), np.empty_like(cols["x"])
+    for k, (x, v) in enumerate(zip(cols["x"], cols["v"])):
         g = oracle.gradient(x)
-        lam_x = data["lambda_x"][k] if full else -g
-        lam_v = data["lambda_v"][k] if full else np.zeros_like(x)
-        state = AugmentedState(t=float(data["t"][k]), x=x, v=v,
-                               y=float(data["y"][k]), lambda_x=lam_x,
-                               lambda_v=lam_v)
-        u = evaluate_control(spec, oracle, x, -g, v).u
-        samples.append(TrajectorySample(
-            state=state, u=u, E=float(data["E"][k]),
-            grad_norm=float(data["grad_norm"][k]), V=float(data["V"][k]),
-            lieV=float(data["lieV"][k])))
+        u[k] = evaluate_control(spec, oracle, x, -g, v).u
+        lam_x[k] = -g
+    cols["u"] = u
+    if "lambda_x" not in cols:
+        cols["lambda_x"] = lam_x
+        cols["lambda_v"] = np.zeros_like(cols["x"])
 
-    final = samples[-1].state
+    x, v, t = cols["x"][-1], cols["v"][-1], float(cols["t"][-1])
     tol_g = float(meta.get("tol_g", 1e-6))
     tol_v = float(meta.get("tol_v", 1e-6))
-    rule_met = bool(samples[-1].grad_norm <= tol_g
-                    and np.linalg.norm(final.v) <= tol_v)
-    beyond = bool(max(np.max(np.abs(final.x)), np.max(np.abs(final.v)))
+    rule_met = bool(cols["grad_norm"][-1] <= tol_g
+                    and np.linalg.norm(v) <= tol_v)
+    beyond = bool(max(np.max(np.abs(x)), np.max(np.abs(v)))
                   > DIVERGENCE_LIMIT)
     # the integrator drops a blown-up state rather than recording it, so
     # a diverged run shows up as a truncated file: it ends before t_max
     # without meeting the stopping rule
     t_max, h = meta.get("t_max"), meta.get("h")
     truncated = (t_max is not None and h is not None
-                 and final.t < float(t_max) - 0.5 * float(h))
+                 and t < float(t_max) - 0.5 * float(h))
     diverged = beyond or (truncated and not rule_met)
     converged = not diverged and rule_met
-    return TrajectoryRecord(samples=samples, converged=converged,
+    return TrajectoryRecord(columns=cols, converged=converged,
                             diverged=diverged, meta=dict(meta))
 
 
@@ -185,41 +188,42 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
 # ---------------------------------------------------------------------------
 
 
-def time_to_gradient_decades(record: TrajectoryRecord) -> dict[str, Optional[float]]:
-    out: dict[str, Optional[float]] = {}
+def _first_hits(norms: Sequence[float], stamps: Sequence) -> dict[str, Any]:
+    """For each gradient decade, the stamp of the first norm within it."""
+    norms = np.asarray(norms)
+    out: dict[str, Any] = {}
     for tol in GRAD_DECADES:
-        hit = next((s.state.t for s in record.samples if s.grad_norm <= tol),
-                   None)
-        out[decade_label(tol)] = hit
+        hits = np.nonzero(norms <= tol)[0]
+        out[decade_label(tol)] = stamps[hits[0]] if hits.size else None
     return out
+
+
+def time_to_gradient_decades(record: TrajectoryRecord) -> dict[str, Optional[float]]:
+    cols = record.columns
+    return _first_hits(cols["grad_norm"], cols["t"].tolist())
 
 
 def iterations_to_gradient_decades(seq: IterateSequence) -> dict[str, Optional[int]]:
-    norms = np.array(seq.grad_norms)
-    out: dict[str, Optional[int]] = {}
-    for tol in GRAD_DECADES:
-        hits = np.nonzero(norms <= tol)[0]
-        out[decade_label(tol)] = int(hits[0]) if hits.size else None
-    return out
+    return _first_hits(seq.grad_norms, range(len(seq.grad_norms)))
 
 
 def flow_summary(record: TrajectoryRecord, label: str) -> dict[str, Any]:
     """Run outcome, with the distances of the final sample from the
     final-time targets grad E = 0, v = 0, lambda = 0."""
-    final = record.final.state
+    last = {name: col[-1] for name, col in record.columns.items()}
     return {
         "label": label,
         "kind": "flow",
         "converged": record.converged,
         "diverged": record.diverged,
         "steps_taken": record.meta.get("steps_taken"),
-        "t_final": final.t,
+        "t_final": float(last["t"]),
         "final": {
-            "E": record.final.E,
-            "grad_norm": record.final.grad_norm,
-            "v_norm": float(np.linalg.norm(final.v)),
-            "lambda_x_norm": float(np.linalg.norm(final.lambda_x)),
-            "lambda_v_norm": float(np.linalg.norm(final.lambda_v)),
+            "E": float(last["E"]),
+            "grad_norm": float(last["grad_norm"]),
+            "v_norm": float(np.linalg.norm(last["v"])),
+            "lambda_x_norm": float(np.linalg.norm(last["lambda_x"])),
+            "lambda_v_norm": float(np.linalg.norm(last["lambda_v"])),
         },
         "time_to_grad": time_to_gradient_decades(record),
     }

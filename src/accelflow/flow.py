@@ -71,43 +71,24 @@ class StoppingRule:
     tol_v: float = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectorySample:
-    state: AugmentedState
-    u: Array
-    E: float
-    grad_norm: float
-    V: float
-    lieV: float
+#: the trajectory table's columns, in CSV file order. x, v, lambda_x and
+#: lambda_v hold one entry per coordinate; every other column one number.
+COLUMNS = ("t", "x", "v", "y", "E", "grad_norm", "V", "lieV", "lambda_x",
+           "lambda_v")
 
 
 @dataclass(eq=False)
 class TrajectoryRecord:
-    samples: list[TrajectorySample]
+    """A run as one table: row k of every column is the k-th sample.
+
+    columns maps each name in COLUMNS, plus the control u, to an array
+    whose first axis is the sample.
+    """
+
+    columns: dict[str, Array]
     converged: bool
     diverged: bool
     meta: dict = field(default_factory=dict)
-
-    @property
-    def final(self) -> TrajectorySample:
-        return self.samples[-1]
-
-    def as_arrays(self) -> dict[str, Array]:
-        """Stack the per-sample fields into arrays keyed by name."""
-        s = self.samples
-        return {
-            "t": np.array([q.state.t for q in s]),
-            "x": np.array([q.state.x for q in s]),
-            "v": np.array([q.state.v for q in s]),
-            "y": np.array([q.state.y for q in s]),
-            "lambda_x": np.array([q.state.lambda_x for q in s]),
-            "lambda_v": np.array([q.state.lambda_v for q in s]),
-            "u": np.array([q.u for q in s]),
-            "E": np.array([q.E for q in s]),
-            "grad_norm": np.array([q.grad_norm for q in s]),
-            "V": np.array([q.V for q in s]),
-            "lieV": np.array([q.lieV for q in s]),
-        }
 
 
 def initial_state(oracle: ObjectiveOracle, x0: Array,
@@ -149,6 +130,11 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     adjoint step's endpoint control is that same value, except with a
     quasi-Newton metric, where the adjoint sees the control under the
     matrix the primal step used.
+
+    The run comes back as one table: each recorded sample appends one
+    row (the COLUMNS plus u), and the rows are stacked into column arrays
+    once, at the end. In reduced mode the costate columns hold their
+    definitions, lambda_x = -grad E and lambda_v = 0.
 
     An InfeasibleStateError from the controller propagates to the caller
     untouched: it is a statement about the problem/rate pairing, not
@@ -242,12 +228,13 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         lamv = lamv + h * (-lamx - g0)
         lamx = lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n])
 
-    def make_sample(t: float, zz: Array, g: Array,
-                    res: ControlResult) -> TrajectorySample:
-        x = zz[:n].copy()
-        v = zz[n:2 * n].copy()
-        y = float(zz[2 * n])
-        u = res.u
+    # rows hold views and shared arrays: the loop never changes an array
+    # in place once it is made, and the final stacking copies
+    rows: dict[str, list] = {name: [] for name in COLUMNS + ("u",)}
+    zeros = np.zeros(n)
+
+    def record_row(t: float, zz: Array, g: Array, res: ControlResult) -> None:
+        x, v, u = zz[:n], zz[n:2 * n], res.u
         # diagnostics always use the substituted costate, so reduced and
         # full runs of the same flow report the same certificate values
         V = clf_value(live_spec.clf, -g, v)
@@ -257,14 +244,13 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
             # the law already paid a Hessian for the drift term; the sum
             # is lie_derivative's, bit for bit
             lie = float(res.drift + clf_grad_v(live_spec.clf, -g, v) @ u)
-        state = AugmentedState(
-            t=t, x=x, v=v, y=y,
-            lambda_x=lamx.copy() if full else -g.copy(),
-            lambda_v=lamv.copy() if full else np.zeros(n),
-            lambda_y=1.0)
-        return TrajectorySample(state=state, u=u, E=oracle.value(x),
-                                grad_norm=float(np.linalg.norm(g)), V=V,
-                                lieV=lie)
+        row = {"t": t, "x": x, "v": v, "y": float(zz[2 * n]),
+               "E": oracle.value(x), "grad_norm": float(np.linalg.norm(g)),
+               "V": V, "lieV": lie,
+               "lambda_x": lamx if full else -g,
+               "lambda_v": lamv if full else zeros, "u": u}
+        for name, value in row.items():
+            rows[name].append(value)
 
     def stopped(g: Array, zz: Array) -> bool:
         return (np.linalg.norm(g) <= stop.tol_g
@@ -278,7 +264,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     g = oracle.gradient(z[:n])
     res = control_at(z[:n], g, z[n:2 * n])
-    samples = [make_sample(0.0, z, g, res)]
+    record_row(0.0, z, g, res)
     converged = stopped(g, z)
     diverged = False
     n_steps = int(np.ceil(t_max / h - 1e-12))
@@ -288,7 +274,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
         adjoint_rk4 = full and method is Integrator.RK4
         u_adj = res.u  # the adjoint step's control at the primal step's start
-        last_recorded = 0
         for k in range(1, n_steps + 1):
             z_new = step(z, g, res.u)
             if blown_up(z_new):
@@ -316,17 +301,14 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 res = res_new
             else:
                 res = control_at(z[:n], g, z[n:2 * n])
-            t = k * h
-            if stopped(g, z):
-                converged = True
-                samples.append(make_sample(t, z, g, res))
-                last_recorded = k
+            converged = stopped(g, z)
+            if converged or k % record_stride == 0 or k == n_steps:
+                record_row(k * h, z, g, res)
+            if converged:
                 break
-            if k % record_stride == 0:
-                samples.append(make_sample(t, z, g, res))
-                last_recorded = k
-        if not converged and k > last_recorded:
-            samples.append(make_sample(k * h, z, g, res))
+        # a divergence break leaves the last accepted state at step k
+        if diverged and k % record_stride:
+            record_row(k * h, z, g, res)
 
     meta = {
         "mode": mode.value,
@@ -342,7 +324,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         "tol_g": stop.tol_g,
         "tol_v": stop.tol_v,
         "steps_taken": k,
-        "t_final": samples[-1].state.t,
+        "t_final": rows["t"][-1],
     }
-    return TrajectoryRecord(samples=samples, converged=converged,
+    columns = {name: np.array(values) for name, values in rows.items()}
+    return TrajectoryRecord(columns=columns, converged=converged,
                             diverged=diverged, meta=meta)

@@ -10,6 +10,7 @@ discretization error is admissible.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -46,10 +47,6 @@ class CheckResult:
     tolerance: float
     location: Optional[float] = None
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status is CheckStatus.PASSED
 
     def line(self) -> str:
         tag = {CheckStatus.PASSED: "PASS", CheckStatus.FAILED: "FAIL",
@@ -92,17 +89,8 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status.value,
-                    "worst_value": c.worst_value,
-                    "tolerance": c.tolerance,
-                    "location": c.location,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(dataclasses.asdict(c), status=c.status.value)
+                       for c in self.checks],
             "summary": {
                 "passed": self.n_passed,
                 "failed": self.n_failed,
@@ -122,6 +110,21 @@ def _status(worst: float, tol: float) -> CheckStatus:
     return CheckStatus.PASSED if worst <= tol else CheckStatus.FAILED
 
 
+def _worst(name: str, values: np.ndarray, times: np.ndarray,
+           tol: float) -> CheckResult:
+    """The largest per-sample value against tol, located at its time.
+
+    A non-finite value fails the check at the first sample holding one:
+    a comparison with NaN is false, so a plain maximum would skip it.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    k = int(bad[0]) if bad.size else int(np.argmax(values))
+    status = CheckStatus.FAILED if bad.size else _status(values[k], tol)
+    return CheckResult(name=name, status=status, worst_value=float(values[k]),
+                       tolerance=tol, location=float(times[k]),
+                       detail="non-finite value" if bad.size else "")
+
+
 def _is_reduced(record: TrajectoryRecord) -> bool:
     return record.meta.get("mode") == "reduced"
 
@@ -139,54 +142,40 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
     afresh from (x, v, u) with the costate substitution lambda = -grad E,
     and report how far the producer's cached values drift from that.
     """
-    checks: list[CheckResult] = []
-
-    vals, lies, cached_dev, times = [], [], [], []
-    active = []
-    for s in record.samples:
-        x, v, u = s.state.x, s.state.v, s.u
+    cols = record.columns
+    times = cols["t"]
+    vals, lies, active = [], [], []
+    for x, v, u in zip(cols["x"], cols["v"], cols["u"]):
         lam = -oracle.gradient(x)
-        V = clf_value(clf, lam, v)
-        lie = lie_derivative(clf, oracle, x, lam, v, u)
-        vals.append(V)
-        lies.append(lie)
-        times.append(s.state.t)
-        active.append(np.linalg.norm(lam) + np.linalg.norm(v) > 0.0)
-        cached_dev.append(max(abs(V - s.V) / (1.0 + abs(s.V)),
-                              abs(lie - s.lieV) / (1.0 + abs(s.lieV))))
+        vals.append(clf_value(clf, lam, v))
+        lies.append(lie_derivative(clf, oracle, x, lam, v, u))
+        # != rather than >: a NaN norm counts as away from the target
+        active.append(np.linalg.norm(lam) + np.linalg.norm(v) != 0.0)
+    vals, lies, active = np.array(vals), np.array(lies), np.array(active)
 
-    k = int(np.argmax(cached_dev))
-    checks.append(CheckResult(
-        name="cached_diagnostics", status=_status(cached_dev[k], cached_tol),
-        worst_value=cached_dev[k], tolerance=cached_tol, location=times[k]))
+    cached_V, cached_lie = cols["V"], cols["lieV"]
+    cached_dev = np.maximum(
+        np.abs(vals - cached_V) / (1.0 + np.abs(cached_V)),
+        np.abs(lies - cached_lie) / (1.0 + np.abs(cached_lie)))
+    checks = [_worst("cached_diagnostics", cached_dev, times, cached_tol)]
 
     if mode is DissipationMode.STRICT:
-        idx = [i for i, a in enumerate(active) if a]
-        if not idx:
+        if not active.any():
             checks.append(CheckResult(
                 name="dissipation_strict", status=CheckStatus.PASSED,
                 worst_value=0.0, tolerance=tol,
                 detail="no samples away from the target"))
         else:
-            k = max(idx, key=lambda i: lies[i])
-            checks.append(CheckResult(
-                name="dissipation_strict", status=_status(lies[k], tol),
-                worst_value=lies[k], tolerance=tol, location=times[k]))
+            checks.append(_worst("dissipation_strict", lies[active],
+                                 times[active], tol))
     else:
-        resid = [lie + eta * V for lie, V in zip(lies, vals)]
-        k = int(np.argmax(resid))
-        checks.append(CheckResult(
-            name="dissipation_rate", status=_status(resid[k], tol),
-            worst_value=resid[k], tolerance=tol, location=times[k]))
-
+        checks.append(_worst("dissipation_rate", lies + eta * vals, times,
+                             tol))
         V0, t0 = vals[0], times[0]
         if V0 > 0.0:
-            excess = [V / (V0 * np.exp(-eta * (t - t0))) - 1.0
-                      for V, t in zip(vals, times)]
-            k = int(np.argmax(excess))
-            checks.append(CheckResult(
-                name="dissipation_envelope", status=_status(excess[k], tol),
-                worst_value=excess[k], tolerance=tol, location=times[k]))
+            excess = np.array([V / (V0 * np.exp(-eta * (t - t0))) - 1.0
+                               for V, t in zip(vals, times)])
+            checks.append(_worst("dissipation_envelope", excess, times, tol))
         else:
             checks.append(CheckResult(
                 name="dissipation_envelope", status=CheckStatus.PASSED,
@@ -213,15 +202,11 @@ def check_adjoint_consistency(record: TrajectoryRecord,
             detail="reduced mode defines lambda_x as -grad E"),))
 
     tol = order_tolerance(record, coeff) if tol is None else tol
-    worst, at = -1.0, None
-    for s in record.samples:
-        r = float(np.linalg.norm(s.state.lambda_x
-                                 + oracle.gradient(s.state.x)))
-        if r > worst:
-            worst, at = r, s.state.t
-    return VerificationReport(checks=(CheckResult(
-        name="adjoint_consistency", status=_status(worst, tol),
-        worst_value=worst, tolerance=tol, location=at),))
+    cols = record.columns
+    resid = np.array([np.linalg.norm(lam + oracle.gradient(x))
+                      for x, lam in zip(cols["x"], cols["lambda_x"])])
+    return VerificationReport(checks=(
+        _worst("adjoint_consistency", resid, cols["t"], tol),))
 
 
 def check_singular_arc(record: TrajectoryRecord,
@@ -233,14 +218,10 @@ def check_singular_arc(record: TrajectoryRecord,
             worst_value=0.0, tolerance=0.0,
             detail="reduced mode holds lambda_v at zero by construction"),))
 
-    worst, at = -1.0, None
-    for s in record.samples:
-        r = float(np.linalg.norm(s.state.lambda_v))
-        if r > worst:
-            worst, at = r, s.state.t
-    return VerificationReport(checks=(CheckResult(
-        name="singular_arc", status=_status(worst, tol),
-        worst_value=worst, tolerance=tol, location=at),))
+    cols = record.columns
+    norms = np.array([np.linalg.norm(lam) for lam in cols["lambda_v"]])
+    return VerificationReport(checks=(
+        _worst("singular_arc", norms, cols["t"], tol),))
 
 
 def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
@@ -252,25 +233,17 @@ def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
     if isinstance(run, TrajectoryRecord):
         tol_g = float(run.meta.get("tol_g", 1e-6)) if tol_g is None else tol_g
         tol_v = float(run.meta.get("tol_v", 1e-6)) if tol_v is None else tol_v
-        final = run.final.state
-        gnorm = float(np.linalg.norm(oracle.gradient(final.x)))
-        vnorm = float(np.linalg.norm(final.v))
-        if run.diverged:
+        cols = run.columns
+        t = float(cols["t"][-1])
+        gnorm = float(np.linalg.norm(oracle.gradient(cols["x"][-1])))
+        vnorm = float(np.linalg.norm(cols["v"][-1]))
+        for name, worst, tol in (("stationarity_grad", gnorm, tol_g),
+                                 ("stationarity_velocity", vnorm, tol_v)):
             checks.append(CheckResult(
-                name="stationarity_grad", status=CheckStatus.FAILED,
-                worst_value=gnorm, tolerance=tol_g, location=final.t,
-                detail="divergence flag set"))
-            checks.append(CheckResult(
-                name="stationarity_velocity", status=CheckStatus.FAILED,
-                worst_value=vnorm, tolerance=tol_v, location=final.t,
-                detail="divergence flag set"))
-        else:
-            checks.append(CheckResult(
-                name="stationarity_grad", status=_status(gnorm, tol_g),
-                worst_value=gnorm, tolerance=tol_g, location=final.t))
-            checks.append(CheckResult(
-                name="stationarity_velocity", status=_status(vnorm, tol_v),
-                worst_value=vnorm, tolerance=tol_v, location=final.t))
+                name=name, worst_value=worst, tolerance=tol, location=t,
+                status=(CheckStatus.FAILED if run.diverged
+                        else _status(worst, tol)),
+                detail="divergence flag set" if run.diverged else ""))
     else:
         tol_g = 1e-6 if tol_g is None else tol_g
         x_final = run.points[-1]

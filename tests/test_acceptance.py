@@ -210,11 +210,12 @@ def test_rate_certificate_holds_along_the_flow():
     record = integrate(spec, quad.oracle,
                        initial_state(quad.oracle, quad.x0), 1e-3, 20.0,
                        stop=StoppingRule(tol_g=1e-12, tol_v=1e-12))
-    v0 = record.samples[0].V
-    worst = max(s.V / (v0 * np.exp(-s.state.t)) for s in record.samples)
+    cols = record.columns
+    v0 = cols["V"][0]
+    worst = max(V / (v0 * np.exp(-t)) for V, t in zip(cols["V"], cols["t"]))
     report("exponential-envelope", worst <= 1.0 + 1e-6,
            f"max V(t) / (V(0) e^-t) = 1 + {worst - 1.0:.2e} over "
-           f"{len(record.samples)} samples (tol 1e-6)")
+           f"{len(cols['t'])} samples (tol 1e-6)")
 
 
 def test_named_flows_converge_on_benchmarks():
@@ -245,7 +246,7 @@ def test_named_flows_converge_on_benchmarks():
                            initial_state(prob.oracle, prob.x0), h, 1e3,
                            stop=StoppingRule(tol_g=tol, tol_v=tol),
                            record_stride=1000)
-        g = float(np.linalg.norm(prob.oracle.gradient(record.final.state.x)))
+        g = float(np.linalg.norm(prob.oracle.gradient(record.columns["x"][-1])))
         t_final = float(record.meta["t_final"])
         if not (record.converged and g <= tol and t_final < 1e3):
             failures.append(f"{label} (|g|={g:.2e}, t={t_final:.0f})")
@@ -266,12 +267,11 @@ def test_costate_residuals_vanish_at_integrator_order():
         record = integrate(spec, quad.oracle,
                            initial_state(quad.oracle, quad.x0), h, 20.0,
                            mode=FlowMode.FULL_PRIMAL_DUAL, stop=stop)
-        max_lv = max(float(np.linalg.norm(s.state.lambda_v))
-                     for s in record.samples)
+        cols = record.columns
+        max_lv = max(float(np.linalg.norm(lam)) for lam in cols["lambda_v"])
         max_res = max(
-            float(np.linalg.norm(s.state.lambda_x
-                                 + quad.oracle.gradient(s.state.x)))
-            for s in record.samples)
+            float(np.linalg.norm(lam + quad.oracle.gradient(x)))
+            for x, lam in zip(cols["x"], cols["lambda_x"]))
         results[h] = (max_lv, max_res)
     ratio = results[2e-3][1] / results[1e-3][1]
     worst_lv = max(lv for lv, _ in results.values())

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from accelflow import cli
 from accelflow.cli import _execute_run, main
@@ -517,3 +519,123 @@ class TestVerifyVerb:
         bad = write_config(tmp_path, "dim.yaml", data)
         assert main(["verify", traj, bad]) == 2
         assert "dimension" in capsys.readouterr().err
+
+    def test_non_finite_cell_exits_two_naming_row_and_column(
+            self, finished_run, tmp_path, capsys):
+        traj, cfg = finished_run
+        lines = open(traj).read().splitlines()
+        row = lines[3].split(",")
+        row[1] = "nan"
+        lines[3] = ",".join(row)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad), cfg]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"config error: {bad}: row 3, column x0: non-finite " \
+                      f"value nan"
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_exits_two_without_a_warning(
+            self, finished_run, tmp_path, capsys):
+        traj, cfg = finished_run
+        bad = tmp_path / "empty.csv"
+        with open(traj) as fh:
+            bad.write_text(fh.readline())
+        assert main(["verify", str(bad), cfg]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"config error: {bad}: the file has no samples"
+
+    def test_read_errors_name_the_path_once(self, finished_run, tmp_path,
+                                            capsys):
+        traj, cfg = finished_run
+        missing = str(tmp_path / "missing.csv")
+        ragged = tmp_path / "ragged.csv"
+        lines = open(traj).read().splitlines()
+        ragged.write_text("\n".join(lines[:3] + [lines[3] + ",1"]) + "\n")
+        for path in (missing, str(ragged)):
+            assert main(["verify", path, cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.count(os.path.basename(path)) == 1, err
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_velocity_fails_strict_dissipation(self, tmp_path,
+                                                           capsys):
+        # a finite 1e200 velocity overflows V and lie V when verify
+        # recomputes them; the strict check must fail at that sample
+        out = tmp_path / "run"
+        data = flow_data(out, controller="nesterov", t_max=1.0)
+        del data["method"]["gamma_b"]
+        data["problem"]["dim"] = 2
+        data["verify"] = {"checks": ["dissipation"]}
+        cfg = write_config(tmp_path, "nesterov.yaml", data)
+        assert main(["run", cfg]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        row = lines[5].split(",")
+        row[3] = row[4] = "1e200"
+        lines[5] = ",".join(row)
+        bad = tmp_path / "fast.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad), cfg]) == 1
+        stdout = capsys.readouterr().out
+        strict = next(line for line in stdout.splitlines()
+                      if "dissipation_strict" in line)
+        assert strict.startswith("FAIL")
+        assert strict.endswith(f"at {float(row[0]):g} (non-finite value)")
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A short dim-2 nesterov trajectory and its config, for the fuzzer."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = flow_data(root / "run", controller="nesterov", t_max=0.2)
+    del data["method"]["gamma_b"]
+    data["problem"]["dim"] = 2
+    cfg = write_config(root, "nesterov.yaml", data)
+    assert main(["run", cfg]) == 0
+    text = (root / "run" / "trajectory.csv").read_text()
+    return root, text.splitlines(), cfg
+
+
+def _corrupt(lines, kind, row, col, value):
+    header, body = lines[0], [r.split(",") for r in lines[1:]]
+    row %= len(body)
+    col %= len(body[0])
+    if kind == "truncate":
+        body[row] = body[row][:max(col, 1)]
+        if col == 0:
+            body[row][0] = body[row][0][:1]  # a bare sign or digit
+    elif kind == "cell":
+        body[row][col] = value
+    elif kind == "extra_column":
+        body = [r + ["0"] for r in body]
+    elif kind == "empty_body":
+        body = []
+    else:  # a header field renamed
+        names = header.split(",")
+        names[col] = names[col] + "_"
+        header = ",".join(names)
+    return "\n".join([header] + [",".join(r) for r in body]) + "\n"
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["truncate", "cell", "extra_column",
+                             "empty_body", "header"]),
+       row=st.integers(0, 100), col=st.integers(0, 100),
+       value=st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "",
+                              "x"]))
+def test_verify_input_fuzz_exits_one_or_two(small_run, capsys, kind, row,
+                                            col, value):
+    root, lines, cfg = small_run
+    path = root / "fuzzed.csv"
+    path.write_text(_corrupt(lines, kind, row, col, value))
+    capsys.readouterr()
+    code = main(["verify", str(path), cfg])
+    err = capsys.readouterr().err
+    assert code in (1, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1, err

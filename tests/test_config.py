@@ -103,7 +103,7 @@ class TestFlowMethodBlock:
         cfg = parse_config(flow_config())
         method = cfg.method
         assert isinstance(method, FlowMethodConfig)
-        assert method.to_dict()["kind"] == "flow"
+        assert cfg.to_dict()["method"]["kind"] == "flow"
         assert method.metric == "euclidean"
         assert method.integrator == "rk4"
         assert method.mode == "reduced"
@@ -191,9 +191,10 @@ class TestFlowMethodBlock:
 
 class TestDiscreteMethodBlock:
     def test_minimal_parse(self):
-        method = parse_config(discrete_config()).method
+        cfg = parse_config(discrete_config())
+        method = cfg.method
         assert isinstance(method, DiscreteMethodConfig)
-        assert method.to_dict()["kind"] == "discrete"
+        assert cfg.to_dict()["method"]["kind"] == "discrete"
         assert method.alpha == 0.01
 
     @pytest.mark.parametrize("name,missing", [

@@ -341,7 +341,7 @@ class TestIterateSequence:
         assert isinstance(seq, IterateSequence)
         assert len(seq.points) == 8
         assert len(seq.aux) == 7
-        assert seq.as_array().shape == (8, 3)
+        assert np.array(seq.points).shape == (8, 3)
         norms = seq.grad_norms
         assert len(norms) == 8
         assert norms[-1] < norms[0]

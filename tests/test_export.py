@@ -27,17 +27,16 @@ from accelflow.export import (
     write_trajectory_csv,
 )
 from accelflow.flow import (
-    AugmentedState,
+    COLUMNS,
     FlowMode,
     TrajectoryRecord,
-    TrajectorySample,
     initial_state,
     integrate,
 )
 from accelflow.metric import MetricKind, MetricSpec
 from accelflow.clf import DEFAULT_CLF
 from accelflow.objective import random_quadratic
-from accelflow.verify import DissipationMode, check_dissipation
+from accelflow.verify import CheckStatus, DissipationMode, check_dissipation
 
 EUCLID = MetricSpec(MetricKind.EUCLIDEAN)
 
@@ -76,14 +75,14 @@ class TestTrajectoryCsv:
         path = str(tmp_path / "traj.csv")
         write_trajectory_csv(reduced_record, path)
         data = read_trajectory_csv(path)
-        samples = reduced_record.samples
-        assert data["x"].shape == (len(samples), 4)
-        for k in (0, len(samples) // 2, -1):
-            s = samples[k]
-            assert np.array_equal(data["x"][k], s.state.x)
-            assert np.array_equal(data["v"][k], s.state.v)
-            assert data["V"][k] == s.V
-            assert data["lieV"][k] == s.lieV
+        cols = reduced_record.columns
+        n = len(cols["t"])
+        assert data["x"].shape == (n, 4)
+        for k in (0, n // 2, -1):
+            assert np.array_equal(data["x"][k], cols["x"][k])
+            assert np.array_equal(data["v"][k], cols["v"][k])
+            assert data["V"][k] == cols["V"][k]
+            assert data["lieV"][k] == cols["lieV"][k]
         assert "lambda_x" not in data
 
     def test_full_mode_round_trips_multipliers(self, full_record, tmp_path):
@@ -91,9 +90,9 @@ class TestTrajectoryCsv:
         write_trajectory_csv(full_record, path)
         data = read_trajectory_csv(path)
         assert data["lambda_x"].shape == data["x"].shape
-        k = len(full_record.samples) - 1
+        k = len(full_record.columns["t"]) - 1
         assert np.array_equal(data["lambda_v"][k],
-                              full_record.samples[k].state.lambda_v)
+                              full_record.columns["lambda_v"][k])
 
     def test_tampered_header_rejected(self, reduced_record, tmp_path):
         path = tmp_path / "bad.csv"
@@ -120,12 +119,13 @@ class TestTrajectoryCsv:
         samples = []
         for k in range(5):
             r = np.roll(odd, -k)  # each column sees every value once
-            state = AugmentedState(t=r[0], x=r[1:3], v=r[3:5], y=r[2],
-                                   lambda_x=r[2:4], lambda_v=-r[:2])
-            samples.append(TrajectorySample(
-                state=state, u=np.zeros(2), E=r[1], grad_norm=r[3],
-                V=r[4], lieV=-r[0]))
-        record = TrajectoryRecord(samples=samples, converged=False,
+            samples.append({"t": r[0], "x": r[1:3], "v": r[3:5], "y": r[2],
+                            "E": r[1], "grad_norm": r[3], "V": r[4],
+                            "lieV": -r[0], "lambda_x": r[2:4],
+                            "lambda_v": -r[:2], "u": np.zeros(2)})
+        columns = {name: np.array([s[name] for s in samples])
+                   for name in COLUMNS + ("u",)}
+        record = TrajectoryRecord(columns=columns, converged=False,
                                   diverged=False,
                                   meta={"dim": 2, "mode": "full_primal_dual"})
         path = tmp_path / "odd.csv"
@@ -133,10 +133,9 @@ class TestTrajectoryCsv:
         rows = path.read_text().splitlines()[1:]
         expected = []
         for s in samples:
-            st = s.state
-            values = ([st.t] + list(st.x) + list(st.v)
-                      + [st.y, s.E, s.grad_norm, s.V, s.lieV]
-                      + list(st.lambda_x) + list(st.lambda_v))
+            values = ([s["t"]] + list(s["x"]) + list(s["v"])
+                      + [s["y"], s["E"], s["grad_norm"], s["V"], s["lieV"]]
+                      + list(s["lambda_x"]) + list(s["lambda_v"]))
             expected.append(",".join("%.17g" % v for v in values))
         assert rows == expected
 
@@ -162,7 +161,7 @@ class TestRecordReconstruction:
                                    mode=DissipationMode.RATE, tol=1e-6)
         cached = next(c for c in report.checks
                       if c.name == "cached_diagnostics")
-        assert cached.passed
+        assert cached.status is CheckStatus.PASSED
         assert cached.worst_value == 0.0
 
     def test_rebuild_takes_one_gradient_per_row(self, quad, reduced_record,
@@ -179,11 +178,12 @@ class TestRecordReconstruction:
         spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
         rebuilt = trajectory_from_arrays(read_trajectory_csv(path), oracle,
                                          spec, dict(reduced_record.meta))
-        assert isinstance(rebuilt.samples, list)
-        assert len(calls) == len(reduced_record.samples)
-        for old, new in zip(reduced_record.samples, rebuilt.samples):
-            assert np.array_equal(new.state.lambda_x, old.state.lambda_x)
-            assert np.array_equal(new.u, old.u)
+        assert isinstance(rebuilt.columns, dict)
+        old, new = reduced_record.columns, rebuilt.columns
+        assert len(calls) == len(old["t"])
+        for k in range(len(old["t"])):
+            assert np.array_equal(new["lambda_x"][k], old["lambda_x"][k])
+            assert np.array_equal(new["u"][k], old["u"][k])
 
     def test_convergence_flags_recovered(self, quad, tmp_path):
         spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
@@ -210,6 +210,27 @@ class TestRecordReconstruction:
                                          dict(record.meta))
         assert rebuilt.diverged
         assert not rebuilt.converged
+
+
+class TestTable:
+    @pytest.mark.parametrize("which,spec", [
+        ("reduced", min_p_star_controller(rate_eta=1.0, metric=EUCLID)),
+        ("full", polyak_controller(2.0, 2.0)),
+    ])
+    def test_write_read_rebuild_gives_the_columns_bit_for_bit(
+            self, quad, reduced_record, full_record, tmp_path, which, spec):
+        record = reduced_record if which == "reduced" else full_record
+        path = str(tmp_path / "traj.csv")
+        write_trajectory_csv(record, path)
+        rebuilt = trajectory_from_arrays(read_trajectory_csv(path),
+                                         quad.oracle, spec, record.meta)
+        assert set(rebuilt.columns) == set(COLUMNS + ("u",))
+        for name in COLUMNS + ("u",):
+            old, new = record.columns[name], rebuilt.columns[name]
+            assert new.shape == old.shape, name
+            assert new.tobytes() == old.tobytes(), name
+        assert (rebuilt.converged, rebuilt.diverged) == (record.converged,
+                                                         record.diverged)
 
 
 class TestIteratesCsv:

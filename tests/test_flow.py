@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,8 +56,14 @@ def one_step(spec, state, h, method=Integrator.SEMI_IMPLICIT_EULER,
     """
     rec = integrate(spec, Q2.oracle, state, h=h, t_max=h, method=method,
                     mode=mode, stop=StoppingRule(tol_g=-1.0, tol_v=-1.0))
-    assert rec.meta["steps_taken"] == 1 and len(rec.samples) == 2
-    return rec.samples[0], rec.samples[1].state
+    assert rec.meta["steps_taken"] == 1 and len(rec.columns["t"]) == 2
+    return row(rec, 0), row(rec, 1)
+
+
+def row(rec, k):
+    """Row k of the record's table, one attribute per column."""
+    return SimpleNamespace(**{name: col[k]
+                              for name, col in rec.columns.items()})
 
 
 def test_rhs_hand_case():
@@ -71,7 +78,6 @@ def test_rhs_hand_case():
     np.testing.assert_array_equal(s1.lambda_x,
                                   [-6.0 - 0.5 * 2.0 * s1.v[0]])      # -H v
     np.testing.assert_array_equal(s1.lambda_v, [0.0])
-    assert s1.lambda_y == 1.0
 
 
 def test_rhs_equilibrium_is_stationary():
@@ -116,8 +122,8 @@ def test_integrate_equilibrium_stops_immediately():
     s = initial_state(Q2.oracle, np.zeros(1))
     rec = integrate(min_p_controller(), Q2.oracle, s, h=1e-2, t_max=1.0)
     assert rec.converged and not rec.diverged
-    assert len(rec.samples) == 1
-    assert rec.samples[0].state.t == 0.0
+    assert len(rec.columns["t"]) == 1
+    assert rec.columns["t"][0] == 0.0
 
 
 def _direct_closed_form(t):
@@ -133,7 +139,7 @@ def test_direct_flow_matches_closed_form():
     rec = integrate(spec, Q2.oracle, s0, h=1e-3, t_max=1e3)
     assert rec.converged and not rec.diverged
     assert rec.meta["t_final"] < 40.0
-    arr = rec.as_arrays()
+    arr = rec.columns
     exact = _direct_closed_form(arr["t"])
     assert np.max(np.abs(arr["x"][:, 0] - exact)) <= 1e-9
     final = flow_summary(rec, "direct")["final"]
@@ -150,7 +156,7 @@ def test_rk4_is_fourth_order():
         rec = integrate(spec, Q2.oracle, s0, h=h, t_max=1.0, stop=RUN_FOREVER,
                         record_stride=10 ** 9)
         assert rec.meta["t_final"] == pytest.approx(1.0)
-        return rec.final.state.x[0]
+        return rec.columns["x"][-1, 0]
 
     ref = terminal_x(1e-5)
     err2 = abs(terminal_x(2e-3) - ref)
@@ -166,7 +172,7 @@ def test_semi_implicit_euler_is_first_order():
         rec = integrate(spec, Q2.oracle, s0, h=h, t_max=1.0, stop=RUN_FOREVER,
                         method=Integrator.SEMI_IMPLICIT_EULER,
                         record_stride=10 ** 9)
-        return rec.final.state.x[0]
+        return rec.columns["x"][-1, 0]
 
     ref = terminal_x(1e-5)
     err2 = abs(terminal_x(2e-3) - ref)
@@ -179,7 +185,7 @@ def test_swept_cost_tracks_objective():
     s0 = initial_state(prob.oracle, prob.x0)
     rec = integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-3,
                     t_max=5.0, stop=RUN_FOREVER, record_stride=50)
-    arr = rec.as_arrays()
+    arr = rec.columns
     assert np.max(np.abs(arr["y"] - arr["E"])) <= 1e-9
 
 
@@ -188,16 +194,46 @@ def test_record_stride_thins_but_keeps_final():
     s0 = initial_state(prob.oracle, prob.x0)
     rec = integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-2,
                     t_max=1.0, stop=RUN_FOREVER, record_stride=10)
-    t = rec.as_arrays()["t"]
+    t = rec.columns["t"]
     assert len(t) == 11  # t=0, ten strides of 0.1
     assert np.all(np.diff(t) > 0.0)
     assert t[-1] == pytest.approx(1.0)
     # a stride that does not divide the step count still records the end
     rec = integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-2,
                     t_max=1.0, stop=RUN_FOREVER, record_stride=7)
-    t = rec.as_arrays()["t"]
+    t = rec.columns["t"]
     assert t[-1] == pytest.approx(1.0)
     assert np.all(np.diff(t) > 0.0)
+
+
+@pytest.mark.parametrize("method", list(Integrator))
+@pytest.mark.parametrize("ending", ["t_max", "converged", "diverged"])
+def test_record_stride_keeps_every_stride_th_row_and_the_last(method,
+                                                              ending):
+    # metamorphic: thinning is a pure selection of the stride-1 rows
+    prob = random_quadratic(4, kappa=5.0, seed=2)
+    s0 = initial_state(prob.oracle, prob.x0)
+    spec, kw = {
+        "t_max": (polyak_controller(2.0, 2.0),
+                  dict(h=1e-2, t_max=1.0, stop=RUN_FOREVER)),
+        "converged": (polyak_controller(2.0, 2.0),
+                      dict(h=5e-2, t_max=100.0,
+                           stop=StoppingRule(tol_g=1e-3, tol_v=1e-3))),
+        "diverged": (polyak_controller(1e8, 1e4), dict(h=1e-2, t_max=10.0)),
+    }[ending]
+    dense = integrate(spec, prob.oracle, s0, method=method, **kw)
+    assert {"t_max": not (dense.converged or dense.diverged),
+            "converged": dense.converged,
+            "diverged": dense.diverged}[ending]
+    last = len(dense.columns["t"]) - 1
+    for stride in (2, 7):
+        thin = integrate(spec, prob.oracle, s0, method=method,
+                         record_stride=stride, **kw)
+        rows = sorted(set(range(0, last + 1, stride)) | {last})
+        for name, col in dense.columns.items():
+            assert thin.columns[name].tobytes() == col[rows].tobytes(), name
+        assert (thin.converged, thin.diverged, thin.meta["steps_taken"]) \
+            == (dense.converged, dense.diverged, dense.meta["steps_taken"])
 
 
 def test_divergence_flagged_and_truncated():
@@ -206,7 +242,7 @@ def test_divergence_flagged_and_truncated():
     s0 = initial_state(Q2.oracle, np.array([3.0]))
     rec = integrate(spec, Q2.oracle, s0, h=1e-2, t_max=10.0)
     assert rec.diverged and not rec.converged
-    arr = rec.as_arrays()
+    arr = rec.columns
     assert np.all(np.isfinite(arr["x"]))
     assert rec.meta["t_final"] < 10.0
 
@@ -238,7 +274,7 @@ def test_min_p_star_certificate_decays_at_rate():
     s0 = initial_state(prob.oracle, prob.x0)
     rec = integrate(min_p_star_controller(rate_eta=1.0), prob.oracle, s0,
                     h=1e-3, t_max=5.0, stop=RUN_FOREVER, record_stride=20)
-    arr = rec.as_arrays()
+    arr = rec.columns
     bound = arr["V"][0] * np.exp(-arr["t"]) * (1.0 + 1e-6)
     assert np.all(arr["V"] <= bound)
     assert np.all(arr["lieV"] <= 1e-12)
@@ -257,9 +293,10 @@ def test_full_mode_costates_track_arc_identities():
         rec = integrate(spec, oracle, s0, h=h, t_max=5.0,
                         mode=FlowMode.FULL_PRIMAL_DUAL, stop=RUN_FOREVER,
                         record_stride=5)
-        res = max(np.linalg.norm(q.state.lambda_x + oracle.gradient(q.state.x))
-                  for q in rec.samples)
-        lv = max(np.linalg.norm(q.state.lambda_v) for q in rec.samples)
+        cols = rec.columns
+        res = max(np.linalg.norm(lam + oracle.gradient(x))
+                  for x, lam in zip(cols["x"], cols["lambda_x"]))
+        lv = max(np.linalg.norm(lam) for lam in cols["lambda_v"])
         return res, lv
 
     res4, _ = run(4e-3)
@@ -281,9 +318,9 @@ def test_full_mode_reduced_mode_same_primal():
         for method in Integrator:
             kw = dict(h=1e-2, t_max=2.0, method=method, stop=RUN_FOREVER,
                       record_stride=20)
-            red = integrate(spec, prob.oracle, s0, **kw).as_arrays()
+            red = integrate(spec, prob.oracle, s0, **kw).columns
             ful = integrate(spec, prob.oracle, s0,
-                            mode=FlowMode.FULL_PRIMAL_DUAL, **kw).as_arrays()
+                            mode=FlowMode.FULL_PRIMAL_DUAL, **kw).columns
             for key in ("x", "v", "y", "u"):
                 np.testing.assert_array_equal(red[key], ful[key])
 
@@ -326,7 +363,7 @@ def test_rk4_takes_four_hessians_per_step_with_the_hessian_metric():
     rec = integrate(HESSIAN_MIN_P_STAR, oracle, s0, h=1e-2, t_max=0.5,
                     stop=RUN_FOREVER, record_stride=1)
     assert rec.meta["steps_taken"] == 50
-    assert len(rec.samples) == 51
+    assert len(rec.columns["t"]) == 51
     assert len(calls) == 4 * 50 + 1
 
 
@@ -339,8 +376,9 @@ def test_sample_lie_derivative_is_lie_derivative_bit_for_bit(spec):
     s0 = initial_state(prob.oracle, prob.x0)
     rec = integrate(spec, prob.oracle, s0, h=1e-2, t_max=3.0,
                     stop=RUN_FOREVER, record_stride=1)
-    for s in rec.samples:
-        x, v = s.state.x, s.state.v
+    for k in range(len(rec.columns["t"])):
+        s = row(rec, k)
+        x, v = s.x, s.v
         lie = lie_derivative(spec.clf, prob.oracle, x,
                              -prob.oracle.gradient(x), v, s.u)
         assert s.lieV == lie

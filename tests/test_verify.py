@@ -124,7 +124,7 @@ class TestDissipation:
 
     def test_strict_vacuous_at_equilibrium(self):
         prob, rec = equilibrium_record()
-        assert len(rec.samples) == 1
+        assert len(rec.columns["t"]) == 1
         rep = check_dissipation(rec, DEFAULT_CLF, prob.oracle,
                                 mode=DissipationMode.STRICT)
         strict = [c for c in rep.checks if c.name == "dissipation_strict"][0]
@@ -149,10 +149,9 @@ class TestDissipation:
     def test_cached_diagnostics_catch_tampering(self, quad4,
                                                 min_p_star_record):
         rec = min_p_star_record
-        bad = dataclasses.replace(rec.samples[3], V=rec.samples[3].V + 1.0)
-        samples = list(rec.samples)
-        samples[3] = bad
-        tampered = dataclasses.replace(rec, samples=tuple(samples))
+        V = rec.columns["V"].copy()
+        V[3] = V[3] + 1.0
+        tampered = dataclasses.replace(rec, columns={**rec.columns, "V": V})
         rep = check_dissipation(tampered, DEFAULT_CLF, quad4.oracle,
                                 mode=DissipationMode.STRICT)
         cached = [c for c in rep.checks if c.name == "cached_diagnostics"][0]
@@ -165,6 +164,47 @@ class TestDissipation:
         cached = [c for c in rep.checks if c.name == "cached_diagnostics"][0]
         assert cached.status is CheckStatus.PASSED
         assert cached.worst_value <= 1e-12
+
+
+def with_nan_row(record, column, k):
+    """The record with row k of one column set to nan."""
+    values = record.columns[column].copy()
+    values[k] = np.nan
+    return dataclasses.replace(record,
+                               columns={**record.columns, column: values})
+
+
+class TestNonFiniteValuesFail:
+    # a comparison with nan is false, so a plain maximum skips it; every
+    # check must fail at the first sample holding one
+    @pytest.mark.parametrize("check,column,mode", [
+        ("cached_diagnostics", "lieV", DissipationMode.RATE),
+        ("dissipation_strict", "u", DissipationMode.STRICT),
+        ("dissipation_strict", "v", DissipationMode.STRICT),
+        ("dissipation_rate", "u", DissipationMode.RATE),
+        ("dissipation_envelope", "x", DissipationMode.RATE),
+    ])
+    def test_dissipation(self, quad4, min_p_star_record, check, column,
+                         mode):
+        rec = with_nan_row(min_p_star_record, column, 7)
+        rep = check_dissipation(rec, DEFAULT_CLF, quad4.oracle, mode=mode,
+                                tol=1e-6)
+        result = next(c for c in rep.checks if c.name == check)
+        assert result.status is CheckStatus.FAILED
+        assert result.location == rec.columns["t"][7]
+        assert result.detail == "non-finite value"
+
+    @pytest.mark.parametrize("column,check", [
+        ("lambda_x", lambda rec, oracle: check_adjoint_consistency(rec,
+                                                                   oracle)),
+        ("lambda_v", lambda rec, oracle: check_singular_arc(rec)),
+    ], ids=["adjoint_consistency", "singular_arc"])
+    def test_costate_checks(self, quad4, full_mode_record, column, check):
+        rec = with_nan_row(full_mode_record, column, 7)
+        (result,) = check(rec, quad4.oracle).checks
+        assert result.status is CheckStatus.FAILED
+        assert result.location == rec.columns["t"][7]
+        assert result.detail == "non-finite value"
 
 
 class TestAdjointConsistency:
