@@ -49,10 +49,11 @@ class ClfParams:
         if self.c == 0.0:
             raise ValueError("need c != 0, the cross term is what makes the "
                              "certificate informative")
-        if not (self.a * self.b - self.c ** 2 > 0.0):
+        # c * c: a float ** raises OverflowError where * gives inf
+        det = self.a * self.b - self.c * self.c
+        if not (det > 0.0):
             raise ValueError(
-                f"need a*b - c^2 > 0 for positive definiteness, got "
-                f"{self.a * self.b - self.c ** 2}")
+                f"need a*b - c^2 > 0 for positive definiteness, got {det}")
         if self.pd_hessian_mode and not (self.c < 0.0):
             raise ValueError(f"pd_hessian_mode requires c < 0, got c={self.c}")
 

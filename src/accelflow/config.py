@@ -1,18 +1,24 @@
 """Run configuration: parsing, validation, and runtime object assembly.
 
-Configs are YAML with four blocks (problem, method, output, verify).
-Parsing is strict: unknown keys are rejected and every diagnostic names
-the offending field by its dotted path, so a typo in a config fails loud
-rather than silently falling back to a default. All randomness in a run
-flows from the single problem.seed.
+Configs are YAML with four blocks (problem, method, output, verify). Each
+block is a frozen dataclass that declares each of its fields once: the
+field's default is the only default, and its metadata names the rule
+that parses and validates a value given for it. One function,
+_parse_fields, builds every block from its dataclass. Parsing is strict:
+unknown keys are rejected and every diagnostic names the offending field
+by its dotted path, so a typo in a config fails loud rather than
+silently falling back to a default. All randomness in a run flows from
+the single problem.seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from enum import Enum
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 import yaml
@@ -27,7 +33,7 @@ from .control import (
     momentum_flow_controller,
     nesterov_flow_controller,
 )
-from .flow import StoppingRule
+from .flow import FlowMode, Integrator, StoppingRule
 from .metric import MetricKind, MetricSpec
 from .objective import (
     ProblemInstance,
@@ -39,8 +45,13 @@ from .verify import CHECK_NAMES, DissipationMode
 
 FLOW_CONTROLLERS = ("min_p", "min_p_star", "direct", "momentum_flow",
                     "polyak", "accel_newton", "quasi_newton", "nesterov")
-DISCRETE_METHODS = ("heavy_ball", "nesterov1", "nesterov2", "cg",
-                    "accel_newton", "accel_qn")
+#: each discrete method with the coefficients it requires
+DISCRETE_METHODS = {"heavy_ball": ("alpha", "beta"),
+                    "nesterov1": ("alpha", "beta"),
+                    "nesterov2": ("alpha", "beta"),
+                    "cg": ("alpha", "beta_cg"),
+                    "accel_newton": ("gamma_a", "gamma_b", "h"),
+                    "accel_qn": ("gamma_a", "gamma_b", "h")}
 PROBLEM_NAMES = ("quadratic", "rosenbrock", "log_sum_exp")
 #: the momentum flows, each with the metric kind its name fixes (None:
 #: the config's method.metric)
@@ -76,8 +87,36 @@ class _Block:
 
     def finish(self) -> None:
         if self.data:
-            stray = ", ".join(sorted(self.data))
+            # a YAML key need not be a string: 1:, null:, YAML 1.1's on:
+            stray = ", ".join(sorted(str(key) for key in self.data))
             raise ConfigError(f"{self.path}: unknown field(s): {stray}")
+
+
+def _field(rule: Callable[..., Any], default: Any = dataclasses.MISSING,
+           **args: Any) -> Any:
+    """A config field: a value given for it is parsed by
+    rule(value, path, **args); without a default the field is required."""
+    return dataclasses.field(
+        default=default, metadata={"parse": functools.partial(rule, **args)})
+
+
+def _parse_fields(cls: type, data: Any, path: str = "") -> Any:
+    """Build the config block cls from a mapping, one field at a time.
+
+    path is the block's dotted path, empty for the whole config. A null
+    value for a field whose default is None leaves that default.
+    """
+    b = _Block(data, path or "config")
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in b.data and f.default is not dataclasses.MISSING:
+            continue
+        value = b.take(f.name, required=True)
+        if value is not None or f.default is not None:
+            values[f.name] = f.metadata["parse"](
+                value, f"{path}.{f.name}" if path else f.name)
+    b.finish()
+    return cls(**values)
 
 
 def _as_float(value: Any, path: str) -> float:
@@ -106,19 +145,60 @@ def _as_int(value: Any, path: str, minimum: int = 0) -> int:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     return value
 
-def _as_str(value: Any, path: str, choices: tuple[str, ...]) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(f"{path}: expected one of {list(choices)}, "
-                          f"got {value!r}")
+
+def _as_choice(value: Any, path: str, choices: Any) -> Any:
+    """One of choices, a collection of names or an Enum, whose member is
+    returned."""
+    names = [getattr(choice, "value", choice) for choice in choices]
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(f"{path}: expected one of {names}, got {value!r}")
+    return choices(value) if isinstance(choices, type) else value
+
+
+def _as_name(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string, got "
+                          f"{value!r}")
     return value
 
 
-def _as_vector(value: Any, path: str) -> Optional[tuple[float, ...]]:
-    if value is None:
-        return None
+def _as_vector(value: Any, path: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
     return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _as_number_or(value: Any, path: str, name: str,
+                  number: Callable[[Any, str], float]) -> Union[float, str]:
+    """A number, or the name of the rule that computes it."""
+    if not isinstance(value, str):
+        return number(value, path)
+    if value != name:
+        raise ConfigError(f"{path}: expected a number or {name!r}, got "
+                          f"{value!r}")
+    return value
+
+
+def _as_checks(value: Any, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return tuple(_as_choice(c, f"{path}[{i}]", CHECK_NAMES)
+                 for i, c in enumerate(value))
+
+
+def _parse_clf(data: Any, path: str) -> ClfParams:
+    b = _Block(data, path)
+    pd = b.take("pd_hessian_mode", ClfParams.pd_hessian_mode)
+    if not isinstance(pd, bool):
+        raise ConfigError(f"{path}.pd_hessian_mode: expected a boolean, "
+                          f"got {pd!r}")
+    coeffs = {key: _as_float(b.take(key, required=True), f"{path}.{key}")
+              for key in ("a", "b", "c")}
+    b.finish()
+    try:
+        return ClfParams(**coeffs, pd_hessian_mode=pd)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +208,13 @@ def _as_vector(value: Any, path: str) -> Optional[tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    name: str
-    dim: int = 2
-    kappa: float = 10.0
-    scale: float = 1.0
-    terms: int = 8
-    seed: int = 0
-    x0: Optional[tuple[float, ...]] = None
+    name: str = _field(_as_choice, choices=PROBLEM_NAMES)
+    dim: int = _field(_as_int, 2, minimum=1)
+    kappa: float = _field(_as_positive, 10.0)
+    scale: float = _field(_as_positive, 1.0)
+    terms: int = _field(_as_int, 8, minimum=2)
+    seed: int = _field(_as_int, 0)
+    x0: Optional[tuple[float, ...]] = _field(_as_vector, None)
 
     def build(self) -> ProblemInstance:
         """The problem registry: one constructor per name in PROBLEM_NAMES."""
@@ -151,21 +231,9 @@ class ProblemConfig:
                           f"expected one of {list(PROBLEM_NAMES)}")
 
 
-def _parse_problem(data: Any) -> ProblemConfig:
-    b = _Block(data, "problem")
-    name = _as_str(b.take("name", required=True), "problem.name",
-                   PROBLEM_NAMES)
-    cfg = ProblemConfig(
-        name=name,
-        dim=_as_int(b.take("dim", 2), "problem.dim", minimum=1),
-        kappa=_as_positive(b.take("kappa", 10.0), "problem.kappa"),
-        scale=_as_positive(b.take("scale", 1.0), "problem.scale"),
-        terms=_as_int(b.take("terms", 8), "problem.terms", minimum=2),
-        seed=_as_int(b.take("seed", 0), "problem.seed"),
-        x0=_as_vector(b.take("x0"), "problem.x0"),
-    )
-    b.finish()
-    _check_length(cfg.x0, cfg, "problem.x0")
+def _parse_problem(data: Any, path: str) -> ProblemConfig:
+    cfg = _parse_fields(ProblemConfig, data, path)
+    _check_length(cfg.x0, cfg, f"{path}.x0")
     return cfg
 
 
@@ -178,43 +246,29 @@ def _check_length(vector: Optional[tuple[float, ...]], problem: ProblemConfig,
                           f"{len(vector)}")
 
 
-def _parse_clf(data: Any) -> Optional[ClfParams]:
-    if data is None:
-        return None
-    b = _Block(data, "method.clf")
-    pd = b.take("pd_hessian_mode", False)
-    if not isinstance(pd, bool):
-        raise ConfigError(f"method.clf.pd_hessian_mode: expected a boolean, "
-                          f"got {pd!r}")
-    coeffs = {key: _as_float(b.take(key, required=True), f"method.clf.{key}")
-              for key in ("a", "b", "c")}
-    b.finish()
-    try:
-        return ClfParams(**coeffs, pd_hessian_mode=pd)
-    except ValueError as e:
-        raise ConfigError(f"method.clf: {e}") from e
-
-
 @dataclass(frozen=True)
 class FlowMethodConfig:
-    controller: str
-    h: float
-    t_max: float
-    metric: str = "euclidean"
-    eig_floor: float = 1e-6
-    clf: Optional[ClfParams] = None
-    gamma_a: Optional[float] = None
-    gamma_b: Optional[float] = None
-    gamma_c: Optional[float] = None
-    delta: Optional[float] = None
-    delta_mode: str = "constant"
-    sigma_q: Optional[float] = None
-    eta: Optional[float] = None
-    integrator: str = "rk4"
-    mode: str = "reduced"
-    tol_g: float = 1e-6
-    tol_v: float = 1e-6
-    v0: Optional[tuple[float, ...]] = None
+    controller: str = _field(_as_choice, choices=FLOW_CONTROLLERS)
+    h: float = _field(_as_positive)
+    t_max: float = _field(_as_positive)
+    metric: MetricKind = _field(_as_choice, MetricKind.EUCLIDEAN,
+                                choices=MetricKind)
+    eig_floor: float = _field(_as_positive, 1e-6)
+    clf: Optional[ClfParams] = _field(_parse_clf, None)
+    gamma_a: Optional[float] = _field(_as_float, None)
+    gamma_b: Optional[float] = _field(_as_float, None)
+    gamma_c: Optional[float] = _field(_as_float, None)
+    delta: Optional[float] = _field(_as_float, None)
+    delta_mode: DeltaMode = _field(_as_choice, DeltaMode.CONSTANT,
+                                   choices=DeltaMode)
+    sigma_q: Optional[float] = _field(_as_float, None)
+    eta: Optional[float] = _field(_as_float, None)
+    integrator: Integrator = _field(_as_choice, Integrator.RK4,
+                                    choices=Integrator)
+    mode: FlowMode = _field(_as_choice, FlowMode.REDUCED, choices=FlowMode)
+    tol_g: float = _field(_as_positive, 1e-6)
+    tol_v: float = _field(_as_positive, 1e-6)
+    v0: Optional[tuple[float, ...]] = _field(_as_vector, None)
 
     def clf_params(self) -> ClfParams:
         return DEFAULT_CLF if self.clf is None else self.clf
@@ -230,20 +284,20 @@ class FlowMethodConfig:
 
     def build_controller(self) -> ControllerSpec:
         clf = self.clf_params()
-        kind = MOMENTUM_FLOWS.get(self.controller) or MetricKind(self.metric)
+        kind = MOMENTUM_FLOWS.get(self.controller) or self.metric
         # polyak's Euclidean metric has no floor to set: MetricSpec's default
         metric = MetricSpec(kind) if self.controller == "polyak" \
             else MetricSpec(kind, eig_floor=self.eig_floor)
         try:
             if self.controller == "min_p":
-                mode = DeltaMode(self.delta_mode)
-                if mode is DeltaMode.FIXED_SIGMA:
+                if self.delta_mode is DeltaMode.FIXED_SIGMA:
                     (sq,) = self._need(sigma_q=self.sigma_q)
-                    return min_p_controller(clf, metric, delta_mode=mode,
+                    return min_p_controller(clf, metric,
+                                            delta_mode=self.delta_mode,
                                             sigma_q=sq)
                 (delta,) = self._need(delta=self.delta)
                 return min_p_controller(clf, metric, delta=delta,
-                                        delta_mode=mode)
+                                        delta_mode=self.delta_mode)
             if self.controller == "min_p_star":
                 (eta,) = self._need(eta=self.eta)
                 return min_p_star_controller(clf, metric, rate_eta=eta)
@@ -267,208 +321,95 @@ class FlowMethodConfig:
         return StoppingRule(tol_g=self.tol_g, tol_v=self.tol_v)
 
 
-def _parse_flow_method(b: _Block) -> FlowMethodConfig:
-    controller = _as_str(b.take("controller", required=True),
-                         "method.controller", FLOW_CONTROLLERS)
-
-    def opt_float(key: str) -> Optional[float]:
-        value = b.take(key)
-        return None if value is None else _as_float(value, f"method.{key}")
-
-    cfg = FlowMethodConfig(
-        controller=controller,
-        h=_as_positive(b.take("h", required=True), "method.h"),
-        t_max=_as_positive(b.take("t_max", required=True), "method.t_max"),
-        metric=_as_str(b.take("metric", "euclidean"), "method.metric",
-                       ("euclidean", "hessian", "quasi_newton")),
-        eig_floor=_as_positive(b.take("eig_floor", 1e-6), "method.eig_floor"),
-        clf=_parse_clf(b.take("clf")),
-        gamma_a=opt_float("gamma_a"),
-        gamma_b=opt_float("gamma_b"),
-        gamma_c=opt_float("gamma_c"),
-        delta=opt_float("delta"),
-        delta_mode=_as_str(b.take("delta_mode", "constant"),
-                           "method.delta_mode",
-                           ("constant", "taper", "fixed_sigma")),
-        sigma_q=opt_float("sigma_q"),
-        eta=opt_float("eta"),
-        integrator=_as_str(b.take("integrator", "rk4"), "method.integrator",
-                           ("rk4", "semi_implicit_euler")),
-        mode=_as_str(b.take("mode", "reduced"), "method.mode",
-                     ("reduced", "full_primal_dual")),
-        tol_g=_as_positive(b.take("tol_g", 1e-6), "method.tol_g"),
-        tol_v=_as_positive(b.take("tol_v", 1e-6), "method.tol_v"),
-        v0=_as_vector(b.take("v0"), "method.v0"),
-    )
-    b.finish()
-    if cfg.t_max < cfg.h:
-        raise ConfigError(f"method.t_max: must be at least one step "
-                          f"(h = {cfg.h}), got {cfg.t_max}")
-    cfg.build_controller()
-    return cfg
-
-
 @dataclass(frozen=True)
 class DiscreteMethodConfig:
-    name: str
-    max_iters: int
-    alpha: Union[float, str, None] = None
-    beta: Optional[float] = None
-    gamma: Optional[float] = None
-    beta_cg: Union[float, str, None] = None
-    gamma_a: Optional[float] = None
-    gamma_b: Optional[float] = None
-    h: Optional[float] = None
-    eig_floor: float = 1e-6
-    tol_g: float = 1e-6
-
-
-def _parse_discrete_method(b: _Block) -> DiscreteMethodConfig:
-    name = _as_str(b.take("name", required=True), "method.name",
-                   DISCRETE_METHODS)
-
-    def opt_float(key: str) -> Optional[float]:
-        value = b.take(key)
-        return None if value is None else _as_float(value, f"method.{key}")
-
-    alpha = b.take("alpha")
-    if alpha is not None and not isinstance(alpha, str):
-        alpha = _as_positive(alpha, "method.alpha")
-    elif isinstance(alpha, str) and alpha != "exact_line_search":
-        raise ConfigError(f"method.alpha: expected a number or "
-                          f"'exact_line_search', got {alpha!r}")
-    beta_cg = b.take("beta_cg")
-    if beta_cg is not None and not isinstance(beta_cg, str):
-        beta_cg = _as_float(beta_cg, "method.beta_cg")
-    elif isinstance(beta_cg, str) and beta_cg != "fletcher_reeves":
-        raise ConfigError(f"method.beta_cg: expected a number or "
-                          f"'fletcher_reeves', got {beta_cg!r}")
-
-    cfg = DiscreteMethodConfig(
-        name=name,
-        max_iters=_as_int(b.take("max_iters", required=True),
-                          "method.max_iters", minimum=1),
-        alpha=alpha,
-        beta=opt_float("beta"),
-        gamma=opt_float("gamma"),
-        beta_cg=beta_cg,
-        gamma_a=opt_float("gamma_a"),
-        gamma_b=opt_float("gamma_b"),
-        h=opt_float("h"),
-        eig_floor=_as_positive(b.take("eig_floor", 1e-6), "method.eig_floor"),
-        tol_g=_as_positive(b.take("tol_g", 1e-6), "method.tol_g"),
-    )
-    b.finish()
-
-    def need(*keys: str) -> None:
-        for key in keys:
-            if getattr(cfg, key) is None:
-                raise ConfigError(f"method.{key}: required by method "
-                                  f"{name!r}")
-
-    if name in ("heavy_ball", "nesterov1", "nesterov2"):
-        need("alpha", "beta")
-        if isinstance(cfg.alpha, str):
-            raise ConfigError(f"method.alpha: {name!r} needs a numeric step")
-    elif name == "cg":
-        need("alpha", "beta_cg")
-    else:
-        need("gamma_a", "gamma_b", "h")
-    return cfg
+    name: str = _field(_as_choice, choices=DISCRETE_METHODS)
+    max_iters: int = _field(_as_int, minimum=1)
+    alpha: Union[float, str, None] = _field(
+        _as_number_or, None, name="exact_line_search", number=_as_positive)
+    beta: Optional[float] = _field(_as_float, None)
+    gamma: Optional[float] = _field(_as_float, None)
+    beta_cg: Union[float, str, None] = _field(
+        _as_number_or, None, name="fletcher_reeves", number=_as_float)
+    gamma_a: Optional[float] = _field(_as_float, None)
+    gamma_b: Optional[float] = _field(_as_float, None)
+    h: Optional[float] = _field(_as_float, None)
+    eig_floor: float = _field(_as_positive, 1e-6)
+    tol_g: float = _field(_as_positive, 1e-6)
 
 
 MethodConfig = Union[FlowMethodConfig, DiscreteMethodConfig]
 
 
-def _parse_method(data: Any) -> MethodConfig:
-    b = _Block(data, "method")
-    kind = _as_str(b.take("kind", required=True), "method.kind",
-                   ("flow", "discrete"))
+def _parse_method(data: Any, path: str) -> MethodConfig:
+    b = _Block(data, path)
+    kind = _as_choice(b.take("kind", required=True), f"{path}.kind",
+                      ("flow", "discrete"))
     if kind == "flow":
-        return _parse_flow_method(b)
-    return _parse_discrete_method(b)
+        cfg = _parse_fields(FlowMethodConfig, b.data, path)
+        if cfg.t_max < cfg.h:
+            raise ConfigError(f"{path}.t_max: must be at least one step "
+                              f"(h = {cfg.h}), got {cfg.t_max}")
+        cfg.build_controller()
+        return cfg
+    cfg = _parse_fields(DiscreteMethodConfig, b.data, path)
+    need = DISCRETE_METHODS[cfg.name]
+    for key in need:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{path}.{key}: required by method "
+                              f"{cfg.name!r}")
+    # the momentum methods take alpha as their constant step
+    if "beta" in need and isinstance(cfg.alpha, str):
+        raise ConfigError(f"{path}.alpha: {cfg.name!r} needs a numeric step")
+    return cfg
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    out_dir: str = "runs"
-    stride: int = 1
-
-
-def _parse_output(data: Any) -> OutputConfig:
-    b = _Block(data, "output")
-    out_dir = b.take("out_dir", "runs")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"output.out_dir: expected a non-empty string, "
-                          f"got {out_dir!r}")
-    cfg = OutputConfig(out_dir=out_dir,
-                       stride=_as_int(b.take("stride", 1), "output.stride",
-                                      minimum=1))
-    b.finish()
-    return cfg
+    out_dir: str = _field(_as_name, "runs")
+    stride: int = _field(_as_int, 1, minimum=1)
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    checks: tuple[str, ...] = ()
-    dissipation_mode: str = "strict"
-    eta: float = 1.0
-    tol: Optional[float] = None
-    adjoint_coeff: float = 1e3
-    singular_tol: float = 1e-8
-
-    def mode(self) -> DissipationMode:
-        return DissipationMode(self.dissipation_mode)
+    checks: tuple[str, ...] = _field(_as_checks, ())
+    dissipation_mode: DissipationMode = _field(
+        _as_choice, DissipationMode.STRICT, choices=DissipationMode)
+    eta: float = _field(_as_positive, 1.0)
+    tol: Optional[float] = _field(_as_positive, None)
+    adjoint_coeff: float = _field(_as_positive, 1e3)
+    singular_tol: float = _field(_as_positive, 1e-8)
 
     def effective_tol(self) -> float:
         if self.tol is not None:
             return self.tol
-        return 1e-12 if self.dissipation_mode == "strict" else 1e-6
-
-
-def _parse_verify(data: Any) -> VerifyConfig:
-    b = _Block(data, "verify")
-    raw = b.take("checks", [])
-    if not isinstance(raw, list):
-        raise ConfigError(f"verify.checks: expected a list, got {raw!r}")
-    checks = tuple(_as_str(c, f"verify.checks[{i}]", CHECK_NAMES)
-                   for i, c in enumerate(raw))
-    tol = b.take("tol")
-    cfg = VerifyConfig(
-        checks=checks,
-        dissipation_mode=_as_str(b.take("dissipation_mode", "strict"),
-                                 "verify.dissipation_mode",
-                                 ("strict", "rate")),
-        eta=_as_positive(b.take("eta", 1.0), "verify.eta"),
-        tol=None if tol is None else _as_positive(tol, "verify.tol"),
-        adjoint_coeff=_as_positive(b.take("adjoint_coeff", 1e3),
-                                   "verify.adjoint_coeff"),
-        singular_tol=_as_positive(b.take("singular_tol", 1e-8),
-                                  "verify.singular_tol"),
-    )
-    b.finish()
-    return cfg
+        return 1e-12 if self.dissipation_mode is DissipationMode.STRICT \
+            else 1e-6
 
 
 def _plain(value: Any) -> Any:
     """A config value as YAML-ready data: a dataclass becomes a mapping of
-    its fields that are not None, a tuple a list."""
+    its fields that are not None, a tuple a list, an enum its value."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name))
                 for f in dataclasses.fields(value)
                 if getattr(value, f.name) is not None}
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
     return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem: ProblemConfig
-    method: MethodConfig
-    output: OutputConfig = OutputConfig()
-    verify: VerifyConfig = VerifyConfig()
-    label: Optional[str] = None
+    problem: ProblemConfig = _field(_parse_problem)
+    method: MethodConfig = _field(_parse_method)
+    output: OutputConfig = _field(
+        functools.partial(_parse_fields, OutputConfig), OutputConfig())
+    verify: VerifyConfig = _field(
+        functools.partial(_parse_fields, VerifyConfig), VerifyConfig())
+    label: Optional[str] = _field(_as_name, None)
 
     def run_label(self) -> str:
         if self.label:
@@ -503,21 +444,11 @@ class RunConfig:
                               default_flow_style=False)
 
 
-def parse_config(data: Any, source: str = "<config>") -> RunConfig:
-    b = _Block(data, "config")
-    problem = _parse_problem(b.take("problem", required=True))
-    method = _parse_method(b.take("method", required=True))
-    output = _parse_output(b.take("output"))
-    verify = _parse_verify(b.take("verify"))
-    label = b.take("label")
-    if label is not None and (not isinstance(label, str) or not label):
-        raise ConfigError(f"label: expected a non-empty string, got "
-                          f"{label!r}")
-    b.finish()
-    if isinstance(method, FlowMethodConfig):
-        _check_length(method.v0, problem, "method.v0")
-    return RunConfig(problem=problem, method=method, output=output,
-                     verify=verify, label=label)
+def parse_config(data: Any) -> RunConfig:
+    cfg = _parse_fields(RunConfig, data)
+    if isinstance(cfg.method, FlowMethodConfig):
+        _check_length(cfg.method.v0, cfg.problem, "method.v0")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -530,4 +461,4 @@ def load_config(path: str) -> RunConfig:
         mark = getattr(e, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path
         raise ConfigError(f"{where}: YAML parse error: {e}") from e
-    return parse_config(data, source=path)
+    return parse_config(data)

@@ -19,7 +19,7 @@ import itertools
 import json
 import os
 import tempfile
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,13 +36,14 @@ def decade_label(tol: float) -> str:
     return f"1e-{round(-np.log10(tol)):02d}"
 
 
-def atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, lines: Iterable[str]) -> None:
+    """Write lines, each ending in its own newline, to path as they come."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -84,11 +85,10 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     cols = record.columns
     body = np.column_stack([cols[name] for name in _csv_columns(full_mode)])
     # one % per row; each field is formatted exactly as _fmt would
-    row_fmt = ",".join([FLOAT_FMT] * len(header))
-    lines = [",".join(header)]
-    for row in body:
-        lines.append(row_fmt % tuple(row.tolist()))
-    atomic_write(path, "\n".join(lines) + "\n")
+    row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\n"
+    atomic_write(path, itertools.chain(
+        [",".join(header) + "\n"],
+        (row_fmt % tuple(row.tolist()) for row in body)))
 
 
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
@@ -172,15 +172,17 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
     dim = seq.points[0].shape[0]
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["E", "grad_norm"]
     # one % per row; each field is formatted exactly as _fmt would
-    row_fmt = ",".join([FLOAT_FMT] * len(header))
-    lines = [",".join(header)]
-    for k, x in enumerate(seq.points):
-        if np.isfinite(x).all():
-            e, g = float(oracle.value(x)), seq.grad_norms[k]
-        else:
-            e, g = float("nan"), float("nan")
-        lines.append(row_fmt % (float(k), *x.tolist(), e, g))
-    atomic_write(path, "\n".join(lines) + "\n")
+    row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\n"
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for k, x in enumerate(seq.points):
+            if np.isfinite(x).all():
+                e, g = float(oracle.value(x)), seq.grad_norms[k]
+            else:
+                e, g = float("nan"), float("nan")
+            yield row_fmt % (float(k), *x.tolist(), e, g)
+    atomic_write(path, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +265,7 @@ def _json_default(value: Any) -> Any:
 def write_summary_json(payload: dict[str, Any], path: str) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2,
                       default=_json_default)
-    atomic_write(path, text + "\n")
+    atomic_write(path, [text + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +281,15 @@ def write_compare_csv(rows: Sequence[dict[str, Any]], path: str) -> None:
     """
     labels = [decade_label(tol) for tol in GRAD_DECADES]
     header = ["label"] + [f"grad_le_{lab}" for lab in labels] + ["final_E"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [row["label"]]
-        for lab in labels:
-            value = row["cells"].get(lab)
-            cells.append("nan" if value is None else _fmt(float(value)))
-        final_e = row.get("final_E")
-        cells.append("nan" if final_e is None else _fmt(float(final_e)))
-        lines.append(",".join(cells))
-    atomic_write(path, "\n".join(lines) + "\n")
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            cells = [row["label"]]
+            for lab in labels:
+                value = row["cells"].get(lab)
+                cells.append("nan" if value is None else _fmt(float(value)))
+            final_e = row.get("final_E")
+            cells.append("nan" if final_e is None else _fmt(float(final_e)))
+            yield ",".join(cells) + "\n"
+    atomic_write(path, lines())

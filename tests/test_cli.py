@@ -287,6 +287,46 @@ class TestRunDiscrete:
         assert err[0].startswith("runtime failure: nonpositive curvature")
 
 
+FLOW_METHODS = [
+    {"controller": "min_p", "delta": 1.0},
+    {"controller": "min_p_star", "eta": 1.0},
+    {"controller": "direct", "gamma_a": 2.0, "gamma_b": 2.0, "gamma_c": 2.0},
+    {"controller": "momentum_flow", "gamma_a": 2.0, "gamma_b": 2.0,
+     "metric": "hessian"},
+    {"controller": "polyak", "gamma_a": 2.0, "gamma_b": 2.0},
+    {"controller": "accel_newton", "gamma_a": 2.0, "gamma_b": 2.0},
+    {"controller": "quasi_newton", "gamma_a": 2.0, "gamma_b": 2.0},
+    {"controller": "nesterov", "gamma_a": 2.0},
+]
+
+
+@pytest.mark.parametrize(
+    "method",
+    [{"kind": "flow", "h": 0.01, "t_max": 0.1, **m} for m in FLOW_METHODS]
+    + [{"kind": "discrete", "max_iters": 20, **m} for m in DISCRETE_METHODS],
+    ids=lambda m: f"{m['kind']}-{m.get('controller', m.get('name'))}")
+def test_a_rerun_writes_byte_identical_artifacts(tmp_path, monkeypatch,
+                                                 method):
+    # the same relative out_dir from two working directories, so that the
+    # config echo is the same file too
+    data = {"problem": {"name": "quadratic", "dim": 3, "seed": 5},
+            "method": method, "output": {"out_dir": "run"},
+            "verify": {"checks": ["stationarity"]}}
+    cfg = write_config(tmp_path, "run.yaml", data)
+    codes = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        codes.append(main(["run", cfg]))
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
+    first, second = tmp_path / "a" / "run", tmp_path / "b" / "run"
+    names = sorted(p.name for p in first.iterdir())
+    assert len(names) == 3 and "config_echo.yaml" in names
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 class TestConfigErrors:
     def test_unknown_method_name(self, tmp_path, capsys):
         data = discrete_data(tmp_path / "run", name="bogus")
@@ -314,6 +354,34 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == 2
         assert "absent.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, shown", [
+        ("config", "1", "1"),
+        ("problem", "2", "2"),
+        ("method", "null", "None"),
+        ("method.clf", "off", "False"),  # YAML 1.1 booleans
+        ("output", "on", "True"),
+        ("verify", "yes", "True"),
+    ])
+    def test_non_string_key_exits_two_naming_it(self, tmp_path, capsys,
+                                                block, key, shown):
+        data = flow_data(tmp_path / "run",
+                         clf={"a": 2.0, "b": 1.0, "c": -1.0})
+        data["verify"] = {"checks": []}
+        text = yaml.safe_dump(data, sort_keys=False)
+        if block == "config":
+            text += f"{key}: 1\n"
+        else:
+            *parents, name = block.split(".")
+            head = "  " * len(parents) + f"{name}:\n"
+            assert text.count(head) == 1
+            text = text.replace(head, f"{head}{'  ' * len(parents)}  "
+                                      f"{key}: 1\n")
+        cfg = tmp_path / "keys.yaml"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {block}: unknown field(s): {shown}"]
 
     @pytest.mark.parametrize("field, block, key, value", [
         ("method.h", "method", "h", float("inf")),
@@ -563,19 +631,7 @@ class TestVerifyVerb:
                                                            capsys):
         # a finite 1e200 velocity overflows V and lie V when verify
         # recomputes them; the strict check must fail at that sample
-        out = tmp_path / "run"
-        data = flow_data(out, controller="nesterov", t_max=1.0)
-        del data["method"]["gamma_b"]
-        data["problem"]["dim"] = 2
-        data["verify"] = {"checks": ["dissipation"]}
-        cfg = write_config(tmp_path, "nesterov.yaml", data)
-        assert main(["run", cfg]) == 0
-        lines = (out / "trajectory.csv").read_text().splitlines()
-        row = lines[5].split(",")
-        row[3] = row[4] = "1e200"
-        lines[5] = ",".join(row)
-        bad = tmp_path / "fast.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad, cfg, row = _overflowing_velocity(tmp_path)
         capsys.readouterr()
         assert main(["verify", str(bad), cfg]) == 1
         stdout = capsys.readouterr().out
@@ -583,6 +639,33 @@ class TestVerifyVerb:
                       if "dissipation_strict" in line)
         assert strict.startswith("FAIL")
         assert strict.endswith(f"at {float(row[0]):g} (non-finite value)")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_velocity_prints_no_numpy_warning(self, tmp_path,
+                                                          capsys):
+        bad, cfg, _ = _overflowing_velocity(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", str(bad), cfg]) == 1
+        assert capsys.readouterr().err == ""
+
+
+def _overflowing_velocity(tmp_path):
+    """A dim-2 nesterov trajectory with v0 = v1 = 1e200 at its fifth
+    sample, its config, and that row's cells."""
+    out = tmp_path / "run"
+    data = flow_data(out, controller="nesterov", t_max=1.0)
+    del data["method"]["gamma_b"]
+    data["problem"]["dim"] = 2
+    data["verify"] = {"checks": ["dissipation"]}
+    cfg = write_config(tmp_path, "nesterov.yaml", data)
+    assert main(["run", cfg]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    row = lines[5].split(",")
+    row[3] = row[4] = "1e200"
+    lines[5] = ",".join(row)
+    bad = tmp_path / "fast.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad, cfg, row
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from accelflow.clf import DEFAULT_CLF
 from accelflow.config import (
@@ -13,7 +15,7 @@ from accelflow.config import (
     load_config,
     parse_config,
 )
-from accelflow.cli import _run_flow
+from accelflow.cli import _run_flow, main
 from accelflow.control import (
     ControllerFamily,
     accelerated_newton_controller,
@@ -340,3 +342,139 @@ class TestLoadConfig:
         path.write_text("- just\n- a\n- list\n")
         with pytest.raises(ConfigError, match="config"):
             load_config(str(path))
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer
+# ---------------------------------------------------------------------------
+
+#: mapping keys as YAML loads them: strings, and 1:, null:, on: (True)
+ODD_KEYS = st.integers(-2, 2) | st.booleans() | st.none()
+KEYS = st.text(max_size=6) | ODD_KEYS
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_categories=["Cs"]), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(KEYS, inner, max_size=3), max_leaves=6)
+
+
+def _fields(required, optional):
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@st.composite
+def _problem(draw):
+    name = draw(st.sampled_from(["quadratic", "rosenbrock", "log_sum_exp"]))
+    dim = draw(st.integers(1, 4))
+    n = 2 if name == "rosenbrock" else dim
+    return draw(_fields({"name": st.just(name), "dim": st.just(dim)}, {
+        "kappa": st.floats(1.0, 100.0), "scale": st.floats(0.1, 2.0),
+        "terms": st.integers(2, 6), "seed": st.integers(0, 5),
+        "x0": st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)}))
+
+
+FLOW = _fields({
+    "kind": st.just("flow"),
+    "controller": st.sampled_from(
+        ["min_p", "min_p_star", "direct", "momentum_flow", "polyak",
+         "accel_newton", "quasi_newton", "nesterov"]),
+    "h": st.floats(1e-3, 0.05), "t_max": st.floats(0.05, 0.1),
+    # every controller's coefficients; the others ignore them
+    "gamma_a": st.floats(0.1, 20.0), "gamma_b": st.floats(0.1, 20.0),
+    "gamma_c": st.floats(-1.0, 4.0), "delta": st.floats(0.1, 10.0),
+    "sigma_q": st.floats(0.1, 4.0), "eta": st.floats(0.1, 4.0),
+}, {
+    "metric": st.sampled_from(["euclidean", "hessian", "quasi_newton"]),
+    "eig_floor": st.floats(1e-8, 1.0),
+    "clf": _fields({"a": st.floats(0.5, 3.0), "b": st.floats(0.5, 3.0),
+                    "c": st.floats(-2.0, 1.0)},
+                   {"pd_hessian_mode": st.booleans()}),
+    "delta_mode": st.sampled_from(["constant", "taper", "fixed_sigma"]),
+    "integrator": st.sampled_from(["rk4", "semi_implicit_euler"]),
+    "mode": st.sampled_from(["reduced", "full_primal_dual"]),
+    "tol_g": st.floats(1e-8, 1.0), "tol_v": st.floats(1e-8, 1.0),
+})
+DISCRETE = _fields({
+    "kind": st.just("discrete"),
+    "name": st.sampled_from(["heavy_ball", "nesterov1", "nesterov2", "cg",
+                             "accel_newton", "accel_qn"]),
+    "max_iters": st.integers(1, 50),
+    # every method's coefficients; the others ignore them
+    "alpha": st.floats(1e-3, 0.5) | st.just("exact_line_search"),
+    "beta": st.floats(0.0, 1.0),
+    "beta_cg": st.floats(0.0, 1.0) | st.just("fletcher_reeves"),
+    "gamma_a": st.floats(0.1, 5.0), "gamma_b": st.floats(0.1, 5.0),
+    "h": st.floats(0.05, 1.0),
+}, {
+    "gamma": st.floats(0.0, 1.0), "eig_floor": st.floats(1e-8, 1.0),
+    "tol_g": st.floats(1e-8, 1.0),
+})
+VERIFY = _fields({}, {
+    "checks": st.lists(st.sampled_from(
+        ["dissipation", "adjoint_consistency", "singular_arc",
+         "stationarity"]), max_size=3),
+    "dissipation_mode": st.sampled_from(["strict", "rate"]),
+    "eta": st.floats(0.1, 2.0), "tol": st.floats(1e-12, 1e-3),
+    "adjoint_coeff": st.floats(1.0, 1e4),
+    "singular_tol": st.floats(1e-10, 1e-4),
+})
+PLAUSIBLE = _fields({"problem": _problem(), "method": FLOW | DISCRETE}, {
+    "output": _fields({}, {"out_dir": st.just("runs"),
+                           "stride": st.integers(1, 5)}),
+    "verify": VERIFY, "label": st.text(min_size=1, max_size=4)})
+
+
+def _mappings(doc):
+    """doc and every mapping nested in it."""
+    out = [doc]
+    for value in doc.values():
+        if isinstance(value, dict):
+            out += _mappings(value)
+    return out
+
+
+@st.composite
+def _faulty(draw, keys=KEYS, values=VALUES):
+    """A plausible config with up to three faults, each in any block: a
+    field dropped, or a key, known or stray, set to one of values."""
+    doc = draw(PLAUSIBLE)
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(st.sampled_from(_mappings(doc)))
+        if block and draw(st.booleans()):
+            del block[draw(st.sampled_from(list(block)))]
+        else:
+            block[draw(keys)] = draw(values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_faulty())
+def test_parse_fuzz_accepts_or_raises_config_error(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert parse_config(yaml.safe_load(cfg.to_yaml())) == cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_faulty(keys=ODD_KEYS, values=st.integers(0, 3)))
+def test_run_fuzz_exits_with_a_contract_code(fuzz_dir, capsys, doc):
+    # only dropped fields and stray keys: every size stays small
+    output = doc.get("output")
+    doc["output"] = {**(output if isinstance(output, dict) else {}),
+                     "out_dir": str(fuzz_dir / "run")}
+    path = fuzz_dir / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    capsys.readouterr()
+    code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
