@@ -13,11 +13,18 @@ drift part, which the control cannot touch, and a control part entering
 through grad_v V:
 
     lie V = -(a lambda + c v) . (hess E(x) v) + (c lambda + b v) . u.
+
+Each function takes one state, as vectors of shape (n,), or N stacked
+states, as (N, n) arrays. A stacked call returns one value per row, and
+every row holds the bits the one-state call gives: the dot products and
+Hessian-vector products go through np.vecdot and np.matvec, which take
+the same BLAS path per row as a @ b and H @ v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -65,16 +72,31 @@ DEFAULT_CLF = ClfParams(a=2.0, b=1.0, c=-1.0, pd_hessian_mode=True)
 def _pair(lambda_x: Array, v: Array) -> tuple[Array, Array]:
     lam = np.asarray(lambda_x, dtype=float)
     vv = np.asarray(v, dtype=float)
-    if lam.shape != vv.shape or lam.ndim != 1:
+    if lam.shape != vv.shape or lam.ndim not in (1, 2):
         raise ValueError(
-            f"lambda and v must be 1-D with equal shapes, got {lam.shape} "
-            f"and {vv.shape}")
+            f"lambda and v must be one state (n,) or stacked states (N, n) "
+            f"with equal shapes, got {lam.shape} and {vv.shape}")
     return lam, vv
 
 
-def clf_value(p: ClfParams, lambda_x: Array, v: Array) -> float:
+def _scalar(value: Array) -> Union[float, Array]:
+    """A float for one state, the array of per-row values for stacked ones."""
+    return float(value) if value.ndim == 0 else value
+
+
+def state_norm(a: Array) -> Union[float, Array]:
+    """Euclidean norm of one vector, or of each stacked row.
+
+    sqrt(a . a) is np.linalg.norm's own formula for a vector, so each row
+    gets the bits np.linalg.norm gives it.
+    """
+    return np.sqrt(np.vecdot(a, a))
+
+
+def clf_value(p: ClfParams, lambda_x: Array, v: Array) -> Union[float, Array]:
     lam, vv = _pair(lambda_x, v)
-    return float(0.5 * p.a * lam @ lam + 0.5 * p.b * vv @ vv + p.c * lam @ vv)
+    return _scalar(np.vecdot(0.5 * p.a * lam, lam)
+                   + np.vecdot(0.5 * p.b * vv, vv) + np.vecdot(p.c * lam, vv))
 
 
 def clf_grad_lambda(p: ClfParams, lambda_x: Array, v: Array) -> Array:
@@ -87,21 +109,22 @@ def clf_grad_v(p: ClfParams, lambda_x: Array, v: Array) -> Array:
     return p.c * lam + p.b * vv
 
 
-def eps_v(lambda_x: Array, v: Array) -> float:
+def eps_v(lambda_x: Array, v: Array) -> Union[float, Array]:
     """State-scaled threshold below which grad_v V counts as zero."""
     lam, vv = _pair(lambda_x, v)
-    return 1e-10 * (1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(vv)))
+    return _scalar(1e-10 * (1.0 + state_norm(lam) + state_norm(vv)))
 
 
 def lie_derivative(p: ClfParams, oracle: ObjectiveOracle, x: Array,
-                   lambda_x: Array, v: Array, u: Array) -> float:
+                   lambda_x: Array, v: Array, u: Array) -> Union[float, Array]:
     """Derivative of V along the auxiliary field closed with control u."""
     lam, vv = _pair(lambda_x, v)
     u = np.asarray(u, dtype=float)
     if u.shape != vv.shape:
         raise ValueError(f"u has shape {u.shape}, expected {vv.shape}")
-    Hv = oracle.hessian(x) @ vv
-    return float(-clf_grad_lambda(p, lam, vv) @ Hv + clf_grad_v(p, lam, vv) @ u)
+    Hv = np.matvec(oracle.hessian(x), vv)
+    return _scalar(np.vecdot(-clf_grad_lambda(p, lam, vv), Hv)
+                   + np.vecdot(clf_grad_v(p, lam, vv), u))
 
 
 @dataclass(frozen=True)

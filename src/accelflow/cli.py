@@ -159,39 +159,33 @@ def _execute_run(config: RunConfig) -> tuple[int, dict[str, Any]]:
     out_dir = config.output.out_dir
     label = config.run_label()
 
-    if isinstance(config.method, FlowMethodConfig):
-        spec = config.method.build_controller()
-        record = _run_flow(config, problem, spec)
-        csv_path = os.path.join(out_dir, "trajectory.csv")
-        write_trajectory_csv(record, csv_path)
-        print(f"wrote {csv_path}")
-        payload = flow_summary(record, label)
-        report = None
-        if config.verify.checks:
-            report = _verify_flow_record(config, problem, spec, record,
-                                         config.verify.checks)
-        _emit(config, payload, report)
-        if record.diverged:
-            print("run diverged", file=sys.stderr)
-            return EXIT_RUNTIME, payload
-        if report is not None and not report.ok:
-            return EXIT_CHECKS, payload
-        return EXIT_OK, payload
-
-    _check_discrete_verify(config)
-    # a diverging method overflows on its way to the non-finite iterate
+    flow = isinstance(config.method, FlowMethodConfig)
+    if not flow:
+        _check_discrete_verify(config)
+    # a diverging method overflows on its way to the non-finite state
     # that stops it; the summary reports that as divergence, not numpy
+    report = None
     with np.errstate(over="ignore", invalid="ignore"):
-        seq = _run_discrete(config, problem)
-        csv_path = os.path.join(out_dir, "iterates.csv")
-        write_iterates_csv(seq, problem.oracle, csv_path)
-        print(f"wrote {csv_path}")
-        payload = discrete_summary(seq, problem.oracle, label,
-                                   config.method.tol_g)
-        report = None
-        if "stationarity" in config.verify.checks:
-            report = check_stationarity(seq, problem.oracle,
-                                        tol_g=config.method.tol_g)
+        if flow:
+            spec = config.method.build_controller()
+            record = _run_flow(config, problem, spec)
+            csv_path = os.path.join(out_dir, "trajectory.csv")
+            write_trajectory_csv(record, csv_path)
+            print(f"wrote {csv_path}")
+            payload = flow_summary(record, label)
+            if config.verify.checks:
+                report = _verify_flow_record(config, problem, spec, record,
+                                             config.verify.checks)
+        else:
+            seq = _run_discrete(config, problem)
+            csv_path = os.path.join(out_dir, "iterates.csv")
+            write_iterates_csv(seq, problem.oracle, csv_path)
+            print(f"wrote {csv_path}")
+            payload = discrete_summary(seq, problem.oracle, label,
+                                       config.method.tol_g)
+            if "stationarity" in config.verify.checks:
+                report = check_stationarity(seq, problem.oracle,
+                                            tol_g=config.method.tol_g)
     _emit(config, payload, report)
     if payload["diverged"]:
         print("run diverged", file=sys.stderr)

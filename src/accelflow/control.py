@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -34,11 +34,10 @@ from .clf import (
     ClfParams,
     DEFAULT_CLF,
     DriftReport,
-    clf_grad_lambda,
-    clf_grad_v,
     clf_value,
     drift_condition_check,
     eps_v,
+    state_norm,
 )
 from .metric import MetricKind, MetricSpec, metric_matrix, metric_solve
 from .objective import ObjectiveOracle
@@ -142,14 +141,15 @@ class ControlResult:
 
     sigma is the scalar multiplier on -W^{-1} grad_v V (None for the direct
     family); drift and rho are only filled by min_p_star, which computes
-    them anyway.
+    them anyway. For N stacked states u is (N, n), and branch, sigma,
+    drift and rho hold one entry per row.
     """
 
     u: Array
-    branch: str
-    sigma: Optional[float] = None
-    drift: Optional[float] = None
-    rho: Optional[float] = None
+    branch: Union[str, Array]
+    sigma: Union[float, Array, None] = None
+    drift: Union[float, Array, None] = None
+    rho: Union[float, Array, None] = None
 
 
 class InfeasibleStateError(RuntimeError):
@@ -313,14 +313,25 @@ def validate_direct_gains(clf: ClfParams, gamma_a: float, gamma_b: float,
 
 def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
                      lambda_x: Array, v: Array) -> ControlResult:
-    """Evaluate the controller at one state, with diagnostics."""
+    """Evaluate the controller, with diagnostics.
+
+    x, lambda_x and v are one state (n,) or N stacked states (N, n). For
+    stacked states every ControlResult field holds one entry per row, and
+    each row holds the bits the one-state call gives it. A branch is a
+    mask over the rows, and a row that takes no control gets u = +0.0.
+    min_p_star raises at the first row where it is infeasible, with the
+    error the one-state call raises there.
+    """
     lam = np.asarray(lambda_x, dtype=float)
     vv = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape != (oracle.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({oracle.dim},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != oracle.dim:
+        raise ValueError(f"x has shape {x.shape}, expected ({oracle.dim},) "
+                         f"or (N, {oracle.dim})")
     if vv.shape != x.shape:
-        raise ValueError(f"v has shape {vv.shape}, expected ({oracle.dim},)")
+        raise ValueError(f"v has shape {vv.shape}, expected {x.shape}")
+    if lam.shape != x.shape:
+        raise ValueError(f"lambda has shape {lam.shape}, expected {x.shape}")
 
     if spec.family is ControllerFamily.MIN_P:
         return _min_p(spec, oracle, x, lam, vv)
@@ -331,7 +342,7 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
 
 def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
                     d: Array, H: Optional[Array] = None) -> Array:
-    """W^{-1} d for the metric resolved at x.
+    """W^{-1} d for the metric resolved at x, for one row or stacked rows.
 
     The identity metric (Euclidean, or quasi-Newton before its first
     update) needs no solve. d + 0.0 matches the solve bit for bit except
@@ -340,54 +351,137 @@ def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
     signs of the other entries. H is hess E(x) when the caller already
     holds it. The Hessian metric is not factored again for the solve:
     shift_to_floor's floor test already certified it.
+
+    One W serves every stacked row when it does not depend on the point
+    (a quadratic's Hessian, a quasi-Newton matrix). A Hessian per row is
+    floored and solved one row at a time, in row order, so the first row
+    that fails raises what its one-row call raises.
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
         return d + 0.0
+    if metric.kind is MetricKind.HESSIAN and H is None:
+        H = oracle.hessian(x)
+    if H is not None and H.ndim == 3:
+        return np.array([_metric_inverse(metric, oracle, xk, dk, Hk)
+                         for xk, dk, Hk in zip(x, d, H)])
     return metric_solve(metric_matrix(metric, oracle, x, H), d,
                         certified=metric.kind is MetricKind.HESSIAN)
 
 
+def _on_rows(rows: Array, law: Callable[[Optional[Array]], tuple[Array, Array]],
+             like: Array) -> tuple[Array, Array]:
+    """law's (u, sigma) on the rows where rows holds, 0.0 on the others.
+
+    law reads its inputs through _take with the mask it is given. When
+    rows holds everywhere, as it always does for one state that takes the
+    branch, that mask is None and law sees its inputs whole; when rows
+    holds nowhere, law is not called. One state's mask is a numpy bool,
+    whose all() costs more than the rest of this.
+    """
+    if rows.ndim == 0:
+        return law(None) if rows else (np.zeros_like(like), 0.0)
+    if rows.all():
+        return law(None)
+    u, sigma = np.zeros_like(like), np.zeros(rows.shape)
+    if rows.any():
+        u[rows], sigma[rows] = law(rows)
+    return u, sigma
+
+
+def _take(a: Array, rows: Optional[Array]) -> Array:
+    return a if rows is None else a[rows]
+
+
+def _pull(sigma: Union[float, Array], z: Array) -> Array:
+    """-sigma z, with one sigma per row for stacked rows."""
+    return -(sigma[:, None] if z.ndim == 2 else sigma) * z
+
+
+def _label(rows: Array, yes: str, no: str) -> Union[str, Array]:
+    return np.where(rows, yes, no) if rows.ndim else (yes if rows else no)
+
+
+def _result(u: Array, branch: Union[str, Array], sigma: Optional[Array] = None,
+            drift: Optional[Array] = None,
+            rho: Optional[Array] = None) -> ControlResult:
+    """One state's diagnostics as floats, stacked states' as arrays."""
+    if u.ndim == 2:
+        return ControlResult(u, branch, sigma, drift, rho)
+    if drift is None:
+        return ControlResult(u, branch, float(sigma))
+    return ControlResult(u, branch, float(sigma), float(drift), float(rho))
+
+
 def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
            lam: Array, vv: Array) -> ControlResult:
-    d = clf_grad_v(spec.clf, lam, vv)
-    if np.linalg.norm(d) <= eps_v(lam, vv):
-        # no descent direction for V through the control channel
-        return ControlResult(np.zeros_like(vv), branch="origin", sigma=0.0)
+    d = spec.clf.c * lam + spec.clf.b * vv  # grad_v V
+    # where grad_v V vanishes, the control channel has no descent
+    # direction for V: the origin branch. A nan norm is not on it.
+    boundary = ~(state_norm(d) <= eps_v(lam, vv))
 
-    z = _metric_inverse(spec.metric, oracle, x, d)
-    quad = float(d @ z)
+    def law(rows: Optional[Array]) -> tuple[Array, Array]:
+        dd = _take(d, rows)
+        z = _metric_inverse(spec.metric, oracle, _take(x, rows), dd)
+        if spec.delta_mode is DeltaMode.FIXED_SIGMA:
+            sigma = (spec.sigma_q if dd.ndim == 1
+                     else np.full(len(dd), spec.sigma_q))
+        else:
+            delta = spec.delta
+            if spec.delta_mode is DeltaMode.TAPER:
+                # fmin keeps delta against a nan, as Python's min does;
+                # for one state min is the cheaper of the two
+                dd2 = np.vecdot(dd, dd)
+                delta = min(delta, dd2) if dd.ndim == 1 \
+                    else np.fmin(delta, dd2)
+            sigma = np.sqrt(delta / np.vecdot(dd, z))
+        return _pull(sigma, z), sigma
 
-    if spec.delta_mode is DeltaMode.FIXED_SIGMA:
-        sigma = spec.sigma_q
-    else:
-        delta = spec.delta
-        if spec.delta_mode is DeltaMode.TAPER:
-            delta = min(delta, float(d @ d))
-        sigma = float(np.sqrt(delta / quad))
-    return ControlResult(-sigma * z, branch="boundary", sigma=float(sigma))
+    u, sigma = _on_rows(boundary, law, vv)
+    return _result(u, _label(boundary, "boundary", "origin"), sigma)
 
 
 def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
                 lam: Array, vv: Array) -> ControlResult:
-    d = clf_grad_v(spec.clf, lam, vv)
+    p = spec.clf
+    d = p.c * lam + p.b * vv  # grad_v V
     H = oracle.hessian(x)
-    Hv = H @ vv
-    drift = float(-clf_grad_lambda(spec.clf, lam, vv) @ Hv)
-    rho = spec.rate_eta * clf_value(spec.clf, lam, vv)
+    drift = np.vecdot(-(p.a * lam + p.c * vv), np.matvec(H, vv))
+    rho = spec.rate_eta * clf_value(p, lam, vv)
+    # where the uncontrolled decay already meets the rate, save the
+    # effort; a nan gap needs control
+    gap = drift + rho
+    need = ~(gap <= 0.0)
 
-    if drift + rho <= 0.0:
-        # the uncontrolled decay already meets the rate, save the effort
-        return ControlResult(np.zeros_like(vv), branch="inactive", sigma=0.0,
-                             drift=drift, rho=rho)
-    if np.linalg.norm(d) > eps_v(lam, vv):
-        z = _metric_inverse(spec.metric, oracle, x, d, H)
-        quad = float(d @ z)
-        sigma = (rho + drift) / quad
+    def law(rows: Optional[Array]) -> tuple[Array, Array]:
+        dd = _take(d, rows)
+        # one Hessian for every row (a quadratic's) is not indexed
+        z = _metric_inverse(spec.metric, oracle, _take(x, rows), dd,
+                            _take(H, rows) if H.ndim > x.ndim else H)
+        sigma = _take(gap, rows) / np.vecdot(dd, z)
         # lie V = drift - sigma * quad = -rho, the rate binds exactly
-        return ControlResult(-sigma * z, branch="active", sigma=float(sigma),
-                             drift=drift, rho=rho)
+        return _pull(sigma, z), sigma
 
+    # a state that needs control and has no authority is infeasible
+    if need.ndim == 0:
+        if need and not state_norm(d) > eps_v(lam, vv):
+            raise _infeasible(spec, oracle, x, lam, vv, drift, rho)
+    else:
+        stuck = need & ~(state_norm(d) > eps_v(lam, vv))
+        if stuck.any():
+            k = int(np.argmax(stuck))
+            # the rows before it raise what they raise one state at a time
+            _on_rows(need & (np.arange(len(need)) < k), law, vv)
+            raise _infeasible(spec, oracle, x[k], lam[k], vv[k], drift[k],
+                              rho[k])
+    u, sigma = _on_rows(need, law, vv)
+    return _result(u, _label(need, "active", "inactive"), sigma, drift, rho)
+
+
+def _infeasible(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
+                lam: Array, vv: Array, drift: float,
+                rho: float) -> InfeasibleStateError:
+    """The error for one state that needs control and has no authority."""
     report = drift_condition_check(spec.clf, oracle, x, lam, vv)
     if report.applicable and not report.holds:
         detail = (f"the drift condition fails there (drift_term = "
@@ -395,7 +489,7 @@ def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     else:
         detail = (f"the drift decays but slower than the requested rate "
                   f"(drift = {drift:.6g}, rho = {rho:.6g}); lower rate_eta")
-    raise InfeasibleStateError(
+    return InfeasibleStateError(
         "min_p_star has no control authority on grad_v V = 0 and " + detail,
         report)
 
@@ -403,6 +497,7 @@ def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
 def _direct(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
             lam: Array, vv: Array) -> ControlResult:
     g = spec.gains
-    Hv = oracle.hessian(x) @ vv
+    Hv = np.matvec(oracle.hessian(x), vv)
     u = g.gamma_a * lam - g.gamma_b * vv - g.gamma_c * Hv
-    return ControlResult(u, branch="linear")
+    return ControlResult(u, "linear" if u.ndim == 1
+                         else np.full(len(u), "linear"))

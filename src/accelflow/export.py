@@ -129,21 +129,17 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
                            meta: dict[str, Any]) -> TrajectoryRecord:
     """Rebuild a TrajectoryRecord from the columns of an exported file.
 
-    The control is re-evaluated from the controller spec at each stored
-    state (it is a pure function of the state), while the diagnostic
-    columns keep their exported values so the honesty check in
-    check_dissipation still compares cached against recomputed. A
-    reduced-mode file's costates are filled in from their definitions.
-    Metrics with path-dependent state cannot be rebuilt this way; callers
-    reject those before getting here.
+    The control is re-evaluated from the controller spec at the stored
+    states (it is a pure function of the state), in one call over the
+    stacked rows, while the diagnostic columns keep their exported values
+    so the honesty check in check_dissipation still compares cached
+    against recomputed. A reduced-mode file's costates are filled in from
+    their definitions. Metrics with path-dependent state cannot be
+    rebuilt this way; callers reject those before getting here.
     """
     cols = dict(columns)
-    u, lam_x = np.empty_like(cols["x"]), np.empty_like(cols["x"])
-    for k, (x, v) in enumerate(zip(cols["x"], cols["v"])):
-        g = oracle.gradient(x)
-        u[k] = evaluate_control(spec, oracle, x, -g, v).u
-        lam_x[k] = -g
-    cols["u"] = u
+    lam_x = -oracle.gradient(cols["x"])
+    cols["u"] = evaluate_control(spec, oracle, cols["x"], lam_x, cols["v"]).u
     if "lambda_x" not in cols:
         cols["lambda_x"] = lam_x
         cols["lambda_v"] = np.zeros_like(cols["x"])
@@ -219,6 +215,7 @@ def flow_summary(record: TrajectoryRecord, label: str) -> dict[str, Any]:
         "converged": record.converged,
         "diverged": record.diverged,
         "steps_taken": record.meta.get("steps_taken"),
+        "metric": record.meta["metric"],
         "t_final": float(last["t"]),
         "final": {
             "E": float(last["E"]),

@@ -121,15 +121,21 @@ def metric_solve(W: Array, rhs: Array, certified: bool = False) -> Array:
     patched over. certified=True skips the certificate for a W that
     shift_to_floor returned: its floor test already proved W positive
     definite.
+
+    N stacked right-hand sides (N, n) share the one W. Each row is its own
+    one-column LAPACK solve, so it gets the bits of the one-row call.
     """
     W = np.asarray(W, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1] or rhs.shape != (W.shape[0],):
+    if (W.ndim != 2 or W.shape[0] != W.shape[1] or rhs.ndim not in (1, 2)
+            or rhs.shape[-1] != W.shape[0]):
         raise ValueError(f"shape mismatch: W {W.shape}, rhs {rhs.shape}")
     if not (certified or (np.isfinite(W).all() and _has_cholesky(W))):
         raise ValueError("metric is not positive definite; apply "
                          "shift_to_floor or fix the quasi-Newton state")
-    return np.linalg.solve(W, rhs)
+    if rhs.ndim == 1:
+        return np.linalg.solve(W, rhs)
+    return np.linalg.solve(W, rhs[..., None])[..., 0]
 
 
 def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpec:

@@ -5,6 +5,11 @@ for the value, gradient, and Hessian. Controllers and integrators only ever
 talk to the oracle interface, so adding a new objective means adding one
 constructor here and its name to the config layer's problem registry
 (``ProblemConfig.build``).
+
+The gradient and the Hessian take one point (n,) or N stacked points
+(N, n), and give one row per point, with the bits of the one-point call.
+The quadratic's Hessian does not depend on the point, so it stays one
+(n, n) matrix that broadcasts over the rows.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ SeedLike = Union[int, np.random.Generator, None]
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Callable bundle (E, grad E, hess E) for a smooth objective on R^n."""
+    """Callable bundle (E, grad E, hess E) for a smooth objective on R^n.
+
+    gradient and hessian also take N stacked points (N, n).
+    """
 
     dim: int
     value: Callable[[Array], float]
@@ -37,6 +45,20 @@ class ProblemInstance:
     x0: Array
     x_star: Optional[Array] = None
     e_star: Optional[float] = None
+
+
+def _stacked(at_point: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """Let a one-point oracle callable take N stacked points (N, n) too.
+
+    The rows are evaluated one at a time, so each gets the one-point bits.
+    Any other shape goes to the one-point callable, which rejects it.
+    """
+    def over_rows(x: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.array([at_point(row) for row in x])
+        return at_point(x)
+    return over_rows
 
 
 def _as_rng(seed: SeedLike) -> np.random.Generator:
@@ -85,7 +107,7 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
         return 0.5 * float(d @ Q @ d)
 
     def gradient(x: Array) -> Array:
-        return Q @ (np.asarray(x, dtype=float) - x_star)
+        return np.matvec(Q, np.asarray(x, dtype=float) - x_star)
 
     def hessian(x: Array) -> Array:
         return Q.copy()
@@ -152,6 +174,7 @@ def rosenbrock_problem(x0: Optional[Array] = None) -> ProblemInstance:
         x = _check(x)
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
+    @_stacked
     def gradient(x: Array) -> Array:
         x = _check(x)
         return np.array([
@@ -159,6 +182,7 @@ def rosenbrock_problem(x0: Optional[Array] = None) -> ProblemInstance:
             200.0 * (x[1] - x[0] ** 2),
         ])
 
+    @_stacked
     def hessian(x: Array) -> Array:
         x = _check(x)
         return np.array([
@@ -211,7 +235,11 @@ def log_sum_exp_problem(A: Array, b: Array,
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
 
     def _softmax(x: Array) -> tuple[float, Array]:
-        z = A @ np.asarray(x, dtype=float) + b
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"log_sum_exp oracle takes shape ({n},), got "
+                             f"{x.shape}")
+        z = A @ x + b
         zmax = float(np.max(z))
         w = np.exp(z - zmax)
         s = float(np.sum(w))
@@ -221,10 +249,12 @@ def log_sum_exp_problem(A: Array, b: Array,
         val, _ = _softmax(x)
         return val
 
+    @_stacked
     def gradient(x: Array) -> Array:
         _, p = _softmax(x)
         return A.T @ p
 
+    @_stacked
     def hessian(x: Array) -> Array:
         _, p = _softmax(x)
         C = A - A.T @ p
@@ -245,30 +275,3 @@ def random_log_sum_exp(dim: int, terms: int, seed: SeedLike = None,
     if x0 is None:
         x0 = rng.standard_normal(dim)
     return log_sum_exp_problem(A, b, x0=x0)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_gradient(oracle: ObjectiveOracle, x: Array, h: float = 1e-6) -> Array:
-    """Central-difference gradient, the independent check on analytic ones."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(oracle.dim)
-    for i in range(oracle.dim):
-        e = np.zeros(oracle.dim)
-        e[i] = h
-        g[i] = (oracle.value(x + e) - oracle.value(x - e)) / (2.0 * h)
-    return g
-
-
-def finite_diff_hessian(oracle: ObjectiveOracle, x: Array, h: float = 1e-6) -> Array:
-    """Central difference of the analytic gradient, symmetrized."""
-    x = np.asarray(x, dtype=float)
-    H = np.empty((oracle.dim, oracle.dim))
-    for j in range(oracle.dim):
-        e = np.zeros(oracle.dim)
-        e[j] = h
-        H[:, j] = (oracle.gradient(x + e) - oracle.gradient(x - e)) / (2.0 * h)
-    return 0.5 * (H + H.T)

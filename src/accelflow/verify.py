@@ -2,7 +2,9 @@
 
 Every check recomputes its quantities from the raw states; the cached
 diagnostic columns a producer stored are themselves checked against that
-recomputation rather than trusted. Tolerances for integrator-dependent
+recomputation rather than trusted. A check evaluates whole columns, one
+call over the stacked rows per quantity, and each row holds the bits a
+one-state call gives it. Tolerances for integrator-dependent
 identities scale as C h^p with p the integrator's order, since the
 underlying identities are exact in continuous time and only
 discretization error is admissible.
@@ -17,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .clf import ClfParams, clf_value, lie_derivative
+from .clf import ClfParams, clf_value, lie_derivative, state_norm
 from .discrete import IterateSequence
 from .flow import Integrator, TrajectoryRecord
 from .objective import ObjectiveOracle
@@ -143,15 +145,12 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
     and report how far the producer's cached values drift from that.
     """
     cols = record.columns
-    times = cols["t"]
-    vals, lies, active = [], [], []
-    for x, v, u in zip(cols["x"], cols["v"], cols["u"]):
-        lam = -oracle.gradient(x)
-        vals.append(clf_value(clf, lam, v))
-        lies.append(lie_derivative(clf, oracle, x, lam, v, u))
-        # != rather than >: a NaN norm counts as away from the target
-        active.append(np.linalg.norm(lam) + np.linalg.norm(v) != 0.0)
-    vals, lies, active = np.array(vals), np.array(lies), np.array(active)
+    times, x, v = cols["t"], cols["x"], cols["v"]
+    lam = -oracle.gradient(x)
+    vals = clf_value(clf, lam, v)
+    lies = lie_derivative(clf, oracle, x, lam, v, cols["u"])
+    # != rather than >: a NaN norm counts as away from the target
+    active = state_norm(lam) + state_norm(v) != 0.0
 
     cached_V, cached_lie = cols["V"], cols["lieV"]
     cached_dev = np.maximum(
@@ -172,9 +171,9 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
         checks.append(_worst("dissipation_rate", lies + eta * vals, times,
                              tol))
         V0, t0 = vals[0], times[0]
-        if V0 > 0.0:
-            excess = np.array([V / (V0 * np.exp(-eta * (t - t0))) - 1.0
-                               for V, t in zip(vals, times)])
+        # a NaN V0 is not vacuous: it fails at t0 as a non-finite value
+        if V0 != 0.0:
+            excess = vals / (V0 * np.exp(-eta * (times - t0))) - 1.0
             checks.append(_worst("dissipation_envelope", excess, times, tol))
         else:
             checks.append(CheckResult(
@@ -203,8 +202,7 @@ def check_adjoint_consistency(record: TrajectoryRecord,
 
     tol = order_tolerance(record, coeff) if tol is None else tol
     cols = record.columns
-    resid = np.array([np.linalg.norm(lam + oracle.gradient(x))
-                      for x, lam in zip(cols["x"], cols["lambda_x"])])
+    resid = state_norm(cols["lambda_x"] + oracle.gradient(cols["x"]))
     return VerificationReport(checks=(
         _worst("adjoint_consistency", resid, cols["t"], tol),))
 
@@ -219,7 +217,7 @@ def check_singular_arc(record: TrajectoryRecord,
             detail="reduced mode holds lambda_v at zero by construction"),))
 
     cols = record.columns
-    norms = np.array([np.linalg.norm(lam) for lam in cols["lambda_v"]])
+    norms = state_norm(cols["lambda_v"])
     return VerificationReport(checks=(
         _worst("singular_arc", norms, cols["t"], tol),))
 

@@ -37,12 +37,11 @@ from accelflow.metric import (
     quasi_newton_update,
 )
 from accelflow.objective import (
-    finite_diff_gradient,
-    finite_diff_hessian,
     random_log_sum_exp,
     random_quadratic,
     rosenbrock_problem,
 )
+from finite_diff import finite_diff_gradient, finite_diff_hessian
 
 
 def report(name: str, ok: bool, detail: str) -> None:

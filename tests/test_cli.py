@@ -126,6 +126,35 @@ class TestRunFlow:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gains", [
+        {"controller": "nesterov", "gamma_a": 1e300, "gamma_b": None},
+        {"controller": "polyak", "gamma_a": 1e200, "gamma_b": 1e200},
+    ], ids=["nesterov", "polyak"])
+    def test_divergence_prints_no_numpy_warning(self, tmp_path, capsys,
+                                                gains):
+        out = tmp_path / "run"
+        data = flow_data(out, h=0.1, t_max=1.0, **gains)
+        data["method"] = {k: v for k, v in data["method"].items()
+                          if v is not None}
+        data["problem"].update(dim=2, kappa=10.0, seed=1)
+        cfg = write_config(tmp_path, "div.yaml", data)
+        capsys.readouterr()
+        assert main(["run", cfg]) == 3
+        assert capsys.readouterr().err == "run diverged\n"
+
+    @pytest.mark.parametrize("controller,metric", [
+        ("polyak", "euclidean"), ("accel_newton", "hessian"),
+        ("quasi_newton", "quasi_newton")])
+    def test_summary_names_the_metric_the_run_used(self, tmp_path,
+                                                   controller, metric):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "run.yaml",
+                           flow_data(out, controller=controller, t_max=0.5))
+        assert main(["run", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metric"] == metric
+
 
 DISCRETE_METHODS = [
     {"name": "heavy_ball", "alpha": 0.05, "beta": 0.5},

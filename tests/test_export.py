@@ -171,7 +171,9 @@ class TestRecordReconstruction:
         calls = []
 
         def gradient(x):
-            calls.append(1)
+            # one entry per point evaluated: a stacked call evaluates one
+            # gradient for each of its rows
+            calls.extend(np.atleast_2d(x))
             return quad.oracle.gradient(x)
 
         oracle = dataclasses.replace(quad.oracle, gradient=gradient)

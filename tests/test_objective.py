@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from accelflow.config import ProblemConfig
 from accelflow.objective import (
-    finite_diff_gradient,
-    finite_diff_hessian,
     log_sum_exp_problem,
     quadratic_problem,
     random_log_sum_exp,
     random_quadratic,
     rosenbrock_problem,
 )
+from finite_diff import finite_diff_gradient, finite_diff_hessian
 
 
 def test_quadratic_hand_values():

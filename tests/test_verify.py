@@ -194,6 +194,25 @@ class TestNonFiniteValuesFail:
         assert result.location == rec.columns["t"][7]
         assert result.detail == "non-finite value"
 
+    def test_a_nan_initial_certificate_fails_the_envelope(self, quad4,
+                                                          min_p_star_record):
+        # lambda = v = 1e200 (1, 1, 1, 1) at t0: each term of V overflows,
+        # inf + inf - inf is nan, and a nan V(t0) is not a vacuous envelope
+        cols = {k: c.copy() for k, c in min_p_star_record.columns.items()}
+        grad = -1e200 * np.ones(4)
+        H = quad4.oracle.hessian(quad4.x0)
+        cols["x"][0] = quad4.x_star + np.linalg.solve(H, grad)
+        cols["v"][0] = 1e200
+        rec = dataclasses.replace(min_p_star_record, columns=cols)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_dissipation(rec, DEFAULT_CLF, quad4.oracle,
+                                    mode=DissipationMode.RATE, tol=1e-6)
+        result = next(c for c in rep.checks
+                      if c.name == "dissipation_envelope")
+        assert result.status is CheckStatus.FAILED
+        assert result.location == rec.columns["t"][0]
+        assert result.detail == "non-finite value"
+
     @pytest.mark.parametrize("column,check", [
         ("lambda_x", lambda rec, oracle: check_adjoint_consistency(rec,
                                                                    oracle)),
