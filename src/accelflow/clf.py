@@ -112,7 +112,13 @@ def clf_grad_v(p: ClfParams, lambda_x: Array, v: Array) -> Array:
 def eps_v(lambda_x: Array, v: Array) -> Union[float, Array]:
     """State-scaled threshold below which grad_v V counts as zero."""
     lam, vv = _pair(lambda_x, v)
-    return _scalar(1e-10 * (1.0 + state_norm(lam) + state_norm(vv)))
+    return _scalar(_eps(lam, vv))
+
+
+def _eps(lam: Array, vv: Array) -> Union[float, Array]:
+    """eps_v without its input checks, for the control laws, whose
+    caller has made them."""
+    return 1e-10 * (1.0 + state_norm(lam) + state_norm(vv))
 
 
 def lie_derivative(p: ClfParams, oracle: ObjectiveOracle, x: Array,

@@ -350,6 +350,9 @@ def _parse_method(data: Any, path: str) -> MethodConfig:
         if cfg.t_max < cfg.h:
             raise ConfigError(f"{path}.t_max: must be at least one step "
                               f"(h = {cfg.h}), got {cfg.t_max}")
+        if not math.isfinite(cfg.t_max / cfg.h):
+            raise ConfigError(f"{path}.t_max: the step count t_max / h "
+                              f"(h = {cfg.h}) overflows, got {cfg.t_max}")
         cfg.build_controller()
         return cfg
     cfg = _parse_fields(DiscreteMethodConfig, b.data, path)

@@ -34,9 +34,9 @@ from .clf import (
     ClfParams,
     DEFAULT_CLF,
     DriftReport,
+    _eps,
     clf_value,
     drift_condition_check,
-    eps_v,
     state_norm,
 )
 from .metric import MetricKind, MetricSpec, metric_matrix, metric_solve
@@ -418,7 +418,7 @@ def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     d = spec.clf.c * lam + spec.clf.b * vv  # grad_v V
     # where grad_v V vanishes, the control channel has no descent
     # direction for V: the origin branch. A nan norm is not on it.
-    boundary = ~(state_norm(d) <= eps_v(lam, vv))
+    boundary = ~(state_norm(d) <= _eps(lam, vv))
 
     def law(rows: Optional[Array]) -> tuple[Array, Array]:
         dd = _take(d, rows)
@@ -464,10 +464,10 @@ def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
 
     # a state that needs control and has no authority is infeasible
     if need.ndim == 0:
-        if need and not state_norm(d) > eps_v(lam, vv):
+        if need and not state_norm(d) > _eps(lam, vv):
             raise _infeasible(spec, oracle, x, lam, vv, drift, rho)
     else:
-        stuck = need & ~(state_norm(d) > eps_v(lam, vv))
+        stuck = need & ~(state_norm(d) > _eps(lam, vv))
         if stuck.any():
             k = int(np.argmax(stuck))
             # the rows before it raise what they raise one state at a time

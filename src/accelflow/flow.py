@@ -25,6 +25,7 @@ what is carried along:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -106,6 +107,15 @@ def initial_state(oracle: ObjectiveOracle, x0: Array,
                           lambda_v=np.zeros(oracle.dim), lambda_y=1.0)
 
 
+def _norm(a: Array) -> float:
+    """np.linalg.norm's formula for a vector, sqrt(a . a), as a float.
+
+    It gives np.linalg.norm's bits, and at the integrator's three norms
+    per step it is cheaper than np.linalg.norm or clf.state_norm.
+    """
+    return math.sqrt(a.dot(a))
+
+
 def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
               state0: AugmentedState, h: float, t_max: float, *,
               method: Integrator = Integrator.RK4,
@@ -121,20 +131,29 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     within a step all see the matrix from the step's start.
 
     The control at each accepted state is evaluated once, after that
-    state's metric update, and shared: its sample records it, and the
-    next step uses it as the first RK4 stage or the semi-implicit Euler
+    state's metric update, and shared: its row records it, and the next
+    step uses it as the first RK4 stage or the semi-implicit Euler
     velocity update. An RK4 step therefore costs four control
-    evaluations. When the law computed the drift term of lie V
-    (min_p_star does), the sample adds grad_v V . u to it instead of
-    taking a Hessian of its own. In full_primal_dual RK4 mode the
-    adjoint step's endpoint control is that same value, except with a
-    quasi-Newton metric, where the adjoint sees the control under the
-    matrix the primal step used.
+    evaluations. In full_primal_dual RK4 mode the adjoint step's endpoint
+    control is that same value, except with a quasi-Newton metric, where
+    the adjoint sees the control under the matrix the primal step used.
+    Each accepted state takes the norms of x, v and the gradient once;
+    they serve the divergence test, the stopping rule and the grad_norm
+    column.
 
-    The run comes back as one table: each recorded sample appends one
-    row (the COLUMNS plus u), and the rows are stacked into column arrays
-    once, at the end. In reduced mode the costate columns hold their
-    definitions, lambda_x = -grad E and lambda_v = 0.
+    The run comes back as one table. The loop keeps only the raw columns
+    of each recorded state: t, x, v, y, the gradient, grad_norm, u, the
+    law's drift term when it returns one, and in full_primal_dual mode
+    the costates. The diagnostic columns are
+    computed once, after the loop, over the whole table, with one stacked
+    call each, and every row holds the bits the one-state call gives it:
+    E is oracle.value, V is clf_value and lie V is lie_derivative. When
+    the law computed the drift term of lie V (min_p_star does), lie V is
+    that drift plus grad_v V . u instead, and takes no Hessian. The
+    diagnostics always use the substituted costate -grad E, so reduced
+    and full runs of the same flow report the same certificate values.
+    In reduced mode the costate columns hold their definitions,
+    lambda_x = -grad E and lambda_v = 0.
 
     An InfeasibleStateError from the controller propagates to the caller
     untouched: it is a statement about the problem/rate pairing, not
@@ -144,6 +163,9 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         raise ValueError(f"step size must be positive, got {h}")
     if not (t_max >= h):
         raise ValueError(f"t_max must be at least one step, got {t_max} < {h}")
+    if not math.isfinite(t_max / h):
+        raise ValueError(f"the step count t_max / h must be finite, got "
+                         f"{t_max} / {h}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
 
@@ -156,28 +178,37 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     lamx = state0.lambda_x.copy()
     lamv = state0.lambda_v.copy()
 
-    def control_at(x: Array, g: Array, v: Array) -> ControlResult:
-        return evaluate_control(live_spec, oracle, x, -g, v)
+    def control_at(zz: Array, g: Array) -> ControlResult:
+        return evaluate_control(live_spec, oracle, zz[:n], -g, zz[n:2 * n])
 
-    def rhs(zz: Array, g: Array, u: Array) -> Array:
+    def rhs(zz: Array, g: Array, u: Array, out: Array) -> None:
+        """The closed loop's vector field at zz, written to out."""
         v = zz[n:2 * n]
-        out = np.empty_like(zz)
         out[:n] = v
         out[n:2 * n] = u
-        out[2 * n] = g @ v
-        return out
+        out[2 * n] = g.dot(v)
 
-    def stage(zz: Array) -> Array:
-        x = zz[:n]
-        g = oracle.gradient(x)
-        return rhs(zz, g, control_at(x, g, zz[n:2 * n]).u)
+    # the RK4 stage state and slopes are made once per run; an accepted
+    # state is always a fresh array, since the rows keep views of it
+    zs, k1, k2, k3, k4 = np.empty((5, 2 * n + 1))
+
+    def stage(zz: Array, coeff: float, k: Array, out: Array) -> None:
+        """The slope at zz + coeff * k, written to out."""
+        np.multiply(k, coeff, out=zs)
+        np.add(zz, zs, out=zs)
+        g = oracle.gradient(zs[:n])
+        rhs(zs, g, control_at(zs, g).u, out)
 
     def rk4_step(zz: Array, g: Array, u: Array) -> Array:
-        k1 = rhs(zz, g, u)
-        k2 = stage(zz + 0.5 * h * k1)
-        k3 = stage(zz + 0.5 * h * k2)
-        k4 = stage(zz + h * k3)
-        return zz + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(zz, g, u, k1)
+        stage(zz, 0.5 * h, k1, k2)
+        stage(zz, 0.5 * h, k2, k3)
+        stage(zz, h, k3, k4)
+        # zz + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+        np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        return zz + np.multiply(k1, h / 6.0, out=k1)
 
     def sie_step(zz: Array, g: Array, u: Array) -> Array:
         # symplectic-flavoured first order: v first, then x rides v_new
@@ -228,44 +259,19 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         lamv = lamv + h * (-lamx - g0)
         lamx = lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n])
 
-    # rows hold views and shared arrays: the loop never changes an array
-    # in place once it is made, and the final stacking copies
-    rows: dict[str, list] = {name: [] for name in COLUMNS + ("u",)}
-    zeros = np.zeros(n)
+    # the raw columns of the recorded states, by reference: the loop never
+    # changes an array in place once it is kept, and the stacking copies
+    rows: list[tuple] = []
 
-    def record_row(t: float, zz: Array, g: Array, res: ControlResult) -> None:
-        x, v, u = zz[:n], zz[n:2 * n], res.u
-        # diagnostics always use the substituted costate, so reduced and
-        # full runs of the same flow report the same certificate values
-        V = clf_value(live_spec.clf, -g, v)
-        if res.drift is None:
-            lie = lie_derivative(live_spec.clf, oracle, x, -g, v, u)
-        else:
-            # the law already paid a Hessian for the drift term; the sum
-            # is lie_derivative's, bit for bit
-            lie = float(res.drift + clf_grad_v(live_spec.clf, -g, v) @ u)
-        row = {"t": t, "x": x, "v": v, "y": float(zz[2 * n]),
-               "E": oracle.value(x), "grad_norm": float(np.linalg.norm(g)),
-               "V": V, "lieV": lie,
-               "lambda_x": lamx if full else -g,
-               "lambda_v": lamv if full else zeros, "u": u}
-        for name, value in row.items():
-            rows[name].append(value)
-
-    def stopped(g: Array, zz: Array) -> bool:
-        return (np.linalg.norm(g) <= stop.tol_g
-                and np.linalg.norm(zz[n:2 * n]) <= stop.tol_v)
-
-    def blown_up(zz: Array) -> bool:
-        if not np.all(np.isfinite(zz)):
-            return True
-        return (np.linalg.norm(zz[:n]) > DIVERGENCE_LIMIT
-                or np.linalg.norm(zz[n:2 * n]) > DIVERGENCE_LIMIT)
+    def keep(t: float, zz: Array, g: Array, g_norm: float,
+             res: ControlResult) -> None:
+        rows.append((t, zz, g, g_norm, res.u, res.drift, lamx, lamv))
 
     g = oracle.gradient(z[:n])
-    res = control_at(z[:n], g, z[n:2 * n])
-    record_row(0.0, z, g, res)
-    converged = stopped(g, z)
+    g_norm = _norm(g)
+    res = control_at(z, g)
+    keep(0.0, z, g, g_norm, res)
+    converged = g_norm <= stop.tol_g and _norm(z[n:2 * n]) <= stop.tol_v
     diverged = False
     n_steps = int(np.ceil(t_max / h - 1e-12))
     k = 0
@@ -276,14 +282,18 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         u_adj = res.u  # the adjoint step's control at the primal step's start
         for k in range(1, n_steps + 1):
             z_new = step(z, g, res.u)
-            if blown_up(z_new):
+            # a non-finite x or v has a non-finite norm
+            v_norm = _norm(z_new[n:2 * n])
+            if not (_norm(z_new[:n]) <= DIVERGENCE_LIMIT
+                    and v_norm <= DIVERGENCE_LIMIT
+                    and math.isfinite(z_new[2 * n])):
                 diverged = True
                 k -= 1
                 break
             g_new = oracle.gradient(z_new[:n])
             if full:
                 if adjoint_rk4:
-                    res_new = control_at(z_new[:n], g_new, z_new[n:2 * n])
+                    res_new = control_at(z_new, g_new)
                     adjoint_rk4_step(z, g, u_adj, z_new, g_new, res_new.u)
                     u_adj = res_new.u
                 else:
@@ -297,19 +307,41 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                     live_spec.metric, z_new[:n] - z[:n], g_new - g)
                 live_spec = dataclasses.replace(live_spec, metric=new_metric)
             z, g = z_new, g_new
+            g_norm = _norm(g)
             if adjoint_rk4 and not qn:
                 res = res_new
             else:
-                res = control_at(z[:n], g, z[n:2 * n])
-            converged = stopped(g, z)
+                res = control_at(z, g)
+            converged = g_norm <= stop.tol_g and v_norm <= stop.tol_v
             if converged or k % record_stride == 0 or k == n_steps:
-                record_row(k * h, z, g, res)
+                keep(k * h, z, g, g_norm, res)
             if converged:
                 break
         # a divergence break leaves the last accepted state at step k
         if diverged and k % record_stride:
-            record_row(k * h, z, g, res)
+            keep(k * h, z, g, g_norm, res)
 
+    # the diagnostics, one stacked call per column
+    t, states, gs, g_norms, us, drifts, lamxs, lamvs = zip(*rows)
+    Z = np.array(states)
+    X, Vel = Z[:, :n].copy(), Z[:, n:2 * n].copy()
+    U = np.array(us)
+    lam = -np.array(gs)
+    clf = spec.clf
+    if drifts[0] is None:
+        lie = lie_derivative(clf, oracle, X, lam, Vel, U)
+    else:
+        # the law already paid a Hessian for the drift term; the sum is
+        # lie_derivative's, bit for bit
+        lie = np.array(drifts) + np.vecdot(clf_grad_v(clf, lam, Vel), U)
+    columns = {
+        "t": np.array(t), "x": X, "v": Vel, "y": Z[:, 2 * n].copy(),
+        "E": oracle.value(X), "grad_norm": np.array(g_norms),
+        "V": clf_value(clf, lam, Vel), "lieV": lie,
+        "lambda_x": np.array(lamxs) if full else lam,
+        "lambda_v": np.array(lamvs) if full else np.zeros_like(Vel),
+        "u": U,
+    }
     meta = {
         "mode": mode.value,
         "method": method.value,
@@ -324,8 +356,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         "tol_g": stop.tol_g,
         "tol_v": stop.tol_v,
         "steps_taken": k,
-        "t_final": rows["t"][-1],
+        "t_final": t[-1],
     }
-    columns = {name: np.array(values) for name, values in rows.items()}
     return TrajectoryRecord(columns=columns, converged=converged,
                             diverged=diverged, meta=meta)

@@ -6,8 +6,9 @@ talk to the oracle interface, so adding a new objective means adding one
 constructor here and its name to the config layer's problem registry
 (``ProblemConfig.build``).
 
-The gradient and the Hessian take one point (n,) or N stacked points
-(N, n), and give one row per point, with the bits of the one-point call.
+The value, the gradient and the Hessian take one point (n,) or N stacked
+points (N, n), and give one entry or row per point, with the bits of the
+one-point call.
 The quadratic's Hessian does not depend on the point, so it stays one
 (n, n) matrix that broadcasts over the rows.
 """
@@ -27,11 +28,12 @@ SeedLike = Union[int, np.random.Generator, None]
 class ObjectiveOracle:
     """Callable bundle (E, grad E, hess E) for a smooth objective on R^n.
 
-    gradient and hessian also take N stacked points (N, n).
+    value, gradient and hessian also take N stacked points (N, n); value
+    then gives one number per point.
     """
 
     dim: int
-    value: Callable[[Array], float]
+    value: Callable[[Array], Union[float, Array]]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
     name: str = "objective"
@@ -102,8 +104,10 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
 
-    def value(x: Array) -> float:
+    def value(x: Array) -> Union[float, Array]:
         d = np.asarray(x, dtype=float) - x_star
+        if d.ndim == 2:
+            return 0.5 * np.vecdot(np.vecmat(d, Q), d)
         return 0.5 * float(d @ Q @ d)
 
     def gradient(x: Array) -> Array:
@@ -170,6 +174,7 @@ def rosenbrock_problem(x0: Optional[Array] = None) -> ProblemInstance:
             raise ValueError(f"rosenbrock oracle is 2-D, got shape {x.shape}")
         return x
 
+    @_stacked
     def value(x: Array) -> float:
         x = _check(x)
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
@@ -245,6 +250,7 @@ def log_sum_exp_problem(A: Array, b: Array,
         s = float(np.sum(w))
         return zmax + np.log(s), w / s
 
+    @_stacked
     def value(x: Array) -> float:
         val, _ = _softmax(x)
         return val

@@ -434,6 +434,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{field}:" in err[0]
 
+    def test_an_overflowing_step_count_exits_two_naming_t_max(self, tmp_path,
+                                                             capsys):
+        # t_max / h overflows to inf: no step count, so no run
+        data = flow_data(tmp_path / "run", h=1.0e-300, t_max=1.0e+300)
+        data["problem"] = {"name": "quadratic", "dim": 2}
+        cfg = write_config(tmp_path, "overflow.yaml", data)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "method.t_max:" in err[0]
+        assert "overflows" in err[0]
+        # one such member stops a compare before any member runs
+        ok = flow_data(tmp_path / "ok", t_max=0.1)
+        ok["problem"] = data["problem"]
+        ok["label"] = "ok"
+        data["label"] = "overflow"
+        good = write_config(tmp_path, "ok.yaml", ok)
+        bad = write_config(tmp_path, "overflow.yaml", data)
+        out = tmp_path / "cmp"
+        assert main(["compare", good, bad, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "method.t_max:" in err[0]
+        assert not out.exists()
+
 
 class TestCompare:
     def test_nesterov_forms_report_identical_progress(self, tmp_path):

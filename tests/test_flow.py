@@ -1,13 +1,16 @@
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from accelflow import flow
-from accelflow.clf import lie_derivative
+from accelflow.clf import clf_value, lie_derivative
 from accelflow.export import flow_summary
 from accelflow.control import (
+    ControllerFamily,
+    DeltaMode,
     InfeasibleStateError,
     accelerated_newton_controller,
     direct_controller,
@@ -27,7 +30,11 @@ from accelflow.flow import (
     integrate,
 )
 from accelflow.metric import MetricKind, MetricSpec
-from accelflow.objective import quadratic_problem, random_quadratic
+from accelflow.objective import (
+    quadratic_problem,
+    random_log_sum_exp,
+    random_quadratic,
+)
 
 Q2 = quadratic_problem(np.array([[2.0]]))
 RUN_FOREVER = StoppingRule(tol_g=0.0, tol_v=0.0)
@@ -258,6 +265,91 @@ def test_integrate_validates_arguments():
                   record_stride=0)
 
 
+def test_integrate_rejects_an_overflowing_step_count():
+    # t_max / h overflows to inf, which has no integer step count
+    s0 = initial_state(Q2.oracle, np.array([3.0]))
+    with pytest.raises(ValueError, match="t_max / h must be finite"):
+        integrate(polyak_controller(2.0, 2.0), Q2.oracle, s0, h=1e-300,
+                  t_max=1e300)
+
+
+def _turning(oracle, field, turn, edge=1.0):
+    """oracle, with its field's value f replaced by turn(f) where any
+    x_i < edge."""
+    call = getattr(oracle, field)
+
+    def turned(x):
+        out = call(x)
+        return turn(out) if np.min(x) < edge else out
+    return dataclasses.replace(oracle, **{field: turned})
+
+
+def _infinite_y(state):
+    return dataclasses.replace(state, y=np.inf)
+
+
+POLYAK = polyak_controller(2.0, 2.0)
+#: cause -> (controller, oracle, start-state change, steps taken under rk4
+#: and under semi-implicit Euler). Heading from x = 3 towards 0, RK4
+#: meets x < 1 at a stage inside step 81; semi-implicit Euler's state
+#: after step 80 is already below 1, so it records that state with its
+#: nan gradient and blows up at step 81. The nesterov flow's edge, 0.997,
+#: is first met by the last RK4 stage of step 165, whose nan control
+#: makes v nan alone, with x and y finite. Under a constant gradient of
+#: -2e11, v settles at 2e11 and x passes the limit alone, with y finite.
+DIVERGENCES = {
+    "nan_gradient": (POLYAK,
+                     _turning(Q2.oracle, "gradient", lambda g: g * np.nan),
+                     None, (80, 80)),
+    "infinite_velocity": (POLYAK,
+                          _turning(Q2.oracle, "gradient",
+                                   lambda g: g * 1e308),
+                          None, (80, 80)),
+    "nan_velocity": (nesterov_flow_controller(2.0),
+                     _turning(Q2.oracle, "hessian", lambda H: H * np.nan,
+                              edge=0.997),
+                     None, (164, 165)),
+    "infinite_y": (POLYAK, Q2.oracle, _infinite_y, (0, 0)),
+    "velocity_past_limit": (polyak_controller(1e8, 1e4), Q2.oracle, None,
+                            (1, 2)),
+    "position_past_limit": (POLYAK,
+                            _turning(Q2.oracle, "gradient",
+                                     lambda g: np.full_like(g, -2e11),
+                                     edge=np.inf),
+                            None, (549, 548)),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("method", list(Integrator))
+@pytest.mark.parametrize("cause", sorted(DIVERGENCES))
+def test_each_divergence_cause_stops_at_the_last_finite_state(cause, method,
+                                                              stride):
+    # the step count is the one the per-element isfinite test gave; the
+    # rows are those of the same run told to stop at that step
+    spec, oracle, change, steps = DIVERGENCES[cause]
+    steps = steps[method is Integrator.SEMI_IMPLICIT_EULER]
+    s0 = initial_state(oracle, np.array([3.0]))
+    if change is not None:
+        s0 = change(s0)
+    with np.errstate(all="ignore"):
+        rec = integrate(spec, oracle, s0, h=1e-2, t_max=10.0, method=method,
+                        record_stride=stride)
+        assert (rec.diverged, rec.converged, rec.meta["steps_taken"]) \
+            == (True, False, steps)
+        rows = sorted(set(range(0, steps + 1, stride)) | {steps})
+        assert len(rec.columns["t"]) == len(rows)
+        if steps == 0:
+            assert (rec.columns["x"][0], rec.columns["v"][0],
+                    rec.columns["y"][0]) == (3.0, 0.0, s0.y)
+            return
+        cut = integrate(spec, oracle, s0, h=1e-2, t_max=steps * 1e-2,
+                        method=method, record_stride=stride)
+    assert not cut.diverged and cut.meta["steps_taken"] == steps
+    for name, col in cut.columns.items():
+        assert rec.columns[name].tobytes() == col.tobytes(), name
+
+
 def test_infeasible_rate_propagates():
     # start on the zero-authority set of a problem whose drift cannot meet
     # the requested rate; the controller error must surface, not be stepped
@@ -367,6 +459,59 @@ def test_rk4_takes_four_hessians_per_step_with_the_hessian_metric():
     assert len(calls) == 4 * 50 + 1
 
 
+def test_rk4_takes_four_hessians_per_step_in_the_newton_flow():
+    # each control evaluation takes one Hessian for its metric, and the
+    # lie V column takes one stacked call for the whole table instead of
+    # one per row: one at the start, four per step, and that one
+    prob = random_quadratic(4, kappa=5.0, seed=2)
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return prob.oracle.hessian(x)
+
+    oracle = dataclasses.replace(prob.oracle, hessian=hessian)
+    s0 = initial_state(oracle, prob.x0)
+    rec = integrate(accelerated_newton_controller(2.0, 2.0), oracle, s0,
+                    h=1e-2, t_max=0.5, stop=RUN_FOREVER, record_stride=1)
+    assert rec.meta["steps_taken"] == 50
+    assert len(rec.columns["t"]) == 51
+    assert len(calls) == 4 * 50 + 2
+
+
+@pytest.mark.parametrize("mode", list(FlowMode))
+@pytest.mark.parametrize("spec", [
+    polyak_controller(2.0, 2.0), min_p_star_controller(rate_eta=1.0)],
+    ids=["polyak", "min_p_star"])
+def test_a_runs_certificate_and_value_calls_do_not_grow_with_its_length(
+        spec, mode, monkeypatch):
+    # V, lie V and E are computed once over the table: one stacked call
+    # each, whatever the step count; min_p_star's lie V takes none
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("clf_value", "lie_derivative"):
+        monkeypatch.setattr(flow, name, counted(name, getattr(flow, name)))
+    prob = random_quadratic(4, kappa=5.0, seed=2)
+    oracle = dataclasses.replace(prob.oracle,
+                                 value=counted("value", prob.oracle.value))
+    s0 = initial_state(prob.oracle, prob.x0)
+    seen = []
+    for t_max in (0.5, 2.0):
+        counts.clear()
+        integrate(spec, oracle, s0, h=1e-2, t_max=t_max, mode=mode,
+                  stop=RUN_FOREVER)
+        seen.append(dict(counts))
+    drift = spec.family is not ControllerFamily.MIN_P
+    assert seen[0] == seen[1] == {"clf_value": 1, "value": 1,
+                                  **({} if drift else {"lie_derivative": 1})}
+
+
 @pytest.mark.parametrize("spec", [
     min_p_star_controller(rate_eta=1.0), HESSIAN_MIN_P_STAR,
     nesterov_flow_controller(2.0)],
@@ -382,6 +527,44 @@ def test_sample_lie_derivative_is_lie_derivative_bit_for_bit(spec):
         lie = lie_derivative(spec.clf, prob.oracle, x,
                              -prob.oracle.gradient(x), v, s.u)
         assert s.lieV == lie
+
+
+DIAGNOSED = {
+    "polyak": polyak_controller(2.0, 2.0),
+    "accel_newton": accelerated_newton_controller(2.0, 2.0, eig_floor=1e-2),
+    "quasi_newton": quasi_newton_flow_controller(2.0, 2.0, eig_floor=1e-2),
+    "nesterov": nesterov_flow_controller(2.0),
+    "min_p_taper": min_p_controller(delta=1.0, delta_mode=DeltaMode.TAPER),
+    "min_p_star": min_p_star_controller(rate_eta=0.5),
+    "min_p_star_hessian": min_p_star_controller(
+        metric=MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2), rate_eta=0.5),
+}
+DIAGNOSED_PROBLEMS = {
+    "quadratic": random_quadratic(5, kappa=10.0, seed=4),
+    "log_sum_exp": random_log_sum_exp(3, terms=6, seed=6),
+}
+
+
+@pytest.mark.parametrize("method", list(Integrator))
+@pytest.mark.parametrize("mode", list(FlowMode))
+@pytest.mark.parametrize("problem", sorted(DIAGNOSED_PROBLEMS))
+@pytest.mark.parametrize("family", sorted(DIAGNOSED))
+def test_diagnostics_equal_one_state_calls_bit_for_bit(family, problem, mode,
+                                                       method):
+    # the table's diagnostic columns come from one stacked call each; every
+    # row must hold what the one-state call gives at that row's state
+    spec, oracle = DIAGNOSED[family], DIAGNOSED_PROBLEMS[problem].oracle
+    s0 = initial_state(oracle, DIAGNOSED_PROBLEMS[problem].x0)
+    rec = integrate(spec, oracle, s0, h=1e-2, t_max=1.0, method=method,
+                    mode=mode, stop=RUN_FOREVER)
+    assert not rec.diverged and rec.meta["steps_taken"] == 100
+    for k in range(len(rec.columns["t"])):
+        s = row(rec, k)
+        g = oracle.gradient(s.x)
+        assert s.V == clf_value(spec.clf, -g, s.v)
+        assert s.lieV == lie_derivative(spec.clf, oracle, s.x, -g, s.v, s.u)
+        assert s.E == oracle.value(s.x)
+        assert s.grad_norm == np.linalg.norm(g)
 
 
 def test_quasi_newton_flow_converges():

@@ -170,6 +170,7 @@ def test_stacked_certificate_and_oracle_equal_one_state_calls(problem, data):
     p = ClfParams(2.0, 1.5, -0.8)
     with np.errstate(all="ignore"):
         pairs = [
+            (oracle.value(x), [oracle.value(r) for r in x]),
             (oracle.gradient(x), [oracle.gradient(r) for r in x]),
             (np.matvec(oracle.hessian(x), v),
              [oracle.hessian(x[k]) @ v[k] for k in range(len(x))]),
