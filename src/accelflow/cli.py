@@ -196,12 +196,12 @@ def _execute_run(config: RunConfig) -> tuple[int, dict[str, Any]]:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "out_dir", None):
-        config = config.with_out_dir(args.out_dir)
-    if getattr(args, "stride", None):
-        config = config.with_stride(args.stride)
-    if getattr(args, "seed_override", None) is not None:
-        config = config.with_seed(args.seed_override)
+    if args.out_dir is not None:
+        config = config.with_out_dir(args.out_dir, "--out-dir")
+    if args.stride is not None:
+        config = config.with_stride(args.stride, "--stride")
+    if args.seed_override is not None:
+        config = config.with_seed(args.seed_override, "--seed-override")
     return config
 
 
@@ -225,12 +225,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate run labels; set distinct label: fields")
 
-    out_dir = args.out_dir or configs[0].output.out_dir
+    configs = [_apply_overrides(cfg, args) for cfg in configs]
+    out_dir = configs[0].output.out_dir
     worst = EXIT_OK
     rows = []
     for cfg, label in zip(configs, labels):
-        cfg = _apply_overrides(cfg, args).with_out_dir(
-            os.path.join(out_dir, label))
+        cfg = cfg.with_out_dir(os.path.join(out_dir, label))
         try:
             code, payload = _execute_run(cfg)
         except ConfigError:

@@ -305,7 +305,7 @@ class FlowMethodConfig:
                 ga, gb, gc = self._need(gamma_a=self.gamma_a,
                                         gamma_b=self.gamma_b,
                                         gamma_c=self.gamma_c)
-                return direct_controller(ga, gb, gc, clf=clf, metric=metric)
+                return direct_controller(ga, gb, gc, clf=clf)
             if self.controller in MOMENTUM_FLOWS:
                 ga, gb = self._need(gamma_a=self.gamma_a,
                                     gamma_b=self.gamma_b)
@@ -421,17 +421,27 @@ class RunConfig:
             return self.method.controller
         return self.method.name
 
-    def with_seed(self, seed: int) -> "RunConfig":
+    def _with(self, block: str, name: str, value: Any,
+              path: Optional[str]) -> "RunConfig":
+        """A copy with block.name set to value, parsed by that field's
+        rule; path names the value in an error, block.name by default."""
+        part = getattr(self, block)
+        rule = next(f for f in dataclasses.fields(part)
+                    if f.name == name).metadata["parse"]
+        value = rule(value, path or f"{block}.{name}")
         return dataclasses.replace(
-            self, problem=dataclasses.replace(self.problem, seed=seed))
+            self, **{block: dataclasses.replace(part, **{name: value})})
 
-    def with_stride(self, stride: int) -> "RunConfig":
-        return dataclasses.replace(
-            self, output=dataclasses.replace(self.output, stride=stride))
+    def with_seed(self, seed: int, path: Optional[str] = None) -> "RunConfig":
+        return self._with("problem", "seed", seed, path)
 
-    def with_out_dir(self, out_dir: str) -> "RunConfig":
-        return dataclasses.replace(
-            self, output=dataclasses.replace(self.output, out_dir=out_dir))
+    def with_stride(self, stride: int,
+                    path: Optional[str] = None) -> "RunConfig":
+        return self._with("output", "stride", stride, path)
+
+    def with_out_dir(self, out_dir: str,
+                     path: Optional[str] = None) -> "RunConfig":
+        return self._with("output", "out_dir", out_dir, path)
 
     def to_dict(self) -> dict:
         """Every block as plain data, with method.kind naming the method's

@@ -190,10 +190,10 @@ def min_p_star_controller(clf: ClfParams = DEFAULT_CLF,
 
 
 def direct_controller(gamma_a: float, gamma_b: float, gamma_c: float,
-                      clf: ClfParams = DEFAULT_CLF,
-                      metric: MetricSpec = MetricSpec(MetricKind.EUCLIDEAN),
-                      ) -> ControllerSpec:
-    return ControllerSpec(ControllerFamily.DIRECT, clf, metric,
+                      clf: ClfParams = DEFAULT_CLF) -> ControllerSpec:
+    """Linear feedback: it weights no effort, so its metric is Euclidean."""
+    return ControllerSpec(ControllerFamily.DIRECT, clf,
+                          MetricSpec(MetricKind.EUCLIDEAN),
                           gains=DirectGains(gamma_a, gamma_b, gamma_c))
 
 
@@ -349,8 +349,8 @@ def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
     at a -0.0 in d: it always maps that to +0.0, while the LAPACK solve
     does so at some positions and keeps -0.0 at others, depending on the
     signs of the other entries. H is hess E(x) when the caller already
-    holds it. The Hessian metric is not factored again for the solve:
-    shift_to_floor's floor test already certified it.
+    holds it. No metric is factored again for the solve: each got its
+    certificate where it was made.
 
     One W serves every stacked row when it does not depend on the point
     (a quadratic's Hessian, a quasi-Newton matrix). A Hessian per row is
@@ -365,8 +365,7 @@ def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
     if H is not None and H.ndim == 3:
         return np.array([_metric_inverse(metric, oracle, xk, dk, Hk)
                          for xk, dk, Hk in zip(x, d, H)])
-    return metric_solve(metric_matrix(metric, oracle, x, H), d,
-                        certified=metric.kind is MetricKind.HESSIAN)
+    return metric_solve(metric_matrix(metric, oracle, x, H), d)
 
 
 def _on_rows(rows: Array, law: Callable[[Optional[Array]], tuple[Array, Array]],

@@ -26,33 +26,14 @@ Array = np.ndarray
 Schedule = Callable[[int], float]
 
 
-@dataclass(frozen=True, eq=False)
-class StepAux:
-    """Coefficients and quantities of step k, where applicable.
-
-    g is the gradient the step used, the one at points[k]; v is the step's
-    direction (CG, accelerated Newton) or its descent point (two-step form).
-    """
-
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    gamma: Optional[float] = None
-    beta_cg: Optional[float] = None
-    g: Optional[Array] = None
-    v: Optional[Array] = None
-
-
 @dataclass(eq=False)
 class IterateSequence:
-    """Iterates with the gradient at each of them, and its norm.
+    """Iterates with the norm of the gradient at each of them.
 
-    The drivers fill grads and grad_norms as they go; grads holds the same
-    array objects as the StepAux.g entries.
+    The drivers fill both lists as they go, one entry per iterate.
     """
 
     points: list[Array]
-    aux: list[StepAux] = field(default_factory=list)
-    grads: list[Array] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
 
 
@@ -166,9 +147,7 @@ def _accelerated_newton(oracle: ObjectiveOracle, metric: MetricSpec,
                         x_k: Array, v_k: Array, g_k: Array, gamma_a: float,
                         gamma_b: float, h: float) -> tuple[Array, Array]:
     W = metric_matrix(metric, oracle, x_k)
-    # shift_to_floor already certified a Hessian metric
-    v_kp1 = v_k - h * metric_solve(W, gamma_a * g_k + gamma_b * v_k,
-                                   certified=metric.kind is MetricKind.HESSIAN)
+    v_kp1 = v_k - h * metric_solve(W, gamma_a * g_k + gamma_b * v_k)
     return x_k + h * v_kp1, v_kp1
 
 
@@ -196,8 +175,8 @@ def accelerated_newton_step(oracle: ObjectiveOracle, metric: MetricSpec,
 # iteration drivers
 # ---------------------------------------------------------------------------
 
-#: step(k, x_k, g_k) -> (x_{k+1}, the StepAux of step k)
-Step = Callable[[int, Array, Array], tuple[Array, StepAux]]
+#: step(k, x_k, g_k) -> x_{k+1}
+Step = Callable[[int, Array, Array], Array]
 
 
 def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
@@ -205,25 +184,21 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     """The one iteration loop behind every driver.
 
     The gradient is evaluated once per point, at x0 and then at each new
-    iterate, where it serves the tol_g test, the sequence's grads and the
-    next step; its norm is taken once too, for the tol_g test and the
-    sequence's grad_norms. A non-finite iterate ends the run: it is kept,
-    with a NaN gradient the oracle is not asked for, so the sequence reads
-    as diverged.
+    iterate, where it serves the tol_g test and the next step; its norm is
+    taken once too, for the tol_g test and the sequence's grad_norms. A
+    non-finite iterate ends the run: it is kept, with a NaN gradient norm
+    the oracle is not asked for, so the sequence reads as diverged.
     """
     x = np.array(x0, dtype=float)
     g = oracle.gradient(x)
-    seq = IterateSequence(points=[x], grads=[g], grad_norms=[_norm(g)])
+    seq = IterateSequence(points=[x], grad_norms=[_norm(g)])
     for k in range(steps):
-        x, aux = step(k, x, g)
+        x = step(k, x, g)
         seq.points.append(x)
-        seq.aux.append(aux)
         if not np.isfinite(x).all():
-            seq.grads.append(np.full_like(x, np.nan))
             seq.grad_norms.append(float("nan"))
             break
         g = oracle.gradient(x)
-        seq.grads.append(g)
         seq.grad_norms.append(_norm(g))
         if tol_g is not None and seq.grad_norms[-1] <= tol_g:
             break
@@ -245,17 +220,15 @@ def _norm(g: Array) -> float:
 
 def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
                        alpha: Schedule, beta: Schedule,
-                       x_m1: Optional[Array] = None,
                        tol_g: Optional[float] = None) -> IterateSequence:
-    """Run heavy_ball_step; x_{-1} defaults to x0 (no initial momentum)."""
-    x_prev = np.asarray(x0 if x_m1 is None else x_m1, dtype=float)
+    """Run heavy_ball_step from x_{-1} = x0 (no initial momentum)."""
+    x_prev = np.asarray(x0, dtype=float)
 
-    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+    def step(k: int, x: Array, g: Array) -> Array:
         nonlocal x_prev
-        a, b = alpha(k), beta(k)
-        x_new = _heavy_ball(x, x_prev, g, a, b)
+        x_new = _heavy_ball(x, x_prev, g, alpha(k), beta(k))
         x_prev = x
-        return x_new, StepAux(alpha=a, beta=b, g=g)
+        return x_new
 
     return _iterate(oracle, x0, steps, tol_g, step)
 
@@ -268,14 +241,14 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
         v_k = -g_k + beta^CG_k v_{k-1},   x_{k+1} = x_k + alpha_k v_k,
 
     with v_{-1} = 0, so the first direction is steepest descent and
-    beta^CG_0 is recorded as 0 without consulting the rule. Rules receive
+    beta^CG_0 is 0 without consulting the rule. Rules receive
     (oracle, k, x_k, g_k, v_km1 or g_km1) so both canned and custom
     schedules fit one shape.
     """
     v = np.zeros_like(np.asarray(x0, dtype=float))
     g_prev: Optional[Array] = None
 
-    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+    def step(k: int, x: Array, g: Array) -> Array:
         nonlocal v, g_prev
         b = 0.0 if k == 0 else float(beta_cg_rule(oracle, k, g, g_prev))
         if b < 0.0:
@@ -285,7 +258,7 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
         if a < 0.0:
             raise ValueError(f"alpha_rule returned {a} < 0 at step {k}")
         g_prev = g
-        return x + a * v, StepAux(alpha=a, beta_cg=b, g=g, v=v)
+        return x + a * v
 
     return _iterate(oracle, x0, steps, tol_g, step)
 
@@ -322,14 +295,14 @@ def nesterov_one_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     x_prev = np.asarray(x0, dtype=float)
     g_prev: Optional[Array] = None
 
-    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+    def step(k: int, x: Array, g: Array) -> Array:
         nonlocal x_prev, g_prev
         a, b = alpha(k), beta(k)
         c = a * b if gamma is None else gamma(k)
         x_new = _nesterov_one_step(x, x_prev, g,
                                    g if g_prev is None else g_prev, a, b, c)
         x_prev, g_prev = x, g
-        return x_new, StepAux(alpha=a, beta=b, gamma=c, g=g)
+        return x_new
 
     return _iterate(oracle, x0, steps, tol_g, step)
 
@@ -340,45 +313,42 @@ def nesterov_two_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     """Run nesterov_two_step from y_0 = x0.
 
     points holds the lookahead sequence y_0, y_1, ..., where the gradient
-    is actually evaluated; the descent iterates x_k ride along in aux.
+    is actually evaluated; the descent iterates x_k are not kept.
     The first extrapolation uses x_{-1} = x_0 (the first descent point),
     so it starts momentum-free, matching the one-step driver's seeding.
     """
     x_prev: Optional[Array] = None
 
-    def step(k: int, y: Array, g: Array) -> tuple[Array, StepAux]:
+    def step(k: int, y: Array, g: Array) -> Array:
         nonlocal x_prev
-        a, b = alpha(k), beta(k)
-        x_k, y_new = _nesterov_two_step(y, x_prev, g, a, b)
-        x_prev = x_k
-        return y_new, StepAux(alpha=a, beta=b, g=g, v=x_k)
+        x_prev, y_new = _nesterov_two_step(y, x_prev, g, alpha(k), beta(k))
+        return y_new
 
     return _iterate(oracle, x0, steps, tol_g, step)
 
 
 def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
                                x0: Array, gains: Sequence[float], h: float,
-                               steps: int, v0: Optional[Array] = None,
+                               steps: int,
                                tol_g: Optional[float] = None) -> IterateSequence:
-    """Drive accelerated_newton_step, owning quasi-Newton state updates.
+    """Drive accelerated_newton_step from v_0 = 0, owning quasi-Newton updates.
 
     The update for the pair (x_{k-1}, x_k) runs at the start of step k,
     the first point where both gradients are at hand and the metric is
-    needed. aux.v holds v_{k+1}, the direction of step k.
+    needed.
     """
     _check_newton(metric, h)
     gamma_a, gamma_b = (float(c) for c in gains)
-    v = np.zeros_like(np.asarray(x0, dtype=float)) if v0 is None \
-        else np.asarray(v0, dtype=float)
+    v = np.zeros_like(np.asarray(x0, dtype=float))
     last: Optional[tuple[Array, Array]] = None
 
-    def step(k: int, x: Array, g: Array) -> tuple[Array, StepAux]:
+    def step(k: int, x: Array, g: Array) -> Array:
         nonlocal metric, v, last
         if last is not None and metric.kind is MetricKind.QUASI_NEWTON:
             metric = quasi_newton_update(metric, x - last[0], g - last[1])
         x_new, v = _accelerated_newton(oracle, metric, x, v, g, gamma_a,
                                        gamma_b, h)
         last = (x, g)
-        return x_new, StepAux(alpha=h, g=g, v=v)
+        return x_new
 
     return _iterate(oracle, x0, steps, tol_g, step)

@@ -55,13 +55,13 @@ class Integrator(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class AugmentedState:
-    t: float
+    """A run's start at t = 0; lambda_y, pinned at 1, is not stored."""
+
     x: Array
     v: Array
     y: float
     lambda_x: Array
     lambda_v: Array
-    lambda_y: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,8 @@ def initial_state(oracle: ObjectiveOracle, x0: Array,
     if v0.shape != (oracle.dim,):
         raise ValueError(f"v0 has shape {v0.shape}, expected ({oracle.dim},)")
     g0 = oracle.gradient(x0)
-    return AugmentedState(t=0.0, x=x0.copy(), v=v0.copy(),
-                          y=oracle.value(x0), lambda_x=-g0,
-                          lambda_v=np.zeros(oracle.dim), lambda_y=1.0)
+    return AugmentedState(x=x0.copy(), v=v0.copy(), y=oracle.value(x0),
+                          lambda_x=-g0, lambda_v=np.zeros(oracle.dim))
 
 
 def _norm(a: Array) -> float:
@@ -222,16 +221,15 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     step = rk4_step if method is Integrator.RK4 else sie_step
 
-    def adjoint_rk4_step(z0: Array, g0: Array, u0: Array,
-                         z1: Array, g1: Array, u1: Array) -> None:
-        """Advance (lamx, lamv) across one completed primal step.
+    def adjoint_rk4_step(z0: Array, g0: Array, u0: Array, z1: Array,
+                         g1: Array, u1: Array) -> tuple[Array, Array]:
+        """(lamx, lamv) advanced across one completed primal step.
 
         Stage states come from cubic Hermite dense output of the primal:
         position interpolated from (x, v) at the endpoints, velocity from
         (v, u). Both interpolants are fourth-order accurate at the
         midpoint, so the adjoint pass inherits the primal's global order.
         """
-        nonlocal lamx, lamv
         x0, v0 = z0[:n], z0[n:2 * n]
         x1, v1 = z1[:n], z1[n:2 * n]
         xm = 0.5 * (x0 + x1) + 0.125 * h * (v0 - v1)
@@ -251,13 +249,12 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         k3 = -l3 - gm
         l4 = lamx - h * Hmvm
         k4 = -l4 - g1
-        lamv = lamv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lamx = lamx_new
+        return lamx_new, lamv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def adjoint_euler_step(z0: Array, g0: Array, z1: Array) -> None:
-        nonlocal lamx, lamv
-        lamv = lamv + h * (-lamx - g0)
-        lamx = lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n])
+    def adjoint_euler_step(z0: Array, g0: Array,
+                           z1: Array) -> tuple[Array, Array]:
+        return (lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n]),
+                lamv + h * (-lamx - g0))
 
     # the raw columns of the recorded states, by reference: the loop never
     # changes an array in place once it is kept, and the stacking copies
@@ -294,14 +291,17 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
             if full:
                 if adjoint_rk4:
                     res_new = control_at(z_new, g_new)
-                    adjoint_rk4_step(z, g, u_adj, z_new, g_new, res_new.u)
+                    lam_new = adjoint_rk4_step(z, g, u_adj, z_new, g_new,
+                                               res_new.u)
                     u_adj = res_new.u
                 else:
-                    adjoint_euler_step(z, g, z_new)
-                if not (np.all(np.isfinite(lamx)) and np.all(np.isfinite(lamv))):
+                    lam_new = adjoint_euler_step(z, g, z_new)
+                # a rejected step's costates are never kept
+                if not all(np.isfinite(lam).all() for lam in lam_new):
                     diverged = True
                     k -= 1
                     break
+                lamx, lamv = lam_new
             if qn:
                 new_metric = quasi_newton_update(
                     live_spec.metric, z_new[:n] - z[:n], g_new - g)
@@ -347,11 +347,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         "method": method.value,
         "h": h,
         "t_max": t_max,
-        "record_stride": record_stride,
         "controller": spec.family.value,
         "metric": spec.metric.kind.value,
-        "clf": [spec.clf.a, spec.clf.b, spec.clf.c],
-        "problem": oracle.name,
         "dim": n,
         "tol_g": stop.tol_g,
         "tol_v": stop.tol_v,

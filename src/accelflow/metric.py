@@ -5,7 +5,10 @@ of W are supported: the identity (plain steepest-style steering), the
 objective Hessian with an eigenvalue floor (Newton-style steering near
 positive curvature), and a quasi-Newton matrix maintained from observed
 (step, gradient-change) pairs. Everything downstream only needs W to be
-symmetric positive definite, so each branch ends by guaranteeing that.
+symmetric positive definite, so each W gets its certificate once, where
+it is made: by shift_to_floor for the Hessian and the quasi-Newton
+update, and by MetricSpec for a caller's qn_state. metric_solve then only
+solves.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ class MetricSpec:
 
     qn_state is the current B matrix; None means "not initialized yet" and
     resolves to the identity. Updates return a new spec rather than
-    mutating, so whoever drives the iteration owns the sequencing.
+    mutating, so whoever drives the iteration owns the sequencing. A
+    qn_state must be finite with a finite Cholesky factor.
     """
 
     kind: MetricKind
@@ -47,6 +51,10 @@ class MetricSpec:
     def __post_init__(self) -> None:
         if not (self.eig_floor > 0.0):
             raise ValueError(f"eig_floor must be positive, got {self.eig_floor}")
+        if self.qn_state is not None:
+            B = np.asarray(self.qn_state, dtype=float)
+            if not (np.isfinite(B).all() and _has_cholesky(B)):
+                raise ValueError("qn_state is not positive definite")
 
 
 def _has_cholesky(M: Array) -> bool:
@@ -112,15 +120,9 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
     raise ValueError(f"unknown metric kind {spec.kind!r}")
 
 
-def metric_solve(W: Array, rhs: Array, certified: bool = False) -> Array:
-    """Solve W z = rhs after certifying W is positive definite.
-
-    The certificate is a finite W with a finite Cholesky factor; the solve
-    itself is np.linalg.solve. A failed certificate means a safeguard
-    upstream was skipped, so it is raised as an error instead of being
-    patched over. certified=True skips the certificate for a W that
-    shift_to_floor returned: its floor test already proved W positive
-    definite.
+def metric_solve(W: Array, rhs: Array) -> Array:
+    """Solve W z = rhs with np.linalg.solve; W got its certificate where it
+    was made (see the module docstring).
 
     N stacked right-hand sides (N, n) share the one W. Each row is its own
     one-column LAPACK solve, so it gets the bits of the one-row call.
@@ -130,9 +132,6 @@ def metric_solve(W: Array, rhs: Array, certified: bool = False) -> Array:
     if (W.ndim != 2 or W.shape[0] != W.shape[1] or rhs.ndim not in (1, 2)
             or rhs.shape[-1] != W.shape[0]):
         raise ValueError(f"shape mismatch: W {W.shape}, rhs {rhs.shape}")
-    if not (certified or (np.isfinite(W).all() and _has_cholesky(W))):
-        raise ValueError("metric is not positive definite; apply "
-                         "shift_to_floor or fix the quasi-Newton state")
     if rhs.ndim == 1:
         return np.linalg.solve(W, rhs)
     return np.linalg.solve(W, rhs[..., None])[..., 0]
@@ -147,7 +146,7 @@ def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpe
     curvature). When the curvature is positive but weak against the model
     curvature s . B s, g_delta is pulled toward B s (Powell damping) so the
     updated matrix stays positive definite. An eigenvalue floor is applied
-    afterwards as a belt-and-braces safeguard.
+    afterwards, and its shift_to_floor certifies the new matrix.
     """
     if spec.kind is not MetricKind.QUASI_NEWTON:
         raise ValueError("quasi_newton_update only applies to quasi_newton metrics")

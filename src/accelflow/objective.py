@@ -21,7 +21,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 Array = np.ndarray
-SeedLike = Union[int, np.random.Generator, None]
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class ProblemInstance:
     oracle: ObjectiveOracle
     x0: Array
     x_star: Optional[Array] = None
-    e_star: Optional[float] = None
 
 
 def _stacked(at_point: Callable[[Array], Array]) -> Callable[[Array], Array]:
@@ -61,12 +59,6 @@ def _stacked(at_point: Callable[[Array], Array]) -> Callable[[Array], Array]:
             return np.array([at_point(row) for row in x])
         return at_point(x)
     return over_rows
-
-
-def _as_rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +109,17 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
         return Q.copy()
 
     oracle = ObjectiveOracle(n, value, gradient, hessian, name="quadratic")
-    return ProblemInstance(oracle, x0, x_star=x_star, e_star=0.0)
+    return ProblemInstance(oracle, x0, x_star=x_star)
 
 
-def random_quadratic(dim: int, kappa: float, seed: SeedLike = None,
+def random_quadratic(dim: int, kappa: float,
+                     seed: Union[int, np.random.Generator, None] = None,
                      x0: Optional[Array] = None,
-                     eig_spacing: str = "log",
                      scale: float = 1.0) -> ProblemInstance:
     """Random SPD quadratic with condition number exactly kappa.
 
-    Eigenvalues are spread over [scale, scale * kappa] (log or linear
-    spacing of the unscaled [1, kappa] range) and the eigenbasis is a
+    Eigenvalues are spread over [scale, scale * kappa] (log spacing of
+    the unscaled [1, kappa] range) and the eigenbasis is a
     Haar-random rotation, so the axes of ill-conditioning are not aligned
     with the coordinate directions.
     """
@@ -137,15 +129,8 @@ def random_quadratic(dim: int, kappa: float, seed: SeedLike = None,
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if not (scale > 0.0):
         raise ValueError(f"scale must be positive, got {scale}")
-    rng = _as_rng(seed)
-    if dim == 1:
-        eigs = np.array([1.0])
-    elif eig_spacing == "log":
-        eigs = np.logspace(0.0, np.log10(kappa), dim)
-    elif eig_spacing == "linear":
-        eigs = np.linspace(1.0, kappa, dim)
-    else:
-        raise ValueError(f"unknown eig_spacing {eig_spacing!r}")
+    rng = np.random.default_rng(seed)
+    eigs = np.logspace(0.0, np.log10(kappa), dim)
     U, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     Q = U @ np.diag(scale * eigs) @ U.T
     Q = 0.5 * (Q + Q.T)
@@ -196,7 +181,7 @@ def rosenbrock_problem(x0: Optional[Array] = None) -> ProblemInstance:
         ])
 
     oracle = ObjectiveOracle(2, value, gradient, hessian, name="rosenbrock")
-    return ProblemInstance(oracle, x0, x_star=np.array([1.0, 1.0]), e_star=0.0)
+    return ProblemInstance(oracle, x0, x_star=np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +256,12 @@ def log_sum_exp_problem(A: Array, b: Array,
     return ProblemInstance(oracle, x0)
 
 
-def random_log_sum_exp(dim: int, terms: int, seed: SeedLike = None,
+def random_log_sum_exp(dim: int, terms: int,
+                       seed: Union[int, np.random.Generator, None] = None,
                        x0: Optional[Array] = None) -> ProblemInstance:
     if dim < 1 or terms < 2:
         raise ValueError(f"need dim >= 1 and terms >= 2, got dim={dim} terms={terms}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((terms, dim))
     b = rng.standard_normal(terms)
     if x0 is None:

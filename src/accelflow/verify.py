@@ -134,15 +134,16 @@ def _is_reduced(record: TrajectoryRecord) -> bool:
 def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
                       oracle: ObjectiveOracle,
                       mode: DissipationMode = DissipationMode.STRICT,
-                      eta: float = 1.0, tol: float = 1e-12,
-                      cached_tol: float = 1e-12) -> VerificationReport:
+                      eta: float = 1.0,
+                      tol: float = 1e-12) -> VerificationReport:
     """Negativity (Strict) or exponential-rate (Rate) check on the CLF.
 
     Strict asks for lieV <= tol at every sample away from the target;
     Rate asks for lieV <= -eta V + tol pointwise plus the integrated
     envelope V(t) <= V(0) exp(-eta t)(1 + tol). Both evaluate V and lieV
     afresh from (x, v, u) with the costate substitution lambda = -grad E,
-    and report how far the producer's cached values drift from that.
+    and report how far the producer's cached values drift from that,
+    relative to 1 + |cached|, against 1e-12.
     """
     cols = record.columns
     times, x, v = cols["t"], cols["x"], cols["v"]
@@ -156,7 +157,7 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
     cached_dev = np.maximum(
         np.abs(vals - cached_V) / (1.0 + np.abs(cached_V)),
         np.abs(lies - cached_lie) / (1.0 + np.abs(cached_lie)))
-    checks = [_worst("cached_diagnostics", cached_dev, times, cached_tol)]
+    checks = [_worst("cached_diagnostics", cached_dev, times, 1e-12)]
 
     if mode is DissipationMode.STRICT:
         if not active.any():
@@ -186,13 +187,12 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
 
 def check_adjoint_consistency(record: TrajectoryRecord,
                               oracle: ObjectiveOracle,
-                              coeff: float = 1e3,
-                              tol: Optional[float] = None) -> VerificationReport:
+                              coeff: float = 1e3) -> VerificationReport:
     """Costate identity lambda_x = -grad E along a co-integrated run.
 
     Applicable to full primal-dual trajectories only; in reduced mode the
     identity holds by construction and the check reports not-applicable.
-    The default tolerance is coeff * h^p, matching the integrator order.
+    The tolerance is coeff * h^p, matching the integrator order.
     """
     if _is_reduced(record):
         return VerificationReport(checks=(CheckResult(
@@ -200,11 +200,11 @@ def check_adjoint_consistency(record: TrajectoryRecord,
             worst_value=0.0, tolerance=0.0,
             detail="reduced mode defines lambda_x as -grad E"),))
 
-    tol = order_tolerance(record, coeff) if tol is None else tol
     cols = record.columns
     resid = state_norm(cols["lambda_x"] + oracle.gradient(cols["x"]))
     return VerificationReport(checks=(
-        _worst("adjoint_consistency", resid, cols["t"], tol),))
+        _worst("adjoint_consistency", resid, cols["t"],
+               order_tolerance(record, coeff)),))
 
 
 def check_singular_arc(record: TrajectoryRecord,
@@ -224,13 +224,12 @@ def check_singular_arc(record: TrajectoryRecord,
 
 def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
                        oracle: ObjectiveOracle,
-                       tol_g: Optional[float] = None,
-                       tol_v: Optional[float] = None) -> VerificationReport:
+                       tol_g: Optional[float] = None) -> VerificationReport:
     """Terminal first-order condition: grad E -> 0 (and v -> 0 for flows)."""
     checks: list[CheckResult] = []
     if isinstance(run, TrajectoryRecord):
         tol_g = float(run.meta.get("tol_g", 1e-6)) if tol_g is None else tol_g
-        tol_v = float(run.meta.get("tol_v", 1e-6)) if tol_v is None else tol_v
+        tol_v = float(run.meta.get("tol_v", 1e-6))
         cols = run.columns
         t = float(cols["t"][-1])
         gnorm = float(np.linalg.norm(oracle.gradient(cols["x"][-1])))

@@ -145,12 +145,16 @@ class TestRunFlow:
 
     @pytest.mark.parametrize("controller,metric", [
         ("polyak", "euclidean"), ("accel_newton", "hessian"),
-        ("quasi_newton", "quasi_newton")])
+        ("quasi_newton", "quasi_newton"), ("direct", "euclidean")])
     def test_summary_names_the_metric_the_run_used(self, tmp_path,
                                                    controller, metric):
+        # the direct law weights no effort, whatever method.metric says
+        settings = {"direct": {"metric": "hessian", "gamma_a": 2.0,
+                               "gamma_b": 2.0, "gamma_c": 2.0}}
         out = tmp_path / "run"
-        cfg = write_config(tmp_path, "run.yaml",
-                           flow_data(out, controller=controller, t_max=0.5))
+        cfg = write_config(tmp_path, "run.yaml", flow_data(
+            out, controller=controller, t_max=0.5,
+            **settings.get(controller, {})))
         assert main(["run", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metric"] == metric
@@ -357,6 +361,24 @@ def test_a_rerun_writes_byte_identical_artifacts(tmp_path, monkeypatch,
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("verb", ["run", "compare", "verify"])
+    @pytest.mark.parametrize("option,value", [
+        ("--stride", "0"), ("--stride", "-2"), ("--out-dir", ""),
+        ("--seed-override", "-1")])
+    def test_a_bad_override_exits_two_naming_the_option(self, tmp_path,
+                                                        capsys, option,
+                                                        value, verb):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "run.yaml", flow_data(out, t_max=0.1))
+        other = write_config(tmp_path, "other.yaml",
+                             dict(flow_data(out, t_max=0.1), label="other"))
+        args = {"run": [cfg], "compare": [cfg, other],
+                "verify": [str(tmp_path / "trajectory.csv"), cfg]}[verb]
+        assert main([verb, *args, option, value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{option}:" in err[0]
+        assert not out.exists()
+
     def test_unknown_method_name(self, tmp_path, capsys):
         data = discrete_data(tmp_path / "run", name="bogus")
         cfg = write_config(tmp_path, "bad.yaml", data)

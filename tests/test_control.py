@@ -256,10 +256,10 @@ def test_hessian_metric_min_p_star_takes_one_hessian_per_evaluation():
 
 
 def test_a_nan_quasi_newton_state_is_rejected():
-    metric = MetricSpec(MetricKind.QUASI_NEWTON,
-                        qn_state=np.diag([1.0, np.nan]))
     oracle = rosenbrock_problem().oracle
     with pytest.raises(ValueError, match="not positive definite"):
+        metric = MetricSpec(MetricKind.QUASI_NEWTON,
+                            qn_state=np.diag([1.0, np.nan]))
         evaluate_control(momentum_flow_controller(1.0, 1.0, metric), oracle,
                          np.zeros(2), np.ones(2), np.zeros(2))
 

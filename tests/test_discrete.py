@@ -95,20 +95,18 @@ class TestCgIterate:
         # CG with any positive schedules rewrites exactly as a momentum
         # iteration; the two groupings differ only in rounding.
         prob = random_quadratic(dim=10, kappa=100.0, seed=3)
-        alpha = lambda o, k, x, g, v: 0.01 * (1.0 + 0.1 * np.sin(k))
-        beta_cg = lambda o, k, g, gp: 0.3 + 0.2 * np.cos(k)
+        alpha_k = lambda k: 0.01 * (1.0 + 0.1 * np.sin(k))
+        beta_cg_k = lambda k: 0.3 + 0.2 * np.cos(k)
+        alpha = lambda o, k, x, g, v: alpha_k(k)
+        beta_cg = lambda o, k, g, gp: beta_cg_k(k)
         cg = cg_iterate(prob.oracle, prob.x0, 100, alpha, beta_cg)
-
-        alphas = [a.alpha for a in cg.aux]
-        betas_cg = [a.beta_cg for a in cg.aux]
 
         def hb_beta(k):
             if k == 0:
                 return 0.0
-            return cg_to_momentum(alphas[k], alphas[k - 1], betas_cg[k])
+            return cg_to_momentum(alpha_k(k), alpha_k(k - 1), beta_cg_k(k))
 
-        hb = heavy_ball_iterate(prob.oracle, prob.x0, 100,
-                                lambda k: alphas[k], hb_beta)
+        hb = heavy_ball_iterate(prob.oracle, prob.x0, 100, alpha_k, hb_beta)
         dev = max(np.max(np.abs(a - b))
                   for a, b in zip(cg.points, hb.points))
         assert dev <= 1e-12
@@ -133,15 +131,18 @@ class TestCgIterate:
                        lambda o, k, g, gp: -0.5)
 
     def test_aux_records_directions(self):
+        # the rules see each direction and each beta^CG step they serve
         prob = random_quadratic(dim=3, kappa=2.0, seed=1)
+        directions, beta_steps = [], []
         seq = cg_iterate(prob.oracle, prob.x0, 4,
-                         lambda o, k, x, g, v: 0.1,
-                         lambda o, k, g, gp: 0.2)
-        assert len(seq.aux) == 4
-        assert seq.aux[0].beta_cg == 0.0
+                         lambda o, k, x, g, v: directions.append(v) or 0.1,
+                         lambda o, k, g, gp: beta_steps.append(k) or 0.2)
+        assert len(seq.points) == 5 and len(directions) == 4
+        # beta^CG_0 is 0 without consulting the rule
+        assert beta_steps == [1, 2, 3]
         g0 = prob.oracle.gradient(prob.x0)
-        assert np.allclose(seq.aux[0].v, -g0, atol=1e-15)
-        assert np.allclose(seq.points[1], prob.x0 + 0.1 * seq.aux[0].v,
+        assert np.allclose(directions[0], -g0, atol=1e-15)
+        assert np.allclose(seq.points[1], prob.x0 + 0.1 * directions[0],
                            atol=1e-15)
 
     @settings(max_examples=25, deadline=None)
@@ -340,7 +341,6 @@ class TestIterateSequence:
                                  constant(0.2))
         assert isinstance(seq, IterateSequence)
         assert len(seq.points) == 8
-        assert len(seq.aux) == 7
         assert np.array(seq.points).shape == (8, 3)
         norms = seq.grad_norms
         assert len(norms) == 8
@@ -391,11 +391,6 @@ class TestOneLoop:
         oracle, calls = counting(prob.oracle)
         seq = DRIVERS[name](oracle, prob.x0, 40, tol)
         assert calls[0] == len(seq.points)
-        assert len(seq.grads) == len(seq.points) == len(seq.aux) + 1
-        for k, aux in enumerate(seq.aux):
-            assert aux.g is seq.grads[k]
-        for x, g in zip(seq.points, seq.grads):
-            np.testing.assert_array_equal(g, prob.oracle.gradient(x))
         np.testing.assert_array_equal(
             seq.grad_norms,
             [np.linalg.norm(prob.oracle.gradient(x)) for x in seq.points])
@@ -428,7 +423,7 @@ class TestOneLoop:
         assert all(np.all(np.isfinite(x)) for x in seq.points[:-1])
         # the non-finite point's gradient is not asked of the oracle
         assert calls[0] == len(seq.points) - 1
-        assert np.all(np.isnan(seq.grads[-1]))
+        assert np.isnan(seq.grad_norms[-1])
 
 
 def iterate_step(step, x0, n):

@@ -258,7 +258,7 @@ class TestIteratesCsv:
         grads = [np.roll(odd, k) for k in range(5)]
         with np.errstate(over="ignore"):
             norms = [np.linalg.norm(g) for g in grads]
-        seq = IterateSequence(points=points, grads=grads,
+        seq = IterateSequence(points=points,
                               grad_norms=[float(n) for n in norms])
         oracle = dataclasses.replace(quad.oracle, value=lambda x: x[0] * 0.5,
                                      gradient=None)

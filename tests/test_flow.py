@@ -45,7 +45,6 @@ def test_initial_state_consistency():
     assert s.y == pytest.approx(9.0)
     np.testing.assert_allclose(s.lambda_x, [-6.0])
     np.testing.assert_array_equal(s.lambda_v, [0.0])
-    assert s.lambda_y == 1.0
     with pytest.raises(ValueError, match="x0 has shape"):
         initial_state(Q2.oracle, np.zeros(2))
     with pytest.raises(ValueError, match="v0 has shape"):
@@ -297,6 +296,10 @@ POLYAK = polyak_controller(2.0, 2.0)
 #: is first met by the last RK4 stage of step 165, whose nan control
 #: makes v nan alone, with x and y finite. Under a constant gradient of
 #: -2e11, v settles at 2e11 and x passes the limit alone, with y finite.
+#: In full mode, a Hessian that turns nan below x = 1 leaves the primal
+#: state finite and makes the costates of step 81 nan under both
+#: integrators; 80 is not a multiple of the stride 3, so the last kept
+#: row is the tail row.
 DIVERGENCES = {
     "nan_gradient": (POLYAK,
                      _turning(Q2.oracle, "gradient", lambda g: g * np.nan),
@@ -317,7 +320,12 @@ DIVERGENCES = {
                                      lambda g: np.full_like(g, -2e11),
                                      edge=np.inf),
                             None, (549, 548)),
+    "nan_costate": (POLYAK,
+                    _turning(Q2.oracle, "hessian", lambda H: H * np.nan),
+                    None, (80, 80)),
 }
+#: the causes that need the costates integrated
+MODES = {"nan_costate": FlowMode.FULL_PRIMAL_DUAL}
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -329,12 +337,13 @@ def test_each_divergence_cause_stops_at_the_last_finite_state(cause, method,
     # rows are those of the same run told to stop at that step
     spec, oracle, change, steps = DIVERGENCES[cause]
     steps = steps[method is Integrator.SEMI_IMPLICIT_EULER]
+    mode = MODES.get(cause, FlowMode.REDUCED)
     s0 = initial_state(oracle, np.array([3.0]))
     if change is not None:
         s0 = change(s0)
     with np.errstate(all="ignore"):
         rec = integrate(spec, oracle, s0, h=1e-2, t_max=10.0, method=method,
-                        record_stride=stride)
+                        mode=mode, record_stride=stride)
         assert (rec.diverged, rec.converged, rec.meta["steps_taken"]) \
             == (True, False, steps)
         rows = sorted(set(range(0, steps + 1, stride)) | {steps})
@@ -344,7 +353,7 @@ def test_each_divergence_cause_stops_at_the_last_finite_state(cause, method,
                     rec.columns["y"][0]) == (3.0, 0.0, s0.y)
             return
         cut = integrate(spec, oracle, s0, h=1e-2, t_max=steps * 1e-2,
-                        method=method, record_stride=stride)
+                        method=method, mode=mode, record_stride=stride)
     assert not cut.diverged and cut.meta["steps_taken"] == steps
     for name, col in cut.columns.items():
         assert rec.columns[name].tobytes() == col.tobytes(), name
@@ -477,6 +486,25 @@ def test_rk4_takes_four_hessians_per_step_in_the_newton_flow():
     assert rec.meta["steps_taken"] == 50
     assert len(rec.columns["t"]) == 51
     assert len(calls) == 4 * 50 + 2
+
+
+def test_rk4_certifies_each_quasi_newton_matrix_once(monkeypatch):
+    # a matrix is certified where it is made, by the update's floor test
+    # and by its MetricSpec, and not again by the four solves of a step
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(M):
+        calls.append(1)
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    prob = random_quadratic(6, kappa=100.0, seed=2)
+    s0 = initial_state(prob.oracle, prob.x0)
+    rec = integrate(quasi_newton_flow_controller(25.0, 100.0), prob.oracle,
+                    s0, h=1e-2, t_max=0.5, stop=RUN_FOREVER)
+    assert rec.meta["steps_taken"] == 50
+    assert 0 < len(calls) <= 2 * 50
 
 
 @pytest.mark.parametrize("mode", list(FlowMode))

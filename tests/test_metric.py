@@ -61,15 +61,19 @@ def test_metric_solve_residual():
 
 
 def test_metric_solve_rejects_indefinite():
+    # the certificate is taken where the matrix is made, before any solve
     with pytest.raises(ValueError, match="not positive definite"):
-        metric_solve(np.diag([1.0, -1.0]), np.ones(2))
+        spec = MetricSpec(MetricKind.QUASI_NEWTON,
+                          qn_state=np.diag([1.0, -1.0]))
+        metric_solve(metric_matrix(spec, ROSEN, np.zeros(2)), np.ones(2))
 
 
 def test_metric_solve_rejects_a_nan_quasi_newton_state():
     # numpy's Cholesky returns NaN instead of raising on a NaN diagonal
-    spec = MetricSpec(MetricKind.QUASI_NEWTON, qn_state=np.diag([1.0, np.nan]))
-    W = metric_matrix(spec, ROSEN, np.zeros(2))
     with pytest.raises(ValueError, match="not positive definite"):
+        spec = MetricSpec(MetricKind.QUASI_NEWTON,
+                          qn_state=np.diag([1.0, np.nan]))
+        W = metric_matrix(spec, ROSEN, np.zeros(2))
         metric_solve(W, np.ones(2))
 
 
