@@ -128,7 +128,7 @@ def lie_derivative(p: ClfParams, oracle: ObjectiveOracle, x: Array,
     u = np.asarray(u, dtype=float)
     if u.shape != vv.shape:
         raise ValueError(f"u has shape {u.shape}, expected {vv.shape}")
-    Hv = np.matvec(oracle.hessian(x), vv)
+    Hv = np.matvec(oracle.hessian_at(x), vv)
     return _scalar(np.vecdot(-clf_grad_lambda(p, lam, vv), Hv)
                    + np.vecdot(clf_grad_v(p, lam, vv), u))
 
@@ -164,7 +164,7 @@ def drift_condition_check(p: ClfParams, oracle: ObjectiveOracle, x: Array,
     convention.
     """
     lam, vv = _pair(lambda_x, v)
-    Hv = oracle.hessian(x) @ vv
+    Hv = oracle.hessian_at(x) @ vv
     term = float(clf_grad_lambda(p, lam, vv) @ Hv)
     if np.linalg.norm(lam) == 0.0 and np.linalg.norm(vv) == 0.0:
         return DriftReport(False, False, term, reason="origin is the target")

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 failed verification checks, 2 invalid
 configuration, 3 runtime failure (divergence, an infeasible-rate abort,
-or a ValueError the library raises while a method runs). Artifacts land
-in the config's output directory: trajectory or iterate CSV, summary
-JSON, and an echo of the resolved config.
+a ValueError the library raises while a method runs, or running out of
+memory). Artifacts land in the config's output directory: trajectory or
+iterate CSV, summary JSON, and an echo of the resolved config.
 """
 
 from __future__ import annotations
@@ -356,6 +356,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     except RUNTIME_ERRORS as e:
         print(_runtime_failure(e), file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as e:
+        # not a member failure in compare: the whole command stops here
+        detail = f": {e}" if str(e) else ""
+        print(f"runtime failure: out of memory{detail}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -349,7 +349,8 @@ def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
     at a -0.0 in d: it always maps that to +0.0, while the LAPACK solve
     does so at some positions and keeps -0.0 at others, depending on the
     signs of the other entries. H is hess E(x) when the caller already
-    holds it. No metric is factored again for the solve: each got its
+    holds it; a Hessian metric that holds its floored constant Hessian
+    needs none. No metric is factored again for the solve: each got its
     certificate where it was made.
 
     One W serves every stacked row when it does not depend on the point
@@ -360,8 +361,9 @@ def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
         return d + 0.0
-    if metric.kind is MetricKind.HESSIAN and H is None:
-        H = oracle.hessian(x)
+    if (metric.kind is MetricKind.HESSIAN and H is None
+            and metric.floored_hessian is None):
+        H = oracle.hessian_at(x)
     if H is not None and H.ndim == 3:
         return np.array([_metric_inverse(metric, oracle, xk, dk, Hk)
                          for xk, dk, Hk in zip(x, d, H)])
@@ -444,7 +446,7 @@ def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
                 lam: Array, vv: Array) -> ControlResult:
     p = spec.clf
     d = p.c * lam + p.b * vv  # grad_v V
-    H = oracle.hessian(x)
+    H = oracle.hessian_at(x)
     drift = np.vecdot(-(p.a * lam + p.c * vv), np.matvec(H, vv))
     rho = spec.rate_eta * clf_value(p, lam, vv)
     # where the uncontrolled decay already meets the rate, save the
@@ -496,7 +498,7 @@ def _infeasible(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
 def _direct(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
             lam: Array, vv: Array) -> ControlResult:
     g = spec.gains
-    Hv = np.matvec(oracle.hessian(x), vv)
+    Hv = np.matvec(oracle.hessian_at(x), vv)
     u = g.gamma_a * lam - g.gamma_b * vv - g.gamma_c * Hv
     return ControlResult(u, "linear" if u.ndim == 1
                          else np.full(len(u), "linear"))

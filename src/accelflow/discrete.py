@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .metric import MetricKind, MetricSpec, metric_matrix, metric_solve, \
-    quasi_newton_update
+    quasi_newton_update, resolve_metric
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -135,12 +135,15 @@ def flow_to_discrete(gains: Sequence[float], h: float) -> tuple[float, float, fl
     return gamma_a * h * h, beta, gamma_c * h
 
 
-def _check_newton(metric: MetricSpec, h: float) -> None:
+def _newton_metric(metric: MetricSpec, oracle: ObjectiveOracle,
+                   h: float) -> MetricSpec:
+    """The checked metric, resolved for oracle (metric.resolve_metric)."""
     if metric.kind is MetricKind.EUCLIDEAN:
         raise ValueError("accelerated_newton_step needs a hessian or "
                          "quasi_newton metric")
     if not (h > 0.0):
         raise ValueError(f"h must be positive, got {h}")
+    return resolve_metric(metric, oracle)
 
 
 def _accelerated_newton(oracle: ObjectiveOracle, metric: MetricSpec,
@@ -163,7 +166,7 @@ def accelerated_newton_step(oracle: ObjectiveOracle, metric: MetricSpec,
     the identity there is nothing Newton-like about the step. Quasi-Newton
     state updates belong to the caller, which sees both endpoints.
     """
-    _check_newton(metric, h)
+    metric = _newton_metric(metric, oracle, h)
     gamma_a, gamma_b = (float(g) for g in gains)
     x_k = np.asarray(x_k, dtype=float)
     v_k = np.asarray(v_k, dtype=float)
@@ -266,7 +269,7 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 def exact_line_search_alpha(oracle: ObjectiveOracle, k: int, x: Array,
                             g: Array, v: Array) -> float:
     """Exact minimizer along v for locally quadratic objectives."""
-    Hv = oracle.hessian(x) @ v
+    Hv = oracle.hessian_at(x) @ v
     curv = float(v @ Hv)
     if curv <= 0.0:
         raise ValueError(f"nonpositive curvature {curv} along the search "
@@ -337,7 +340,7 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
     the first point where both gradients are at hand and the metric is
     needed.
     """
-    _check_newton(metric, h)
+    metric = _newton_metric(metric, oracle, h)
     gamma_a, gamma_b = (float(c) for c in gains)
     v = np.zeros_like(np.asarray(x0, dtype=float))
     last: Optional[tuple[Array, Array]] = None

@@ -15,6 +15,7 @@ with the same config and seed produces byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -26,6 +27,7 @@ import numpy as np
 from .control import ControllerSpec, evaluate_control
 from .discrete import IterateSequence
 from .flow import COLUMNS, DIVERGENCE_LIMIT, TrajectoryRecord
+from .metric import resolve_metric
 from .objective import ObjectiveOracle
 
 FLOAT_FMT = "%.17g"
@@ -131,14 +133,18 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
 
     The control is re-evaluated from the controller spec at the stored
     states (it is a pure function of the state), in one call over the
-    stacked rows, while the diagnostic columns keep their exported values
-    so the honesty check in check_dissipation still compares cached
-    against recomputed. A reduced-mode file's costates are filled in from
-    their definitions. Metrics with path-dependent state cannot be
-    rebuilt this way; callers reject those before getting here.
+    stacked rows, under the metric resolved once for oracle
+    (metric.resolve_metric), while the diagnostic columns keep their
+    exported values so the honesty check in check_dissipation still
+    compares cached against recomputed. A reduced-mode file's costates
+    are filled in from their definitions. Metrics with path-dependent
+    state cannot be rebuilt this way; callers reject those before getting
+    here.
     """
     cols = dict(columns)
     lam_x = -oracle.gradient(cols["x"])
+    spec = dataclasses.replace(spec,
+                               metric=resolve_metric(spec.metric, oracle))
     cols["u"] = evaluate_control(spec, oracle, cols["x"], lam_x, cols["v"]).u
     if "lambda_x" not in cols:
         cols["lambda_x"] = lam_x

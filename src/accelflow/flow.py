@@ -34,7 +34,7 @@ import numpy as np
 
 from .clf import clf_grad_v, clf_value, lie_derivative
 from .control import ControllerSpec, ControlResult, evaluate_control
-from .metric import MetricKind, quasi_newton_update
+from .metric import MetricKind, quasi_newton_update, resolve_metric
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -125,9 +125,12 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     record_stride thins what is stored, never what is computed: stopping
     and divergence are checked every step, and the final state is always
-    recorded. Quasi-Newton metrics are updated once per completed step
-    from the observed (step, gradient change) pair; stage evaluations
-    within a step all see the matrix from the step's start.
+    recorded. The metric is resolved for oracle once, before the first
+    step (metric.resolve_metric), so a Hessian metric over a constant
+    Hessian is floored once per run. Quasi-Newton metrics are updated
+    once per completed step from the observed (step, gradient change)
+    pair; stage evaluations within a step all see the matrix from the
+    step's start.
 
     The control at each accepted state is evaluated once, after that
     state's metric update, and shared: its row records it, and the next
@@ -170,7 +173,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     n = oracle.dim
     full = mode is FlowMode.FULL_PRIMAL_DUAL
-    live_spec = spec
+    live_spec = dataclasses.replace(spec,
+                                    metric=resolve_metric(spec.metric, oracle))
 
     # primal packed layout: [x, v, y]; costates ride separately
     z = np.concatenate([state0.x, state0.v, [state0.y]])
@@ -234,9 +238,9 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         x1, v1 = z1[:n], z1[n:2 * n]
         xm = 0.5 * (x0 + x1) + 0.125 * h * (v0 - v1)
         vm = 0.5 * (v0 + v1) + 0.125 * h * (u0 - u1)
-        H0v = oracle.hessian(x0) @ v0
-        Hmvm = oracle.hessian(xm) @ vm
-        H1v1 = oracle.hessian(x1) @ v1
+        H0v = oracle.hessian_at(x0) @ v0
+        Hmvm = oracle.hessian_at(xm) @ vm
+        H1v1 = oracle.hessian_at(x1) @ v1
         gm = oracle.gradient(xm)
 
         # lamx has no state feedback, so its RK4 sum is direct
@@ -253,7 +257,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     def adjoint_euler_step(z0: Array, g0: Array,
                            z1: Array) -> tuple[Array, Array]:
-        return (lamx - h * (oracle.hessian(z0[:n]) @ z1[n:2 * n]),
+        return (lamx - h * (oracle.hessian_at(z0[:n]) @ z1[n:2 * n]),
                 lamv + h * (-lamx - g0))
 
     # the raw columns of the recorded states, by reference: the loop never

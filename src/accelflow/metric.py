@@ -6,15 +6,22 @@ objective Hessian with an eigenvalue floor (Newton-style steering near
 positive curvature), and a quasi-Newton matrix maintained from observed
 (step, gradient-change) pairs. Everything downstream only needs W to be
 symmetric positive definite, so each W gets its certificate once, where
-it is made: by shift_to_floor for the Hessian and the quasi-Newton
-update, and by MetricSpec for a caller's qn_state. metric_solve then only
-solves.
+it is made, and metric_solve then only solves:
+
+* a Hessian W, by the shift_to_floor that floors it. Over a constant
+  Hessian (a quadratic's) that is one call per run: resolve_metric floors
+  it where the run is set up, and every solve after it reuses the
+  floored W. A Hessian that depends on the point is floored at each
+  point;
+* a quasi-Newton matrix, by the shift_to_floor in the quasi_newton_update
+  that makes it;
+* a qn_state a caller supplies, by MetricSpec's own Cholesky check.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -41,20 +48,50 @@ class MetricSpec:
     qn_state is the current B matrix; None means "not initialized yet" and
     resolves to the identity. Updates return a new spec rather than
     mutating, so whoever drives the iteration owns the sequencing. A
-    qn_state must be finite with a finite Cholesky factor.
+    qn_state must be finite with a finite Cholesky factor; certified=True
+    says it already has its certificate (quasi_newton_update's floor), so
+    it is not factored again.
+
+    constant_hessian, given to a Hessian metric, is the objective's
+    Hessian when it does not depend on the point: it is floored once,
+    here, into floored_hessian, which is then W at every point. A spec
+    made from this one by dataclasses.replace drops floored_hessian
+    unless it is given constant_hessian again; resolve_metric is the
+    intended way to set it.
     """
 
     kind: MetricKind
     eig_floor: float = 1e-6
     qn_state: Optional[Array] = None
+    floored_hessian: Optional[Array] = field(default=None, init=False)
+    constant_hessian: InitVar[Optional[Array]] = None
+    certified: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, constant_hessian: Optional[Array],
+                      certified: bool) -> None:
         if not (self.eig_floor > 0.0):
             raise ValueError(f"eig_floor must be positive, got {self.eig_floor}")
-        if self.qn_state is not None:
+        if self.qn_state is not None and not certified:
             B = np.asarray(self.qn_state, dtype=float)
             if not (np.isfinite(B).all() and _has_cholesky(B)):
                 raise ValueError("qn_state is not positive definite")
+        if constant_hessian is not None and self.kind is MetricKind.HESSIAN:
+            object.__setattr__(self, "floored_hessian",
+                               shift_to_floor(constant_hessian,
+                                              self.eig_floor))
+
+
+def resolve_metric(spec: MetricSpec, oracle: ObjectiveOracle) -> MetricSpec:
+    """The spec a run on oracle uses.
+
+    A Hessian metric comes back floored over oracle.constant_hessian when
+    the oracle has one, and without a floored Hessian when it has none;
+    any other spec comes back as it is. Every run, replay and discrete
+    Newton drive resolves its metric here, once, where it is set up.
+    """
+    if spec.kind is not MetricKind.HESSIAN:
+        return spec
+    return dataclasses.replace(spec, constant_hessian=oracle.constant_hessian)
 
 
 def _has_cholesky(M: Array) -> bool:
@@ -101,12 +138,16 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
     """Resolve the metric W at the current point.
 
     H, when given, is hess E(x) already evaluated by the caller; the
-    Hessian metric uses it instead of asking the oracle again.
+    Hessian metric uses it instead of asking the oracle again. A Hessian
+    metric that holds a floored constant Hessian returns it, and neither
+    reads H nor floors again.
     """
     if spec.kind is MetricKind.EUCLIDEAN:
         return np.eye(oracle.dim)
     if spec.kind is MetricKind.HESSIAN:
-        return shift_to_floor(oracle.hessian(x) if H is None else H,
+        if spec.floored_hessian is not None:
+            return spec.floored_hessian
+        return shift_to_floor(oracle.hessian_at(x) if H is None else H,
                               spec.eig_floor)
     if spec.kind is MetricKind.QUASI_NEWTON:
         if spec.qn_state is None:
@@ -146,7 +187,9 @@ def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpe
     curvature). When the curvature is positive but weak against the model
     curvature s . B s, g_delta is pulled toward B s (Powell damping) so the
     updated matrix stays positive definite. An eigenvalue floor is applied
-    afterwards, and its shift_to_floor certifies the new matrix.
+    afterwards, and its shift_to_floor is the new matrix's certificate:
+    the returned spec does not factor it again. A skipped pair on a spec
+    with no state yet returns the identity as its state.
     """
     if spec.kind is not MetricKind.QUASI_NEWTON:
         raise ValueError("quasi_newton_update only applies to quasi_newton metrics")
@@ -162,7 +205,7 @@ def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpe
     sy = float(s @ y)
     if not (sy > CURVATURE_SKIP_REL * np.linalg.norm(s) * np.linalg.norm(y)):
         return spec if spec.qn_state is not None else dataclasses.replace(
-            spec, qn_state=B)
+            spec, qn_state=B, certified=True)
 
     Bs = B @ s
     sBs = float(s @ Bs)
@@ -176,4 +219,4 @@ def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpe
 
     B_new = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
     B_new = shift_to_floor(B_new, spec.eig_floor)
-    return dataclasses.replace(spec, qn_state=B_new)
+    return dataclasses.replace(spec, qn_state=B_new, certified=True)

@@ -10,12 +10,14 @@ The value, the gradient and the Hessian take one point (n,) or N stacked
 points (N, n), and give one entry or row per point, with the bits of the
 one-point call.
 The quadratic's Hessian does not depend on the point, so it stays one
-(n, n) matrix that broadcasts over the rows.
+(n, n) matrix that broadcasts over the rows, and its oracle also holds it
+as constant_hessian: callers that only multiply by the Hessian read it
+there through hessian_at, without a call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,6 +31,11 @@ class ObjectiveOracle:
 
     value, gradient and hessian also take N stacked points (N, n); value
     then gives one number per point.
+
+    constant_hessian is the Hessian when it does not depend on the point
+    (a quadratic's Q, read-only, with the bits hessian returns), and None
+    otherwise. An oracle built around another's hessian callable must set
+    it to None unless its Hessian is constant too.
     """
 
     dim: int
@@ -36,6 +43,13 @@ class ObjectiveOracle:
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
     name: str = "objective"
+    constant_hessian: Optional[Array] = field(default=None, compare=False)
+
+    def hessian_at(self, x: Array) -> Array:
+        """hess E(x): constant_hessian when it is set, with no call to
+        hessian, and hessian(x) otherwise. Callers must not write to it."""
+        H = self.constant_hessian
+        return self.hessian(x) if H is None else H
 
 
 @dataclass(frozen=True)
@@ -73,8 +87,10 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
     Q is validated once at construction: asymmetry or a non-positive
     eigenvalue is a hard error, not a warning, because downstream metric
     and convergence arguments assume a genuine positive definite quadratic.
+    The oracle keeps its own read-only, C-ordered copy of Q.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = np.array(Q, dtype=float, order="C")
+    Q.flags.writeable = False
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     n = Q.shape[0]
@@ -108,7 +124,8 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
     def hessian(x: Array) -> Array:
         return Q.copy()
 
-    oracle = ObjectiveOracle(n, value, gradient, hessian, name="quadratic")
+    oracle = ObjectiveOracle(n, value, gradient, hessian, name="quadratic",
+                             constant_hessian=Q)
     return ProblemInstance(oracle, x0, x_star=x_star)
 
 

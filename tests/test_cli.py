@@ -320,6 +320,29 @@ class TestRunDiscrete:
         assert err[0].startswith("runtime failure: nonpositive curvature")
 
 
+@pytest.mark.parametrize("verb", ["run", "compare", "verify"])
+def test_running_out_of_memory_exits_three_in_one_line(tmp_path, capsys,
+                                                       verb):
+    # the dim x dim matrix would take 728 TiB: numpy refuses the
+    # allocation at once, before it touches any memory
+    data = flow_data(tmp_path / "run", t_max=0.1)
+    data["problem"] = {"name": "quadratic", "dim": 10_000_000}
+    cfg = write_config(tmp_path, "a.yaml", data)
+    if verb == "run":
+        argv = ["run", cfg]
+    elif verb == "compare":
+        argv = ["compare", cfg,
+                write_config(tmp_path, "b.yaml", {**data, "label": "b"})]
+    else:
+        argv = ["verify", str(tmp_path / "trajectory.csv"), cfg]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("runtime failure: out of memory: Unable to "
+                             "allocate")
+    assert not (tmp_path / "run").exists()
+
+
 FLOW_METHODS = [
     {"controller": "min_p", "delta": 1.0},
     {"controller": "min_p_star", "eta": 1.0},

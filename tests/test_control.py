@@ -243,7 +243,8 @@ def test_hessian_metric_min_p_star_takes_one_hessian_per_evaluation():
         calls.append(1)
         return prob.oracle.hessian(x)
 
-    oracle = dataclasses.replace(prob.oracle, hessian=hessian)
+    oracle = dataclasses.replace(prob.oracle, hessian=hessian,
+                                 constant_hessian=None)
     spec = min_p_star_controller(metric=MetricSpec(MetricKind.HESSIAN),
                                  rate_eta=1.0)
     x = prob.x0

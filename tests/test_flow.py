@@ -274,13 +274,15 @@ def test_integrate_rejects_an_overflowing_step_count():
 
 def _turning(oracle, field, turn, edge=1.0):
     """oracle, with its field's value f replaced by turn(f) where any
-    x_i < edge."""
+    x_i < edge. A turned Hessian depends on the point, so the oracle
+    then has no constant Hessian."""
     call = getattr(oracle, field)
 
     def turned(x):
         out = call(x)
         return turn(out) if np.min(x) < edge else out
-    return dataclasses.replace(oracle, **{field: turned})
+    constant = {"constant_hessian": None} if field == "hessian" else {}
+    return dataclasses.replace(oracle, **{field: turned}, **constant)
 
 
 def _infinite_y(state):
@@ -459,7 +461,8 @@ def test_rk4_takes_four_hessians_per_step_with_the_hessian_metric():
         calls.append(1)
         return prob.oracle.hessian(x)
 
-    oracle = dataclasses.replace(prob.oracle, hessian=hessian)
+    oracle = dataclasses.replace(prob.oracle, hessian=hessian,
+                                 constant_hessian=None)
     s0 = initial_state(oracle, prob.x0)
     rec = integrate(HESSIAN_MIN_P_STAR, oracle, s0, h=1e-2, t_max=0.5,
                     stop=RUN_FOREVER, record_stride=1)
@@ -479,7 +482,8 @@ def test_rk4_takes_four_hessians_per_step_in_the_newton_flow():
         calls.append(1)
         return prob.oracle.hessian(x)
 
-    oracle = dataclasses.replace(prob.oracle, hessian=hessian)
+    oracle = dataclasses.replace(prob.oracle, hessian=hessian,
+                                 constant_hessian=None)
     s0 = initial_state(oracle, prob.x0)
     rec = integrate(accelerated_newton_controller(2.0, 2.0), oracle, s0,
                     h=1e-2, t_max=0.5, stop=RUN_FOREVER, record_stride=1)
@@ -489,8 +493,8 @@ def test_rk4_takes_four_hessians_per_step_in_the_newton_flow():
 
 
 def test_rk4_certifies_each_quasi_newton_matrix_once(monkeypatch):
-    # a matrix is certified where it is made, by the update's floor test
-    # and by its MetricSpec, and not again by the four solves of a step
+    # a matrix is certified where it is made, by the update's floor test,
+    # and not again by the four solves of a step
     calls = []
     cholesky = np.linalg.cholesky
 

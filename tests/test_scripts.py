@@ -1,8 +1,11 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,3 +49,95 @@ def test_flow_showcase_compares_six_flows_and_certifies_the_rate(tmp_path):
     status = {c["name"]: c["status"] for c in checks}
     assert status["dissipation_rate"] == "passed"
     assert set(status.values()) == {"passed"}
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_output(work_per_s, raw_work_per_s, calibration_s=0.0184678):
+    """What perfbench/run.py prints for one untraced run."""
+    metrics = {"setup_s": {"value": 0.2243, "unit": "s"},
+               "wall_s": {"value": 0.5812, "unit": "s"},
+               "op_s_p50": {"value": 0.0939, "unit": "s"},
+               "work_per_s": {"value": work_per_s, "unit": "1/s"},
+               "peak_rss_mb": {"value": 42.8359375, "unit": "MB"}}
+    return "\n".join([
+        "perfbench workload=flow_curvature seed=1 trace=0 seconds=2.0",
+        "ops_failed_frac 0 (0/6 ops, reference not checked)",
+        f"steps_per_s {work_per_s:.3f} 1/s (1000 steps per pass; raw "
+        f"{raw_work_per_s:.3f} 1/s)",
+        f"raw (unscaled) calibration_s {calibration_s} op_s_p50 0.167514 "
+        f"setup_s 0.394447 wall_s 1.02506 work_per_s {raw_work_per_s}",
+        json.dumps({"correct": True, "attempted": 6, "failed": 0,
+                    "metrics": metrics}),
+        ""])
+
+
+def test_bench_pairs_reads_the_result_and_the_raw_figures():
+    bench_pairs = _bench_pairs()
+    run = bench_pairs.parse_run_output(_run_output(1720.66, 975.557))
+    assert run["result"]["correct"] is True
+    assert run["result"]["metrics"]["work_per_s"]["value"] == 1720.66
+    assert run["raw"] == {"calibration_s": 0.0184678, "op_s_p50": 0.167514,
+                          "setup_s": 0.394447, "wall_s": 1.02506,
+                          "work_per_s": 975.557}
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "perfbench: worker exited 1 without a result\n",
+    _run_output(1.0, 1.0).replace("raw (unscaled)", "raw"),
+    _run_output(1.0, 1.0).replace("wall_s 1.02506 ", "wall_s "),
+], ids=["empty", "no_result", "no_raw_line", "unpaired_raw"])
+def test_bench_pairs_rejects_an_incomplete_output(text):
+    with pytest.raises(ValueError):
+        _bench_pairs().parse_run_output(text)
+
+
+def test_bench_pairs_summary_counts_the_pairs_the_head_won():
+    bench_pairs = _bench_pairs()
+    parse = bench_pairs.parse_run_output
+    pairs = [{"base": parse(_run_output(b, b / 2)),
+              "head": parse(_run_output(h, h / 2))}
+             for b, h in ((100.0, 120.0), (110.0, 105.0), (90.0, 99.0))]
+    pairs.append({"base": {"exit_code": 3, "error": "no result"},
+                  "head": parse(_run_output(1.0, 1.0))})
+    summary = bench_pairs.summarize(pairs)
+    work = summary["work_per_s"]
+    assert summary["pairs_compared"] == 3
+    assert work["head_wins"] == 2
+    assert work["base"]["median"] == 100.0
+    assert work["head"]["median"] == 105.0
+    assert work["raw_head"]["median"] == 52.5
+    assert work["ratio_median"] == pytest.approx(1.1)
+    assert summary["calibration_s"]["base"]["median"] == 0.0184678
+
+
+def test_bench_pairs_appends_its_record_and_alternates_the_order(
+        tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs()
+    order = []
+
+    def canned(checkout, workload, seed, seconds):
+        order.append(checkout)
+        run = bench_pairs.parse_run_output(
+            _run_output(120.0 if checkout == "new" else 100.0, 50.0))
+        return {"exit_code": 0, **run}
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "old", "--head", "new", "--workload", "flow_curvature",
+            "--seconds", "1", "--pairs", "3", "--out", str(out),
+            "--base-commit", "a", "--head-commit", "b"]
+    assert bench_pairs.main(argv + ["--seed", "1"]) == 0
+    assert bench_pairs.main(argv + ["--seed", "2"]) == 0
+    assert order[:6] == ["old", "new", "new", "old", "old", "new"]
+    records = json.loads(out.read_text())
+    assert [r["seed"] for r in records] == [1, 2]
+    assert records[0]["base_commit"] == "a"
+    assert records[0]["summary"]["work_per_s"]["head_wins"] == 3
