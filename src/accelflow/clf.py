@@ -23,6 +23,7 @@ the same BLAS path per row as a @ b and H @ v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -93,10 +94,15 @@ def state_norm(a: Array) -> Union[float, Array]:
     return np.sqrt(np.vecdot(a, a))
 
 
+def _dot(a: Array, b: Array) -> Union[float, Array]:
+    """np.vecdot(a, b), by ndarray.dot for vectors: same BLAS, less cost."""
+    return a.dot(b) if a.ndim == 1 else np.vecdot(a, b)
+
+
 def clf_value(p: ClfParams, lambda_x: Array, v: Array) -> Union[float, Array]:
     lam, vv = _pair(lambda_x, v)
-    return _scalar(np.vecdot(0.5 * p.a * lam, lam)
-                   + np.vecdot(0.5 * p.b * vv, vv) + np.vecdot(p.c * lam, vv))
+    return _scalar(_dot(0.5 * p.a * lam, lam) + _dot(0.5 * p.b * vv, vv)
+                   + _dot(p.c * lam, vv))
 
 
 def clf_grad_lambda(p: ClfParams, lambda_x: Array, v: Array) -> Array:
@@ -111,14 +117,19 @@ def clf_grad_v(p: ClfParams, lambda_x: Array, v: Array) -> Array:
 
 def eps_v(lambda_x: Array, v: Array) -> Union[float, Array]:
     """State-scaled threshold below which grad_v V counts as zero."""
-    lam, vv = _pair(lambda_x, v)
-    return _scalar(_eps(lam, vv))
+    return _eps(*_pair(lambda_x, v))
+
+
+def _norm(a: Array) -> float:
+    """state_norm of one vector, as a float and cheaper (see _dot)."""
+    return math.sqrt(a.dot(a))
 
 
 def _eps(lam: Array, vv: Array) -> Union[float, Array]:
     """eps_v without its input checks, for the control laws, whose
     caller has made them."""
-    return 1e-10 * (1.0 + state_norm(lam) + state_norm(vv))
+    norm = _norm if lam.ndim == 1 else state_norm
+    return 1e-10 * (1.0 + norm(lam) + norm(vv))
 
 
 def lie_derivative(p: ClfParams, oracle: ObjectiveOracle, x: Array,

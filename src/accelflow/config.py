@@ -464,12 +464,17 @@ def parse_config(data: Any) -> RunConfig:
     return cfg
 
 
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml if built
+
+
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from e
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path

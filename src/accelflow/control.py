@@ -19,6 +19,10 @@ Substituting lambda = -grad E(x), the first two families collapse to
 with gains read off the multiplier via :func:`gains_from_sigma`. That one
 functional form, specialized per metric, is how the classical flows
 (Polyak damping, Newton-type damping, quasi-Newton damping) drop out.
+
+ControllerSpec.bind builds a law once per run: a run binds it, then calls
+it at every state. evaluate_control is the checked entry for one call: it
+validates the shapes, then binds and calls the law.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from .clf import (
     ClfParams,
     DEFAULT_CLF,
     DriftReport,
+    _dot,
     _eps,
+    _norm,
     clf_value,
     drift_condition_check,
     state_norm,
@@ -134,8 +140,18 @@ class ControllerSpec:
                 raise ValueError(
                     f"{name} does not belong to the {self.family.value} family")
 
+    def bind(self, oracle: ObjectiveOracle) -> Law:
+        """The law (x, lambda_x, v) -> ControlResult, built once per run.
 
-@dataclass(frozen=True, eq=False)
+        The family, its parameters, the identity-metric path and
+        oracle.constant_hessian are read here; the metric is taken as it
+        is. The law takes evaluate_control's inputs as float arrays,
+        unchecked, and gives what evaluate_control gives.
+        """
+        return _BINDERS[self.family](self, oracle)
+
+
+@dataclass(frozen=True, eq=False, slots=True)  # slots: made at every stage
 class ControlResult:
     """Control value plus the diagnostics tests and verifiers care about.
 
@@ -310,10 +326,12 @@ def validate_direct_gains(clf: ClfParams, gamma_a: float, gamma_b: float,
 # pointwise control laws
 # ---------------------------------------------------------------------------
 
+Law = Callable[[Array, Array, Array], ControlResult]
+
 
 def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
                      lambda_x: Array, v: Array) -> ControlResult:
-    """Evaluate the controller, with diagnostics.
+    """Evaluate the controller, with diagnostics: the checked entry.
 
     x, lambda_x and v are one state (n,) or N stacked states (N, n). For
     stacked states every ControlResult field holds one entry per row, and
@@ -332,17 +350,11 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         raise ValueError(f"v has shape {vv.shape}, expected {x.shape}")
     if lam.shape != x.shape:
         raise ValueError(f"lambda has shape {lam.shape}, expected {x.shape}")
-
-    if spec.family is ControllerFamily.MIN_P:
-        return _min_p(spec, oracle, x, lam, vv)
-    if spec.family is ControllerFamily.MIN_P_STAR:
-        return _min_p_star(spec, oracle, x, lam, vv)
-    return _direct(spec, oracle, x, lam, vv)
+    return spec.bind(oracle)(x, lam, vv)
 
 
-def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
-                    d: Array, H: Optional[Array] = None) -> Array:
-    """W^{-1} d for the metric resolved at x, for one row or stacked rows.
+def _inverse(metric: MetricSpec, oracle: ObjectiveOracle) -> Callable:
+    """(x, d, H=None) -> W^{-1} d for the metric at x, one row or stacked.
 
     The identity metric (Euclidean, or quasi-Newton before its first
     update) needs no solve. d + 0.0 matches the solve bit for bit except
@@ -360,38 +372,33 @@ def _metric_inverse(metric: MetricSpec, oracle: ObjectiveOracle, x: Array,
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
-        return d + 0.0
-    if (metric.kind is MetricKind.HESSIAN and H is None
-            and metric.floored_hessian is None):
-        H = oracle.hessian_at(x)
-    if H is not None and H.ndim == 3:
-        return np.array([_metric_inverse(metric, oracle, xk, dk, Hk)
-                         for xk, dk, Hk in zip(x, d, H)])
-    return metric_solve(metric_matrix(metric, oracle, x, H), d)
+        return lambda x, d, H=None: d + 0.0
+    pointwise = (metric.kind is MetricKind.HESSIAN
+                 and metric.floored_hessian is None)
+
+    def inverse(x: Array, d: Array, H: Optional[Array] = None) -> Array:
+        if pointwise and H is None:
+            H = oracle.hessian_at(x)
+        if H is not None and H.ndim == 3:  # not by a self-call, a cycle
+            return np.array([
+                metric_solve(metric_matrix(metric, oracle, xk, Hk), dk)
+                for xk, dk, Hk in zip(x, d, H)])
+        return metric_solve(metric_matrix(metric, oracle, x, H), d)
+
+    return inverse
 
 
-def _on_rows(rows: Array, law: Callable[[Optional[Array]], tuple[Array, Array]],
+def _on_rows(rows: Array, steer: Callable,
              like: Array) -> tuple[Array, Array]:
-    """law's (u, sigma) on the rows where rows holds, 0.0 on the others.
-
-    law reads its inputs through _take with the mask it is given. When
-    rows holds everywhere, as it always does for one state that takes the
-    branch, that mask is None and law sees its inputs whole; when rows
-    holds nowhere, law is not called. One state's mask is a numpy bool,
-    whose all() costs more than the rest of this.
-    """
-    if rows.ndim == 0:
-        return law(None) if rows else (np.zeros_like(like), 0.0)
+    """steer's (u, sigma) on the stacked rows where rows holds, 0.0 on the
+    others. steer reads its inputs through the take it is given: whole when
+    rows holds everywhere, a[rows] otherwise, and no call when nowhere."""
     if rows.all():
-        return law(None)
+        return steer(lambda a: a)
     u, sigma = np.zeros_like(like), np.zeros(rows.shape)
     if rows.any():
-        u[rows], sigma[rows] = law(rows)
+        u[rows], sigma[rows] = steer(lambda a: a[rows])
     return u, sigma
-
-
-def _take(a: Array, rows: Optional[Array]) -> Array:
-    return a if rows is None else a[rows]
 
 
 def _pull(sigma: Union[float, Array], z: Array) -> Array:
@@ -399,84 +406,95 @@ def _pull(sigma: Union[float, Array], z: Array) -> Array:
     return -(sigma[:, None] if z.ndim == 2 else sigma) * z
 
 
-def _label(rows: Array, yes: str, no: str) -> Union[str, Array]:
-    return np.where(rows, yes, no) if rows.ndim else (yes if rows else no)
+def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle) -> Law:
+    b, c = float(spec.clf.b), float(spec.clf.c)
+    inverse = _inverse(spec.metric, oracle)
+    fixed = spec.delta_mode is DeltaMode.FIXED_SIGMA
+    taper = spec.delta_mode is DeltaMode.TAPER
+    q = float(spec.sigma_q if fixed else spec.delta)  # sigma_q, or delta
 
-
-def _result(u: Array, branch: Union[str, Array], sigma: Optional[Array] = None,
-            drift: Optional[Array] = None,
-            rho: Optional[Array] = None) -> ControlResult:
-    """One state's diagnostics as floats, stacked states' as arrays."""
-    if u.ndim == 2:
-        return ControlResult(u, branch, sigma, drift, rho)
-    if drift is None:
-        return ControlResult(u, branch, float(sigma))
-    return ControlResult(u, branch, float(sigma), float(drift), float(rho))
-
-
-def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-           lam: Array, vv: Array) -> ControlResult:
-    d = spec.clf.c * lam + spec.clf.b * vv  # grad_v V
-    # where grad_v V vanishes, the control channel has no descent
-    # direction for V: the origin branch. A nan norm is not on it.
-    boundary = ~(state_norm(d) <= _eps(lam, vv))
-
-    def law(rows: Optional[Array]) -> tuple[Array, Array]:
-        dd = _take(d, rows)
-        z = _metric_inverse(spec.metric, oracle, _take(x, rows), dd)
-        if spec.delta_mode is DeltaMode.FIXED_SIGMA:
-            sigma = (spec.sigma_q if dd.ndim == 1
-                     else np.full(len(dd), spec.sigma_q))
+    def steer(x: Array, d: Array) -> tuple[Array, Array]:
+        z = inverse(x, d)
+        if fixed:
+            sigma = q if d.ndim == 1 else np.full(len(d), q)
         else:
-            delta = spec.delta
-            if spec.delta_mode is DeltaMode.TAPER:
+            budget = q
+            if taper:
                 # fmin keeps delta against a nan, as Python's min does;
                 # for one state min is the cheaper of the two
-                dd2 = np.vecdot(dd, dd)
-                delta = min(delta, dd2) if dd.ndim == 1 \
-                    else np.fmin(delta, dd2)
-            sigma = np.sqrt(delta / np.vecdot(dd, z))
+                d2 = _dot(d, d)
+                budget = min(q, d2) if d.ndim == 1 else np.fmin(q, d2)
+            sigma = np.sqrt(budget / _dot(d, z))
         return _pull(sigma, z), sigma
 
-    u, sigma = _on_rows(boundary, law, vv)
-    return _result(u, _label(boundary, "boundary", "origin"), sigma)
+    def law(x: Array, lam: Array, v: Array) -> ControlResult:
+        d = c * lam + b * v  # grad_v V
+        # where grad_v V vanishes, the control channel has no descent
+        # direction for V: the origin branch. A nan norm is not on it.
+        if d.ndim == 1:
+            if _norm(d) <= _eps(lam, v):
+                return ControlResult(np.zeros_like(v), "origin", 0.0)
+            u, sigma = steer(x, d)
+            return ControlResult(u, "boundary", float(sigma))
+        boundary = ~(state_norm(d) <= _eps(lam, v))
+        u, sigma = _on_rows(boundary, lambda take: steer(take(x), take(d)), v)
+        return ControlResult(u, np.where(boundary, "boundary", "origin"),
+                             sigma)
+
+    return law
 
 
-def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-                lam: Array, vv: Array) -> ControlResult:
+def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle) -> Law:
     p = spec.clf
-    d = p.c * lam + p.b * vv  # grad_v V
-    H = oracle.hessian_at(x)
-    drift = np.vecdot(-(p.a * lam + p.c * vv), np.matvec(H, vv))
-    rho = spec.rate_eta * clf_value(p, lam, vv)
-    # where the uncontrolled decay already meets the rate, save the
-    # effort; a nan gap needs control
-    gap = drift + rho
-    need = ~(gap <= 0.0)
+    a, b, c, eta = map(float, (p.a, p.b, p.c, spec.rate_eta))
+    inverse = _inverse(spec.metric, oracle)
+    constant = oracle.constant_hessian
 
-    def law(rows: Optional[Array]) -> tuple[Array, Array]:
-        dd = _take(d, rows)
-        # one Hessian for every row (a quadratic's) is not indexed
-        z = _metric_inverse(spec.metric, oracle, _take(x, rows), dd,
-                            _take(H, rows) if H.ndim > x.ndim else H)
-        sigma = _take(gap, rows) / np.vecdot(dd, z)
+    def steer(x: Array, d: Array, gap: Array,
+              H: Array) -> tuple[Array, Array]:
+        z = inverse(x, d, H)
         # lie V = drift - sigma * quad = -rho, the rate binds exactly
+        sigma = gap / _dot(d, z)
         return _pull(sigma, z), sigma
 
-    # a state that needs control and has no authority is infeasible
-    if need.ndim == 0:
-        if need and not state_norm(d) > _eps(lam, vv):
-            raise _infeasible(spec, oracle, x, lam, vv, drift, rho)
-    else:
-        stuck = need & ~(state_norm(d) > _eps(lam, vv))
+    def law(x: Array, lam: Array, v: Array) -> ControlResult:
+        H = oracle.hessian(x) if constant is None else constant
+        drift = _dot(-(a * lam + c * v), np.matvec(H, v))
+        rho = eta * clf_value(p, lam, v)
+        # where the uncontrolled decay meets the rate, save the effort; a
+        # nan gap needs control, and without authority is infeasible
+        if lam.ndim == 1:
+            drift = float(drift)
+            gap = drift + rho
+            if gap <= 0.0:
+                return ControlResult(np.zeros_like(v), "inactive", 0.0,
+                                     drift, rho)
+            d = c * lam + b * v  # grad_v V
+            if not _norm(d) > _eps(lam, v):
+                raise _infeasible(spec, oracle, x, lam, v, drift, rho)
+            u, sigma = steer(x, d, gap, H)
+            return ControlResult(u, "active", float(sigma), drift, rho)
+        gap = drift + rho
+        need = ~(gap <= 0.0)
+        d = c * lam + b * v
+
+        def rows_of(take: Callable[[Array], Array]) -> tuple[Array, Array]:
+            # one Hessian for every row (a quadratic's) is not indexed
+            return steer(take(x), take(d), take(gap),
+                         take(H) if H.ndim == 3 else H)
+
+        stuck = need & ~(state_norm(d) > _eps(lam, v))
         if stuck.any():
             k = int(np.argmax(stuck))
             # the rows before it raise what they raise one state at a time
-            _on_rows(need & (np.arange(len(need)) < k), law, vv)
-            raise _infeasible(spec, oracle, x[k], lam[k], vv[k], drift[k],
+            _on_rows(need & (np.arange(len(need)) < k), rows_of, v)
+            raise _infeasible(spec, oracle, x[k], lam[k], v[k], drift[k],
                               rho[k])
-    u, sigma = _on_rows(need, law, vv)
-    return _result(u, _label(need, "active", "inactive"), sigma, drift, rho)
+        u, sigma = _on_rows(need, rows_of, v)
+        return ControlResult(u, np.where(need, "active", "inactive"), sigma,
+                             drift, rho)
+
+    return law
 
 
 def _infeasible(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
@@ -495,10 +513,20 @@ def _infeasible(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         report)
 
 
-def _direct(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-            lam: Array, vv: Array) -> ControlResult:
+def _direct(spec: ControllerSpec, oracle: ObjectiveOracle) -> Law:
     g = spec.gains
-    Hv = np.matvec(oracle.hessian_at(x), vv)
-    u = g.gamma_a * lam - g.gamma_b * vv - g.gamma_c * Hv
-    return ControlResult(u, "linear" if u.ndim == 1
-                         else np.full(len(u), "linear"))
+    gamma_a, gamma_b, gamma_c = map(float, (g.gamma_a, g.gamma_b, g.gamma_c))
+    constant = oracle.constant_hessian
+
+    def law(x: Array, lam: Array, v: Array) -> ControlResult:
+        Hv = np.matvec(oracle.hessian(x) if constant is None else constant, v)
+        u = gamma_a * lam - gamma_b * v - gamma_c * Hv
+        return ControlResult(u, "linear" if u.ndim == 1
+                             else np.full(len(u), "linear"))
+
+    return law
+
+
+_BINDERS = {ControllerFamily.MIN_P: _min_p,
+            ControllerFamily.MIN_P_STAR: _min_p_star,
+            ControllerFamily.DIRECT: _direct}

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clf import clf_grad_v, clf_value, lie_derivative
+from .clf import _norm, clf_grad_v, clf_value, lie_derivative
 from .control import ControllerSpec, ControlResult, evaluate_control
 from .metric import MetricKind, quasi_newton_update, resolve_metric
 from .objective import ObjectiveOracle
@@ -106,15 +106,6 @@ def initial_state(oracle: ObjectiveOracle, x0: Array,
                           lambda_x=-g0, lambda_v=np.zeros(oracle.dim))
 
 
-def _norm(a: Array) -> float:
-    """np.linalg.norm's formula for a vector, sqrt(a . a), as a float.
-
-    It gives np.linalg.norm's bits, and at the integrator's three norms
-    per step it is cheaper than np.linalg.norm or clf.state_norm.
-    """
-    return math.sqrt(a.dot(a))
-
-
 def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
               state0: AugmentedState, h: float, t_max: float, *,
               method: Integrator = Integrator.RK4,
@@ -130,7 +121,9 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     Hessian is floored once per run. Quasi-Newton metrics are updated
     once per completed step from the observed (step, gradient change)
     pair; stage evaluations within a step all see the matrix from the
-    step's start.
+    step's start. The law is bound (ControllerSpec.bind) after the metric
+    is resolved and after each quasi-Newton update; only state0 goes
+    through the checked evaluate_control.
 
     The control at each accepted state is evaluated once, after that
     state's metric update, and shared: its row records it, and the next
@@ -175,6 +168,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     full = mode is FlowMode.FULL_PRIMAL_DUAL
     live_spec = dataclasses.replace(spec,
                                     metric=resolve_metric(spec.metric, oracle))
+    law = live_spec.bind(oracle)
 
     # primal packed layout: [x, v, y]; costates ride separately
     z = np.concatenate([state0.x, state0.v, [state0.y]])
@@ -182,7 +176,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     lamv = state0.lambda_v.copy()
 
     def control_at(zz: Array, g: Array) -> ControlResult:
-        return evaluate_control(live_spec, oracle, zz[:n], -g, zz[n:2 * n])
+        return law(zz[:n], -g, zz[n:2 * n])
 
     def rhs(zz: Array, g: Array, u: Array, out: Array) -> None:
         """The closed loop's vector field at zz, written to out."""
@@ -270,7 +264,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     g = oracle.gradient(z[:n])
     g_norm = _norm(g)
-    res = control_at(z, g)
+    res = evaluate_control(live_spec, oracle, z[:n], -g, z[n:2 * n])
     keep(0.0, z, g, g_norm, res)
     converged = g_norm <= stop.tol_g and _norm(z[n:2 * n]) <= stop.tol_v
     diverged = False
@@ -310,6 +304,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 new_metric = quasi_newton_update(
                     live_spec.metric, z_new[:n] - z[:n], g_new - g)
                 live_spec = dataclasses.replace(live_spec, metric=new_metric)
+                law = live_spec.bind(oracle)
             z, g = z_new, g_new
             g_norm = _norm(g)
             if adjoint_rk4 and not qn:

@@ -402,6 +402,22 @@ class TestConfigErrors:
         assert len(err) == 1 and f"{option}:" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "compare", "verify"])
+    def test_a_config_that_is_not_utf8_exits_two_naming_it(self, tmp_path,
+                                                          capsys, verb):
+        out = tmp_path / "run"
+        good = write_config(tmp_path, "good.yaml", flow_data(out, t_max=0.1))
+        bad = tmp_path / "latin.yaml"
+        bad.write_bytes(b'label: "\xff\xfe"\n'
+                        + yaml.safe_dump(flow_data(out)).encode())
+        args = {"run": [str(bad)], "compare": [good, str(bad)],
+                "verify": [str(tmp_path / "trajectory.csv"), str(bad)]}[verb]
+        assert main([verb, *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {bad}: 'utf-8' codec")
+        assert not out.exists()
+
     def test_unknown_method_name(self, tmp_path, capsys):
         data = discrete_data(tmp_path / "run", name="bogus")
         cfg = write_config(tmp_path, "bad.yaml", data)

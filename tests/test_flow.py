@@ -10,11 +10,11 @@ from accelflow.clf import clf_value, lie_derivative
 from accelflow.export import flow_summary
 from accelflow.control import (
     ControllerFamily,
+    ControllerSpec,
     DeltaMode,
     InfeasibleStateError,
     accelerated_newton_controller,
     direct_controller,
-    evaluate_control,
     min_p_controller,
     min_p_star_controller,
     nesterov_flow_controller,
@@ -431,14 +431,21 @@ def test_full_mode_reduced_mode_same_primal():
 @pytest.mark.parametrize("mode", list(FlowMode))
 def test_rk4_evaluates_the_control_four_times_per_step(mode, monkeypatch):
     # the control at each accepted state feeds its sample and the next
-    # step's first stage, so a step adds only its three inner stages
+    # step's first stage, so a step adds only its three inner stages;
+    # every evaluation, the checked one at the start included, is a call
+    # of a law that ControllerSpec.bind made
     calls = []
+    bind = ControllerSpec.bind
 
-    def counting(*args):
-        calls.append(args)
-        return evaluate_control(*args)
+    def counting_bind(spec, oracle):
+        law = bind(spec, oracle)
 
-    monkeypatch.setattr(flow, "evaluate_control", counting)
+        def counting(*args):
+            calls.append(args)
+            return law(*args)
+        return counting
+
+    monkeypatch.setattr(ControllerSpec, "bind", counting_bind)
     prob = random_quadratic(4, kappa=5.0, seed=2)
     s0 = initial_state(prob.oracle, prob.x0)
     rec = integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-2,

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -141,3 +142,63 @@ def test_bench_pairs_appends_its_record_and_alternates_the_order(
     assert [r["seed"] for r in records] == [1, 2]
     assert records[0]["base_commit"] == "a"
     assert records[0]["summary"]["work_per_s"]["head_wins"] == 3
+
+
+def _artifact_diff():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_diff", os.path.join(ROOT, "scripts", "artifact_diff.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text.replace("{root}", str(root)))
+    return str(root)
+
+
+def test_artifact_diff_ignores_only_the_work_directory(tmp_path):
+    compare = _artifact_diff().compare_trees
+    files = {"w-seed0/configs/a.yaml": "out_dir: {root}/w-seed0/out/a\n",
+             "w-seed0/_ops/000-run_a.json": '{"exit_code": 0}'}
+    base = _tree(tmp_path / "base", files)
+    assert compare(base, _tree(tmp_path / "head", files)) == []
+    files["w-seed0/out/a/trajectory.csv"] = "t,x0\n0,1\n"
+    changed = dict(files, **{"w-seed0/_ops/000-run_a.json":
+                             '{"exit_code": 3}',
+                             "w-seed0/out/a/summary.json": "{}"})
+    head = _tree(tmp_path / "head2", changed)
+    base = _tree(tmp_path / "base2", dict(files, **{"extra.txt": ""}))
+    assert compare(base, head) == [
+        "only in base: extra.txt",
+        "only in head: w-seed0/out/a/summary.json",
+        "differs: w-seed0/_ops/000-run_a.json"]
+    # a path outside the work directory is not ignored
+    head = _tree(tmp_path / "head3", dict(
+        files, **{"w-seed0/configs/a.yaml": "out_dir: /elsewhere/out/a\n"}))
+    assert compare(_tree(tmp_path / "base3", files), head) == [
+        "differs: w-seed0/configs/a.yaml"]
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_artifact_diff_exits_one_on_a_difference(tmp_path, monkeypatch,
+                                                 capsys, same):
+    # the per-checkout runs are replaced by canned trees: no workload runs
+    artifact_diff = _artifact_diff()
+
+    def canned(argv, **kwargs):
+        checkout, root = argv[argv.index("--collect") + 1:][:2]
+        text = "1\n" if same or checkout.endswith("base") else "2\n"
+        _tree(pathlib.Path(root), {"w/out.csv": text})
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(artifact_diff.subprocess, "run", canned)
+    code = artifact_diff.main(["--base", str(tmp_path / "base"),
+                               "--head", str(tmp_path / "head"),
+                               "--work", str(tmp_path / "work")])
+    out = capsys.readouterr().out.splitlines()
+    assert (code, out) == ((0, ["identical"]) if same else
+                           (1, ["differs: w/out.csv", "1 differences"]))
