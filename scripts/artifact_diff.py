@@ -38,8 +38,7 @@ PLACEHOLDER = b"<WORK>"
 OPS_DIR = "_ops"
 
 
-def collect(checkout: str, root: str, workloads: list[str],
-            seeds: list[int]) -> None:
+def collect(checkout: str, root: str, seeds: list[int]) -> None:
     """Run each workload once in checkout, writing everything under root.
 
     Runs in its own interpreter (see main), so that the checkout's own
@@ -53,7 +52,7 @@ def collect(checkout: str, root: str, workloads: list[str],
     import workloads as wl_module
     from accelflow import cli
 
-    for name in workloads:
+    for name in WORKLOADS:
         for seed in seeds:
             work_dir = os.path.join(root, f"{name}-seed{seed}")
             wl = wl_module.build(name, seed, work_dir)
@@ -116,14 +115,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--base", required=True, help="the parent checkout")
     p.add_argument("--head", required=True, help="the changed checkout")
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                   choices=WORKLOADS)
     p.add_argument("--work", help="keep both trees here (DIR/base, DIR/head)")
     p.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "ROOT"),
                    help=argparse.SUPPRESS)  # the per-checkout child run
     args = p.parse_args(argv)
     if args.collect:
-        collect(*args.collect, args.workloads, args.seeds)
+        collect(*args.collect, args.seeds)
         return 0
 
     work = args.work or tempfile.mkdtemp(prefix="artifact_diff_")
@@ -137,8 +134,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 [sys.executable, os.path.abspath(__file__),
                  "--base", args.base, "--head", args.head,
                  "--collect", checkout, roots[side],
-                 "--seeds", *map(str, args.seeds),
-                 "--workloads", *args.workloads],
+                 "--seeds", *map(str, args.seeds)],
                 cwd=checkout, capture_output=True, text=True)
             if proc.returncode != 0:
                 print(f"{side}: the run failed:\n{proc.stderr}",

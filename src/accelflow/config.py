@@ -464,13 +464,10 @@ def parse_config(data: Any) -> RunConfig:
     return cfg
 
 
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml if built
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=YAML_LOADER)
+            data = yaml.safe_load(fh)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:

@@ -6,7 +6,6 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from accelflow import config
 from accelflow.clf import DEFAULT_CLF
 from accelflow.config import (
     ConfigError,
@@ -343,42 +342,6 @@ class TestLoadConfig:
         path.write_bytes(b'label: "\xff\xfe"\n')
         with pytest.raises(ConfigError, match="latin.yaml: 'utf-8' codec"):
             load_config(str(path))
-
-    def test_libyaml_is_used_when_pyyaml_has_it(self):
-        assert config.YAML_LOADER is getattr(yaml, "CSafeLoader",
-                                             yaml.SafeLoader)
-
-    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
-                        reason="PyYAML was built without libyaml")
-    @pytest.mark.parametrize("text, same_words", [
-        ("\ufefflabel: bom\nproblem: {name: quadratic, dim: 2}\n", True),
-        ("a: 1.0e8\nb: 1.0e+8\nc: 1e8\n", True),
-        ("a: yes\nb: no\nc: on\nd: Off\ne: ~\n", True),
-        ("a: 1\na: 2\n", True),
-        ("a:\n\tb: 1\n", True),
-        ("a: [1, 2\nb: 3\n", True),
-        ("a: 0x1F\nb: .inf\nc: -.inf\nd: .nan\ne: 0o17\nf: 1_000\n", True),
-        # libyaml: "mapping values are not allowed in this context"
-        ("problem:\n  name: quadratic\n   bad_indent: 1\n", False),
-    ], ids=["bom", "exponent", "booleans", "duplicate_key", "tab",
-            "unclosed_flow_sequence", "hex_and_inf", "bad_indent"])
-    def test_both_loaders_give_equal_documents_and_error_lines(
-            self, tmp_path, monkeypatch, text, same_words):
-        # a document, or a parse error's first line, which names the file
-        # and line; libyaml words some errors differently after that
-        path = tmp_path / "doc.yaml"
-        path.write_text(text, encoding="utf-8")
-        monkeypatch.setattr(config, "parse_config", lambda data: data)
-        seen = []
-        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-            monkeypatch.setattr(config, "YAML_LOADER", loader)
-            try:
-                seen.append(repr(load_config(str(path))))
-            except ConfigError as e:
-                line = str(e).splitlines()[0]
-                seen.append(line if same_words else
-                            line.split(" YAML parse error: ")[0])
-        assert seen[0] == seen[1]
 
     def test_non_mapping_top_level(self, tmp_path):
         path = tmp_path / "list.yaml"
