@@ -297,8 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     meta = {"mode": method.mode.value, "method": method.integrator.value,
             "h": method.h, "t_max": method.t_max, "dim": problem.oracle.dim,
-            "tol_g": method.tol_g, "tol_v": method.tol_v,
-            "controller": method.controller}
+            "tol_g": method.tol_g, "tol_v": method.tol_v}
     # a finite state can overflow the certificate; the checks report that
     # as a non-finite value, not numpy
     with np.errstate(over="ignore", invalid="ignore"):

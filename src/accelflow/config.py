@@ -27,9 +27,9 @@ from .clf import DEFAULT_CLF, ClfParams
 from .control import (
     ControllerSpec,
     DeltaMode,
-    direct_controller,
-    min_p_controller,
-    min_p_star_controller,
+    Direct,
+    MinP,
+    MinPStar,
     momentum_flow_controller,
     nesterov_flow_controller,
 )
@@ -258,11 +258,11 @@ class FlowMethodConfig:
     gamma_a: Optional[float] = _field(_as_float, None)
     gamma_b: Optional[float] = _field(_as_float, None)
     gamma_c: Optional[float] = _field(_as_float, None)
-    delta: Optional[float] = _field(_as_float, None)
+    delta: Optional[float] = _field(_as_positive, None)
     delta_mode: DeltaMode = _field(_as_choice, DeltaMode.CONSTANT,
                                    choices=DeltaMode)
-    sigma_q: Optional[float] = _field(_as_float, None)
-    eta: Optional[float] = _field(_as_float, None)
+    sigma_q: Optional[float] = _field(_as_positive, None)
+    eta: Optional[float] = _field(_as_positive, None)
     integrator: Integrator = _field(_as_choice, Integrator.RK4,
                                     choices=Integrator)
     mode: FlowMode = _field(_as_choice, FlowMode.REDUCED, choices=FlowMode)
@@ -292,20 +292,19 @@ class FlowMethodConfig:
             if self.controller == "min_p":
                 if self.delta_mode is DeltaMode.FIXED_SIGMA:
                     (sq,) = self._need(sigma_q=self.sigma_q)
-                    return min_p_controller(clf, metric,
-                                            delta_mode=self.delta_mode,
-                                            sigma_q=sq)
+                    return MinP(clf, metric, delta_mode=self.delta_mode,
+                                sigma_q=sq)
                 (delta,) = self._need(delta=self.delta)
-                return min_p_controller(clf, metric, delta=delta,
-                                        delta_mode=self.delta_mode)
+                return MinP(clf, metric, delta=delta,
+                            delta_mode=self.delta_mode)
             if self.controller == "min_p_star":
                 (eta,) = self._need(eta=self.eta)
-                return min_p_star_controller(clf, metric, rate_eta=eta)
+                return MinPStar(clf, metric, rate_eta=eta)
             if self.controller == "direct":
                 ga, gb, gc = self._need(gamma_a=self.gamma_a,
                                         gamma_b=self.gamma_b,
                                         gamma_c=self.gamma_c)
-                return direct_controller(ga, gb, gc, clf=clf)
+                return Direct(ga, gb, gc, clf=clf)
             if self.controller in MOMENTUM_FLOWS:
                 ga, gb = self._need(gamma_a=self.gamma_a,
                                     gamma_b=self.gamma_b)

@@ -20,9 +20,15 @@ with gains read off the multiplier via :func:`gains_from_sigma`. That one
 functional form, specialized per metric, is how the classical flows
 (Polyak damping, Newton-type damping, quasi-Newton damping) drop out.
 
-ControllerSpec.bind builds a law once per run: a run binds it, then calls
-it at every state. evaluate_control is the checked entry for one call: it
-validates the shapes, then binds and calls the law.
+Each family is one frozen type that holds only its own parameters: MinP,
+MinPStar and Direct, with ControllerSpec naming any of them. A type's
+bind(oracle) builds its law (x, lambda_x, v) -> ControlResult once per
+run: the parameters as floats, the identity-metric path and
+oracle.constant_hessian are read there, and the metric is taken as it
+is. A run binds it, then calls it at every state; the law takes
+evaluate_control's inputs as float arrays, unchecked, and gives what
+evaluate_control gives. evaluate_control is the checked entry for one
+call: it validates the shapes, then binds and calls the law.
 """
 
 from __future__ import annotations
@@ -51,12 +57,6 @@ from .objective import ObjectiveOracle
 Array = np.ndarray
 
 
-class ControllerFamily(str, Enum):
-    MIN_P = "min_p"
-    MIN_P_STAR = "min_p_star"
-    DIRECT = "direct"
-
-
 class DeltaMode(str, Enum):
     """How the min_p effort budget is resolved at a state.
 
@@ -73,82 +73,9 @@ class DeltaMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class DirectGains:
-    gamma_a: float
-    gamma_b: float
-    gamma_c: float
-
-
-@dataclass(frozen=True)
 class GainReport:
     holds: bool
     violations: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
-class ControllerSpec:
-    """One controller = family + certificate + metric + family parameters.
-
-    Exactly the active family's parameter block may be set; the factories
-    below are the intended way to build these.
-    """
-
-    family: ControllerFamily
-    clf: ClfParams
-    metric: MetricSpec
-    delta: Optional[float] = None          # min_p, constant and taper modes
-    delta_mode: DeltaMode = DeltaMode.CONSTANT
-    sigma_q: Optional[float] = None        # min_p, fixed_sigma mode
-    rate_eta: Optional[float] = None       # min_p_star
-    gains: Optional[DirectGains] = None    # direct
-
-    def __post_init__(self) -> None:
-        if self.family is ControllerFamily.MIN_P:
-            self._require_none(rate_eta=self.rate_eta, gains=self.gains)
-            if self.delta_mode is DeltaMode.FIXED_SIGMA:
-                if self.delta is not None:
-                    raise ValueError("fixed_sigma mode ignores delta; leave it unset")
-                if self.sigma_q is None or not (self.sigma_q > 0.0):
-                    raise ValueError(f"fixed_sigma mode needs sigma_q > 0, got "
-                                     f"{self.sigma_q}")
-            else:
-                if self.sigma_q is not None:
-                    raise ValueError("sigma_q only applies to fixed_sigma mode")
-                if self.delta is None or not (self.delta > 0.0):
-                    raise ValueError(f"min_p needs delta > 0, got {self.delta}")
-        elif self.family is ControllerFamily.MIN_P_STAR:
-            self._require_none(delta=self.delta, sigma_q=self.sigma_q,
-                               gains=self.gains)
-            if self.rate_eta is None or not (self.rate_eta > 0.0):
-                raise ValueError(f"min_p_star needs rate_eta > 0, got {self.rate_eta}")
-        elif self.family is ControllerFamily.DIRECT:
-            self._require_none(delta=self.delta, sigma_q=self.sigma_q,
-                               rate_eta=self.rate_eta)
-            if self.gains is None:
-                raise ValueError("direct controller needs gains")
-            report = validate_direct_gains(self.clf, self.gains.gamma_a,
-                                           self.gains.gamma_b, self.gains.gamma_c)
-            if not report.holds:
-                raise ValueError("direct gains violate the stability conditions: "
-                                 + "; ".join(report.violations))
-        else:
-            raise ValueError(f"unknown controller family {self.family!r}")
-
-    def _require_none(self, **fields) -> None:
-        for name, value in fields.items():
-            if value is not None:
-                raise ValueError(
-                    f"{name} does not belong to the {self.family.value} family")
-
-    def bind(self, oracle: ObjectiveOracle) -> Law:
-        """The law (x, lambda_x, v) -> ControlResult, built once per run.
-
-        The family, its parameters, the identity-metric path and
-        oracle.constant_hessian are read here; the metric is taken as it
-        is. The law takes evaluate_control's inputs as float arrays,
-        unchecked, and gives what evaluate_control gives.
-        """
-        return _BINDERS[self.family](self, oracle)
 
 
 @dataclass(frozen=True, eq=False, slots=True)  # slots: made at every stage
@@ -182,39 +109,191 @@ class InfeasibleStateError(RuntimeError):
         self.report = report
 
 
+Law = Callable[[Array, Array, Array], ControlResult]
+_EUCLIDEAN = MetricSpec(MetricKind.EUCLIDEAN)
+
+
+@dataclass(frozen=True, eq=False)
+class MinP:
+    """min_p: the certificate's steepest descent within an effort budget.
+
+    delta_mode resolves the budget: delta in the constant and taper modes,
+    the constant multiplier sigma_q in fixed_sigma mode, which does not
+    read delta.
+    """
+
+    clf: ClfParams = DEFAULT_CLF
+    metric: MetricSpec = _EUCLIDEAN
+    delta: float = 1.0
+    delta_mode: DeltaMode = DeltaMode.CONSTANT
+    sigma_q: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.delta_mode is DeltaMode.FIXED_SIGMA:
+            if self.sigma_q is None or not (self.sigma_q > 0.0):
+                raise ValueError(f"fixed_sigma mode needs sigma_q > 0, got "
+                                 f"{self.sigma_q}")
+        elif self.sigma_q is not None:
+            raise ValueError("sigma_q only applies to fixed_sigma mode")
+        elif self.delta is None or not (self.delta > 0.0):
+            raise ValueError(f"min_p needs delta > 0, got {self.delta}")
+
+    def bind(self, oracle: ObjectiveOracle) -> Law:
+        """The min_p law for oracle, built once per run."""
+        b, c = float(self.clf.b), float(self.clf.c)
+        inverse = _inverse(self.metric, oracle)
+        fixed = self.delta_mode is DeltaMode.FIXED_SIGMA
+        taper = self.delta_mode is DeltaMode.TAPER
+        q = float(self.sigma_q if fixed else self.delta)  # sigma_q, or delta
+
+        def steer(x: Array, d: Array) -> tuple[Array, Array]:
+            z = inverse(x, d)
+            if fixed:
+                sigma = q if d.ndim == 1 else np.full(len(d), q)
+            else:
+                budget = q
+                if taper:
+                    # fmin keeps delta against a nan, as Python's min does;
+                    # for one state min is the cheaper of the two
+                    d2 = _dot(d, d)
+                    budget = min(q, d2) if d.ndim == 1 else np.fmin(q, d2)
+                sigma = np.sqrt(budget / _dot(d, z))
+            return _pull(sigma, z), sigma
+
+        def law(x: Array, lam: Array, v: Array) -> ControlResult:
+            d = c * lam + b * v  # grad_v V
+            # where grad_v V vanishes, the control channel has no descent
+            # direction for V: the origin branch. A nan norm is not on it.
+            if d.ndim == 1:
+                if _norm(d) <= _eps(lam, v):
+                    return ControlResult(np.zeros_like(v), "origin", 0.0)
+                u, sigma = steer(x, d)
+                return ControlResult(u, "boundary", float(sigma))
+            boundary = ~(state_norm(d) <= _eps(lam, v))
+            u, sigma = _on_rows(boundary,
+                                lambda take: steer(take(x), take(d)), v)
+            return ControlResult(u, np.where(boundary, "boundary", "origin"),
+                                 sigma)
+
+        return law
+
+
+@dataclass(frozen=True, eq=False)
+class MinPStar:
+    """min_p_star: the least effort that makes lie V = -rate_eta V."""
+
+    clf: ClfParams = DEFAULT_CLF
+    metric: MetricSpec = _EUCLIDEAN
+    rate_eta: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.rate_eta is None or not (self.rate_eta > 0.0):
+            raise ValueError(f"min_p_star needs rate_eta > 0, got "
+                             f"{self.rate_eta}")
+
+    def bind(self, oracle: ObjectiveOracle) -> Law:
+        """The min_p_star law for oracle, built once per run."""
+        p = self.clf
+        a, b, c, eta = map(float, (p.a, p.b, p.c, self.rate_eta))
+        inverse = _inverse(self.metric, oracle)
+        constant = oracle.constant_hessian
+
+        def steer(x: Array, d: Array, gap: Array,
+                  H: Array) -> tuple[Array, Array]:
+            z = inverse(x, d, H)
+            # lie V = drift - sigma * quad = -rho, the rate binds exactly
+            sigma = gap / _dot(d, z)
+            return _pull(sigma, z), sigma
+
+        def law(x: Array, lam: Array, v: Array) -> ControlResult:
+            H = oracle.hessian(x) if constant is None else constant
+            drift = _dot(-(a * lam + c * v), np.matvec(H, v))
+            rho = eta * clf_value(p, lam, v)
+            # where the uncontrolled decay meets the rate, save the effort; a
+            # nan gap needs control, and without authority is infeasible
+            if lam.ndim == 1:
+                drift = float(drift)
+                gap = drift + rho
+                if gap <= 0.0:
+                    return ControlResult(np.zeros_like(v), "inactive", 0.0,
+                                         drift, rho)
+                d = c * lam + b * v  # grad_v V
+                if not _norm(d) > _eps(lam, v):
+                    raise _infeasible(self, oracle, x, lam, v, drift, rho)
+                u, sigma = steer(x, d, gap, H)
+                return ControlResult(u, "active", float(sigma), drift, rho)
+            gap = drift + rho
+            need = ~(gap <= 0.0)
+            d = c * lam + b * v
+
+            def rows_of(
+                    take: Callable[[Array], Array]) -> tuple[Array, Array]:
+                # one Hessian for every row (a quadratic's) is not indexed
+                return steer(take(x), take(d), take(gap),
+                             take(H) if H.ndim == 3 else H)
+
+            stuck = need & ~(state_norm(d) > _eps(lam, v))
+            if stuck.any():
+                k = int(np.argmax(stuck))
+                # the rows before it raise what one-state calls raise
+                _on_rows(need & (np.arange(len(need)) < k), rows_of, v)
+                raise _infeasible(self, oracle, x[k], lam[k], v[k], drift[k],
+                                  rho[k])
+            u, sigma = _on_rows(need, rows_of, v)
+            return ControlResult(u, np.where(need, "active", "inactive"),
+                                 sigma, drift, rho)
+
+        return law
+
+
+@dataclass(frozen=True, eq=False)
+class Direct:
+    """direct: u = gamma_a lambda - gamma_b v - gamma_c hess E(x) v.
+
+    The gains must meet the certificate's stability conditions
+    (validate_direct_gains). The law weights no effort, so it reads no
+    metric; a run still resolves and reports the metric it is given.
+    """
+
+    gamma_a: float
+    gamma_b: float
+    gamma_c: float
+    clf: ClfParams = DEFAULT_CLF
+    metric: MetricSpec = _EUCLIDEAN
+
+    def __post_init__(self) -> None:
+        report = validate_direct_gains(self.clf, self.gamma_a, self.gamma_b,
+                                       self.gamma_c)
+        if not report.holds:
+            raise ValueError("direct gains violate the stability conditions: "
+                             + "; ".join(report.violations))
+
+    def bind(self, oracle: ObjectiveOracle) -> Law:
+        """The direct law for oracle, built once per run."""
+        gamma_a, gamma_b, gamma_c = map(
+            float, (self.gamma_a, self.gamma_b, self.gamma_c))
+        constant = oracle.constant_hessian
+
+        def law(x: Array, lam: Array, v: Array) -> ControlResult:
+            Hv = np.matvec(
+                oracle.hessian(x) if constant is None else constant, v)
+            u = gamma_a * lam - gamma_b * v - gamma_c * Hv
+            return ControlResult(u, "linear" if u.ndim == 1
+                                 else np.full(len(u), "linear"))
+
+        return law
+
+
+ControllerSpec = Union[MinP, MinPStar, Direct]
+
+
 # ---------------------------------------------------------------------------
-# factories
+# named flows
 # ---------------------------------------------------------------------------
-
-
-def min_p_controller(clf: ClfParams = DEFAULT_CLF,
-                     metric: MetricSpec = MetricSpec(MetricKind.EUCLIDEAN),
-                     delta: Optional[float] = 1.0,
-                     delta_mode: DeltaMode = DeltaMode.CONSTANT,
-                     sigma_q: Optional[float] = None) -> ControllerSpec:
-    if delta_mode is DeltaMode.FIXED_SIGMA:
-        delta = None
-    return ControllerSpec(ControllerFamily.MIN_P, clf, metric, delta=delta,
-                          delta_mode=delta_mode, sigma_q=sigma_q)
-
-
-def min_p_star_controller(clf: ClfParams = DEFAULT_CLF,
-                          metric: MetricSpec = MetricSpec(MetricKind.EUCLIDEAN),
-                          rate_eta: float = 1.0) -> ControllerSpec:
-    return ControllerSpec(ControllerFamily.MIN_P_STAR, clf, metric,
-                          rate_eta=rate_eta)
-
-
-def direct_controller(gamma_a: float, gamma_b: float, gamma_c: float,
-                      clf: ClfParams = DEFAULT_CLF) -> ControllerSpec:
-    """Linear feedback: it weights no effort, so its metric is Euclidean."""
-    return ControllerSpec(ControllerFamily.DIRECT, clf,
-                          MetricSpec(MetricKind.EUCLIDEAN),
-                          gains=DirectGains(gamma_a, gamma_b, gamma_c))
 
 
 def momentum_flow_controller(gamma_a: float, gamma_b: float,
-                             metric: MetricSpec) -> ControllerSpec:
+                             metric: MetricSpec) -> MinP:
     """Constant-gain controller realizing v' = -W^{-1}(gamma_a grad E + gamma_b v).
 
     Internally this is min_p in fixed_sigma mode with a certificate built
@@ -229,32 +308,31 @@ def momentum_flow_controller(gamma_a: float, gamma_b: float,
     # sits strictly above c^2 to keep the certificate positive definite
     c = -gamma_a / gamma_b
     clf = ClfParams(a=c * c + 1.0, b=1.0, c=c, pd_hessian_mode=True)
-    return min_p_controller(clf=clf, metric=metric,
-                            delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=gamma_b)
+    return MinP(clf=clf, metric=metric, delta_mode=DeltaMode.FIXED_SIGMA,
+                sigma_q=gamma_b)
 
 
-def polyak_controller(gamma_a: float, gamma_b: float) -> ControllerSpec:
+def polyak_controller(gamma_a: float, gamma_b: float) -> MinP:
     """Heavy-ball flow x'' + gamma_b x' + gamma_a grad E(x) = 0."""
-    return momentum_flow_controller(gamma_a, gamma_b,
-                                    MetricSpec(MetricKind.EUCLIDEAN))
+    return momentum_flow_controller(gamma_a, gamma_b, _EUCLIDEAN)
 
 
 def accelerated_newton_controller(gamma_a: float, gamma_b: float,
-                                  eig_floor: float = 1e-6) -> ControllerSpec:
+                                  eig_floor: float = 1e-6) -> MinP:
     """Newton-damped flow: the momentum flow in the Hessian metric."""
     return momentum_flow_controller(
         gamma_a, gamma_b, MetricSpec(MetricKind.HESSIAN, eig_floor=eig_floor))
 
 
 def quasi_newton_flow_controller(gamma_a: float, gamma_b: float,
-                                 eig_floor: float = 1e-6) -> ControllerSpec:
+                                 eig_floor: float = 1e-6) -> MinP:
     """Momentum flow in a quasi-Newton metric updated along the trajectory."""
     return momentum_flow_controller(
         gamma_a, gamma_b, MetricSpec(MetricKind.QUASI_NEWTON, eig_floor=eig_floor))
 
 
 def nesterov_flow_controller(gamma_a: float,
-                             clf: ClfParams = DEFAULT_CLF) -> ControllerSpec:
+                             clf: ClfParams = DEFAULT_CLF) -> Direct:
     """Gradient-corrected momentum flow via the direct family.
 
     Given the certificate, one free gain magnitude remains; gamma_b and
@@ -267,7 +345,7 @@ def nesterov_flow_controller(gamma_a: float,
         raise ValueError("nesterov_flow_controller needs a certificate with c < 0")
     gamma_b = -clf.b * gamma_a / clf.c
     gamma_c = -clf.a / clf.c
-    return direct_controller(gamma_a, gamma_b, gamma_c, clf=clf)
+    return Direct(gamma_a, gamma_b, gamma_c, clf=clf)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +403,6 @@ def validate_direct_gains(clf: ClfParams, gamma_a: float, gamma_b: float,
 # ---------------------------------------------------------------------------
 # pointwise control laws
 # ---------------------------------------------------------------------------
-
-Law = Callable[[Array, Array, Array], ControlResult]
 
 
 def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
@@ -406,98 +482,7 @@ def _pull(sigma: Union[float, Array], z: Array) -> Array:
     return -(sigma[:, None] if z.ndim == 2 else sigma) * z
 
 
-def _min_p(spec: ControllerSpec, oracle: ObjectiveOracle) -> Law:
-    b, c = float(spec.clf.b), float(spec.clf.c)
-    inverse = _inverse(spec.metric, oracle)
-    fixed = spec.delta_mode is DeltaMode.FIXED_SIGMA
-    taper = spec.delta_mode is DeltaMode.TAPER
-    q = float(spec.sigma_q if fixed else spec.delta)  # sigma_q, or delta
-
-    def steer(x: Array, d: Array) -> tuple[Array, Array]:
-        z = inverse(x, d)
-        if fixed:
-            sigma = q if d.ndim == 1 else np.full(len(d), q)
-        else:
-            budget = q
-            if taper:
-                # fmin keeps delta against a nan, as Python's min does;
-                # for one state min is the cheaper of the two
-                d2 = _dot(d, d)
-                budget = min(q, d2) if d.ndim == 1 else np.fmin(q, d2)
-            sigma = np.sqrt(budget / _dot(d, z))
-        return _pull(sigma, z), sigma
-
-    def law(x: Array, lam: Array, v: Array) -> ControlResult:
-        d = c * lam + b * v  # grad_v V
-        # where grad_v V vanishes, the control channel has no descent
-        # direction for V: the origin branch. A nan norm is not on it.
-        if d.ndim == 1:
-            if _norm(d) <= _eps(lam, v):
-                return ControlResult(np.zeros_like(v), "origin", 0.0)
-            u, sigma = steer(x, d)
-            return ControlResult(u, "boundary", float(sigma))
-        boundary = ~(state_norm(d) <= _eps(lam, v))
-        u, sigma = _on_rows(boundary, lambda take: steer(take(x), take(d)), v)
-        return ControlResult(u, np.where(boundary, "boundary", "origin"),
-                             sigma)
-
-    return law
-
-
-def _min_p_star(spec: ControllerSpec, oracle: ObjectiveOracle) -> Law:
-    p = spec.clf
-    a, b, c, eta = map(float, (p.a, p.b, p.c, spec.rate_eta))
-    inverse = _inverse(spec.metric, oracle)
-    constant = oracle.constant_hessian
-
-    def steer(x: Array, d: Array, gap: Array,
-              H: Array) -> tuple[Array, Array]:
-        z = inverse(x, d, H)
-        # lie V = drift - sigma * quad = -rho, the rate binds exactly
-        sigma = gap / _dot(d, z)
-        return _pull(sigma, z), sigma
-
-    def law(x: Array, lam: Array, v: Array) -> ControlResult:
-        H = oracle.hessian(x) if constant is None else constant
-        drift = _dot(-(a * lam + c * v), np.matvec(H, v))
-        rho = eta * clf_value(p, lam, v)
-        # where the uncontrolled decay meets the rate, save the effort; a
-        # nan gap needs control, and without authority is infeasible
-        if lam.ndim == 1:
-            drift = float(drift)
-            gap = drift + rho
-            if gap <= 0.0:
-                return ControlResult(np.zeros_like(v), "inactive", 0.0,
-                                     drift, rho)
-            d = c * lam + b * v  # grad_v V
-            if not _norm(d) > _eps(lam, v):
-                raise _infeasible(spec, oracle, x, lam, v, drift, rho)
-            u, sigma = steer(x, d, gap, H)
-            return ControlResult(u, "active", float(sigma), drift, rho)
-        gap = drift + rho
-        need = ~(gap <= 0.0)
-        d = c * lam + b * v
-
-        def rows_of(take: Callable[[Array], Array]) -> tuple[Array, Array]:
-            # one Hessian for every row (a quadratic's) is not indexed
-            return steer(take(x), take(d), take(gap),
-                         take(H) if H.ndim == 3 else H)
-
-        stuck = need & ~(state_norm(d) > _eps(lam, v))
-        if stuck.any():
-            k = int(np.argmax(stuck))
-            # the rows before it raise what they raise one state at a time
-            _on_rows(need & (np.arange(len(need)) < k), rows_of, v)
-            raise _infeasible(spec, oracle, x[k], lam[k], v[k], drift[k],
-                              rho[k])
-        u, sigma = _on_rows(need, rows_of, v)
-        return ControlResult(u, np.where(need, "active", "inactive"), sigma,
-                             drift, rho)
-
-    return law
-
-
-def _infeasible(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
+def _infeasible(spec: MinPStar, oracle: ObjectiveOracle, x: Array,
                 lam: Array, vv: Array, drift: float,
                 rho: float) -> InfeasibleStateError:
     """The error for one state that needs control and has no authority."""
@@ -511,22 +496,3 @@ def _infeasible(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     return InfeasibleStateError(
         "min_p_star has no control authority on grad_v V = 0 and " + detail,
         report)
-
-
-def _direct(spec: ControllerSpec, oracle: ObjectiveOracle) -> Law:
-    g = spec.gains
-    gamma_a, gamma_b, gamma_c = map(float, (g.gamma_a, g.gamma_b, g.gamma_c))
-    constant = oracle.constant_hessian
-
-    def law(x: Array, lam: Array, v: Array) -> ControlResult:
-        Hv = np.matvec(oracle.hessian(x) if constant is None else constant, v)
-        u = gamma_a * lam - gamma_b * v - gamma_c * Hv
-        return ControlResult(u, "linear" if u.ndim == 1
-                             else np.full(len(u), "linear"))
-
-    return law
-
-
-_BINDERS = {ControllerFamily.MIN_P: _min_p,
-            ControllerFamily.MIN_P_STAR: _min_p_star,
-            ControllerFamily.DIRECT: _direct}

@@ -121,9 +121,9 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     Hessian is floored once per run. Quasi-Newton metrics are updated
     once per completed step from the observed (step, gradient change)
     pair; stage evaluations within a step all see the matrix from the
-    step's start. The law is bound (ControllerSpec.bind) after the metric
-    is resolved and after each quasi-Newton update; only state0 goes
-    through the checked evaluate_control.
+    step's start. The law is bound (spec.bind) after the metric is
+    resolved and after each quasi-Newton update; only state0 goes through
+    the checked evaluate_control.
 
     The control at each accepted state is evaluated once, after that
     state's metric update, and shared: its row records it, and the next
@@ -346,7 +346,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         "method": method.value,
         "h": h,
         "t_max": t_max,
-        "controller": spec.family.value,
         "metric": spec.metric.kind.value,
         "dim": n,
         "tol_g": stop.tol_g,

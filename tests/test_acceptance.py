@@ -10,11 +10,11 @@ import numpy as np
 
 from accelflow.clf import DEFAULT_CLF, ClfParams, drift_condition_check, lie_derivative
 from accelflow.control import (
+    MinP,
+    MinPStar,
     accelerated_newton_controller,
     evaluate_control,
     gains_from_sigma,
-    min_p_controller,
-    min_p_star_controller,
     nesterov_flow_controller,
     polyak_controller,
     quasi_newton_flow_controller,
@@ -124,7 +124,7 @@ def test_budget_constraint_is_active_for_every_metric():
     delta = 1.0
     worst_by_metric = {}
     for name, metric in all_metrics(quad.oracle, rng).items():
-        spec = min_p_controller(metric=metric, delta=delta)
+        spec = MinP(metric=metric, delta=delta)
         worst = 0.0
         n_boundary = 0
         for _ in range(10_000):
@@ -149,7 +149,7 @@ def test_budget_constraint_is_active_for_every_metric():
 def test_rate_controller_puts_decay_exactly_at_target():
     quad = random_quadratic(6, 10.0, seed=5)
     rng = np.random.default_rng(4)
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     worst_active = 0.0
     worst_inactive = -np.inf
     n_active = n_inactive = 0
@@ -180,9 +180,9 @@ def test_min_principle_controls_reduce_to_linear_feedback():
     worst = 0.0
     worst_at = ""
     for name, metric in all_metrics(quad.oracle, rng).items():
-        controllers = (("min_p", min_p_controller(metric=metric, delta=1.0)),
+        controllers = (("min_p", MinP(metric=metric, delta=1.0)),
                        ("min_p_star",
-                        min_p_star_controller(metric=metric, rate_eta=1.0)))
+                        MinPStar(metric=metric, rate_eta=1.0)))
         for label, spec in controllers:
             for _ in range(1_000):
                 x = rng.uniform(-1.0, 1.0, 6)
@@ -205,7 +205,7 @@ def test_min_principle_controls_reduce_to_linear_feedback():
 
 def test_rate_certificate_holds_along_the_flow():
     quad = random_quadratic(10, 100.0, seed=3)
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     record = integrate(spec, quad.oracle,
                        initial_state(quad.oracle, quad.x0), 1e-3, 20.0,
                        stop=StoppingRule(tol_g=1e-12, tol_v=1e-12))

@@ -495,6 +495,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{field}:" in err[0]
 
+    @pytest.mark.parametrize("field, value, method", [
+        ("eta", 0, {"controller": "min_p_star"}),
+        ("delta", -1, {"controller": "min_p"}),
+        ("sigma_q", 0, {"controller": "min_p", "delta_mode": "fixed_sigma"}),
+    ], ids=["eta", "delta", "sigma_q"])
+    def test_a_nonpositive_coefficient_exits_two_naming_its_field(
+            self, tmp_path, capsys, field, value, method):
+        data = flow_data(tmp_path / "run", **method, **{field: value})
+        assert main(["run", write_config(tmp_path, "bad.yaml", data)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: method.{field}: must be positive, got "
+            f"{float(value)}"]
+
     def test_an_overflowing_step_count_exits_two_naming_t_max(self, tmp_path,
                                                              capsys):
         # t_max / h overflows to inf: no step count, so no run

@@ -17,7 +17,7 @@ from accelflow.config import (
 )
 from accelflow.cli import _run_flow, main
 from accelflow.control import (
-    ControllerFamily,
+    MinPStar,
     accelerated_newton_controller,
     polyak_controller,
     quasi_newton_flow_controller,
@@ -153,7 +153,7 @@ class TestFlowMethodBlock:
         spec = parse_config(
             flow_config(controller="min_p_star", eta=2.0)).method \
             .build_controller()
-        assert spec.family is ControllerFamily.MIN_P_STAR
+        assert isinstance(spec, MinPStar)
         assert spec.rate_eta == 2.0
 
     def test_enum_converters(self):

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from accelflow import metric
 from accelflow.clf import DEFAULT_CLF, drift_condition_check, lie_derivative
 from accelflow.control import (
+    MinPStar,
     accelerated_newton_controller,
     evaluate_control,
-    min_p_star_controller,
     nesterov_flow_controller,
     polyak_controller,
     quasi_newton_flow_controller,
@@ -102,8 +102,8 @@ def test_the_constant_hessian_gives_the_bits_of_the_hessian_call(case):
         exact_line_search_alpha(called, 0, x, -lam, lam)
     # a law under the once-floored W, against today's floor per call
     for spec in (nesterov_flow_controller(2.0),
-                 min_p_star_controller(rate_eta=1.0),
-                 min_p_star_controller(
+                 MinPStar(rate_eta=1.0),
+                 MinPStar(
                      metric=MetricSpec(MetricKind.HESSIAN, eig_floor=floor),
                      rate_eta=1.0),
                  accelerated_newton_controller(2.0, 2.0, eig_floor=floor)):
@@ -154,7 +154,7 @@ def counts(monkeypatch):
 
 HESSIAN_FLOWS = {
     "accel_newton": accelerated_newton_controller(2.0, 2.0),
-    "min_p_star": min_p_star_controller(
+    "min_p_star": MinPStar(
         metric=MetricSpec(MetricKind.HESSIAN), rate_eta=1.0),
 }
 

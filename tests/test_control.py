@@ -11,17 +11,14 @@ from accelflow.clf import (
     lie_derivative,
 )
 from accelflow.control import (
-    ControllerFamily,
-    ControllerSpec,
     DeltaMode,
-    DirectGains,
+    Direct,
     InfeasibleStateError,
+    MinP,
+    MinPStar,
     accelerated_newton_controller,
-    direct_controller,
     evaluate_control,
     gains_from_sigma,
-    min_p_controller,
-    min_p_star_controller,
     momentum_flow_controller,
     nesterov_flow_controller,
     polyak_controller,
@@ -45,22 +42,52 @@ Q2 = quadratic_problem(np.array([[2.0]])).oracle
 
 def test_family_parameter_blocks_are_exclusive():
     with pytest.raises(ValueError, match="delta > 0"):
-        min_p_controller(delta=0.0)
+        MinP(delta=0.0)
     with pytest.raises(ValueError, match="sigma_q > 0"):
-        min_p_controller(delta_mode=DeltaMode.FIXED_SIGMA)
+        MinP(delta_mode=DeltaMode.FIXED_SIGMA)
     with pytest.raises(ValueError, match="sigma_q only applies"):
-        min_p_controller(delta=1.0, sigma_q=2.0)
+        MinP(delta=1.0, sigma_q=2.0)
     with pytest.raises(ValueError, match="rate_eta > 0"):
-        min_p_star_controller(rate_eta=-1.0)
-    with pytest.raises(ValueError, match="does not belong"):
-        ControllerSpec(ControllerFamily.MIN_P, DEFAULT_CLF, EUCLID,
-                       delta=1.0, rate_eta=1.0)
-    with pytest.raises(ValueError, match="needs gains"):
-        ControllerSpec(ControllerFamily.DIRECT, DEFAULT_CLF, EUCLID)
+        MinPStar(rate_eta=-1.0)
+
+
+#: each family type with arguments that build it, one that leaves out a
+#: field it requires, and the error that refuses that
+FAMILY_TYPES = {
+    MinP: ({}, {"delta_mode": DeltaMode.FIXED_SIGMA},
+           (ValueError, "sigma_q > 0")),
+    MinPStar: ({}, {"rate_eta": None}, (ValueError, "rate_eta > 0")),
+    Direct: ({"gamma_a": 1.0, "gamma_b": 1.0, "gamma_c": 2.0},
+             {"gamma_a": 1.0, "gamma_b": 1.0},
+             (TypeError, "missing 1 required positional argument: "
+                         "'gamma_c'")),
+}
+FAMILY_PARAMETERS = {f.name for family in FAMILY_TYPES
+                     for f in dataclasses.fields(family)}
+
+
+@pytest.mark.parametrize("family", FAMILY_TYPES,
+                         ids=lambda family: family.__name__)
+def test_each_family_type_holds_only_its_own_parameters(family):
+    args, missing, (error, message) = FAMILY_TYPES[family]
+    own = {f.name for f in dataclasses.fields(family)}
+    for name in sorted(FAMILY_PARAMETERS - own):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument "
+                                            f"'{name}'"):
+            family(**args, **{name: 1.0})
+    with pytest.raises(error, match=message):
+        family(**missing)
+    # integrate rebinds after each quasi-Newton update on such a copy
+    spec = family(**args)
+    qn = MetricSpec(MetricKind.QUASI_NEWTON)
+    copy = dataclasses.replace(spec, metric=qn)
+    assert type(copy) is family and copy.metric is qn
+    assert all(getattr(copy, name) == getattr(spec, name)
+               for name in own - {"metric"})
 
 
 def test_state_shapes_are_checked():
-    spec = min_p_controller()
+    spec = MinP()
     with pytest.raises(ValueError, match="x has shape"):
         evaluate_control(spec, Q2, np.zeros(2), np.ones(1), np.ones(1))
     with pytest.raises(ValueError, match="v has shape"):
@@ -75,7 +102,7 @@ def test_state_shapes_are_checked():
 def test_min_p_euclidean_hand_case():
     # grad_v V = v = (3, 4) at lambda = 0, so u is the unit-budget pullback
     oracle = quadratic_problem(np.eye(2)).oracle
-    spec = min_p_controller(delta=1.0)
+    spec = MinP(delta=1.0)
     res = evaluate_control(spec, oracle, np.zeros(2), np.zeros(2),
                            np.array([3.0, 4.0]))
     np.testing.assert_allclose(res.u, [-0.6, -0.8])
@@ -86,7 +113,7 @@ def test_min_p_euclidean_hand_case():
 def test_min_p_weighted_hand_case():
     # W = [[4]] via the Hessian metric of E = 2 x^2
     oracle = quadratic_problem(np.array([[4.0]])).oracle
-    spec = min_p_controller(metric=MetricSpec(MetricKind.HESSIAN), delta=1.0)
+    spec = MinP(metric=MetricSpec(MetricKind.HESSIAN), delta=1.0)
     res = evaluate_control(spec, oracle, np.zeros(1), np.zeros(1), np.array([2.0]))
     np.testing.assert_allclose(res.u, [-0.5])
     u = res.u
@@ -94,7 +121,7 @@ def test_min_p_weighted_hand_case():
 
 
 def test_min_p_zero_gradient_branch():
-    spec = min_p_controller()
+    spec = MinP()
     res = evaluate_control(spec, Q2, np.zeros(1), np.zeros(1), np.zeros(1))
     np.testing.assert_array_equal(res.u, [0.0])
     assert res.branch == "origin"
@@ -108,10 +135,10 @@ def test_min_p_boundary_activity_random_states():
     oracle = random_quadratic(4, kappa=30.0, seed=3).oracle
     B = np.linalg.inv(oracle.hessian(np.zeros(4))) + 0.5 * np.eye(4)
     specs = [
-        min_p_controller(delta=0.7),
-        min_p_controller(metric=MetricSpec(MetricKind.HESSIAN), delta=0.7),
-        min_p_controller(metric=MetricSpec(MetricKind.QUASI_NEWTON, qn_state=B),
-                         delta=0.7),
+        MinP(delta=0.7),
+        MinP(metric=MetricSpec(MetricKind.HESSIAN), delta=0.7),
+        MinP(metric=MetricSpec(MetricKind.QUASI_NEWTON, qn_state=B),
+             delta=0.7),
     ]
     for spec in specs:
         for _ in range(100):
@@ -127,7 +154,7 @@ def test_min_p_boundary_activity_random_states():
 
 def test_min_p_taper_winds_down_near_target():
     oracle = quadratic_problem(np.eye(2)).oracle
-    spec = min_p_controller(delta=1.0, delta_mode=DeltaMode.TAPER)
+    spec = MinP(delta=1.0, delta_mode=DeltaMode.TAPER)
     v = np.array([0.1, 0.0])  # |grad_v V|^2 = 0.01 < delta
     res = evaluate_control(spec, oracle, np.zeros(2), np.zeros(2), v)
     assert res.u @ res.u == pytest.approx(0.01, rel=1e-10)
@@ -147,12 +174,12 @@ def test_identity_metric_control_matches_the_solve():
     oracle = random_quadratic(n, kappa=30.0, seed=3).oracle
     qn_fresh = MetricSpec(MetricKind.QUASI_NEWTON)
     specs = [
-        min_p_controller(delta=0.7),
-        min_p_controller(delta=0.7, delta_mode=DeltaMode.TAPER),
-        min_p_controller(delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=1.3),
-        min_p_star_controller(rate_eta=50.0),
-        min_p_controller(metric=qn_fresh, delta=0.7),
-        min_p_star_controller(metric=qn_fresh, rate_eta=50.0),
+        MinP(delta=0.7),
+        MinP(delta=0.7, delta_mode=DeltaMode.TAPER),
+        MinP(delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=1.3),
+        MinPStar(rate_eta=50.0),
+        MinP(metric=qn_fresh, delta=0.7),
+        MinPStar(metric=qn_fresh, rate_eta=50.0),
     ]
     rng = np.random.default_rng(11)
     generic = [tuple(rng.standard_normal((3, n))) for _ in range(20)]
@@ -190,7 +217,7 @@ def test_identity_metric_control_matches_the_solve():
 def test_min_p_star_active_hand_case():
     # at lambda = -1, v = 1 on E = x^2: V = 2.5, drift = 6, grad_v V = 2;
     # with eta = 0.4 the rate rho = 1 binds and sigma = (1 + 6)/4
-    spec = min_p_star_controller(rate_eta=0.4)
+    spec = MinPStar(rate_eta=0.4)
     res = evaluate_control(spec, Q2, np.zeros(1), np.array([-1.0]), np.array([1.0]))
     assert res.branch == "active"
     assert res.sigma == pytest.approx(1.75)
@@ -203,7 +230,7 @@ def test_min_p_star_active_hand_case():
 
 def test_min_p_star_inactive_branch():
     # lambda = v = 1 makes the drift strictly dissipative: no control needed
-    spec = min_p_star_controller(rate_eta=0.4)
+    spec = MinPStar(rate_eta=0.4)
     res = evaluate_control(spec, Q2, np.zeros(1), np.array([1.0]), np.array([1.0]))
     assert res.branch == "inactive"
     np.testing.assert_array_equal(res.u, [0.0])
@@ -216,7 +243,7 @@ def test_min_p_star_inactive_branch():
 def test_min_p_star_exactness_random_states():
     rng = np.random.default_rng(4)
     oracle = random_quadratic(3, kappa=10.0, seed=5).oracle
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     saw_active = saw_inactive = False
     for _ in range(200):
         x = rng.standard_normal(3)
@@ -245,8 +272,7 @@ def test_hessian_metric_min_p_star_takes_one_hessian_per_evaluation():
 
     oracle = dataclasses.replace(prob.oracle, hessian=hessian,
                                  constant_hessian=None)
-    spec = min_p_star_controller(metric=MetricSpec(MetricKind.HESSIAN),
-                                 rate_eta=1.0)
+    spec = MinPStar(metric=MetricSpec(MetricKind.HESSIAN), rate_eta=1.0)
     x = prob.x0
     res = evaluate_control(spec, oracle, x, -oracle.gradient(x), np.zeros(4))
     assert res.branch == "active"
@@ -266,7 +292,7 @@ def test_a_nan_quasi_newton_state_is_rejected():
 
 
 def test_min_p_star_equilibrium_is_inactive():
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     res = evaluate_control(spec, Q2, np.zeros(1), np.zeros(1), np.zeros(1))
     assert res.branch == "inactive"
     np.testing.assert_array_equal(res.u, [0.0])
@@ -276,7 +302,7 @@ def test_min_p_star_infeasible_rate_raises():
     # on grad_v V = 0 the drift decays like -v.Hv; with eta above twice the
     # smallest Hessian eigenvalue the requested rate cannot be met there
     oracle = quadratic_problem(np.array([[1.0]])).oracle
-    spec = min_p_star_controller(rate_eta=3.0)
+    spec = MinPStar(rate_eta=3.0)
     with pytest.raises(InfeasibleStateError, match="slower than the requested"):
         evaluate_control(spec, oracle, np.zeros(1), np.array([1.0]), np.array([1.0]))
 
@@ -285,7 +311,7 @@ def test_min_p_star_infeasible_drift_raises():
     # negative curvature direction on the zero-authority set: the drift
     # condition itself fails, and the report says so
     oracle = rosenbrock_problem().oracle
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     x = np.array([0.0, 1.0])  # hessian diag(-398, 200)
     v = np.array([1.0, 0.0])
     with pytest.raises(InfeasibleStateError, match="drift condition fails") as ei:
@@ -315,8 +341,8 @@ def test_min_p_fixed_sigma_matches_momentum_form():
     oracle = random_quadratic(5, kappa=40.0, seed=7).oracle
     rng = np.random.default_rng(8)
     for metric in _metrics_for(oracle):
-        spec = min_p_controller(metric=metric,
-                                delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=1.3)
+        spec = MinP(metric=metric, delta_mode=DeltaMode.FIXED_SIGMA,
+                    sigma_q=1.3)
         ga, gb = gains_from_sigma(spec.clf, 1.3)
         for _ in range(50):
             x = rng.standard_normal(5)
@@ -333,7 +359,7 @@ def test_min_p_star_active_matches_momentum_form():
     oracle = random_quadratic(5, kappa=40.0, seed=9).oracle
     rng = np.random.default_rng(10)
     for metric in _metrics_for(oracle):
-        spec = min_p_star_controller(metric=metric, rate_eta=1.0)
+        spec = MinPStar(metric=metric, rate_eta=1.0)
         for _ in range(50):
             x = rng.standard_normal(5)
             v = rng.standard_normal(5)
@@ -400,7 +426,7 @@ def test_validate_direct_gains_needs_negative_c():
 
 
 def test_direct_hand_cases():
-    spec = direct_controller(1.0, 1.0, 2.0)
+    spec = Direct(1.0, 1.0, 2.0)
     u = evaluate_control(spec, Q2, np.zeros(1), np.array([-1.0]),
                          np.zeros(1)).u
     np.testing.assert_allclose(u, [-1.0])
@@ -411,13 +437,7 @@ def test_direct_hand_cases():
 
 def test_direct_rejects_bad_gains():
     with pytest.raises(ValueError, match="stability conditions"):
-        direct_controller(1.0, 1.0, 7.0)
-
-
-def test_direct_spec_requires_gains_object():
-    spec = ControllerSpec(ControllerFamily.DIRECT, DEFAULT_CLF, EUCLID,
-                          gains=DirectGains(2.0, 2.0, 2.0))
-    assert spec.gains.gamma_a == 2.0
+        Direct(1.0, 1.0, 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +467,6 @@ def test_named_flow_factories_pick_metrics():
     assert polyak_controller(1.0, 1.0).metric.kind is MetricKind.EUCLIDEAN
     assert accelerated_newton_controller(1.0, 1.0).metric.kind is MetricKind.HESSIAN
     spec = nesterov_flow_controller(1.0)
-    assert spec.family is ControllerFamily.DIRECT
-    assert (spec.gains.gamma_a, spec.gains.gamma_b, spec.gains.gamma_c) == \
+    assert isinstance(spec, Direct)
+    assert (spec.gamma_a, spec.gamma_b, spec.gamma_c) == \
         pytest.approx((1.0, 1.0, 2.0))

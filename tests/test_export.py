@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from accelflow.control import min_p_star_controller, polyak_controller
+from accelflow.control import MinPStar, polyak_controller
 from accelflow.discrete import (
     IterateSequence,
     cg_iterate,
@@ -48,7 +48,7 @@ def quad():
 
 @pytest.fixture(scope="module")
 def reduced_record(quad):
-    spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
+    spec = MinPStar(rate_eta=1.0, metric=EUCLID)
     state0 = initial_state(quad.oracle, quad.x0)
     return integrate(spec, quad.oracle, state0, 1e-3, 12.0)
 
@@ -153,7 +153,7 @@ class TestRecordReconstruction:
                                                  tmp_path):
         path = str(tmp_path / "traj.csv")
         write_trajectory_csv(reduced_record, path)
-        spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
+        spec = MinPStar(rate_eta=1.0, metric=EUCLID)
         rebuilt = trajectory_from_arrays(read_trajectory_csv(path),
                                          quad.oracle, spec,
                                          dict(reduced_record.meta))
@@ -177,7 +177,7 @@ class TestRecordReconstruction:
             return quad.oracle.gradient(x)
 
         oracle = dataclasses.replace(quad.oracle, gradient=gradient)
-        spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
+        spec = MinPStar(rate_eta=1.0, metric=EUCLID)
         rebuilt = trajectory_from_arrays(read_trajectory_csv(path), oracle,
                                          spec, dict(reduced_record.meta))
         assert isinstance(rebuilt.columns, dict)
@@ -188,7 +188,7 @@ class TestRecordReconstruction:
             assert np.array_equal(new["u"][k], old["u"][k])
 
     def test_convergence_flags_recovered(self, quad, tmp_path):
-        spec = min_p_star_controller(rate_eta=1.0, metric=EUCLID)
+        spec = MinPStar(rate_eta=1.0, metric=EUCLID)
         state0 = initial_state(quad.oracle, quad.x0)
         record = integrate(spec, quad.oracle, state0, 1e-2, 40.0)
         assert record.converged
@@ -216,7 +216,7 @@ class TestRecordReconstruction:
 
 class TestTable:
     @pytest.mark.parametrize("which,spec", [
-        ("reduced", min_p_star_controller(rate_eta=1.0, metric=EUCLID)),
+        ("reduced", MinPStar(rate_eta=1.0, metric=EUCLID)),
         ("full", polyak_controller(2.0, 2.0)),
     ])
     def test_write_read_rebuild_gives_the_columns_bit_for_bit(

@@ -9,14 +9,12 @@ from accelflow import flow
 from accelflow.clf import clf_value, lie_derivative
 from accelflow.export import flow_summary
 from accelflow.control import (
-    ControllerFamily,
-    ControllerSpec,
     DeltaMode,
+    Direct,
     InfeasibleStateError,
+    MinP,
+    MinPStar,
     accelerated_newton_controller,
-    direct_controller,
-    min_p_controller,
-    min_p_star_controller,
     nesterov_flow_controller,
     polyak_controller,
     quasi_newton_flow_controller,
@@ -76,7 +74,7 @@ def test_rhs_hand_case():
     # E = x^2 at x = 3, v = 1: g = 6, H = 2; the direct law gives
     # u = -6 - 1 - 2 * 2 = -11, and h = 0.5 keeps every product exact
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
-    start, s1 = one_step(direct_controller(1.0, 1.0, 2.0), s, 0.5)
+    start, s1 = one_step(Direct(1.0, 1.0, 2.0), s, 0.5)
     np.testing.assert_array_equal(start.u, [-11.0])
     np.testing.assert_array_equal(s1.v, [1.0 - 0.5 * 11.0])          # dv = u
     np.testing.assert_array_equal(s1.x, [3.0 + 0.5 * s1.v[0]])       # dx = v
@@ -89,8 +87,7 @@ def test_rhs_hand_case():
 def test_rhs_equilibrium_is_stationary():
     s = initial_state(Q2.oracle, np.zeros(1))
     for method in Integrator:
-        for spec in (direct_controller(1.0, 1.0, 2.0), min_p_controller(),
-                     min_p_star_controller()):
+        for spec in (Direct(1.0, 1.0, 2.0), MinP(), MinPStar()):
             start, s1 = one_step(spec, s, 0.1, method=method)
             for part in (start.u, s1.x, s1.v, s1.lambda_x, s1.lambda_v):
                 np.testing.assert_array_equal(part, [0.0])
@@ -100,7 +97,7 @@ def test_rhs_equilibrium_is_stationary():
 def test_rhs_full_mode_lambda_v_identity():
     # with lambda_x = -grad E exactly, the lambda_v equation reads zero
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
-    _, s1 = one_step(min_p_controller(), s, 0.5)
+    _, s1 = one_step(MinP(), s, 0.5)
     np.testing.assert_allclose(s1.lambda_v, [0.0], atol=1e-15)
 
 
@@ -108,7 +105,7 @@ def test_terminal_residuals_hand_case():
     # one exact step of the hand case above: x1 = 0.75, v1 = -4.5, and
     # lambda_x1 = -1.5 = -grad E(x1)
     s = initial_state(Q2.oracle, np.array([3.0]), v0=np.array([1.0]))
-    rec = integrate(direct_controller(1.0, 1.0, 2.0), Q2.oracle, s, h=0.5,
+    rec = integrate(Direct(1.0, 1.0, 2.0), Q2.oracle, s, h=0.5,
                     t_max=0.5, method=Integrator.SEMI_IMPLICIT_EULER,
                     mode=FlowMode.FULL_PRIMAL_DUAL, stop=RUN_FOREVER)
     final = flow_summary(rec, "hand")["final"]
@@ -117,7 +114,7 @@ def test_terminal_residuals_hand_case():
     assert final["v_norm"] == pytest.approx(4.5)
     assert final["lambda_v_norm"] == 0.0
     at_target = initial_state(Q2.oracle, np.zeros(1))
-    rec = integrate(min_p_controller(), Q2.oracle, at_target, h=0.5,
+    rec = integrate(MinP(), Q2.oracle, at_target, h=0.5,
                     t_max=0.5)
     final = flow_summary(rec, "target")["final"]
     assert (final["grad_norm"], final["v_norm"], final["lambda_x_norm"],
@@ -126,7 +123,7 @@ def test_terminal_residuals_hand_case():
 
 def test_integrate_equilibrium_stops_immediately():
     s = initial_state(Q2.oracle, np.zeros(1))
-    rec = integrate(min_p_controller(), Q2.oracle, s, h=1e-2, t_max=1.0)
+    rec = integrate(MinP(), Q2.oracle, s, h=1e-2, t_max=1.0)
     assert rec.converged and not rec.diverged
     assert len(rec.columns["t"]) == 1
     assert rec.columns["t"][0] == 0.0
@@ -140,7 +137,7 @@ def _direct_closed_form(t):
 
 
 def test_direct_flow_matches_closed_form():
-    spec = direct_controller(1.0, 1.0, 2.0)
+    spec = Direct(1.0, 1.0, 2.0)
     s0 = initial_state(Q2.oracle, np.array([3.0]))
     rec = integrate(spec, Q2.oracle, s0, h=1e-3, t_max=1e3)
     assert rec.converged and not rec.diverged
@@ -256,11 +253,11 @@ def test_divergence_flagged_and_truncated():
 def test_integrate_validates_arguments():
     s0 = initial_state(Q2.oracle, np.array([3.0]))
     with pytest.raises(ValueError, match="step size"):
-        integrate(min_p_controller(), Q2.oracle, s0, h=0.0, t_max=1.0)
+        integrate(MinP(), Q2.oracle, s0, h=0.0, t_max=1.0)
     with pytest.raises(ValueError, match="t_max"):
-        integrate(min_p_controller(), Q2.oracle, s0, h=0.1, t_max=0.01)
+        integrate(MinP(), Q2.oracle, s0, h=0.1, t_max=0.01)
     with pytest.raises(ValueError, match="record_stride"):
-        integrate(min_p_controller(), Q2.oracle, s0, h=0.1, t_max=1.0,
+        integrate(MinP(), Q2.oracle, s0, h=0.1, t_max=1.0,
                   record_stride=0)
 
 
@@ -367,7 +364,7 @@ def test_infeasible_rate_propagates():
     # over
     prob = quadratic_problem(np.array([[1.0]]))
     s0 = initial_state(prob.oracle, np.array([1.0]), v0=np.array([-1.0]))
-    spec = min_p_star_controller(rate_eta=3.0)
+    spec = MinPStar(rate_eta=3.0)
     with pytest.raises(InfeasibleStateError):
         integrate(spec, prob.oracle, s0, h=1e-3, t_max=1.0)
 
@@ -375,7 +372,7 @@ def test_infeasible_rate_propagates():
 def test_min_p_star_certificate_decays_at_rate():
     prob = random_quadratic(6, kappa=10.0, seed=3)
     s0 = initial_state(prob.oracle, prob.x0)
-    rec = integrate(min_p_star_controller(rate_eta=1.0), prob.oracle, s0,
+    rec = integrate(MinPStar(rate_eta=1.0), prob.oracle, s0,
                     h=1e-3, t_max=5.0, stop=RUN_FOREVER, record_stride=20)
     arr = rec.columns
     bound = arr["V"][0] * np.exp(-arr["t"]) * (1.0 + 1e-6)
@@ -416,7 +413,7 @@ def test_full_mode_reduced_mode_same_primal():
     specs = [polyak_controller(2.0, 2.0), nesterov_flow_controller(2.0),
              accelerated_newton_controller(2.0, 2.0),
              quasi_newton_flow_controller(2.0, 2.0),
-             min_p_star_controller(rate_eta=0.5)]
+             MinPStar(rate_eta=0.5)]
     for spec in specs:
         for method in Integrator:
             kw = dict(h=1e-2, t_max=2.0, method=method, stop=RUN_FOREVER,
@@ -433,9 +430,9 @@ def test_rk4_evaluates_the_control_four_times_per_step(mode, monkeypatch):
     # the control at each accepted state feeds its sample and the next
     # step's first stage, so a step adds only its three inner stages;
     # every evaluation, the checked one at the start included, is a call
-    # of a law that ControllerSpec.bind made
+    # of a law that MinP.bind made (polyak is min_p at a fixed sigma)
     calls = []
-    bind = ControllerSpec.bind
+    bind = MinP.bind
 
     def counting_bind(spec, oracle):
         law = bind(spec, oracle)
@@ -445,7 +442,7 @@ def test_rk4_evaluates_the_control_four_times_per_step(mode, monkeypatch):
             return law(*args)
         return counting
 
-    monkeypatch.setattr(ControllerSpec, "bind", counting_bind)
+    monkeypatch.setattr(MinP, "bind", counting_bind)
     prob = random_quadratic(4, kappa=5.0, seed=2)
     s0 = initial_state(prob.oracle, prob.x0)
     rec = integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-2,
@@ -454,7 +451,7 @@ def test_rk4_evaluates_the_control_four_times_per_step(mode, monkeypatch):
     assert len(calls) == 4 * 50 + 1
 
 
-HESSIAN_MIN_P_STAR = min_p_star_controller(
+HESSIAN_MIN_P_STAR = MinPStar(
     metric=MetricSpec(MetricKind.HESSIAN), rate_eta=1.0)
 
 
@@ -520,7 +517,7 @@ def test_rk4_certifies_each_quasi_newton_matrix_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(FlowMode))
 @pytest.mark.parametrize("spec", [
-    polyak_controller(2.0, 2.0), min_p_star_controller(rate_eta=1.0)],
+    polyak_controller(2.0, 2.0), MinPStar(rate_eta=1.0)],
     ids=["polyak", "min_p_star"])
 def test_a_runs_certificate_and_value_calls_do_not_grow_with_its_length(
         spec, mode, monkeypatch):
@@ -546,13 +543,13 @@ def test_a_runs_certificate_and_value_calls_do_not_grow_with_its_length(
         integrate(spec, oracle, s0, h=1e-2, t_max=t_max, mode=mode,
                   stop=RUN_FOREVER)
         seen.append(dict(counts))
-    drift = spec.family is not ControllerFamily.MIN_P
+    drift = not isinstance(spec, MinP)
     assert seen[0] == seen[1] == {"clf_value": 1, "value": 1,
                                   **({} if drift else {"lie_derivative": 1})}
 
 
 @pytest.mark.parametrize("spec", [
-    min_p_star_controller(rate_eta=1.0), HESSIAN_MIN_P_STAR,
+    MinPStar(rate_eta=1.0), HESSIAN_MIN_P_STAR,
     nesterov_flow_controller(2.0)],
     ids=["min_p_star", "min_p_star_hessian", "nesterov"])
 def test_sample_lie_derivative_is_lie_derivative_bit_for_bit(spec):
@@ -573,9 +570,9 @@ DIAGNOSED = {
     "accel_newton": accelerated_newton_controller(2.0, 2.0, eig_floor=1e-2),
     "quasi_newton": quasi_newton_flow_controller(2.0, 2.0, eig_floor=1e-2),
     "nesterov": nesterov_flow_controller(2.0),
-    "min_p_taper": min_p_controller(delta=1.0, delta_mode=DeltaMode.TAPER),
-    "min_p_star": min_p_star_controller(rate_eta=0.5),
-    "min_p_star_hessian": min_p_star_controller(
+    "min_p_taper": MinP(delta=1.0, delta_mode=DeltaMode.TAPER),
+    "min_p_star": MinPStar(rate_eta=0.5),
+    "min_p_star_hessian": MinPStar(
         metric=MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2), rate_eta=0.5),
 }
 DIAGNOSED_PROBLEMS = {
@@ -617,8 +614,8 @@ def test_quasi_newton_flow_converges():
 
 def test_trajectory_meta_records_setup():
     s0 = initial_state(Q2.oracle, np.array([3.0]))
-    rec = integrate(min_p_controller(), Q2.oracle, s0, h=1e-2, t_max=0.1)
-    assert rec.meta["controller"] == "min_p"
+    rec = integrate(MinP(), Q2.oracle, s0, h=1e-2, t_max=0.1)
+    assert "controller" not in rec.meta
     assert rec.meta["metric"] == "euclidean"
     assert rec.meta["mode"] == "reduced"
     assert rec.meta["method"] == "rk4"

@@ -1,11 +1,12 @@
 """The bound control law is the paper's closed form, bit for bit.
 
-ControllerSpec.bind builds a run's law once. Each law here is compared
-with its closed form, written out below from the formulas in the control
-module's docstring, one state at a time: u by its bytes, and branch,
-sigma, drift and rho exactly. A stacked call must give the same rows, and
-raise what the first infeasible row raises. A run binds once, and again
-after each quasi-Newton update, and a law it drops is freed at once.
+The bind of each family type (MinP, MinPStar, Direct) builds a run's law
+once. Each law here is compared with its closed form, written out below
+from the formulas in the control module's docstring, one state at a
+time: u by its bytes, and branch, sigma, drift and rho exactly. A
+stacked call must give the same rows, and raise what the first
+infeasible row raises. A run binds once, and again after each
+quasi-Newton update, and a law it drops is freed at once.
 """
 
 import dataclasses
@@ -19,12 +20,11 @@ from hypothesis import strategies as st
 from accelflow import flow
 from accelflow.clf import ClfParams, drift_condition_check
 from accelflow.control import (
-    ControllerFamily,
-    ControllerSpec,
     DeltaMode,
+    Direct,
     InfeasibleStateError,
-    min_p_controller,
-    min_p_star_controller,
+    MinP,
+    MinPStar,
     nesterov_flow_controller,
     polyak_controller,
     quasi_newton_flow_controller,
@@ -60,14 +60,13 @@ METRICS = {
                      QUADRATIC),
 }
 FAMILIES = {
-    "min_p_constant": lambda m: min_p_controller(CLF, m, delta=0.7),
-    "min_p_taper": lambda m: min_p_controller(
+    "min_p_constant": lambda m: MinP(CLF, m, delta=0.7),
+    "min_p_taper": lambda m: MinP(
         CLF, m, delta=0.7, delta_mode=DeltaMode.TAPER),
-    "min_p_fixed_sigma": lambda m: min_p_controller(
+    "min_p_fixed_sigma": lambda m: MinP(
         CLF, m, delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=2.0),
-    "min_p_star": lambda m: min_p_star_controller(CLF, m, rate_eta=0.5),
-    "min_p_star_slow": lambda m: min_p_star_controller(CLF, m,
-                                                       rate_eta=0.01),
+    "min_p_star": lambda m: MinPStar(CLF, m, rate_eta=0.5),
+    "min_p_star_slow": lambda m: MinPStar(CLF, m, rate_eta=0.01),
 }
 CASES = [(f, m) for f in FAMILIES for m in METRICS]
 # a direct law weights no effort: its metric is always Euclidean
@@ -96,12 +95,11 @@ def closed_form(spec, oracle, x, lam, v):
     else:
         with np.errstate(all="ignore"):
             z = metric_solve(metric_matrix(metric, oracle, x), d)
-    if spec.family is ControllerFamily.DIRECT:
-        g = spec.gains
-        u = (g.gamma_a * lam - g.gamma_b * v
-             - g.gamma_c * np.matvec(oracle.hessian(x), v))
+    if isinstance(spec, Direct):
+        u = (spec.gamma_a * lam - spec.gamma_b * v
+             - spec.gamma_c * np.matvec(oracle.hessian(x), v))
         return u, "linear", None, None, None
-    if spec.family is ControllerFamily.MIN_P:
+    if isinstance(spec, MinP):
         if np.linalg.norm(d) <= eps:
             return zero, "origin", 0.0, None, None
         if spec.delta_mode is DeltaMode.FIXED_SIGMA:
@@ -239,7 +237,7 @@ RUN_FOREVER = StoppingRule(tol_g=0.0, tol_v=0.0)
 @pytest.mark.parametrize("spec", [
     polyak_controller(2.0, 2.0),
     nesterov_flow_controller(2.0),
-    min_p_star_controller(metric=MetricSpec(MetricKind.HESSIAN)),
+    MinPStar(metric=MetricSpec(MetricKind.HESSIAN)),
     quasi_newton_flow_controller(2.0, 2.0),
 ], ids=["polyak", "nesterov", "min_p_star_hessian", "quasi_newton"])
 def test_a_run_binds_once_and_again_after_each_quasi_newton_update(
@@ -252,8 +250,8 @@ def test_a_run_binds_once_and_again_after_each_quasi_newton_update(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ControllerSpec, "bind",
-                        counted("bind", ControllerSpec.bind))
+    family = type(spec)
+    monkeypatch.setattr(family, "bind", counted("bind", family.bind))
     for key, name in (("checked", "evaluate_control"),
                       ("update", "quasi_newton_update")):
         monkeypatch.setattr(flow, name, counted(key, getattr(flow, name)))

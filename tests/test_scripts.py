@@ -202,3 +202,68 @@ def test_artifact_diff_exits_one_on_a_difference(tmp_path, monkeypatch,
     out = capsys.readouterr().out.splitlines()
     assert (code, out) == ((0, ["identical"]) if same else
                            (1, ["differs: w/out.csv", "1 differences"]))
+
+
+def _api_surface(src):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "api_surface.py"),
+         "--src", str(src)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {name: (int(lines), int(values)) for name, lines, values
+            in (line.split() for line in proc.stdout.splitlines()[1:])}
+
+
+SURFACE_MODULE = '''import dataclasses
+from enum import Enum
+from os.path import join
+
+
+def public(a, b=1, *rest, c, **extra): pass
+def _private(a): pass
+
+
+@dataclasses.dataclass
+class Block:
+    a: int
+    b: int = 0
+    c: int = dataclasses.field(default=0, init=False)
+
+    def method(self, x): pass
+    def _hidden(self, x): pass
+
+    @staticmethod
+    def make(x, y): pass
+
+    @classmethod
+    def build(cls, x): pass
+
+
+class Kind(Enum):
+    A = 1
+
+
+LIMIT = 3
+'''
+
+
+def test_api_surface_counts_by_its_stated_rule(tmp_path):
+    _tree(tmp_path, {"accelflow/__init__.py": "",
+                     "accelflow/m.py": SURFACE_MODULE})
+    lines = SURFACE_MODULE.count("\n")
+    # public 5, Block 2 fields + method 1 + make 2 + build 1; the
+    # imported join, the private names, Kind and LIMIT count nothing
+    assert _api_surface(tmp_path) == {"__init__": (0, 0), "m": (lines, 11),
+                                      "total": (lines, 11)}
+
+
+def test_api_surface_lines_are_the_package_newlines():
+    src = os.path.join(ROOT, "src")
+    surface = _api_surface(src)
+    package = pathlib.Path(src, "accelflow")
+    lines = {p.stem: p.read_bytes().count(b"\n")
+             for p in package.glob("*.py")}
+    assert {name: n for name, (n, _) in surface.items()
+            if name != "total"} == lines
+    assert surface["total"] == (sum(lines.values()),
+                                sum(v for name, (_, v) in surface.items()
+                                    if name != "total"))

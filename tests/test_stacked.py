@@ -28,10 +28,10 @@ from accelflow.clf import (
 from accelflow.config import ProblemConfig
 from accelflow.control import (
     DeltaMode,
+    MinP,
+    MinPStar,
     accelerated_newton_controller,
     evaluate_control,
-    min_p_controller,
-    min_p_star_controller,
     nesterov_flow_controller,
     polyak_controller,
 )
@@ -72,13 +72,13 @@ EUCLID = MetricSpec(MetricKind.EUCLIDEAN)
 HESSIAN = MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2)
 LAWS = {}
 for _name, _metric in (("euclidean", EUCLID), ("hessian", HESSIAN)):
-    LAWS[f"min_p_constant_{_name}"] = min_p_controller(
+    LAWS[f"min_p_constant_{_name}"] = MinP(
         metric=_metric, delta=0.7)
-    LAWS[f"min_p_taper_{_name}"] = min_p_controller(
+    LAWS[f"min_p_taper_{_name}"] = MinP(
         metric=_metric, delta=0.7, delta_mode=DeltaMode.TAPER)
-    LAWS[f"min_p_fixed_sigma_{_name}"] = min_p_controller(
+    LAWS[f"min_p_fixed_sigma_{_name}"] = MinP(
         metric=_metric, delta_mode=DeltaMode.FIXED_SIGMA, sigma_q=2.0)
-    LAWS[f"min_p_star_{_name}"] = min_p_star_controller(
+    LAWS[f"min_p_star_{_name}"] = MinPStar(
         metric=_metric, rate_eta=0.5)
 LAWS["direct"] = nesterov_flow_controller(3.0)
 
@@ -205,7 +205,7 @@ def test_the_first_infeasible_row_raises_its_own_error():
     # curvature at the minimum, row 1's drift decays slower than the rate;
     # row 2 would fail the drift condition itself, but row 1 comes first
     oracle = rosenbrock_problem().oracle
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     flat = 1e-3 * np.linalg.eigh(oracle.hessian(np.ones(2)))[1][:, 0]
     x = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 1.0]])
     lam = np.array([[1.0, 0.0], flat, [1.0, 0.0]])
@@ -224,10 +224,9 @@ def test_inactive_and_origin_rows_hold_positive_zero():
     oracle = PROBLEMS["quadratic"].oracle
     x, lam = np.zeros((3, 3)), np.zeros((3, 3))
     v = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [-0.0, 0.0, -0.0]])
-    for spec in (min_p_controller(delta=1.0),
-                 min_p_star_controller(rate_eta=1e-6)):
+    for spec in (MinP(delta=1.0), MinPStar(rate_eta=1e-6)):
         res = evaluate_control(spec, oracle, x, lam, v)
-        idle = res.branch != ("boundary" if spec.rate_eta is None
+        idle = res.branch != ("boundary" if isinstance(spec, MinP)
                               else "active")
         assert list(idle) == [True, False, True]
         assert not np.signbit(res.u[idle]).any()
@@ -324,7 +323,7 @@ def _run(spec, mode=FlowMode.REDUCED, problem=QUAD4, t_max=1.0):
 
 
 RECORDS = {
-    "min_p_star": (min_p_star_controller(rate_eta=1.0), FlowMode.REDUCED),
+    "min_p_star": (MinPStar(rate_eta=1.0), FlowMode.REDUCED),
     "polyak_full": (polyak_controller(2.0, 2.0), FlowMode.FULL_PRIMAL_DUAL),
     "nesterov": (nesterov_flow_controller(2.0), FlowMode.REDUCED),
     "accel_newton": (accelerated_newton_controller(2.0, 4.0),

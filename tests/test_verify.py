@@ -7,8 +7,8 @@ import pytest
 
 from accelflow.clf import DEFAULT_CLF, ClfParams
 from accelflow.control import (
-    direct_controller,
-    min_p_star_controller,
+    Direct,
+    MinPStar,
     polyak_controller,
 )
 from accelflow.discrete import (
@@ -45,7 +45,7 @@ def quad4():
 
 @pytest.fixture(scope="module")
 def min_p_star_record(quad4):
-    spec = min_p_star_controller(rate_eta=1.0)
+    spec = MinPStar(rate_eta=1.0)
     return integrate(spec, quad4.oracle, initial_state(quad4.oracle, quad4.x0),
                      h=1e-3, t_max=5.0, method=Integrator.RK4,
                      mode=FlowMode.REDUCED,
@@ -86,7 +86,7 @@ def equilibrium_record(mode=FlowMode.REDUCED):
 
 class TestDissipation:
     def test_strict_passes_for_matching_certificate(self, quad4):
-        ctrl = direct_controller(1.0, 1.0, 2.0)
+        ctrl = Direct(1.0, 1.0, 2.0)
         rng = np.random.default_rng(0)
         for _ in range(4):
             x0 = quad4.x_star + rng.uniform(-2, 2, size=4)
@@ -102,7 +102,7 @@ class TestDissipation:
     def test_strict_flags_mismatched_certificate(self, quad4):
         # Gains tuned for the stock certificate violate one demanding
         # K_c = a/c = -8; some start state must expose positive lieV.
-        ctrl = direct_controller(1.0, 1.0, 2.0)
+        ctrl = Direct(1.0, 1.0, 2.0)
         mismatched = ClfParams(a=8.0, b=1.0, c=-1.0)
         rng = np.random.default_rng(0)
         failures = 0
