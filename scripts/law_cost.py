@@ -1,0 +1,130 @@
+"""Per-call cost of the bound control laws in two checkouts, in one process.
+
+    python3 scripts/law_cost.py --base DIR --head DIR [--dim 50] \
+        [--repeat 7] [--number 2000] [--seed 1]
+
+Loads each checkout's src/accelflow under its own module name
+(accelflow_base, accelflow_head), so both run in one interpreter against
+the same numpy. On random_quadratic(dim, 100, seed) it binds the
+benchmark's Euclidean flows in each checkout: polyak (gains 10, 10),
+nesterov (gamma_a 10) and min_p_star (eta 1), the last at one state in
+its inactive branch and one in its active branch. It times each law and
+the quadratic's one-point gradient: --repeat rounds, each timing the base
+and then the head over --number calls, and keeps each side's best round.
+Both checkouts need the bound laws (ControllerSpec.bind).
+
+Before timing, each law's u and each gradient must hold the same bytes in
+both checkouts. Prints one row per call with the base and head cost in
+raw microseconds per call and their ratio. Exits 0, or 1 when a u or a
+gradient differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import sys
+import timeit
+from types import ModuleType
+from typing import Callable
+
+import numpy as np
+
+
+def load(checkout: str, name: str) -> ModuleType:
+    """checkout's src/accelflow package, imported as name."""
+    root = os.path.join(checkout, "src", "accelflow")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"),
+        submodule_search_locations=[root])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for sub in ("control", "objective"):
+        importlib.import_module(f"{name}.{sub}")
+    return package
+
+
+def branch_states(law: Callable, oracle, dim: int,
+                  seed: int) -> dict[str, tuple]:
+    """One (x, lambda, v) state per min_p_star branch: random states on the
+    arc lambda = -grad E(x), searched in a fixed order."""
+    rng = np.random.default_rng(seed)
+    found: dict[str, tuple] = {}
+    for _ in range(1000):
+        x = rng.standard_normal(dim)
+        v = rng.standard_normal(dim) * rng.choice([1e-2, 1.0, 1e2])
+        state = (x, -oracle.gradient(x), v)
+        found.setdefault(law(*state).branch, state)
+        if {"inactive", "active"} <= found.keys():
+            return found
+    raise RuntimeError("no state found in both min_p_star branches")
+
+
+def calls(package: ModuleType, dim: int, seed: int,
+          states: dict[str, tuple]) -> dict[str, Callable[[], object]]:
+    """name -> a no-argument call of that law or of the gradient."""
+    control = package.control
+    oracle = package.objective.random_quadratic(dim, 100.0, seed=seed).oracle
+    polyak = control.polyak_controller(10.0, 10.0).bind(oracle)
+    nesterov = control.nesterov_flow_controller(10.0).bind(oracle)
+    star = control.MinPStar(rate_eta=1.0).bind(oracle)
+    any_state = states["active"]
+    x = any_state[0]
+    return {
+        "polyak": lambda: polyak(*any_state),
+        "nesterov": lambda: nesterov(*any_state),
+        "min_p_star inactive": lambda: star(*states["inactive"]),
+        "min_p_star active": lambda: star(*states["active"]),
+        "gradient": lambda: oracle.gradient(x),
+    }
+
+
+def output(result: object) -> bytes:
+    """The bytes a call gives: a law's u, or the gradient."""
+    return np.asarray(getattr(result, "u", result)).tobytes()
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="the parent checkout")
+    p.add_argument("--head", required=True, help="the changed checkout")
+    p.add_argument("--dim", type=int, default=50)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--repeat", type=int, default=7)
+    p.add_argument("--number", type=int, default=2000)
+    args = p.parse_args(argv)
+
+    base, head = load(args.base, "accelflow_base"), load(args.head,
+                                                         "accelflow_head")
+    oracle = head.objective.random_quadratic(args.dim, 100.0,
+                                             seed=args.seed).oracle
+    states = branch_states(
+        head.control.MinPStar(rate_eta=1.0).bind(oracle), oracle, args.dim,
+        args.seed)
+    sides = [calls(pkg, args.dim, args.seed, states) for pkg in (base, head)]
+    differ = [name for name in sides[0]
+              if output(sides[0][name]()) != output(sides[1][name]())]
+    for name in differ:
+        print(f"{name}: the checkouts give different bytes")
+    if differ:
+        return 1
+
+    best = [{name: float("inf") for name in side} for side in sides]
+    for _ in range(args.repeat):
+        for name in sides[0]:
+            for side, fastest in zip(sides, best):
+                took = timeit.timeit(side[name], number=args.number)
+                fastest[name] = min(fastest[name], took)
+    print(f"dim {args.dim}, best of {args.repeat} x {args.number} calls, "
+          f"raw us per call")
+    print(f"{'call':<22}{'base':>8}{'head':>8}{'head/base':>11}")
+    for name in sides[0]:
+        b, h = (fastest[name] / args.number * 1e6 for fastest in best)
+        print(f"{name:<22}{b:8.2f}{h:8.2f}{h / b:11.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -95,14 +95,24 @@ def state_norm(a: Array) -> Union[float, Array]:
 
 
 def _dot(a: Array, b: Array) -> Union[float, Array]:
-    """np.vecdot(a, b), by ndarray.dot for vectors: same BLAS, less cost."""
+    """np.vecdot(a, b), by ndarray.dot for vectors: same BLAS, less cost.
+
+    For vectors of one entry ndarray.dot is a plain product, which can be
+    -0.0 where np.vecdot sums it to +0.0."""
     return a.dot(b) if a.ndim == 1 else np.vecdot(a, b)
 
 
 def clf_value(p: ClfParams, lambda_x: Array, v: Array) -> Union[float, Array]:
     lam, vv = _pair(lambda_x, v)
-    return _scalar(_dot(0.5 * p.a * lam, lam) + _dot(0.5 * p.b * vv, vv)
-                   + _dot(p.c * lam, vv))
+    return _scalar(_value(0.5 * p.a, 0.5 * p.b, p.c * lam, lam, vv))
+
+
+def _value(half_a: float, half_b: float, c_lam: Array, lam: Array,
+           vv: Array) -> Union[np.float64, Array]:
+    """clf_value without its input checks, for the control laws, which
+    fold half_a = 0.5 * a and half_b = 0.5 * b once and hold c_lam =
+    c * lambda already. Gives a numpy scalar for one state."""
+    return _dot(half_a * lam, lam) + _dot(half_b * vv, vv) + _dot(c_lam, vv)
 
 
 def clf_grad_lambda(p: ClfParams, lambda_x: Array, v: Array) -> Array:

@@ -153,9 +153,15 @@ def _emit(config: RunConfig, payload: dict[str, Any],
             print(line)
 
 
-def _execute_run(config: RunConfig) -> tuple[int, dict[str, Any]]:
-    """Run one config to artifacts; returns (exit code, summary payload)."""
-    problem = config.problem.build()
+def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None
+                 ) -> tuple[int, dict[str, Any]]:
+    """Run one config to artifacts; returns (exit code, summary payload).
+
+    problem is config.problem built, when the caller holds it already: no
+    method writes to a problem or its x0.
+    """
+    if problem is None:
+        problem = config.problem.build()
     out_dir = config.output.out_dir
     label = config.run_label()
 
@@ -229,10 +235,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = configs[0].output.out_dir
     worst = EXIT_OK
     rows = []
+    problem = None  # the members' one problem, built by the first to run
     for cfg, label in zip(configs, labels):
         cfg = cfg.with_out_dir(os.path.join(out_dir, label))
         try:
-            code, payload = _execute_run(cfg)
+            if problem is None:
+                problem = cfg.problem.build()
+            code, payload = _execute_run(cfg, problem)
         except ConfigError:
             raise
         except RUNTIME_ERRORS as e:

@@ -305,12 +305,20 @@ class FlowMethodConfig:
                                         gamma_b=self.gamma_b,
                                         gamma_c=self.gamma_c)
                 return Direct(ga, gb, gc, clf=clf)
+            # the named flows' own rules name their fields; the control
+            # layer would name only the method block
             if self.controller in MOMENTUM_FLOWS:
                 ga, gb = self._need(gamma_a=self.gamma_a,
                                     gamma_b=self.gamma_b)
-                return momentum_flow_controller(ga, gb, metric)
+                return momentum_flow_controller(
+                    _as_positive(ga, "method.gamma_a"),
+                    _as_positive(gb, "method.gamma_b"), metric)
             ga, = self._need(gamma_a=self.gamma_a)
-            return nesterov_flow_controller(ga, clf=clf)
+            if not (clf.c < 0.0):
+                raise ConfigError(f"method.clf.c: nesterov needs a "
+                                  f"certificate with c < 0, got {clf.c}")
+            return nesterov_flow_controller(
+                _as_positive(ga, "method.gamma_a"), clf=clf)
         except ConfigError:
             raise
         except ValueError as e:

@@ -29,10 +29,17 @@ is. A run binds it, then calls it at every state; the law takes
 evaluate_control's inputs as float arrays, unchecked, and gives what
 evaluate_control gives. evaluate_control is the checked entry for one
 call: it validates the shapes, then binds and calls the law.
+
+A law's one-state path is the one every RK4 stage takes. So a law holds
+its coefficients as 0-d arrays, made at bind (_held): numpy converts a
+Python float operand at every call, and takes a 0-d float64 array as it
+is, for the same product. One state takes its dots by ndarray.dot and
+its norms by math.sqrt, with eps_v's formula written out (see clf._dot).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -44,9 +51,8 @@ from .clf import (
     ClfParams,
     DEFAULT_CLF,
     DriftReport,
-    _dot,
     _eps,
-    _norm,
+    _value,
     clf_value,
     drift_condition_check,
     state_norm,
@@ -78,14 +84,15 @@ class GainReport:
     violations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)  # slots: made at every stage
+@dataclass(eq=False, slots=True)  # made at every stage: no frozen __init__
 class ControlResult:
     """Control value plus the diagnostics tests and verifiers care about.
 
     sigma is the scalar multiplier on -W^{-1} grad_v V (None for the direct
     family); drift and rho are only filled by min_p_star, which computes
     them anyway. For N stacked states u is (N, n), and branch, sigma,
-    drift and rho hold one entry per row.
+    drift and rho hold one entry per row. Callers read it and never write
+    to it; its slots refuse a field it does not declare.
     """
 
     u: Array
@@ -140,24 +147,22 @@ class MinP:
 
     def bind(self, oracle: ObjectiveOracle) -> Law:
         """The min_p law for oracle, built once per run."""
-        b, c = float(self.clf.b), float(self.clf.c)
         inverse = _inverse(self.metric, oracle)
         fixed = self.delta_mode is DeltaMode.FIXED_SIGMA
         taper = self.delta_mode is DeltaMode.TAPER
         q = float(self.sigma_q if fixed else self.delta)  # sigma_q, or delta
+        b, c, minus_q = _held(self.clf.b, self.clf.c, -q)
+        zero = np.zeros(oracle.dim)
 
         def steer(x: Array, d: Array) -> tuple[Array, Array]:
-            z = inverse(x, d)
+            """(u, sigma) on stacked rows."""
+            z = d + zero if inverse is None else inverse(x, d)
             if fixed:
-                sigma = q if d.ndim == 1 else np.full(len(d), q)
+                sigma = np.full(len(d), q)
             else:
-                budget = q
-                if taper:
-                    # fmin keeps delta against a nan, as Python's min does;
-                    # for one state min is the cheaper of the two
-                    d2 = _dot(d, d)
-                    budget = min(q, d2) if d.ndim == 1 else np.fmin(q, d2)
-                sigma = np.sqrt(budget / _dot(d, z))
+                # fmin keeps delta against a nan, as the one-state min does
+                budget = np.fmin(q, np.vecdot(d, d)) if taper else q
+                sigma = np.sqrt(budget / np.vecdot(d, z))
             return _pull(sigma, z), sigma
 
         def law(x: Array, lam: Array, v: Array) -> ControlResult:
@@ -165,10 +170,15 @@ class MinP:
             # where grad_v V vanishes, the control channel has no descent
             # direction for V: the origin branch. A nan norm is not on it.
             if d.ndim == 1:
-                if _norm(d) <= _eps(lam, v):
-                    return ControlResult(np.zeros_like(v), "origin", 0.0)
-                u, sigma = steer(x, d)
-                return ControlResult(u, "boundary", float(sigma))
+                d2 = d.dot(d)
+                if math.sqrt(d2) <= 1e-10 * (1.0 + math.sqrt(lam.dot(lam))
+                                             + math.sqrt(v.dot(v))):
+                    return ControlResult(np.zeros(len(v)), "origin", 0.0)
+                z = d + zero if inverse is None else inverse(x, d)
+                if fixed:
+                    return ControlResult(minus_q * z, "boundary", q)
+                sigma = np.sqrt((min(q, d2) if taper else q) / d.dot(z))
+                return ControlResult(-sigma * z, "boundary", float(sigma))
             boundary = ~(state_norm(d) <= _eps(lam, v))
             u, sigma = _on_rows(boundary,
                                 lambda take: steer(take(x), take(d)), v)
@@ -194,34 +204,46 @@ class MinPStar:
     def bind(self, oracle: ObjectiveOracle) -> Law:
         """The min_p_star law for oracle, built once per run."""
         p = self.clf
-        a, b, c, eta = map(float, (p.a, p.b, p.c, self.rate_eta))
+        eta = float(self.rate_eta)
+        # clf_value's 0.5 * p.a and 0.5 * p.b, folded
+        a, b, c, half_a, half_b = _held(p.a, p.b, p.c, 0.5 * p.a, 0.5 * p.b)
         inverse = _inverse(self.metric, oracle)
+        zero = np.zeros(oracle.dim)
         constant = oracle.constant_hessian
 
         def steer(x: Array, d: Array, gap: Array,
                   H: Array) -> tuple[Array, Array]:
-            z = inverse(x, d, H)
-            # lie V = drift - sigma * quad = -rho, the rate binds exactly
-            sigma = gap / _dot(d, z)
+            """(u, sigma) on stacked rows."""
+            z = d + zero if inverse is None else inverse(x, d, H)
+            sigma = gap / np.vecdot(d, z)
             return _pull(sigma, z), sigma
 
         def law(x: Array, lam: Array, v: Array) -> ControlResult:
             H = oracle.hessian(x) if constant is None else constant
-            drift = _dot(-(a * lam + c * v), np.matvec(H, v))
-            rho = eta * clf_value(p, lam, v)
             # where the uncontrolled decay meets the rate, save the effort; a
             # nan gap needs control, and without authority is infeasible
             if lam.ndim == 1:
-                drift = float(drift)
+                c_lam = c * lam
+                # the drift is (-w) . Hv, whose dot sums a zero to +0.0;
+                # w . Hv can give -0.0 there, so its zero is not negated
+                s = (a * lam + c * v).dot(H.dot(v))
+                drift = -float(s) if s else 0.0
+                rho = eta * float(_value(half_a, half_b, c_lam, lam, v))
                 gap = drift + rho
                 if gap <= 0.0:
-                    return ControlResult(np.zeros_like(v), "inactive", 0.0,
+                    return ControlResult(np.zeros(len(v)), "inactive", 0.0,
                                          drift, rho)
-                d = c * lam + b * v  # grad_v V
-                if not _norm(d) > _eps(lam, v):
+                d = c_lam + b * v  # grad_v V
+                if not math.sqrt(d.dot(d)) > 1e-10 * (
+                        1.0 + math.sqrt(lam.dot(lam)) + math.sqrt(v.dot(v))):
                     raise _infeasible(self, oracle, x, lam, v, drift, rho)
-                u, sigma = steer(x, d, gap, H)
-                return ControlResult(u, "active", float(sigma), drift, rho)
+                z = d + zero if inverse is None else inverse(x, d, H)
+                # lie V = drift - sigma * quad = -rho, the rate binds exactly
+                sigma = gap / d.dot(z)
+                return ControlResult(-sigma * z, "active", float(sigma),
+                                     drift, rho)
+            drift = np.vecdot(-(a * lam + c * v), np.matvec(H, v))
+            rho = eta * clf_value(p, lam, v)
             gap = drift + rho
             need = ~(gap <= 0.0)
             d = c * lam + b * v
@@ -270,15 +292,20 @@ class Direct:
 
     def bind(self, oracle: ObjectiveOracle) -> Law:
         """The direct law for oracle, built once per run."""
-        gamma_a, gamma_b, gamma_c = map(
-            float, (self.gamma_a, self.gamma_b, self.gamma_c))
+        gamma_a, gamma_b, gamma_c = _held(self.gamma_a, self.gamma_b,
+                                          self.gamma_c)
         constant = oracle.constant_hessian
 
         def law(x: Array, lam: Array, v: Array) -> ControlResult:
-            Hv = np.matvec(
-                oracle.hessian(x) if constant is None else constant, v)
-            u = gamma_a * lam - gamma_b * v - gamma_c * Hv
-            return ControlResult(u, "linear" if u.ndim == 1
+            H = oracle.hessian(x) if constant is None else constant
+            # ndarray.dot is np.matvec's gemv for one state. A 1 x 1 dot is
+            # a plain product, whose H (-0.0) = -0.0 np.matvec gives as
+            # +0.0, but u is the same: there gamma_a lam - gamma_b v is
+            # +0.0 or nonzero
+            one = v.ndim == 1
+            u = (gamma_a * lam - gamma_b * v
+                 - gamma_c * (H.dot(v) if one else np.matvec(H, v)))
+            return ControlResult(u, "linear" if one
                                  else np.full(len(u), "linear"))
 
         return law
@@ -429,17 +456,25 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     return spec.bind(oracle)(x, lam, vv)
 
 
-def _inverse(metric: MetricSpec, oracle: ObjectiveOracle) -> Callable:
+def _held(*values: float) -> tuple[Array, ...]:
+    """A law's coefficients as 0-d float64 arrays (see the module
+    docstring)."""
+    return tuple(np.array(float(value)) for value in values)
+
+
+def _inverse(metric: MetricSpec,
+             oracle: ObjectiveOracle) -> Optional[Callable]:
     """(x, d, H=None) -> W^{-1} d for the metric at x, one row or stacked.
 
-    The identity metric (Euclidean, or quasi-Newton before its first
-    update) needs no solve. d + 0.0 matches the solve bit for bit except
-    at a -0.0 in d: it always maps that to +0.0, while the LAPACK solve
-    does so at some positions and keeps -0.0 at others, depending on the
-    signs of the other entries. H is hess E(x) when the caller already
-    holds it; a Hessian metric that holds its floored constant Hessian
-    needs none. No metric is factored again for the solve: each got its
-    certificate where it was made.
+    None for the identity metric (Euclidean, or quasi-Newton before its
+    first update), which needs no solve: the laws add +0.0 to d there, as
+    a zero vector made at bind (see _held). That matches the solve bit for
+    bit except at a -0.0 in d: it always maps that to +0.0, while the
+    LAPACK solve does so at some positions and keeps -0.0 at others,
+    depending on the signs of the other entries. H is hess E(x) when the
+    caller already holds it; a Hessian metric that holds its floored
+    constant Hessian needs none. No metric is factored again for the
+    solve: each got its certificate where it was made.
 
     One W serves every stacked row when it does not depend on the point
     (a quadratic's Hessian, a quasi-Newton matrix). A Hessian per row is
@@ -448,7 +483,7 @@ def _inverse(metric: MetricSpec, oracle: ObjectiveOracle) -> Callable:
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
-        return lambda x, d, H=None: d + 0.0
+        return None
     pointwise = (metric.kind is MetricKind.HESSIAN
                  and metric.floored_hessian is None)
 

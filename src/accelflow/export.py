@@ -169,8 +169,20 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
                             diverged=diverged, meta=dict(meta))
 
 
+#: iterates per stacked objective call in write_iterates_csv. The bound
+#: keeps the block's arrays small: blocks of 256 points of dim 100 raised
+#: the peak memory of a compare over four discrete methods by 0.2 MB
+ITERATE_BLOCK = 64
+
+
 def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
                        path: str) -> None:
+    """One row per iterate: k, x, E and the gradient norm.
+
+    E takes one stacked call per block of finite iterates, and each row
+    holds the bits the one-point call gives it. A non-finite iterate's E
+    and gradient norm are nan.
+    """
     dim = seq.points[0].shape[0]
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["E", "grad_norm"]
     # one % per row; each field is formatted exactly as _fmt would
@@ -178,12 +190,17 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
 
     def lines():
         yield ",".join(header) + "\n"
-        for k, x in enumerate(seq.points):
-            if np.isfinite(x).all():
-                e, g = float(oracle.value(x)), seq.grad_norms[k]
-            else:
-                e, g = float("nan"), float("nan")
-            yield row_fmt % (float(k), *x.tolist(), e, g)
+        for start in range(0, len(seq.points), ITERATE_BLOCK):
+            block = seq.points[start:start + ITERATE_BLOCK]
+            X = np.array(block)
+            finite = np.isfinite(X).all(axis=1)
+            E = np.full(len(X), np.nan)
+            if finite.any():
+                E[finite] = oracle.value(X[finite])
+            for k, (x, e, ok) in enumerate(
+                    zip(block, E.tolist(), finite.tolist()), start):
+                g = seq.grad_norms[k] if ok else float("nan")
+                yield row_fmt % (float(k), *x.tolist(), e, g)
     atomic_write(path, lines())
 
 

@@ -185,27 +185,37 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         out[n:2 * n] = u
         out[2 * n] = g.dot(v)
 
-    # the RK4 stage state and slopes are made once per run; an accepted
-    # state is always a fresh array, since the rows keep views of it
+    # the RK4 stage state, its x and v views and the slopes are made once
+    # per run; an accepted state is always a fresh array, since the rows
+    # keep views of it
     zs, k1, k2, k3, k4 = np.empty((5, 2 * n + 1))
+    xs, vs = zs[:n], zs[n:2 * n]
+    gradient = oracle.gradient
 
-    def stage(zz: Array, coeff: float, k: Array, out: Array) -> None:
-        """The slope at zz + coeff * k, written to out."""
+    def stage(zz: Array, coeff: Array, k: Array, out: Array) -> None:
+        """The slope at zz + coeff * k, written to out: rhs inlined, with
+        the law as it is bound now (a quasi-Newton update rebinds it)."""
         np.multiply(k, coeff, out=zs)
         np.add(zz, zs, out=zs)
-        g = oracle.gradient(zs[:n])
-        rhs(zs, g, control_at(zs, g).u, out)
+        g = gradient(xs)
+        out[:n] = vs
+        out[n:2 * n] = law(xs, -g, vs).u
+        out[2 * n] = g.dot(vs)
+
+    # the RK4 coefficients as 0-d arrays, which numpy takes without the
+    # conversion it gives a Python float at every call
+    half_h, full_h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
 
     def rk4_step(zz: Array, g: Array, u: Array) -> Array:
         rhs(zz, g, u, k1)
-        stage(zz, 0.5 * h, k1, k2)
-        stage(zz, 0.5 * h, k2, k3)
-        stage(zz, h, k3, k4)
+        stage(zz, half_h, k1, k2)
+        stage(zz, half_h, k2, k3)
+        stage(zz, full_h, k3, k4)
         # zz + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
-        np.add(k1, np.multiply(k3, 2.0, out=k3), out=k1)
+        np.add(k1, np.multiply(k2, two, out=k2), out=k1)
+        np.add(k1, np.multiply(k3, two, out=k3), out=k1)
         np.add(k1, k4, out=k1)
-        return zz + np.multiply(k1, h / 6.0, out=k1)
+        return zz + np.multiply(k1, sixth_h, out=k1)
 
     def sie_step(zz: Array, g: Array, u: Array) -> Array:
         # symplectic-flavoured first order: v first, then x rides v_new

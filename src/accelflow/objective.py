@@ -17,6 +17,7 @@ there through hessian_at, without a call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -118,8 +119,13 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
             return 0.5 * np.vecdot(np.vecmat(d, Q), d)
         return 0.5 * float(d @ Q @ d)
 
+    # Q.dot takes np.matvec's gemv at less cost for one point; a 1 x 1 dot
+    # is a plain product, which keeps a -0.0 that np.matvec drops
+    product = Q.dot if n > 1 else functools.partial(np.matvec, Q)
+
     def gradient(x: Array) -> Array:
-        return np.matvec(Q, np.asarray(x, dtype=float) - x_star)
+        d = np.asarray(x, dtype=float) - x_star
+        return product(d) if d.ndim == 1 else np.matvec(Q, d)
 
     def hessian(x: Array) -> Array:
         return Q.copy()

@@ -508,6 +508,26 @@ class TestConfigErrors:
             f"config error: method.{field}: must be positive, got "
             f"{float(value)}"]
 
+    @pytest.mark.parametrize("method, line", [
+        ({"gamma_b": -1.0}, "method.gamma_b: must be positive, got -1.0"),
+        ({"gamma_a": 0}, "method.gamma_a: must be positive, got 0.0"),
+        ({"controller": "accel_newton", "gamma_a": -2.0},
+         "method.gamma_a: must be positive, got -2.0"),
+        ({"controller": "quasi_newton", "gamma_b": 0.0},
+         "method.gamma_b: must be positive, got 0.0"),
+        ({"controller": "nesterov", "gamma_a": -1.0},
+         "method.gamma_a: must be positive, got -1.0"),
+        ({"controller": "nesterov", "clf": {"a": 2.0, "b": 1.0, "c": 0.5}},
+         "method.clf.c: nesterov needs a certificate with c < 0, got 0.5"),
+    ], ids=["polyak-gamma_b", "polyak-gamma_a", "accel_newton-gamma_a",
+            "quasi_newton-gamma_b", "nesterov-gamma_a", "nesterov-clf.c"])
+    def test_a_named_flow_rule_exits_two_naming_its_field(
+            self, tmp_path, capsys, method, line):
+        data = flow_data(tmp_path / "run", **method)
+        assert main(["run", write_config(tmp_path, "bad.yaml", data)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {line}"]
+
     def test_an_overflowing_step_count_exits_two_naming_t_max(self, tmp_path,
                                                              capsys):
         # t_max / h overflows to inf: no step count, so no run
@@ -606,6 +626,40 @@ class TestCompare:
             final_e = row.split(",")[-1]
             assert row.startswith(label + ",") and final_e != "nan"
         assert (out / "later" / "summary.json").exists()
+
+    def test_members_share_one_built_problem(self, tmp_path, monkeypatch):
+        # each member writes the bytes its own run writes, from one build
+        methods = {
+            "polyak": {"kind": "flow", "controller": "polyak",
+                       "gamma_a": 2.0, "gamma_b": 2.0, "h": 0.01,
+                       "t_max": 0.5},
+            "hb": {"kind": "discrete", "name": "heavy_ball", "alpha": 0.05,
+                   "beta": 0.5, "max_iters": 50},
+            "cg": {"kind": "discrete", "name": "cg",
+                   "alpha": "exact_line_search",
+                   "beta_cg": "fletcher_reeves", "max_iters": 20},
+        }
+        configs = [write_config(tmp_path, f"{label}.yaml", {
+            "problem": {"name": "quadratic", "dim": 4, "seed": 2},
+            "method": method, "label": label})
+            for label, method in methods.items()]
+        builds = []
+        build = ProblemConfig.build
+        monkeypatch.setattr(ProblemConfig, "build",
+                            lambda cfg: builds.append(cfg) or build(cfg))
+        out = tmp_path / "cmp"
+        assert main(["compare", *configs, "--out-dir", str(out)]) == 0
+        assert len(builds) == 1
+
+        def files():
+            return {p.relative_to(out): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+        shared = files()
+        assert len(shared) == 1 + 3 * len(methods)
+        for cfg, label in zip(configs, methods):
+            assert main(["run", cfg, "--out-dir", str(out / label)]) == 0
+        assert files() == shared
+        assert len(builds) == 1 + len(methods)
 
     def test_different_problems_rejected(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.yaml", discrete_data(tmp_path / "x"))

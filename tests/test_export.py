@@ -13,6 +13,7 @@ from accelflow.discrete import (
     heavy_ball_iterate,
 )
 from accelflow.export import (
+    ITERATE_BLOCK,
     decade_label,
     discrete_summary,
     flow_summary,
@@ -35,7 +36,7 @@ from accelflow.flow import (
 )
 from accelflow.metric import MetricKind, MetricSpec
 from accelflow.clf import DEFAULT_CLF
-from accelflow.objective import random_quadratic
+from accelflow.objective import random_quadratic, rosenbrock_problem
 from accelflow.verify import CheckStatus, DissipationMode, check_dissipation
 
 EUCLID = MetricSpec(MetricKind.EUCLIDEAN)
@@ -260,7 +261,8 @@ class TestIteratesCsv:
             norms = [np.linalg.norm(g) for g in grads]
         seq = IterateSequence(points=points,
                               grad_norms=[float(n) for n in norms])
-        oracle = dataclasses.replace(quad.oracle, value=lambda x: x[0] * 0.5,
+        oracle = dataclasses.replace(quad.oracle,
+                                     value=lambda x: x[..., 0] * 0.5,
                                      gradient=None)
         path = tmp_path / "odd.csv"
         write_iterates_csv(seq, oracle, str(path))
@@ -276,6 +278,38 @@ class TestIteratesCsv:
         assert rows == expected
         assert "-0" in rows[0] and "4.9406564584124654e-324" in rows[0]
         assert rows[-1].endswith("nan,nan")
+
+    @pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
+    def test_a_diverged_tail_is_the_per_row_formula(self, problem, tmp_path):
+        # rows over several stacked blocks, with non-finite iterates inside
+        # the first block and a diverged tail across the later ones
+        prob = (random_quadratic(3, kappa=30.0, seed=4) if problem
+                == "quadratic" else rosenbrock_problem())
+        oracle = prob.oracle
+        with np.errstate(over="ignore", invalid="ignore"):
+            seq = heavy_ball_iterate(oracle, prob.x0, 600, constant(0.02),
+                                     constant(0.9))
+            while len(seq.points) < 600:
+                seq.points.append(seq.points[-1] * 1e200)
+                seq.grad_norms.append(float("nan"))
+            seq.points[7] = np.full(len(prob.x0), np.nan)
+            seq.points[8] = -np.zeros(len(prob.x0))
+            for k in range(300, 600, 2):
+                seq.points[k] = seq.points[k] * np.inf
+            path = tmp_path / "tail.csv"
+            write_iterates_csv(seq, oracle, str(path))
+            expected = [",".join(["k"] + [f"x{i}" for i in range(
+                len(prob.x0))] + ["E", "grad_norm"])]
+            for k, x in enumerate(seq.points):
+                if np.isfinite(x).all():
+                    e, g = float(oracle.value(x)), seq.grad_norms[k]
+                else:
+                    e, g = float("nan"), float("nan")
+                expected.append(",".join(
+                    "%.17g" % v for v in [float(k), *x.tolist(), e, g]))
+        assert len(seq.points) > 4 * ITERATE_BLOCK
+        assert path.read_text() == "\n".join(expected) + "\n"
+        assert path.read_text().count(",nan,nan\n") >= 150
 
     def test_non_finite_points_become_nan_rows(self, quad, tmp_path):
         seq = heavy_ball_iterate(quad.oracle, quad.x0, 3,

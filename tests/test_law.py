@@ -5,8 +5,10 @@ once. Each law here is compared with its closed form, written out below
 from the formulas in the control module's docstring, one state at a
 time: u by its bytes, and branch, sigma, drift and rho exactly. A
 stacked call must give the same rows, and raise what the first
-infeasible row raises. A run binds once, and again after each
-quasi-Newton update, and a law it drops is freed at once.
+infeasible row raises. The one-state path every RK4 stage takes is also
+pinned to the stacked row by bytes, for dimensions 1 to 64. A run binds
+once, and again after each quasi-Newton update, and a law it drops is
+freed at once.
 """
 
 import dataclasses
@@ -18,8 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from accelflow import flow
-from accelflow.clf import ClfParams, drift_condition_check
+from accelflow.clf import ClfParams, _value, clf_value, drift_condition_check
 from accelflow.control import (
+    ControlResult,
     DeltaMode,
     Direct,
     InfeasibleStateError,
@@ -209,6 +212,111 @@ def test_the_bound_law_is_the_closed_form(family, metric, data):
             assert getattr(got, field) is None
         else:
             assert bits(getattr(got, field)) == bits(values)
+
+
+#: the one-state fast paths over n in [1, 64]: identity and
+#: constant-Hessian metrics, on a quadratic of that dimension
+FAST_CASES = [(f, m) for f in FAMILIES
+              for m in ("euclidean", "constant_hessian")]
+FAST_CASES += [("direct", "euclidean")]
+
+
+@st.composite
+def signed_states(draw, n):
+    """1 to 4 states (x, lambda, v) of n entries, with -0.0 entries: some
+    at the origin, on or near the boundary of the origin test |grad_v V|
+    <= eps_v, and in each min_p_star branch."""
+    vector = st.lists(CELLS, min_size=n, max_size=n).map(np.array)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, lam, v = draw(vector), draw(vector), draw(vector)
+        kind = draw(st.sampled_from(["any", "origin", "no_authority",
+                                     "origin_test_boundary", "inactive",
+                                     "active"]))
+        if kind == "origin":
+            lam, v = np.zeros(n), -np.zeros(n)
+        elif kind == "no_authority":
+            v = -(CLF.c / CLF.b) * lam
+        elif kind == "origin_test_boundary":
+            # grad_v V = offset, whose norm is eps_v scaled by a factor
+            # just under or over 1
+            v = -(CLF.c / CLF.b) * lam
+            eps = 1e-10 * (1.0 + np.linalg.norm(lam) + np.linalg.norm(v))
+            offset = np.zeros(n)
+            offset[draw(st.integers(0, n - 1))] = eps * draw(
+                st.sampled_from([0.5, 0.999999, 1.000001, 2.0]))
+            v = v + offset / CLF.b
+        elif kind == "inactive":
+            # (a lambda + c v) . Hv outgrows the certificate: no control
+            lam = draw(st.floats(1.0, 5.0)) * v
+        elif kind == "active":
+            v = -np.zeros(n)  # no drift, a positive certificate
+        rows.append((x, lam, v))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def fields(result):
+    return (result.u.tobytes(), bits(result.sigma), bits(result.drift),
+            bits(result.rho))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("family, metric", FAST_CASES,
+                         ids=[f"{f}-{m}" for f, m in FAST_CASES])
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_the_one_state_law_is_the_stacked_row(family, metric, n, seed, data):
+    oracle = random_quadratic(n, kappa=20.0, seed=seed).oracle
+    spec_metric = METRICS[metric][0]
+    spec = (nesterov_flow_controller(3.0, CLF) if family == "direct"
+            else FAMILIES[family](spec_metric))
+    law = dataclasses.replace(
+        spec, metric=resolve_metric(spec.metric, oracle)).bind(oracle)
+    X, L, V = data.draw(signed_states(n))
+    if data.draw(st.booleans()):
+        L = -oracle.gradient(X)  # the costate the flows use
+    with np.errstate(all="ignore"):
+        rows = []
+        for k in range(len(X)):
+            try:
+                rows.append(law(X[k], L[k], V[k]))
+            except InfeasibleStateError as e:
+                with pytest.raises(InfeasibleStateError) as stacked:
+                    law(X, L, V)
+                assert str(stacked.value) == str(e)
+                return
+        got = law(X, L, V)
+    for k, one in enumerate(rows):
+        assert one.branch == got.branch[k]
+        assert fields(one) == (got.u[k].tobytes(),) + tuple(
+            None if col is None else bits(col[k])
+            for col in (got.sigma, got.drift, got.rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), data=st.data())
+def test_the_unchecked_certificate_value_is_clf_value(n, data):
+    vector = st.lists(CELLS, min_size=n, max_size=n).map(np.array)
+    L, V = (np.array(data.draw(st.lists(vector, min_size=1, max_size=4)))
+            for _ in range(2))
+    if len(L) != len(V):
+        L = L[:1].repeat(len(V), axis=0)
+    # as min_p_star's law holds them: 0-d arrays, 0.5 a and 0.5 b folded
+    half_a, half_b, c = (np.array(k) for k in (0.5 * CLF.a, 0.5 * CLF.b,
+                                              CLF.c))
+    stacked = clf_value(CLF, L, V)
+    assert _value(half_a, half_b, c * L, L, V).tobytes() == stacked.tobytes()
+    for k in range(len(L)):
+        one = _value(half_a, half_b, c * L[k], L[k], V[k])
+        assert bits(one) == bits(clf_value(CLF, L[k], V[k])) \
+            == bits(stacked[k])
+
+
+def test_a_control_result_refuses_an_undeclared_field():
+    result = ControlResult(np.zeros(2), "origin", 0.0)
+    with pytest.raises(AttributeError):
+        result.branches = "origin"
+    assert not hasattr(result, "__dict__")
 
 
 @pytest.mark.parametrize("family, metric", CASES,

@@ -197,3 +197,25 @@ def test_log_sum_exp_hessian_psd(xs):
     prob = random_log_sum_exp(2, terms=6, seed=8)
     eigs = np.linalg.eigvalsh(prob.oracle.hessian(np.array(xs)))
     assert eigs[0] >= -1e-8
+
+
+SIGNED_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_the_one_point_quadratic_gradient_is_matvec_and_the_stacked_row(
+        n, seed, data):
+    # one point takes ndarray.dot, stacked points np.matvec; a zero x*
+    # against a -0.0 in x gives a -0.0 in x - x*
+    vector = st.lists(SIGNED_CELLS, min_size=n, max_size=n).map(np.array)
+    Q = random_quadratic(n, kappa=50.0, seed=seed).oracle.constant_hessian
+    x_star = data.draw(st.one_of(st.just(np.zeros(n)), vector))
+    gradient = quadratic_problem(Q, x_star=x_star).oracle.gradient
+    X = np.array(data.draw(st.lists(vector, min_size=1, max_size=4)))
+    stacked = gradient(X)
+    for k, x in enumerate(X):
+        one = gradient(x)
+        assert one.tobytes() == np.matvec(Q, x - x_star).tobytes()
+        assert one.tobytes() == stacked[k].tobytes()

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -267,3 +268,42 @@ def test_api_surface_lines_are_the_package_newlines():
     assert surface["total"] == (sum(lines.values()),
                                 sum(v for name, (_, v) in surface.items()
                                     if name != "total"))
+
+
+def _law_cost(base, head, *extra):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "law_cost.py"),
+         "--base", str(base), "--head", str(head), "--dim", "4",
+         "--repeat", "1", "--number", "2", *extra],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_law_cost_times_each_law_in_both_checkouts():
+    proc = _law_cost(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0] == "dim 4, best of 1 x 2 calls, raw us per call"
+    assert [row[:22].strip() for row in rows[2:]] == [
+        "polyak", "nesterov", "min_p_star inactive", "min_p_star active",
+        "gradient"]
+    for row in rows[2:]:
+        base, head, ratio = map(float, row[22:].split())
+        assert base > 0.0 and head > 0.0
+        assert ratio == pytest.approx(head / base, abs=1e-3, rel=1e-2)
+
+
+def test_law_cost_exits_one_when_a_checkout_gives_other_bytes(tmp_path):
+    # a head whose quadratic gradient is off by one ulp; the laws take
+    # the same states in both checkouts, so only the gradient differs
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    objective = tmp_path / "src" / "accelflow" / "objective.py"
+    text = objective.read_text()
+    old = "return product(d) if d.ndim == 1 else np.matvec(Q, d)"
+    assert old in text
+    objective.write_text(text.replace(
+        old, "return np.nextafter(product(d) if d.ndim == 1 else "
+             "np.matvec(Q, d), np.inf)"))
+    proc = _law_cost(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "gradient: the checkouts give different bytes"]
