@@ -13,10 +13,16 @@ the quadratic's one-point gradient: --repeat rounds, each timing the base
 and then the head over --number calls, and keeps each side's best round.
 Both checkouts need the bound laws (ControllerSpec.bind).
 
-Before timing, each law's u and each gradient must hold the same bytes in
-both checkouts. Prints one row per call with the base and head cost in
-raw microseconds per call and their ratio. Exits 0, or 1 when a u or a
-gradient differs.
+A last row, "trajectory text", is the per-value cost of each checkout's
+write_trajectory_csv on one benchmark-shaped record: the head's polyak
+flow (gains 10, 10) from the problem's x0, h = 1e-3 to t = 1.5, which at
+dim 50 is 1501 rows of 106 values. Each round writes it once per side.
+
+Before timing, each law's u, each gradient and the two trajectory files
+must hold the same bytes in both checkouts. Prints one row per call with
+the base and head cost in raw microseconds per call (per value for the
+trajectory text) and their ratio. Exits 0, or 1 when a u, a gradient or
+the trajectory text differs.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import importlib.util
 import os
 import sys
+import tempfile
 import timeit
 from types import ModuleType
 from typing import Callable
@@ -41,7 +48,7 @@ def load(checkout: str, name: str) -> ModuleType:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for sub in ("control", "objective"):
+    for sub in ("control", "objective", "flow", "export"):
         importlib.import_module(f"{name}.{sub}")
     return package
 
@@ -86,6 +93,29 @@ def output(result: object) -> bytes:
     return np.asarray(getattr(result, "u", result)).tobytes()
 
 
+def trajectory(package: ModuleType, dim: int, seed: int):
+    """The benchmark-shaped record the trajectory text row writes."""
+    problem = package.objective.random_quadratic(dim, 100.0, seed=seed)
+    spec = package.control.polyak_controller(10.0, 10.0)
+    state0 = package.flow.initial_state(problem.oracle, problem.x0)
+    return package.flow.integrate(spec, problem.oracle, state0, 1e-3, 1.5)
+
+
+def text_writes(packages: list[ModuleType], record,
+                directory: str) -> list[tuple[str, Callable[[], None]]]:
+    """(path, a no-argument write of record there) per checkout."""
+    paths = [os.path.join(directory, f"{k}.csv")
+             for k in range(len(packages))]
+    return [(path, lambda pkg=pkg, path=path:
+             pkg.export.write_trajectory_csv(record, path))
+            for pkg, path in zip(packages, paths)]
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the parent checkout")
@@ -106,22 +136,35 @@ def main(argv: list[str] | None = None) -> int:
     sides = [calls(pkg, args.dim, args.seed, states) for pkg in (base, head)]
     differ = [name for name in sides[0]
               if output(sides[0][name]()) != output(sides[1][name]())]
-    for name in differ:
-        print(f"{name}: the checkouts give different bytes")
-    if differ:
-        return 1
+    record = trajectory(head, args.dim, args.seed)
+    values = record.columns["t"].size * (2 * args.dim + 6)
+    with tempfile.TemporaryDirectory() as directory:
+        writes = text_writes([base, head], record, directory)
+        for _, write in writes:
+            write()
+        if len({read_bytes(path) for path, _ in writes}) > 1:
+            differ.append("trajectory text")
+        for name in differ:
+            print(f"{name}: the checkouts give different bytes")
+        if differ:
+            return 1
 
-    best = [{name: float("inf") for name in side} for side in sides]
-    for _ in range(args.repeat):
-        for name in sides[0]:
-            for side, fastest in zip(sides, best):
-                took = timeit.timeit(side[name], number=args.number)
-                fastest[name] = min(fastest[name], took)
+        best = [{name: float("inf") for name in side} for side in sides]
+        text = [float("inf")] * 2
+        for _ in range(args.repeat):
+            for name in sides[0]:
+                for side, fastest in zip(sides, best):
+                    took = timeit.timeit(side[name], number=args.number)
+                    fastest[name] = min(fastest[name], took)
+            for k, (_, write) in enumerate(writes):
+                text[k] = min(text[k], timeit.timeit(write, number=1))
     print(f"dim {args.dim}, best of {args.repeat} x {args.number} calls, "
           f"raw us per call")
     print(f"{'call':<22}{'base':>8}{'head':>8}{'head/base':>11}")
-    for name in sides[0]:
-        b, h = (fastest[name] / args.number * 1e6 for fastest in best)
+    rows = [(name, *(fastest[name] / args.number * 1e6 for fastest in best))
+            for name in sides[0]]
+    rows.append(("trajectory text", *(t / values * 1e6 for t in text)))
+    for name, b, h in rows:
         print(f"{name:<22}{b:8.2f}{h:8.2f}{h / b:11.3f}")
     return 0
 

@@ -146,7 +146,7 @@ def _emit(config: RunConfig, payload: dict[str, Any],
         payload["checks"] = report.to_dict()
     write_summary_json(payload, os.path.join(out_dir, "summary.json"))
     atomic_write(os.path.join(out_dir, "config_echo.yaml"),
-                 [config.to_yaml()])
+                 [config.to_yaml().encode()])
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
     if report is not None:
         for line in report.lines():

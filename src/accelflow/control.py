@@ -178,7 +178,9 @@ class MinP:
                 if fixed:
                     return ControlResult(minus_q * z, "boundary", q)
                 sigma = np.sqrt((min(q, d2) if taper else q) / d.dot(z))
-                return ControlResult(-sigma * z, "boundary", float(sigma))
+                # u = -sigma z goes into z, a fresh vector
+                np.multiply(-sigma, z, out=z)
+                return ControlResult(z, "boundary", float(sigma))
             boundary = ~(state_norm(d) <= _eps(lam, v))
             u, sigma = _on_rows(boundary,
                                 lambda take: steer(take(x), take(d)), v)
@@ -238,10 +240,12 @@ class MinPStar:
                         1.0 + math.sqrt(lam.dot(lam)) + math.sqrt(v.dot(v))):
                     raise _infeasible(self, oracle, x, lam, v, drift, rho)
                 z = d + zero if inverse is None else inverse(x, d, H)
-                # lie V = drift - sigma * quad = -rho, the rate binds exactly
-                sigma = gap / d.dot(z)
-                return ControlResult(-sigma * z, "active", float(sigma),
-                                     drift, rho)
+                # lie V = drift - sigma * quad = -rho, the rate binds
+                # exactly. u = -sigma z goes into z, a fresh vector, and
+                # -gap / quad is -sigma bit for bit.
+                minus = -gap / d.dot(z)
+                np.multiply(minus, z, out=z)
+                return ControlResult(z, "active", -float(minus), drift, rho)
             drift = np.vecdot(-(a * lam + c * v), np.matvec(H, v))
             rho = eta * clf_value(p, lam, v)
             gap = drift + rho

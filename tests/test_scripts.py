@@ -285,7 +285,7 @@ def test_law_cost_times_each_law_in_both_checkouts():
     assert rows[0] == "dim 4, best of 1 x 2 calls, raw us per call"
     assert [row[:22].strip() for row in rows[2:]] == [
         "polyak", "nesterov", "min_p_star inactive", "min_p_star active",
-        "gradient"]
+        "gradient", "trajectory text"]
     for row in rows[2:]:
         base, head, ratio = map(float, row[22:].split())
         assert base > 0.0 and head > 0.0
@@ -307,3 +307,18 @@ def test_law_cost_exits_one_when_a_checkout_gives_other_bytes(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "gradient: the checkouts give different bytes"]
+
+
+def test_law_cost_exits_one_when_the_trajectory_text_differs(tmp_path):
+    # a head whose CSV text separates fields with ';': every law and the
+    # gradient agree, only the written trajectory differs
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    csvtext = tmp_path / "src" / "accelflow" / "csvtext.py"
+    text = csvtext.read_text()
+    old = 'text[:, 27] = ord(",")'
+    assert old in text
+    csvtext.write_text(text.replace(old, 'text[:, 27] = ord(";")'))
+    proc = _law_cost(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "trajectory text: the checkouts give different bytes"]
