@@ -5,12 +5,13 @@
 In each checkout, for each workload and seed, builds the workload from
 that checkout's perfbench/workloads.py (imported, never changed), writes
 its configs the way perfbench/bench.py does, and runs its prepare ops and
-its timed ops once, in process, against that checkout's src/. Each op's
-exit code, stdout and stderr are kept as one JSON file beside the
-artifacts. Then every file the two sides wrote is compared byte for
-byte. The only difference ignored is the work directory itself: each
-side's root path is replaced by one placeholder before comparing, since
-configs, echoes and messages name absolute paths.
+its timed ops once, in process, against that checkout's src/, at one BLAS
+thread as the benchmark runs them. Each op's exit code, stdout and stderr
+are kept as one JSON file beside the artifacts. Then every file the two
+sides wrote is compared byte for byte. The only difference ignored is
+the work directory itself: each side's root path is replaced by one
+placeholder before comparing, since configs, echoes and messages name
+absolute paths.
 
 Exits 0 when both sides wrote the same files with the same bytes, 1 with
 one line per difference otherwise, and 2 when a checkout's run itself
@@ -35,6 +36,7 @@ from typing import Optional
 WORKLOADS = ("flow_euclid", "flow_curvature", "verify_replay",
              "discrete_compare")
 PLACEHOLDER = b"<WORK>"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OPS_DIR = "_ops"
 
 
@@ -135,7 +137,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                  "--base", args.base, "--head", args.head,
                  "--collect", checkout, roots[side],
                  "--seeds", *map(str, args.seeds)],
-                cwd=checkout, capture_output=True, text=True)
+                cwd=checkout, capture_output=True, text=True,
+                env={**os.environ, **dict.fromkeys(BLAS_THREADS, "1")})
             if proc.returncode != 0:
                 print(f"{side}: the run failed:\n{proc.stderr}",
                       file=sys.stderr)

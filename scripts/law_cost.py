@@ -13,6 +13,11 @@ the quadratic's one-point gradient: --repeat rounds, each timing the base
 and then the head over --number calls, and keeps each side's best round.
 Both checkouts need the bound laws (ControllerSpec.bind).
 
+The "metric solve" row is the accel_newton law (gains 25, 100), bound
+as a run binds it: over the metric resolved for the quadratic, so its
+solve is with the floored constant Hessian. The script pins one BLAS
+thread, as the CLI does, unless the caller set a count.
+
 A last row, "trajectory text", is the per-value cost of each checkout's
 write_trajectory_csv on one benchmark-shaped record: the head's polyak
 flow (gains 10, 10) from the problem's x0, h = 1e-3 to t = 1.5, which at
@@ -28,6 +33,7 @@ the trajectory text differs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -35,6 +41,9 @@ import tempfile
 import timeit
 from types import ModuleType
 from typing import Callable
+
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
 
 import numpy as np
 
@@ -77,6 +86,9 @@ def calls(package: ModuleType, dim: int, seed: int,
     polyak = control.polyak_controller(10.0, 10.0).bind(oracle)
     nesterov = control.nesterov_flow_controller(10.0).bind(oracle)
     star = control.MinPStar(rate_eta=1.0).bind(oracle)
+    newton = control.accelerated_newton_controller(25.0, 100.0)
+    newton = dataclasses.replace(newton, metric=package.metric.resolve_metric(
+        newton.metric, oracle)).bind(oracle)
     any_state = states["active"]
     x = any_state[0]
     return {
@@ -84,6 +96,7 @@ def calls(package: ModuleType, dim: int, seed: int,
         "nesterov": lambda: nesterov(*any_state),
         "min_p_star inactive": lambda: star(*states["inactive"]),
         "min_p_star active": lambda: star(*states["active"]),
+        "metric solve": lambda: newton(*any_state),
         "gradient": lambda: oracle.gradient(x),
     }
 
@@ -165,7 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             for name in sides[0]]
     rows.append(("trajectory text", *(t / values * 1e6 for t in text)))
     for name, b, h in rows:
-        print(f"{name:<22}{b:8.2f}{h:8.2f}{h / b:11.3f}")
+        # three decimals, so that the ratio of the printed costs is the
+        # printed ratio to within 1% down to 0.1 us
+        print(f"{name:<22}{b:8.3f}{h:8.3f}{h / b:11.3f}")
     return 0
 
 

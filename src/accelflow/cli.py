@@ -14,6 +14,13 @@ import os
 import sys
 from typing import Any, Optional
 
+# One BLAS thread unless the caller chose a count: more threads sum in
+# another order, so a rerun's bytes would depend on the machine. BLAS reads
+# these when numpy is first imported, and only then.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .config import (

@@ -57,7 +57,7 @@ from .clf import (
     drift_condition_check,
     state_norm,
 )
-from .metric import MetricKind, MetricSpec, metric_matrix, metric_solve
+from .metric import MetricKind, MetricSpec, _LU, metric_matrix, metric_solve
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -477,24 +477,34 @@ def _inverse(metric: MetricSpec,
     LAPACK solve does so at some positions and keeps -0.0 at others,
     depending on the signs of the other entries. H is hess E(x) when the
     caller already holds it; a Hessian metric that holds its floored
-    constant Hessian needs none. No metric is factored again for the
+    constant Hessian needs none. No metric is certified again for the
     solve: each got its certificate where it was made.
 
-    One W serves every stacked row when it does not depend on the point
-    (a quadratic's Hessian, a quasi-Newton matrix). A Hessian per row is
+    A W that does not depend on the point (a floored constant Hessian, a
+    quasi-Newton matrix) is factored once, at the law's first solve
+    (metric._LU), and serves every stacked row. A Hessian per row is
     floored and solved one row at a time, in row order, so the first row
     that fails raises what its one-row call raises.
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
         return None
-    pointwise = (metric.kind is MetricKind.HESSIAN
-                 and metric.floored_hessian is None)
+    if metric.kind is not MetricKind.HESSIAN or (
+            metric.floored_hessian is not None):
+        lu: Optional[_LU] = None
+
+        def fixed(x: Array, d: Array, H: Optional[Array] = None) -> Array:
+            nonlocal lu
+            if lu is None:
+                lu = _LU(metric_matrix(metric, oracle, x))
+            return lu.solve(d)
+
+        return fixed
 
     def inverse(x: Array, d: Array, H: Optional[Array] = None) -> Array:
-        if pointwise and H is None:
+        if H is None:
             H = oracle.hessian_at(x)
-        if H is not None and H.ndim == 3:  # not by a self-call, a cycle
+        if H.ndim == 3:  # not by a self-call, a cycle
             return np.array([
                 metric_solve(metric_matrix(metric, oracle, xk, Hk), dk)
                 for xk, dk, Hk in zip(x, d, H)])

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .metric import MetricKind, MetricSpec, metric_matrix, metric_solve, \
-    quasi_newton_update, resolve_metric
+from .metric import MetricKind, MetricSpec, _LU, metric_matrix, \
+    metric_solve, quasi_newton_update, resolve_metric
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -148,9 +148,12 @@ def _newton_metric(metric: MetricSpec, oracle: ObjectiveOracle,
 
 def _accelerated_newton(oracle: ObjectiveOracle, metric: MetricSpec,
                         x_k: Array, v_k: Array, g_k: Array, gamma_a: float,
-                        gamma_b: float, h: float) -> tuple[Array, Array]:
-    W = metric_matrix(metric, oracle, x_k)
-    v_kp1 = v_k - h * metric_solve(W, gamma_a * g_k + gamma_b * v_k)
+                        gamma_b: float, h: float,
+                        lu: Optional[_LU] = None) -> tuple[Array, Array]:
+    rhs = gamma_a * g_k + gamma_b * v_k
+    z = (metric_solve(metric_matrix(metric, oracle, x_k), rhs) if lu is None
+         else lu.solve(rhs))
+    v_kp1 = v_k - h * z
     return x_k + h * v_kp1, v_kp1
 
 
@@ -338,19 +341,21 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
 
     The update for the pair (x_{k-1}, x_k) runs at the start of step k,
     the first point where both gradients are at hand and the metric is
-    needed.
+    needed. A floored constant Hessian is factored once, here (metric._LU).
     """
     metric = _newton_metric(metric, oracle, h)
     gamma_a, gamma_b = (float(c) for c in gains)
     v = np.zeros_like(np.asarray(x0, dtype=float))
     last: Optional[tuple[Array, Array]] = None
+    lu = None if metric.floored_hessian is None else _LU(
+        metric.floored_hessian)
 
     def step(k: int, x: Array, g: Array) -> Array:
         nonlocal metric, v, last
         if last is not None and metric.kind is MetricKind.QUASI_NEWTON:
             metric = quasi_newton_update(metric, x - last[0], g - last[1])
         x_new, v = _accelerated_newton(oracle, metric, x, v, g, gamma_a,
-                                       gamma_b, h)
+                                       gamma_b, h, lu)
         last = (x, g)
         return x_new
 

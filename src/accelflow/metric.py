@@ -16,11 +16,20 @@ it is made, and metric_solve then only solves:
 * a quasi-Newton matrix, by the shift_to_floor in the quasi_newton_update
   that makes it;
 * a qn_state a caller supplies, by MetricSpec's own Cholesky check.
+
+A W that stays fixed (a floored constant Hessian for a run, a
+quasi-Newton matrix until the next update) is also factored once, by an
+_LU, with the LAPACK numpy bundles: one dgetrf, then one dgetrs per
+solve. np.linalg.solve's dgesv is that dgetrf and that dgetrs, so the
+bits are its bits. A Hessian that depends on the point is not factored.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import os
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
@@ -176,6 +185,72 @@ def metric_solve(W: Array, rhs: Array) -> Array:
     if rhs.ndim == 1:
         return np.linalg.solve(W, rhs)
     return np.linalg.solve(W, rhs[..., None])[..., 0]
+
+
+@functools.cache
+def _lapack() -> Optional[tuple]:
+    """(dgetrf, dgetrs, thread count) of the OpenBLAS that numpy bundles for
+    np.linalg.solve, or None where it bundles none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        name = next(f for f in os.listdir(libs)
+                    if f.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        found = (lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_,
+                 lib.scipy_openblas_get_num_threads64_)
+    except (OSError, StopIteration, AttributeError):
+        return None
+    # every integer is an int64 (ILP64) passed, like every array, by its
+    # address; dgetrs ends with the hidden length of its trans
+    found[0].argtypes, found[0].restype = [ctypes.c_void_p] * 6, None
+    found[1].argtypes, found[1].restype = (
+        [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t], None)
+    found[2].argtypes, found[2].restype = [], ctypes.c_int
+    return found
+
+
+class _LU:
+    """W^{-1} rhs for one fixed W, by its LU factors (module docstring).
+
+    W is factored where the holder is made. solve takes one row (n,) or
+    stacked rows (N, n), each its own one-column dgetrs into a fresh copy.
+    It is metric_solve for no rows or another shape, and where numpy bundles
+    no OpenBLAS, where that runs more than one thread (dgesv and dgetrf
+    then split their work at other sizes) or where dgetrf finds W singular.
+    """
+
+    def __init__(self, W: Array) -> None:
+        self.W = W = np.asarray(W, dtype=float)
+        self._call: Optional[tuple] = None  # dgetrs's arguments before b
+        lapack = _lapack()
+        if (lapack is None or lapack[2]() != 1 or W.ndim != 2
+                or W.shape[0] != W.shape[1]):
+            return
+        getrf, self._getrs, _ = lapack
+        # n, nrhs and info
+        self._ints = np.array([len(W), 1, 0], dtype=np.int64)
+        n, one, info = (self._ints.ctypes.data + 8 * k for k in range(3))
+        self._lu = np.array(W, order="F")
+        self._piv = np.empty(len(W), dtype=np.int64)
+        getrf(n, n, self._lu.ctypes.data, n, self._piv.ctypes.data, info)
+        if self._ints[2] == 0:
+            self._call = (b"N", n, one, self._lu.ctypes.data, n,
+                          self._piv.ctypes.data)
+            self._tail = (n, info, 1)
+
+    def solve(self, rhs: Array) -> Array:
+        rhs = np.asarray(rhs, dtype=float)
+        if (self._call is None or rhs.ndim > 2 or rhs.size == 0
+                or rhs.shape[-1:] != self.W.shape[:1]):
+            return metric_solve(self.W, rhs)
+        z = np.array(rhs, order="C")
+        # z's address, at about half the cost of z.ctypes.data
+        at = ctypes.addressof(ctypes.c_char.from_buffer(z))
+        row = 8 * len(self.W)
+        for k in range(len(z) if z.ndim == 2 else 1):  # b is row k of z
+            self._getrs(*self._call, at + k * row, *self._tail)
+        return z
 
 
 def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpec:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -381,6 +383,41 @@ def test_a_rerun_writes_byte_identical_artifacts(tmp_path, monkeypatch,
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: BLAS runs one thread anyway")
+def test_a_cli_run_writes_the_same_bytes_whatever_the_blas_threads(
+        tmp_path):
+    # at dim 100 a two-thread dgesv sums in another order than a one-thread
+    # one, so only a CLI that pins one thread writes the same bytes when
+    # the caller sets no thread count
+    data = {"problem": {"name": "quadratic", "dim": 100, "kappa": 100.0,
+                        "seed": 1},
+            "method": {"kind": "flow", "controller": "accel_newton",
+                       "gamma_a": 25.0, "gamma_b": 100.0, "h": 0.01,
+                       "t_max": 2.0},
+            "output": {"out_dir": "run"}}
+    cfg = write_config(tmp_path, "run.yaml", data)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    unset["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for side, env in (("unset", unset),
+                      ("one", {**unset, **dict.fromkeys(BLAS_THREADS, "1")})):
+        (tmp_path / side).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "accelflow.cli", "run", cfg],
+            cwd=tmp_path / side, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(tmp_path / side / "run" / name).read_bytes()
+                        for name in ("trajectory.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 class TestConfigErrors:

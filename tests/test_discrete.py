@@ -24,8 +24,11 @@ from accelflow.discrete import (
     nesterov_two_step,
     nesterov_two_step_iterate,
 )
-from accelflow.metric import MetricKind, MetricSpec, quasi_newton_update
+from accelflow import discrete, metric
+from accelflow.metric import MetricKind, MetricSpec, metric_matrix, \
+    metric_solve, quasi_newton_update
 from accelflow.objective import quadratic_problem, random_quadratic
+from blas import blas_threads
 
 
 def x_squared_problem():
@@ -332,6 +335,43 @@ class TestAcceleratedNewton:
         gnorm = np.linalg.norm(prob.oracle.gradient(seq.points[-1]))
         assert gnorm <= 1e-8
         assert len(seq.points) - 1 <= 200
+
+
+@pytest.mark.parametrize("kind", [MetricKind.HESSIAN,
+                                  MetricKind.QUASI_NEWTON])
+@pytest.mark.parametrize("dim", [1, 7, 50])
+def test_the_newton_driver_gives_the_bytes_of_a_solve_per_iterate(
+        kind, dim, monkeypatch):
+    oracle = random_quadratic(dim, 100.0, seed=dim).oracle
+    x0 = np.linspace(-1.0, 2.0, dim)
+    gains, h, steps = (1.0, 2.0), 0.25, 40
+    solves = []
+
+    def counted(W, rhs):
+        solves.append(rhs)
+        return metric_solve(W, rhs)
+
+    monkeypatch.setattr(discrete, "metric_solve", counted)
+    monkeypatch.setattr(metric, "metric_solve", counted)
+    with blas_threads(1):
+        seq = accelerated_newton_iterate(oracle, MetricSpec(kind), x0,
+                                         gains, h, steps)
+        # the reference: W resolved and solved afresh at every iterate
+        spec, x, v, last = MetricSpec(kind), x0, np.zeros(dim), None
+        want = [x]
+        for _ in range(steps):
+            g = oracle.gradient(x)
+            if last is not None and kind is MetricKind.QUASI_NEWTON:
+                spec = quasi_newton_update(spec, x - last[0], g - last[1])
+            W = metric_matrix(spec, oracle, x)
+            v = v - h * metric_solve(W, gains[0] * g + gains[1] * v)
+            last, x = (x, g), x + h * v
+            want.append(x)
+    # the floored constant Hessian is factored, each quasi-Newton W solved
+    assert len(solves) == (0 if kind is MetricKind.HESSIAN else steps)
+    assert len(seq.points) == steps + 1
+    for got, expected in zip(seq.points, want):
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestIterateSequence:

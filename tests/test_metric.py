@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accelflow import metric
 from accelflow.metric import (
     MetricKind,
     MetricSpec,
+    _LU,
     metric_matrix,
     metric_solve,
     quasi_newton_update,
     shift_to_floor,
 )
 from accelflow.objective import quadratic_problem, rosenbrock_problem
+from blas import blas_threads
 
 ROSEN = rosenbrock_problem().oracle
 
@@ -203,3 +206,109 @@ def test_qn_metric_descent_on_quadratic():
         if np.linalg.norm(g) <= 1e-10 * g0:
             break
     assert np.linalg.norm(g) <= 1e-6 * g0
+
+
+# ---------------------------------------------------------------------------
+# factored solves (metric._LU)
+# ---------------------------------------------------------------------------
+
+
+def _fixed_w(kind, n, rng):
+    """A W of the kind the laws and the Newton driver factor, or any
+    non-symmetric one."""
+    if kind == "floored_hessian":
+        M = rng.standard_normal((n, n)) + rng.uniform(-3.0, 3.0) * np.eye(n)
+        return shift_to_floor(M, 10.0 ** rng.integers(-6, 0))
+    if kind == "quasi_newton":
+        # curvature pairs from an indefinite A: some are taken as they
+        # are, some damped and some skipped
+        A = rng.standard_normal((n, n)) + rng.uniform(-1.0, 3.0) * np.eye(n)
+        spec = MetricSpec(MetricKind.QUASI_NEWTON)
+        for _ in range(4):
+            s = rng.standard_normal(n)
+            spec = quasi_newton_update(spec, s, A @ s)
+        return spec.qn_state
+    return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _solves(W, R):
+    """np.linalg.solve on R's first row and on its stacked rows."""
+    return (np.linalg.solve(W, R[0]),
+            np.linalg.solve(W, R[..., None])[..., 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["floored_hessian", "quasi_newton", "general"]),
+       st.integers(1, 128), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_a_factored_solve_gives_the_bytes_of_np_linalg_solve(kind, n, rows,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    W = _fixed_w(kind, n, rng)
+    R = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(
+        -8, 9, size=(rows, 1))
+    with blas_threads(1):
+        lu = _LU(W)
+        assert lu._call is not None  # factored, not fallen back
+        got = lu.solve(R[0]), lu.solve(R)
+        want = _solves(W, R)
+    for g, w in zip(got, want):
+        _same_bytes(g, w)
+
+
+def test_without_the_library_the_holder_solves_with_metric_solve(
+        monkeypatch):
+    monkeypatch.setattr(metric, "_lapack", lambda: None)
+    rng = np.random.default_rng(3)
+    W, R = _fixed_w("floored_hessian", 9, rng), rng.standard_normal((3, 9))
+    with blas_threads(1):
+        lu = _LU(W)
+        assert lu._call is None
+        got = lu.solve(R[0]), lu.solve(R)
+        want = _solves(W, R)
+    for g, w in zip(got, want):
+        _same_bytes(g, w)
+
+
+def test_on_two_blas_threads_the_holder_solves_with_metric_solve():
+    # at n = 100 a two-thread dgesv takes another path than a one-thread
+    # dgetrf, so only the fallback gives np.linalg.solve's bytes there
+    rng = np.random.default_rng(4)
+    W, R = _fixed_w("floored_hessian", 100, rng), rng.standard_normal((3, 100))
+    with blas_threads(2) as count:
+        if count != 2:
+            pytest.skip("the library would not run two threads")
+        lu = _LU(W)
+        assert lu._call is None
+        got = lu.solve(R[0]), lu.solve(R)
+        want = _solves(W, R)
+    for g, w in zip(got, want):
+        _same_bytes(g, w)
+
+
+@pytest.mark.parametrize("rhs", [np.ones(3), np.ones((2, 3))],
+                         ids=["one row", "stacked rows"])
+def test_a_singular_w_raises_what_np_linalg_solve_raises(rhs):
+    W = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.solve(W, rhs if rhs.ndim == 1 else rhs[..., None])
+    with blas_threads(1):
+        lu = _LU(W)
+        assert lu._call is None  # dgetrf reported a zero pivot
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            lu.solve(rhs)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_right_hand_side_of_another_size_raises_as_metric_solve_does():
+    with blas_threads(1):
+        lu = _LU(np.eye(3))
+        assert lu._call is not None
+        for rhs in (np.ones(2), np.ones((2, 4)), np.ones((1, 2, 3))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                lu.solve(rhs)
+        _same_bytes(lu.solve(np.ones((0, 3))), np.zeros((0, 3)))

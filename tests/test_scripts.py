@@ -285,7 +285,7 @@ def test_law_cost_times_each_law_in_both_checkouts():
     assert rows[0] == "dim 4, best of 1 x 2 calls, raw us per call"
     assert [row[:22].strip() for row in rows[2:]] == [
         "polyak", "nesterov", "min_p_star inactive", "min_p_star active",
-        "gradient", "trajectory text"]
+        "metric solve", "gradient", "trajectory text"]
     for row in rows[2:]:
         base, head, ratio = map(float, row[22:].split())
         assert base > 0.0 and head > 0.0
@@ -322,3 +322,19 @@ def test_law_cost_exits_one_when_the_trajectory_text_differs(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "trajectory text: the checkouts give different bytes"]
+
+
+def test_law_cost_exits_one_when_the_metric_solve_differs(tmp_path):
+    # a head whose solve with a fixed W is off by one ulp: only the
+    # accel_newton law solves with one, so only its row differs
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    control = tmp_path / "src" / "accelflow" / "control.py"
+    text = control.read_text()
+    old = "return lu.solve(d)"
+    assert old in text
+    control.write_text(text.replace(
+        old, "return np.nextafter(lu.solve(d), np.inf)"))
+    proc = _law_cost(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "metric solve: the checkouts give different bytes"]
