@@ -1,10 +1,20 @@
 """Print the accelflow package's source lines and public settable values.
 
-    python3 scripts/api_surface.py [--src DIR]
+    python3 scripts/api_surface.py [--src DIR] [--test-only]
 
 DIR holds the package directory accelflow/ (default: this checkout's
 src/). It prints one line per module and a total line, each with both
 figures, and exits 0.
+
+With --test-only it prints instead, one module.name a line, each public
+function or class of the package that only tests can reach, and exits 1
+when it prints any (0 when none). A module-level def or class whose name
+has no leading underscore is listed when no Name node or attribute in
+accelflow/*.py or in scripts/*.py refers to its name, outside its own
+definition, and README.md does not name it in backticks. scripts/ and
+README.md are read from DIR's parent directory, the checkout's layout.
+Names are matched bare, so a reference to a name reaches every
+definition of it.
 
 Source lines are the newlines in each accelflow/*.py file, what
 `wc -l src/accelflow/*.py` counts.
@@ -23,11 +33,13 @@ Enum members, constants, type aliases and private names count nothing.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import glob
 import importlib
 import inspect
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -80,11 +92,63 @@ def surface(src: str) -> list[tuple[str, int, int]]:
     return rows
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """The names tree refers to by a Name node or an attribute, outside
+    the top-level definition of the same name."""
+    found = set()
+    for statement in tree.body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(statement)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        if isinstance(statement, DEFINITIONS):
+            names.discard(statement.name)
+        found |= names
+    return found
+
+
+def test_only(src: str) -> list[str]:
+    """module.name of each public function or class of src's accelflow
+    that only tests can reach, by the rule in the module docstring."""
+    checkout = os.path.dirname(os.path.abspath(src))
+    package = sorted(glob.glob(os.path.join(src, "accelflow", "*.py")))
+    scripts = sorted(glob.glob(os.path.join(checkout, "scripts", "*.py")))
+    trees = {}
+    for file in package + scripts:
+        with open(file, encoding="utf-8") as fh:
+            trees[file] = ast.parse(fh.read(), filename=file)
+    referenced = set().union(*map(_referenced, trees.values()))
+    readme = os.path.join(checkout, "README.md")
+    if os.path.exists(readme):
+        with open(readme, encoding="utf-8") as fh:
+            spans = re.findall(r"`([^`]*)`", fh.read())
+        referenced |= set(re.findall(r"\w+", " ".join(spans)))
+    unreached = []
+    for file in package:
+        module = os.path.basename(file)[:-3]
+        unreached += [f"{module}.{statement.name}"
+                      for statement in trees[file].body
+                      if isinstance(statement, DEFINITIONS)
+                      and not statement.name.startswith("_")
+                      and statement.name not in referenced]
+    return unreached
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the directory that holds accelflow/")
+    parser.add_argument("--test-only", action="store_true",
+                        help="list the public functions and classes that "
+                             "only tests reach")
     args = parser.parse_args(argv)
+    if args.test_only:
+        names = test_only(args.src)
+        for name in names:
+            print(name)
+        return 1 if names else 0
     rows = surface(args.src)
     print(f"{'module':<12} {'lines':>6} {'settable':>8}")
     for name, lines, values in rows:

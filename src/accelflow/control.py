@@ -78,12 +78,6 @@ class DeltaMode(str, Enum):
     FIXED_SIGMA = "fixed_sigma"
 
 
-@dataclass(frozen=True)
-class GainReport:
-    holds: bool
-    violations: tuple[str, ...] = ()
-
-
 @dataclass(eq=False, slots=True)  # made at every stage: no frozen __init__
 class ControlResult:
     """Control value plus the diagnostics tests and verifiers care about.
@@ -126,7 +120,7 @@ class MinP:
 
     delta_mode resolves the budget: delta in the constant and taper modes,
     the constant multiplier sigma_q in fixed_sigma mode, which does not
-    read delta.
+    read delta. It takes a DeltaMode or its string value.
     """
 
     clf: ClfParams = DEFAULT_CLF
@@ -136,6 +130,7 @@ class MinP:
     sigma_q: Optional[float] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "delta_mode", DeltaMode(self.delta_mode))
         if self.delta_mode is DeltaMode.FIXED_SIGMA:
             if self.sigma_q is None or not (self.sigma_q > 0.0):
                 raise ValueError(f"fixed_sigma mode needs sigma_q > 0, got "
@@ -288,11 +283,11 @@ class Direct:
     metric: MetricSpec = _EUCLIDEAN
 
     def __post_init__(self) -> None:
-        report = validate_direct_gains(self.clf, self.gamma_a, self.gamma_b,
-                                       self.gamma_c)
-        if not report.holds:
+        violations = validate_direct_gains(self.clf, self.gamma_a,
+                                           self.gamma_b, self.gamma_c)
+        if violations:
             raise ValueError("direct gains violate the stability conditions: "
-                             + "; ".join(report.violations))
+                             + "; ".join(violations))
 
     def bind(self, oracle: ObjectiveOracle) -> Law:
         """The direct law for oracle, built once per run."""
@@ -405,8 +400,9 @@ def gains_from_sigma(clf: ClfParams, sigma_q: float) -> tuple[float, float]:
 
 
 def validate_direct_gains(clf: ClfParams, gamma_a: float, gamma_b: float,
-                          gamma_c: float) -> GainReport:
-    """Check the linear-feedback gains against the certificate.
+                          gamma_c: float) -> tuple[str, ...]:
+    """The stability conditions the linear-feedback gains violate under the
+    certificate, one line each: empty when the gains hold.
 
     In feedback form u = K_a lambda + K_b v + K_c hess E(x) v with
     K_a = gamma_a, K_b = -gamma_b, K_c = -gamma_c. Stability of the
@@ -428,7 +424,7 @@ def validate_direct_gains(clf: ClfParams, gamma_a: float, gamma_b: float,
     target = clf.a / clf.c
     if abs(k_c - target) > 1e-12 * max(abs(target), 1.0):
         violations.append(f"K_c must equal a/c = {target}, got {k_c}")
-    return GainReport(holds=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Discrete optimization steps generated by the continuous flows.
+"""Discrete optimization methods generated by the continuous flows.
 
 The algebra here is exact, not asymptotic: conjugate-gradient iterations
-rewrite as heavy-ball momentum steps, the one-step and two-step forms of
-gradient-corrected momentum generate identical sequences, and the flow
-gains map onto step-size/momentum/correction coefficients. The tests pin
-these identities at rounding-error tolerances, so every function keeps
-the update exactly in the stated form rather than an algebraically
-rearranged one. Each formula exists once, as a private update that the
-public single step and its driver share; every driver runs on one loop
-that evaluates the gradient once per iterate and carries it forward.
+rewrite as heavy-ball momentum steps (cg_to_momentum), the one-step and
+two-step forms of gradient-corrected momentum generate identical
+sequences, and the flow gains map onto step-size/momentum/correction
+coefficients (flow_to_discrete). The tests pin these identities at
+rounding-error tolerances, so every update keeps exactly the stated form
+rather than an algebraically rearranged one. Each method has one public
+entry, its *_iterate driver, whose step holds the method's one formula;
+every driver runs on one loop that evaluates the gradient once per
+iterate and carries it forward.
 """
 
 from __future__ import annotations
@@ -43,21 +44,8 @@ def constant(value: float) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# coefficient maps
 # ---------------------------------------------------------------------------
-
-
-def _heavy_ball(x_k: Array, x_km1: Array, g_k: Array, alpha_k: float,
-                beta_k: float) -> Array:
-    return x_k - alpha_k * g_k + beta_k * (x_k - x_km1)
-
-
-def heavy_ball_step(oracle: ObjectiveOracle, x_k: Array, x_km1: Array,
-                    alpha_k: float, beta_k: float) -> Array:
-    """x_{k+1} = x_k - alpha_k grad E(x_k) + beta_k (x_k - x_{k-1})."""
-    x_k = np.asarray(x_k, dtype=float)
-    x_km1 = np.asarray(x_km1, dtype=float)
-    return _heavy_ball(x_k, x_km1, oracle.gradient(x_k), alpha_k, beta_k)
 
 
 def cg_to_momentum(alpha_k: float, alpha_km1: float, beta_cg_k: float) -> float:
@@ -70,47 +58,6 @@ def cg_to_momentum(alpha_k: float, alpha_km1: float, beta_cg_k: float) -> float:
     if not (alpha_km1 > 0.0):
         raise ValueError(f"alpha_km1 must be positive, got {alpha_km1}")
     return alpha_k * beta_cg_k / alpha_km1
-
-
-def _nesterov_two_step(y_k: Array, x_km1: Optional[Array], g_k: Array,
-                       alpha_k: float, beta_k: float) -> tuple[Array, Array]:
-    x_k = y_k - alpha_k * g_k
-    # x_{k-1} = None extrapolates from x_k itself: no momentum
-    y_kp1 = x_k + beta_k * (x_k - (x_k if x_km1 is None else x_km1))
-    return x_k, y_kp1
-
-
-def nesterov_two_step(oracle: ObjectiveOracle, y_k: Array, x_km1: Array,
-                      alpha_k: float, beta_k: float) -> tuple[Array, Array]:
-    """Lookahead form: descend at y_k, then extrapolate past the new point."""
-    y_k = np.asarray(y_k, dtype=float)
-    x_km1 = np.asarray(x_km1, dtype=float)
-    return _nesterov_two_step(y_k, x_km1, oracle.gradient(y_k), alpha_k,
-                              beta_k)
-
-
-def _nesterov_one_step(x_k: Array, x_km1: Array, g_k: Array, g_km1: Array,
-                       alpha_k: float, beta_k: float, gamma_k: float) -> Array:
-    return (x_k - alpha_k * g_k + beta_k * (x_k - x_km1)
-            - gamma_k * (g_k - g_km1))
-
-
-def nesterov_one_step(oracle: ObjectiveOracle, x_k: Array, x_km1: Array,
-                      g_km1: Array, alpha_k: float, beta_k: float,
-                      gamma_k: float) -> Array:
-    """Momentum step with a gradient-correction term.
-
-    x_{k+1} = x_k - alpha_k g_k + beta_k (x_k - x_{k-1})
-                  - gamma_k (g_k - g_{k-1}),
-
-    the discretization of the flow whose damping includes a Hessian term;
-    gamma_k = alpha_k beta_k recovers the lookahead form exactly.
-    """
-    x_k = np.asarray(x_k, dtype=float)
-    x_km1 = np.asarray(x_km1, dtype=float)
-    g_km1 = np.asarray(g_km1, dtype=float)
-    return _nesterov_one_step(x_k, x_km1, oracle.gradient(x_k), g_km1,
-                              alpha_k, beta_k, gamma_k)
 
 
 def flow_to_discrete(gains: Sequence[float], h: float) -> tuple[float, float, float]:
@@ -133,48 +80,6 @@ def flow_to_discrete(gains: Sequence[float], h: float) -> tuple[float, float, fl
             f"1 - gamma_b h = {beta} < 0: unstable momentum coefficient, "
             f"reduce h below {1.0 / gamma_b:.3g}")
     return gamma_a * h * h, beta, gamma_c * h
-
-
-def _newton_metric(metric: MetricSpec, oracle: ObjectiveOracle,
-                   h: float) -> MetricSpec:
-    """The checked metric, resolved for oracle (metric.resolve_metric)."""
-    if metric.kind is MetricKind.EUCLIDEAN:
-        raise ValueError("accelerated_newton_step needs a hessian or "
-                         "quasi_newton metric")
-    if not (h > 0.0):
-        raise ValueError(f"h must be positive, got {h}")
-    return resolve_metric(metric, oracle)
-
-
-def _accelerated_newton(oracle: ObjectiveOracle, metric: MetricSpec,
-                        x_k: Array, v_k: Array, g_k: Array, gamma_a: float,
-                        gamma_b: float, h: float,
-                        lu: Optional[_LU] = None) -> tuple[Array, Array]:
-    rhs = gamma_a * g_k + gamma_b * v_k
-    z = (metric_solve(metric_matrix(metric, oracle, x_k), rhs) if lu is None
-         else lu.solve(rhs))
-    v_kp1 = v_k - h * z
-    return x_k + h * v_kp1, v_kp1
-
-
-def accelerated_newton_step(oracle: ObjectiveOracle, metric: MetricSpec,
-                            x_k: Array, v_k: Array, gains: Sequence[float],
-                            h: float) -> tuple[Array, Array]:
-    """Semi-implicit Euler step of the metric-weighted momentum flow.
-
-        v_{k+1} = v_k - h W^{-1}(gamma_a grad E(x_k) + gamma_b v_k)
-        x_{k+1} = x_k + h v_{k+1}
-
-    The metric must be curvature-carrying (hessian or quasi_newton); with
-    the identity there is nothing Newton-like about the step. Quasi-Newton
-    state updates belong to the caller, which sees both endpoints.
-    """
-    metric = _newton_metric(metric, oracle, h)
-    gamma_a, gamma_b = (float(g) for g in gains)
-    x_k = np.asarray(x_k, dtype=float)
-    v_k = np.asarray(v_k, dtype=float)
-    return _accelerated_newton(oracle, metric, x_k, v_k, oracle.gradient(x_k),
-                               gamma_a, gamma_b, h)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +132,15 @@ def _norm(g: Array) -> float:
 def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
                        alpha: Schedule, beta: Schedule,
                        tol_g: Optional[float] = None) -> IterateSequence:
-    """Run heavy_ball_step from x_{-1} = x0 (no initial momentum)."""
+    """Heavy-ball momentum from x_{-1} = x0 (no initial momentum):
+
+        x_{k+1} = x_k - alpha_k grad E(x_k) + beta_k (x_k - x_{k-1}).
+    """
     x_prev = np.asarray(x0, dtype=float)
 
     def step(k: int, x: Array, g: Array) -> Array:
         nonlocal x_prev
-        x_new = _heavy_ball(x, x_prev, g, alpha(k), beta(k))
+        x_new = x - alpha(k) * g + beta(k) * (x - x_prev)
         x_prev = x
         return x_new
 
@@ -292,8 +200,13 @@ def nesterov_one_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
                               alpha: Schedule, beta: Schedule,
                               gamma: Optional[Schedule] = None,
                               tol_g: Optional[float] = None) -> IterateSequence:
-    """Run nesterov_one_step from x_{-1} = x0, g_{-1} = grad E(x0).
+    """Momentum with a gradient correction, from x_{-1} = x0 and
+    g_{-1} = grad E(x0):
 
+        x_{k+1} = x_k - alpha_k g_k + beta_k (x_k - x_{k-1})
+                      - gamma_k (g_k - g_{k-1}),
+
+    the discretization of the flow whose damping includes a Hessian term.
     gamma defaults to the product alpha(k) * beta(k), the choice under
     which this sequence coincides with the lookahead sequence of the
     two-step form.
@@ -305,8 +218,8 @@ def nesterov_one_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
         nonlocal x_prev, g_prev
         a, b = alpha(k), beta(k)
         c = a * b if gamma is None else gamma(k)
-        x_new = _nesterov_one_step(x, x_prev, g,
-                                   g if g_prev is None else g_prev, a, b, c)
+        g_km1 = g if g_prev is None else g_prev
+        x_new = x - a * g + b * (x - x_prev) - c * (g - g_km1)
         x_prev, g_prev = x, g
         return x_new
 
@@ -316,7 +229,11 @@ def nesterov_one_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 def nesterov_two_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
                               alpha: Schedule, beta: Schedule,
                               tol_g: Optional[float] = None) -> IterateSequence:
-    """Run nesterov_two_step from y_0 = x0.
+    """Lookahead form from y_0 = x0: descend at y_k, then extrapolate
+    past the new point,
+
+        x_k = y_k - alpha_k grad E(y_k),
+        y_{k+1} = x_k + beta_k (x_k - x_{k-1}).
 
     points holds the lookahead sequence y_0, y_1, ..., where the gradient
     is actually evaluated; the descent iterates x_k are not kept.
@@ -327,7 +244,9 @@ def nesterov_two_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 
     def step(k: int, y: Array, g: Array) -> Array:
         nonlocal x_prev
-        x_prev, y_new = _nesterov_two_step(y, x_prev, g, alpha(k), beta(k))
+        x = y - alpha(k) * g
+        y_new = x + beta(k) * (x - (x if x_prev is None else x_prev))
+        x_prev = x
         return y_new
 
     return _iterate(oracle, x0, steps, tol_g, step)
@@ -337,13 +256,26 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
                                x0: Array, gains: Sequence[float], h: float,
                                steps: int,
                                tol_g: Optional[float] = None) -> IterateSequence:
-    """Drive accelerated_newton_step from v_0 = 0, owning quasi-Newton updates.
+    """Semi-implicit Euler steps of the metric-weighted momentum flow,
+    from v_0 = 0:
 
-    The update for the pair (x_{k-1}, x_k) runs at the start of step k,
-    the first point where both gradients are at hand and the metric is
-    needed. A floored constant Hessian is factored once, here (metric._LU).
+        v_{k+1} = v_k - h W^{-1}(gamma_a grad E(x_k) + gamma_b v_k)
+        x_{k+1} = x_k + h v_{k+1}
+
+    The metric must be curvature-carrying (hessian or quasi_newton); with
+    the identity there is nothing Newton-like about the step. It is
+    resolved for oracle once, here (metric.resolve_metric), and a floored
+    constant Hessian is factored once, here too (metric._LU). The
+    driver owns the quasi-Newton updates: the one for the pair
+    (x_{k-1}, x_k) runs at the start of step k, the first point where
+    both gradients are at hand and the metric is needed.
     """
-    metric = _newton_metric(metric, oracle, h)
+    if metric.kind is MetricKind.EUCLIDEAN:
+        raise ValueError("accelerated_newton_iterate needs a hessian or "
+                         "quasi_newton metric")
+    if not (h > 0.0):
+        raise ValueError(f"h must be positive, got {h}")
+    metric = resolve_metric(metric, oracle)
     gamma_a, gamma_b = (float(c) for c in gains)
     v = np.zeros_like(np.asarray(x0, dtype=float))
     last: Optional[tuple[Array, Array]] = None
@@ -354,9 +286,11 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
         nonlocal metric, v, last
         if last is not None and metric.kind is MetricKind.QUASI_NEWTON:
             metric = quasi_newton_update(metric, x - last[0], g - last[1])
-        x_new, v = _accelerated_newton(oracle, metric, x, v, g, gamma_a,
-                                       gamma_b, h, lu)
+        rhs = gamma_a * g + gamma_b * v
+        z = (metric_solve(metric_matrix(metric, oracle, x), rhs) if lu is None
+             else lu.solve(rhs))
+        v = v - h * z
         last = (x, g)
-        return x_new
+        return x + h * v
 
     return _iterate(oracle, x0, steps, tol_g, step)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import tempfile
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -234,15 +235,6 @@ def _first_hits(norms: Sequence[float], stamps: Sequence) -> dict[str, Any]:
     return out
 
 
-def time_to_gradient_decades(record: TrajectoryRecord) -> dict[str, Optional[float]]:
-    cols = record.columns
-    return _first_hits(cols["grad_norm"], cols["t"].tolist())
-
-
-def iterations_to_gradient_decades(seq: IterateSequence) -> dict[str, Optional[int]]:
-    return _first_hits(seq.grad_norms, range(len(seq.grad_norms)))
-
-
 def flow_summary(record: TrajectoryRecord, label: str) -> dict[str, Any]:
     """Run outcome, with the distances of the final sample from the
     final-time targets grad E = 0, v = 0, lambda = 0."""
@@ -262,7 +254,8 @@ def flow_summary(record: TrajectoryRecord, label: str) -> dict[str, Any]:
             "lambda_x_norm": float(np.linalg.norm(last["lambda_x"])),
             "lambda_v_norm": float(np.linalg.norm(last["lambda_v"])),
         },
-        "time_to_grad": time_to_gradient_decades(record),
+        "time_to_grad": _first_hits(record.columns["grad_norm"],
+                                    record.columns["t"].tolist()),
     }
 
 
@@ -281,25 +274,30 @@ def discrete_summary(seq: IterateSequence, oracle: ObjectiveOracle,
             "E": float(oracle.value(x_final)) if finite else None,
             "grad_norm": gnorm if finite else None,
         },
-        "iterations_to_grad": iterations_to_gradient_decades(seq),
+        "iterations_to_grad": _first_hits(seq.grad_norms,
+                                          range(len(seq.grad_norms))),
     }
 
 
-def _json_default(value: Any) -> Any:
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _json_plain(value: Any) -> Any:
+    """value as JSON spells it: numpy scalars and arrays as Python
+    values, and each non-finite float, at any depth, as None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_plain(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_summary_json(payload: dict[str, Any], path: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      default=_json_default)
+    """payload as strict JSON: a non-finite float, which JSON cannot
+    spell, is written as null."""
+    text = json.dumps(_json_plain(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
     atomic_write(path, [(text + "\n").encode()])
 
 

@@ -114,27 +114,35 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
               record_stride: int = 1) -> TrajectoryRecord:
     """March the closed loop on a fixed grid until convergence or t_max.
 
-    record_stride thins what is stored, never what is computed: stopping
-    and divergence are checked every step, and the final state is always
-    recorded. The metric is resolved for oracle once, before the first
-    step (metric.resolve_metric), so a Hessian metric over a constant
-    Hessian is floored once per run. Quasi-Newton metrics are updated
+    method and mode take their members or the members' values ("rk4",
+    ...). record_stride thins what is stored, never what is computed:
+    stopping and divergence are checked every step, and the final state
+    is always recorded. The metric is resolved for oracle once, before
+    the first step (metric.resolve_metric), so a Hessian metric over a
+    constant Hessian is floored once per run. Quasi-Newton metrics are updated
     once per completed step from the observed (step, gradient change)
     pair; stage evaluations within a step all see the matrix from the
     step's start. The law is bound (spec.bind) after the metric is
     resolved and after each quasi-Newton update; only state0 goes through
     the checked evaluate_control.
 
-    The control at each accepted state is evaluated once, after that
-    state's metric update, and shared: its row records it, and the next
-    step uses it as the first RK4 stage or the semi-implicit Euler
-    velocity update. An RK4 step therefore costs four control
-    evaluations. In full_primal_dual RK4 mode the adjoint step's endpoint
-    control is that same value, except with a quasi-Newton metric, where
-    the adjoint sees the control under the matrix the primal step used.
+    One slope writer holds the vector field (x, v, y)' = (v, u, g . v):
+    it fills every RK4 stage, and a semi-implicit Euler step adds h times
+    its slope at the updated velocity. The control at each accepted state
+    is evaluated once, after that state's metric update, and shared: its
+    row records it, and the next step's first slope uses it. An RK4 step
+    therefore costs four control evaluations. In full_primal_dual RK4
+    mode the adjoint step's endpoint control is that same value, except
+    with a quasi-Newton metric, where the adjoint sees the control under
+    the matrix the primal step used.
     Each accepted state takes the norms of x, v and the gradient once;
     they serve the divergence test, the stopping rule and the grad_norm
     column.
+
+    A run diverges at a state that is not finite, whose x or v norm
+    passes DIVERGENCE_LIMIT, or whose gradient norm is not finite (a
+    finite gradient's can overflow). It ends at the last accepted state,
+    which a diverging start state is.
 
     The run comes back as one table. The loop keeps only the raw columns
     of each recorded state: t, x, v, y, the gradient, grad_norm, u, the
@@ -163,6 +171,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                          f"{t_max} / {h}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+    method, mode = Integrator(method), FlowMode(mode)
 
     n = oracle.dim
     full = mode is FlowMode.FULL_PRIMAL_DUAL
@@ -178,13 +187,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     def control_at(zz: Array, g: Array) -> ControlResult:
         return law(zz[:n], -g, zz[n:2 * n])
 
-    def rhs(zz: Array, g: Array, u: Array, out: Array) -> None:
-        """The closed loop's vector field at zz, written to out."""
-        v = zz[n:2 * n]
-        out[:n] = v
-        out[n:2 * n] = u
-        out[2 * n] = g.dot(v)
-
     # the RK4 stage state, its x and v views and the slopes are made once
     # per run; an accepted state is always a fresh array, since the rows
     # keep views of it
@@ -192,22 +194,27 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     xs, vs = zs[:n], zs[n:2 * n]
     gradient = oracle.gradient
 
+    def slope(v: Array, g: Array, u: Array, out: Array) -> None:
+        """The closed loop's vector field, (x, v, y)' = (v, u, g . v) for
+        velocity v, gradient g and control u, written to out."""
+        out[:n] = v
+        out[n:2 * n] = u
+        out[2 * n] = g.dot(v)
+
     def stage(zz: Array, coeff: Array, k: Array, out: Array) -> None:
-        """The slope at zz + coeff * k, written to out: rhs inlined, with
-        the law as it is bound now (a quasi-Newton update rebinds it)."""
+        """The slope at zz + coeff * k, written to out, with the law as it
+        is bound now (a quasi-Newton update rebinds it)."""
         np.multiply(k, coeff, out=zs)
         np.add(zz, zs, out=zs)
         g = gradient(xs)
-        out[:n] = vs
-        out[n:2 * n] = law(xs, -g, vs).u
-        out[2 * n] = g.dot(vs)
+        slope(vs, g, law(xs, -g, vs).u, out)
 
     # the RK4 coefficients as 0-d arrays, which numpy takes without the
     # conversion it gives a Python float at every call
     half_h, full_h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
 
     def rk4_step(zz: Array, g: Array, u: Array) -> Array:
-        rhs(zz, g, u, k1)
+        slope(zz[n:2 * n], g, u, k1)
         stage(zz, half_h, k1, k2)
         stage(zz, half_h, k2, k3)
         stage(zz, full_h, k3, k4)
@@ -218,14 +225,10 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         return zz + np.multiply(k1, sixth_h, out=k1)
 
     def sie_step(zz: Array, g: Array, u: Array) -> Array:
-        # symplectic-flavoured first order: v first, then x rides v_new
-        x = zz[:n]
-        v1 = zz[n:2 * n] + h * u
-        out = zz.copy()
-        out[:n] = x + h * v1
-        out[n:2 * n] = v1
-        out[2 * n] = zz[2 * n] + h * float(g @ v1)
-        return out
+        # symplectic-flavoured first order: v first, then x and y ride
+        # v_new (zz's v + h u is v_new again, bit for bit)
+        slope(zz[n:2 * n] + h * u, g, u, k1)
+        return zz + np.multiply(k1, full_h, out=k1)
 
     step = rk4_step if method is Integrator.RK4 else sie_step
 
@@ -277,11 +280,12 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     res = evaluate_control(live_spec, oracle, z[:n], -g, z[n:2 * n])
     keep(0.0, z, g, g_norm, res)
     converged = g_norm <= stop.tol_g and _norm(z[n:2 * n]) <= stop.tol_v
-    diverged = False
+    # a law cannot steer by a gradient norm that is not finite
+    diverged = not math.isfinite(g_norm)
     n_steps = int(np.ceil(t_max / h - 1e-12))
     k = 0
 
-    if not converged:
+    if not (converged or diverged):
         qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
         adjoint_rk4 = full and method is Integrator.RK4
         u_adj = res.u  # the adjoint step's control at the primal step's start
@@ -296,6 +300,11 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 k -= 1
                 break
             g_new = oracle.gradient(z_new[:n])
+            g_norm_new = _norm(g_new)
+            if not math.isfinite(g_norm_new):
+                diverged = True
+                k -= 1
+                break
             if full:
                 if adjoint_rk4:
                     res_new = control_at(z_new, g_new)
@@ -315,8 +324,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                     live_spec.metric, z_new[:n] - z[:n], g_new - g)
                 live_spec = dataclasses.replace(live_spec, metric=new_metric)
                 law = live_spec.bind(oracle)
-            z, g = z_new, g_new
-            g_norm = _norm(g)
+            z, g, g_norm = z_new, g_new, g_norm_new
             if adjoint_rk4 and not qn:
                 res = res_new
             else:

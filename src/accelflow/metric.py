@@ -54,12 +54,13 @@ class MetricKind(str, Enum):
 class MetricSpec:
     """Which W to use, plus the state the quasi-Newton variant carries.
 
-    qn_state is the current B matrix; None means "not initialized yet" and
-    resolves to the identity. Updates return a new spec rather than
-    mutating, so whoever drives the iteration owns the sequencing. A
-    qn_state must be finite with a finite Cholesky factor; certified=True
-    says it already has its certificate (quasi_newton_update's floor), so
-    it is not factored again.
+    kind takes a MetricKind or its string value. qn_state is the current
+    B matrix; None means "not initialized yet" and resolves to the
+    identity. Updates return a new spec rather than mutating, so whoever
+    drives the iteration owns the sequencing. A qn_state must be finite
+    with a finite Cholesky factor; certified=True says it already has its
+    certificate (quasi_newton_update's floor), so it is not factored
+    again.
 
     constant_hessian, given to a Hessian metric, is the objective's
     Hessian when it does not depend on the point: it is floored once,
@@ -78,6 +79,7 @@ class MetricSpec:
 
     def __post_init__(self, constant_hessian: Optional[Array],
                       certified: bool) -> None:
+        object.__setattr__(self, "kind", MetricKind(self.kind))
         if not (self.eig_floor > 0.0):
             raise ValueError(f"eig_floor must be positive, got {self.eig_floor}")
         if self.qn_state is not None and not certified:
@@ -158,16 +160,14 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
             return spec.floored_hessian
         return shift_to_floor(oracle.hessian_at(x) if H is None else H,
                               spec.eig_floor)
-    if spec.kind is MetricKind.QUASI_NEWTON:
-        if spec.qn_state is None:
-            return np.eye(oracle.dim)
-        B = np.asarray(spec.qn_state, dtype=float)
-        if B.shape != (oracle.dim, oracle.dim):
-            raise ValueError(
-                f"qn_state has shape {B.shape}, expected "
-                f"({oracle.dim}, {oracle.dim})")
-        return B
-    raise ValueError(f"unknown metric kind {spec.kind!r}")
+    if spec.qn_state is None:  # quasi_newton, not updated yet
+        return np.eye(oracle.dim)
+    B = np.asarray(spec.qn_state, dtype=float)
+    if B.shape != (oracle.dim, oracle.dim):
+        raise ValueError(
+            f"qn_state has shape {B.shape}, expected "
+            f"({oracle.dim}, {oracle.dim})")
+    return B
 
 
 def metric_solve(W: Array, rhs: Array) -> Array:

@@ -145,6 +145,32 @@ class TestRunFlow:
         assert main(["run", cfg]) == 3
         assert capsys.readouterr().err == "run diverged\n"
 
+    @pytest.mark.parametrize("controller", ["polyak", "accel_newton",
+                                            "nesterov"])
+    def test_an_overflowing_gradient_norm_diverges(self, tmp_path, capsys,
+                                                   controller):
+        # at scale 1e154 the start gradient is finite, but its norm
+        # overflows: the laws would steer by inf, so the run stops there
+        out = tmp_path / "run"
+        data = flow_data(out, controller=controller, gamma_a=1.0, h=0.01,
+                         t_max=1.0)
+        if controller == "nesterov":
+            del data["method"]["gamma_b"]
+        else:
+            data["method"]["gamma_b"] = 1.0
+        data["problem"].update(scale=1.0e+154, seed=1)
+        cfg = write_config(tmp_path, "overflow.yaml", data)
+        capsys.readouterr()
+        assert main(["run", cfg]) == 3
+        assert capsys.readouterr().err == "run diverged\n"
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["diverged"] and summary["steps_taken"] == 0
+        assert summary["final"]["grad_norm"] is None
+
     @pytest.mark.parametrize("controller,metric", [
         ("polyak", "euclidean"), ("accel_newton", "hessian"),
         ("quasi_newton", "quasi_newton"), ("direct", "euclidean")])

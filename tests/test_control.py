@@ -51,6 +51,26 @@ def test_family_parameter_blocks_are_exclusive():
         MinPStar(rate_eta=-1.0)
 
 
+@pytest.mark.parametrize("mode", list(DeltaMode), ids=lambda m: m.value)
+def test_delta_mode_takes_its_string_value(mode):
+    budget = {"sigma_q": 1.3} if mode is DeltaMode.FIXED_SIGMA \
+        else {"delta": 0.7}
+    by_value = MinP(delta_mode=mode.value, **budget)
+    assert by_value.delta_mode is mode
+    oracle = random_quadratic(4, kappa=30.0, seed=3).oracle
+    x, lam, v = np.random.default_rng(5).standard_normal((3, 2, 4))
+    for rows in (0, slice(None)):  # one state, then two stacked
+        want = evaluate_control(MinP(delta_mode=mode, **budget), oracle,
+                                x[rows], lam[rows], v[rows])
+        got = evaluate_control(by_value, oracle, x[rows], lam[rows], v[rows])
+        assert got.u.tobytes() == want.u.tobytes()
+
+
+def test_delta_mode_rejects_an_unknown_string():
+    with pytest.raises(ValueError, match="is not a valid DeltaMode"):
+        MinP(delta_mode="fixed", sigma_q=1.0)
+
+
 #: each family type with arguments that build it, one that leaves out a
 #: field it requires, and the error that refuses that
 FAMILY_TYPES = {
@@ -398,9 +418,7 @@ def test_gains_from_sigma_warns_on_positive_c():
 
 
 def test_validate_direct_gains_hand_case():
-    report = validate_direct_gains(DEFAULT_CLF, 1.0, 1.0, 2.0)
-    assert report.holds
-    assert report.violations == ()
+    assert validate_direct_gains(DEFAULT_CLF, 1.0, 1.0, 2.0) == ()
 
 
 @pytest.mark.parametrize("gains,needle", [
@@ -410,9 +428,9 @@ def test_validate_direct_gains_hand_case():
     ((1.0, 1.0, 3.0), "K_c"),
 ])
 def test_validate_direct_gains_violations(gains, needle):
-    report = validate_direct_gains(DEFAULT_CLF, *gains)
-    assert not report.holds
-    assert any(needle in viol for viol in report.violations)
+    violations = validate_direct_gains(DEFAULT_CLF, *gains)
+    assert violations
+    assert any(needle in viol for viol in violations)
 
 
 def test_validate_direct_gains_needs_negative_c():

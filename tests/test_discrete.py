@@ -1,4 +1,4 @@
-"""Discrete steps: hand values, algebraic equivalences, convergence checks."""
+"""Discrete drivers: hand values, algebraic equivalences, convergence checks."""
 
 import dataclasses
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from accelflow.discrete import (
     IterateSequence,
     accelerated_newton_iterate,
-    accelerated_newton_step,
     cg_iterate,
     cg_to_momentum,
     constant,
@@ -18,10 +17,7 @@ from accelflow.discrete import (
     fletcher_reeves_beta,
     flow_to_discrete,
     heavy_ball_iterate,
-    heavy_ball_step,
-    nesterov_one_step,
     nesterov_one_step_iterate,
-    nesterov_two_step,
     nesterov_two_step_iterate,
 )
 from accelflow import discrete, metric
@@ -46,24 +42,39 @@ def soft_spectrum_problem():
     return quadratic_problem(Q=(Q + Q.T) / 2)
 
 
+def schedule(*values):
+    """The schedule whose k-th coefficient is values[k]."""
+    return lambda k: values[k]
+
+
 class TestHeavyBall:
     def test_hand_value(self):
+        # from x_{-1} = x_0 = 0.5, a first step with alpha_0 = -0.5 lands
+        # on x_1 = 0.5 + 0.5 * 2 * 0.5 = 1, so step 1 starts from the pair
+        # (x_0, x_1) = (0.5, 1)
         prob = x_squared_problem()
-        x1 = heavy_ball_step(prob.oracle, np.array([1.0]), np.array([0.5]),
-                             alpha_k=0.1, beta_k=0.5)
+        seq = heavy_ball_iterate(prob.oracle, np.array([0.5]), 2,
+                                 alpha=schedule(-0.5, 0.1),
+                                 beta=constant(0.5))
+        assert seq.points[1] == pytest.approx([1.0], abs=1e-15)
         # 1 - 0.1*2 + 0.5*(1 - 0.5) = 1.05
-        assert x1 == pytest.approx([1.05], abs=1e-15)
+        assert seq.points[2] == pytest.approx([1.05], abs=1e-15)
 
     def test_zero_coefficients_no_op(self):
+        # step 0 moves 9.9 to 4.95; step 1, with zero coefficients, stays
+        # there although x_{k-1} = 9.9
         prob = x_squared_problem()
-        x = np.array([0.3])
-        assert heavy_ball_step(prob.oracle, x, np.array([9.9]), 0.0, 0.0) == x
+        seq = heavy_ball_iterate(prob.oracle, np.array([9.9]), 2,
+                                 schedule(0.25, 0.0), schedule(0.0, 0.0))
+        assert seq.points[1] != seq.points[0]
+        assert seq.points[2] == seq.points[1]
 
     def test_fixed_point_at_minimizer(self):
         prob = quadratic_problem(Q=np.diag([1.0, 3.0]))
         xs = prob.x_star
-        out = heavy_ball_step(prob.oracle, xs, xs, 0.2, 0.7)
-        assert np.allclose(out, xs, atol=1e-15)
+        seq = heavy_ball_iterate(prob.oracle, xs, 2, constant(0.2),
+                                 constant(0.7))
+        assert np.allclose(seq.points, xs, atol=1e-15)
 
 
 class TestCgToMomentum:
@@ -173,41 +184,50 @@ class TestCgIterate:
 
 class TestNesterovForms:
     def test_two_step_hand_value(self):
+        # step 0, with alpha_0 = 0, descends nowhere: x_0 = y_1 = 1. Step
+        # 1 descends to x_1 = 1 - 0.1*2 = 0.8 and extrapolates to
+        # y_2 = 0.8 + 0.5*(0.8 - 1) = 0.7; with beta_1 = 0, y_2 is x_1
         prob = x_squared_problem()
-        x_k, y_kp1 = nesterov_two_step(prob.oracle, np.array([1.0]),
-                                       np.array([1.0]), 0.1, 0.5)
-        assert x_k == pytest.approx([0.8], abs=1e-15)
-        assert y_kp1 == pytest.approx([0.7], abs=1e-15)
+        for beta_1, y_2 in ((0.5, 0.7), (0.0, 0.8)):
+            seq = nesterov_two_step_iterate(prob.oracle, np.array([1.0]), 2,
+                                            schedule(0.0, 0.1),
+                                            schedule(0.5, beta_1))
+            assert seq.points[1] == pytest.approx([1.0], abs=1e-15)
+            assert seq.points[2] == pytest.approx([y_2], abs=1e-15)
 
     def test_two_step_zero_coefficients(self):
+        # steps 0 and 1 leave x_1 = 0.16 apart from y_2 = 0.14; step 2,
+        # with zero coefficients, descends to x_2 = y_2 and stays there
         prob = x_squared_problem()
-        y = np.array([0.4])
-        x_k, y_kp1 = nesterov_two_step(prob.oracle, y, np.array([2.0]),
-                                       0.0, 0.0)
-        assert np.array_equal(x_k, y)
-        assert np.array_equal(y_kp1, x_k)
+        seq = nesterov_two_step_iterate(prob.oracle, np.array([0.4]), 3,
+                                        schedule(0.25, 0.1, 0.0),
+                                        schedule(0.0, 0.5, 0.0))
+        assert seq.points[2] == pytest.approx([0.14], abs=1e-15)
+        assert np.array_equal(seq.points[3], seq.points[2])
 
     def test_two_step_fixed_point(self):
         prob = quadratic_problem(Q=np.diag([2.0, 5.0]))
         xs = prob.x_star
-        x_k, y_kp1 = nesterov_two_step(prob.oracle, xs, xs, 0.1, 0.9)
-        assert np.allclose(x_k, xs, atol=1e-15)
-        assert np.allclose(y_kp1, xs, atol=1e-15)
+        seq = nesterov_two_step_iterate(prob.oracle, xs, 2, constant(0.1),
+                                        constant(0.9))
+        assert np.allclose(seq.points, xs, atol=1e-15)
 
     def test_one_step_hand_value(self):
+        # the first step reads x_{-1} = x_0 = 1 and g_{-1} = g_0 = 2
         prob = x_squared_problem()
-        x = nesterov_one_step(prob.oracle, np.array([1.0]), np.array([1.0]),
-                              np.array([2.0]), 0.1, 0.5, 0.05)
-        assert x == pytest.approx([0.8], abs=1e-15)
+        seq = nesterov_one_step_iterate(prob.oracle, np.array([1.0]), 1,
+                                        constant(0.1), constant(0.5),
+                                        constant(0.05))
+        assert seq.points[1] == pytest.approx([0.8], abs=1e-15)
 
     def test_one_step_zero_gamma_is_heavy_ball(self):
         prob = random_quadratic(dim=3, kappa=4.0, seed=2)
-        x_k = prob.x0
-        x_km1 = prob.x0 + 0.1
-        got = nesterov_one_step(prob.oracle, x_k, x_km1,
-                                prob.oracle.gradient(x_km1), 0.05, 0.3, 0.0)
-        want = heavy_ball_step(prob.oracle, x_k, x_km1, 0.05, 0.3)
-        assert np.allclose(got, want, atol=1e-15)
+        got = nesterov_one_step_iterate(prob.oracle, prob.x0, 20,
+                                        constant(0.05), constant(0.3),
+                                        constant(0.0))
+        want = heavy_ball_iterate(prob.oracle, prob.x0, 20, constant(0.05),
+                                  constant(0.3))
+        assert np.allclose(got.points, want.points, atol=1e-15)
 
     def test_forms_generate_identical_sequences(self):
         # With gamma_k = alpha_k beta_k and momentum-free seeding the
@@ -271,35 +291,41 @@ class TestFlowToDiscrete:
 
 class TestAcceleratedNewton:
     def test_hand_value(self):
+        # from v_0 = 0: v_1 = -0.1 * (1*6 + 1*0) / 2 = -0.3 and
+        # x_1 = 3 + 0.1 * v_1 = 2.97. Then g_1 = 5.94 and
+        # v_2 = -0.3 - 0.1 * (5.94 - 0.3) / 2 = -0.582, so a wrong v_1
+        # shows in x_2 = 2.97 + 0.1 * v_2 = 2.9118
         prob = quadratic_problem(Q=np.array([[2.0]]), x0=np.array([3.0]))
         spec = MetricSpec(kind=MetricKind.HESSIAN)
-        x1, v1 = accelerated_newton_step(prob.oracle, spec, np.array([3.0]),
-                                         np.array([0.0]), (1.0, 1.0), 0.1)
-        assert v1 == pytest.approx([-0.3], abs=1e-15)
-        assert x1 == pytest.approx([2.97], abs=1e-15)
+        seq = accelerated_newton_iterate(prob.oracle, spec, np.array([3.0]),
+                                         (1.0, 1.0), 0.1, 2)
+        assert seq.points[1] == pytest.approx([2.97], abs=1e-15)
+        assert seq.points[2] == pytest.approx([2.9118], abs=1e-15)
 
     def test_equilibrium_unchanged(self):
+        # x_2 = x_1 + h v_2 holds v_1 = 0 too
         prob = quadratic_problem(Q=np.diag([1.0, 2.0]))
         spec = MetricSpec(kind=MetricKind.HESSIAN)
         xs = prob.x_star
-        x1, v1 = accelerated_newton_step(prob.oracle, spec, xs,
-                                         np.zeros(2), (1.0, 1.0), 0.5)
-        assert np.allclose(x1, xs, atol=1e-15)
-        assert np.allclose(v1, 0.0, atol=1e-15)
+        seq = accelerated_newton_iterate(prob.oracle, spec, xs, (1.0, 1.0),
+                                         0.5, 2)
+        assert np.allclose(seq.points, xs, atol=1e-15)
 
     def test_rejects_euclidean_metric(self):
         prob = x_squared_problem()
         spec = MetricSpec(kind=MetricKind.EUCLIDEAN)
-        with pytest.raises(ValueError, match="hessian or"):
-            accelerated_newton_step(prob.oracle, spec, np.array([1.0]),
-                                    np.array([0.0]), (1.0, 1.0), 0.1)
+        with pytest.raises(ValueError,
+                           match="accelerated_newton_iterate needs a hessian "
+                                 "or"):
+            accelerated_newton_iterate(prob.oracle, spec, np.array([1.0]),
+                                       (1.0, 1.0), 0.1, 1)
 
     def test_rejects_nonpositive_step(self):
         prob = x_squared_problem()
         spec = MetricSpec(kind=MetricKind.HESSIAN)
         with pytest.raises(ValueError, match="h must be positive"):
-            accelerated_newton_step(prob.oracle, spec, np.array([1.0]),
-                                    np.array([0.0]), (1.0, 1.0), -0.1)
+            accelerated_newton_iterate(prob.oracle, spec, np.array([1.0]),
+                                       (1.0, 1.0), -0.1, 1)
 
     def test_hessian_metric_beats_euclidean(self):
         # Identical gains and step size; the curvature metric collapses
@@ -464,78 +490,3 @@ class TestOneLoop:
         # the non-finite point's gradient is not asked of the oracle
         assert calls[0] == len(seq.points) - 1
         assert np.isnan(seq.grad_norms[-1])
-
-
-def iterate_step(step, x0, n):
-    """Drive a public single step by hand: the reference for its driver."""
-    points = [np.asarray(x0, dtype=float)]
-    state = None
-    for k in range(n):
-        x, state = step(k, points[-1], state)
-        points.append(x)
-    return points
-
-
-class TestDriversAreTheirSteps:
-    """Each driver shares its update with the public step, bit for bit."""
-
-    def setup_method(self):
-        self.prob = random_quadratic(dim=6, kappa=20.0, seed=8)
-        self.o = self.prob.oracle
-
-    def test_heavy_ball(self):
-        def step(k, x, x_prev):
-            x_prev = x if x_prev is None else x_prev
-            return heavy_ball_step(self.o, x, x_prev, 0.04, 0.6), x
-
-        want = iterate_step(step, self.prob.x0, 60)
-        got = heavy_ball_iterate(self.o, self.prob.x0, 60, constant(0.04),
-                                 constant(0.6)).points
-        np.testing.assert_array_equal(got, want)
-
-    def test_nesterov_one_step(self):
-        def step(k, x, prev):
-            x_prev, g_prev = (x, self.o.gradient(x)) if prev is None else prev
-            x_new = nesterov_one_step(self.o, x, x_prev, g_prev, 0.04, 0.6,
-                                      0.01)
-            return x_new, (x, self.o.gradient(x))
-
-        want = iterate_step(step, self.prob.x0, 60)
-        got = nesterov_one_step_iterate(self.o, self.prob.x0, 60,
-                                        constant(0.04), constant(0.6),
-                                        constant(0.01)).points
-        np.testing.assert_array_equal(got, want)
-
-    def test_nesterov_two_step(self):
-        def step(k, y, x_prev):
-            # the first extrapolation is momentum-free: x_{-1} = x_0
-            if x_prev is None:
-                x_prev = y - 0.04 * self.o.gradient(y)
-            x_k, y_new = nesterov_two_step(self.o, y, x_prev, 0.04, 0.6)
-            return y_new, x_k
-
-        want = iterate_step(step, self.prob.x0, 60)
-        seq = nesterov_two_step_iterate(self.o, self.prob.x0, 60,
-                                        constant(0.04), constant(0.6))
-        np.testing.assert_array_equal(seq.points, want)
-
-    @pytest.mark.parametrize("metric", [HESSIAN, QUASI_NEWTON],
-                             ids=["hessian", "quasi_newton"])
-    def test_accelerated_newton(self, metric):
-        gains, h = (1.0, 2.0), 0.3
-
-        def step(k, x, state):
-            spec, v = (metric, np.zeros_like(x)) if state is None else state
-            x_new, v_new = accelerated_newton_step(self.o, spec, x, v,
-                                                   gains, h)
-            if spec.kind is MetricKind.QUASI_NEWTON:
-                # the pre-refactor order: update right after each step
-                spec = quasi_newton_update(
-                    spec, x_new - x, self.o.gradient(x_new)
-                    - self.o.gradient(x))
-            return x_new, (spec, v_new)
-
-        want = iterate_step(step, self.prob.x0, 30)
-        seq = accelerated_newton_iterate(self.o, metric, self.prob.x0, gains,
-                                         h, 30)
-        np.testing.assert_array_equal(seq.points, want)

@@ -22,9 +22,7 @@ from accelflow.export import (
     decade_label,
     discrete_summary,
     flow_summary,
-    iterations_to_gradient_decades,
     read_trajectory_csv,
-    time_to_gradient_decades,
     trajectory_from_arrays,
     trajectory_header,
     write_compare_csv,
@@ -492,7 +490,7 @@ class TestSummaries:
         assert decade_label(1e-6) == "1e-06"
 
     def test_time_to_decades_monotone(self, reduced_record):
-        hits = time_to_gradient_decades(reduced_record)
+        hits = flow_summary(reduced_record, "demo")["time_to_grad"]
         assert hits["1e-01"] is not None
         reached = [t for t in hits.values() if t is not None]
         assert reached == sorted(reached)
@@ -502,7 +500,8 @@ class TestSummaries:
         seq = cg_iterate(quad.oracle, quad.x0, 30,
                          lambda o, k, x, g, v: 0.05,
                          lambda o, k, g, gp: 0.2)
-        hits = iterations_to_gradient_decades(seq)
+        hits = discrete_summary(seq, quad.oracle, "cg",
+                                tol_g=1e-6)["iterations_to_grad"]
         first = hits["1e-01"]
         assert first is not None
         norms = seq.grad_norms
@@ -545,6 +544,19 @@ class TestJsonAndCompare:
         loaded = json.loads(path.read_text())
         assert loaded == {"flag": True, "count": 3, "value": 0.5,
                           "vec": [0.0, 1.0]}
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        path = tmp_path / "inf.json"
+        write_summary_json({"final": {"grad_norm": float("inf"),
+                                      "E": np.float64("nan")},
+                            "rows": [1.0, -np.inf],
+                            "vec": np.array([np.nan, 2.0])}, str(path))
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        loaded = json.loads(path.read_text(), parse_constant=refuse)
+        assert loaded == {"final": {"grad_norm": None, "E": None},
+                          "rows": [1.0, None], "vec": [None, 2.0]}
 
     def test_unserializable_payload_raises(self, tmp_path):
         with pytest.raises(TypeError):

@@ -183,6 +183,64 @@ def test_semi_implicit_euler_is_first_order():
     assert 1.5 <= err2 / err1 <= 3.0
 
 
+@pytest.mark.parametrize("mode", list(FlowMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("dim", [1, 7])
+@pytest.mark.parametrize("spec", [polyak_controller(2.0, 3.0),
+                                  nesterov_flow_controller(2.0)],
+                         ids=["polyak", "nesterov"])
+def test_semi_implicit_euler_is_its_step_formula(spec, dim, mode):
+    # no benchmark workload runs semi-implicit Euler, so its bytes are
+    # pinned here to its step written out: v first, then x and y ride
+    # the new v, and in full mode the costates' explicit Euler step
+    prob = random_quadratic(dim, kappa=10.0, seed=dim)
+    oracle, h, steps = prob.oracle, 0.05, 40
+    s0 = initial_state(oracle, prob.x0)
+    rec = integrate(spec, oracle, s0, h=h, t_max=steps * h, stop=RUN_FOREVER,
+                    method=Integrator.SEMI_IMPLICIT_EULER, mode=mode)
+    law = spec.bind(oracle)
+    x, v, y, lamx, lamv = s0.x, s0.v, np.float64(s0.y), s0.lambda_x, \
+        s0.lambda_v
+    want = {"x": [x], "v": [v], "y": [y], "lambda_x": [lamx],
+            "lambda_v": [lamv]}
+    for _ in range(steps):
+        g = oracle.gradient(x)
+        v1 = v + h * law(x, -g, v).u
+        lamx, lamv = (lamx - h * (oracle.hessian_at(x) @ v1),
+                      lamv + h * (-lamx - g))
+        x, v, y = x + h * v1, v1, y + h * float(g @ v1)
+        for name, value in zip(want, (x, v, y, lamx, lamv)):
+            want[name].append(value)
+    names = want if mode is FlowMode.FULL_PRIMAL_DUAL else ["x", "v", "y"]
+    assert rec.meta["steps_taken"] == steps
+    for name in names:
+        assert rec.columns[name].tobytes() == np.array(want[name]).tobytes(), \
+            name
+
+
+@pytest.mark.parametrize("mode", list(FlowMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("method", list(Integrator), ids=lambda m: m.value)
+def test_integrate_takes_enum_string_values(method, mode):
+    prob = random_quadratic(3, kappa=10.0, seed=2)
+    s0 = initial_state(prob.oracle, prob.x0)
+    spec = polyak_controller(2.0, 2.0)
+    kw = dict(h=0.05, t_max=1.0)
+    want = integrate(spec, prob.oracle, s0, method=method, mode=mode, **kw)
+    got = integrate(spec, prob.oracle, s0, method=method.value,
+                    mode=mode.value, **kw)
+    assert got.meta == want.meta
+    for name, col in want.columns.items():
+        assert got.columns[name].tobytes() == col.tobytes(), name
+
+
+def test_integrate_rejects_unknown_enum_strings():
+    s0 = initial_state(Q2.oracle, np.array([3.0]))
+    spec = polyak_controller(2.0, 2.0)
+    with pytest.raises(ValueError, match="is not a valid Integrator"):
+        integrate(spec, Q2.oracle, s0, h=0.1, t_max=1.0, method="euler")
+    with pytest.raises(ValueError, match="is not a valid FlowMode"):
+        integrate(spec, Q2.oracle, s0, h=0.1, t_max=1.0, mode="full")
+
+
 def test_swept_cost_tracks_objective():
     prob = random_quadratic(6, kappa=20.0, seed=1)
     s0 = initial_state(prob.oracle, prob.x0)
@@ -290,11 +348,14 @@ POLYAK = polyak_controller(2.0, 2.0)
 #: cause -> (controller, oracle, start-state change, steps taken under rk4
 #: and under semi-implicit Euler). Heading from x = 3 towards 0, RK4
 #: meets x < 1 at a stage inside step 81; semi-implicit Euler's state
-#: after step 80 is already below 1, so it records that state with its
-#: nan gradient and blows up at step 81. The nesterov flow's edge, 0.997,
+#: after step 80 is already below 1, so its gradient norm is not finite
+#: and the run stops at step 79. The nesterov flow's edge, 0.997,
 #: is first met by the last RK4 stage of step 165, whose nan control
 #: makes v nan alone, with x and y finite. Under a constant gradient of
 #: -2e11, v settles at 2e11 and x passes the limit alone, with y finite.
+#: A gradient scaled by 1e154 below x = 1 stays finite, but its norm
+#: overflows: it stops the run where a nan gradient does, and from the
+#: start when it is scaled everywhere.
 #: In full mode, a Hessian that turns nan below x = 1 leaves the primal
 #: state finite and makes the costates of step 81 nan under both
 #: integrators; 80 is not a multiple of the stride 3, so the last kept
@@ -302,16 +363,24 @@ POLYAK = polyak_controller(2.0, 2.0)
 DIVERGENCES = {
     "nan_gradient": (POLYAK,
                      _turning(Q2.oracle, "gradient", lambda g: g * np.nan),
-                     None, (80, 80)),
+                     None, (80, 79)),
     "infinite_velocity": (POLYAK,
                           _turning(Q2.oracle, "gradient",
                                    lambda g: g * 1e308),
-                          None, (80, 80)),
+                          None, (80, 79)),
     "nan_velocity": (nesterov_flow_controller(2.0),
                      _turning(Q2.oracle, "hessian", lambda H: H * np.nan,
                               edge=0.997),
                      None, (164, 165)),
     "infinite_y": (POLYAK, Q2.oracle, _infinite_y, (0, 0)),
+    "overflowing_gradient_norm": (POLYAK,
+                                  _turning(Q2.oracle, "gradient",
+                                           lambda g: g * 1e154),
+                                  None, (80, 79)),
+    "overflowing_gradient_norm_at_start": (
+        POLYAK, _turning(Q2.oracle, "gradient", lambda g: g * 1e154,
+                         edge=np.inf),
+        None, (0, 0)),
     "velocity_past_limit": (polyak_controller(1e8, 1e4), Q2.oracle, None,
                             (1, 2)),
     "position_past_limit": (POLYAK,

@@ -11,6 +11,7 @@ from accelflow.metric import (
     metric_matrix,
     metric_solve,
     quasi_newton_update,
+    resolve_metric,
     shift_to_floor,
 )
 from accelflow.objective import quadratic_problem, rosenbrock_problem
@@ -46,6 +47,24 @@ def test_shift_to_floor_noop_above_floor():
 def test_eig_floor_must_be_positive():
     with pytest.raises(ValueError, match="eig_floor"):
         MetricSpec(MetricKind.HESSIAN, eig_floor=0.0)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_metric_kind_takes_its_string_value(kind):
+    # the Hessian's eigenvalue 1e-9 sits below the floor, which a Hessian
+    # metric applies where resolve_metric makes it
+    oracle = quadratic_problem(Q=np.diag([1e-9, 2.0])).oracle
+    by_value = resolve_metric(MetricSpec(kind.value, eig_floor=1e-3), oracle)
+    want = resolve_metric(MetricSpec(kind, eig_floor=1e-3), oracle)
+    assert by_value.kind is kind
+    x = np.array([0.5, -1.0])
+    assert metric_matrix(by_value, oracle, x).tobytes() \
+        == metric_matrix(want, oracle, x).tobytes()
+
+
+def test_metric_kind_rejects_an_unknown_string():
+    with pytest.raises(ValueError, match="is not a valid MetricKind"):
+        MetricSpec("newton")
 
 
 def test_metric_solve_hand_case():

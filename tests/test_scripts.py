@@ -270,6 +270,53 @@ def test_api_surface_lines_are_the_package_newlines():
                                     if name != "total"))
 
 
+def _test_only(src):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "api_surface.py"),
+         "--src", str(src), "--test-only"],
+        capture_output=True, text=True, timeout=120)
+
+
+TEST_ONLY_MODULE = '''import os
+
+
+def used(): pass
+def recursive(n): return recursive(n - 1) if n else 0
+def in_script(): pass
+def documented(): pass
+def _private(): pass
+
+
+class Called:
+    def method(self): return Called
+
+
+class Attribute: pass
+
+
+def caller():
+    return used() + os.path.join(Attribute.__name__)
+'''
+
+
+def test_api_surface_test_only_lists_by_its_stated_rule(tmp_path):
+    # recursive and Called refer to themselves only inside their own
+    # definitions; caller is called by nothing at all
+    _tree(tmp_path, {"src/accelflow/__init__.py": "",
+                     "src/accelflow/m.py": TEST_ONLY_MODULE,
+                     "scripts/s.py": "from accelflow import m\n"
+                                     "m.in_script()\n",
+                     "README.md": "Call `m.documented()`; not caller.\n"})
+    proc = _test_only(tmp_path / "src")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.split() == ["m.recursive", "m.Called", "m.caller"]
+
+
+def test_api_surface_test_only_lists_nothing_in_this_checkout():
+    proc = _test_only(os.path.join(ROOT, "src"))
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+
+
 def _law_cost(base, head, *extra):
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "law_cost.py"),
