@@ -109,7 +109,7 @@ def _referenced(tree: ast.Module) -> set[str]:
     return found
 
 
-def test_only(src: str) -> list[str]:
+def only_tests_reach(src: str) -> list[str]:
     """module.name of each public function or class of src's accelflow
     that only tests can reach, by the rule in the module docstring."""
     checkout = os.path.dirname(os.path.abspath(src))
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                              "only tests reach")
     args = parser.parse_args(argv)
     if args.test_only:
-        names = test_only(args.src)
+        names = only_tests_reach(args.src)
         for name in names:
             print(name)
         return 1 if names else 0
