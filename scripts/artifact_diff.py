@@ -1,6 +1,7 @@
 """Byte-compare what the benchmark's workloads write in two checkouts.
 
-    python3 scripts/artifact_diff.py --base DIR --head DIR --seeds 0 1
+    python3 scripts/artifact_diff.py --base DIR --head DIR --seeds 0 1 \
+        [--workloads NAME ...]
 
 In each checkout, for each workload and seed, builds the workload from
 that checkout's perfbench/workloads.py (imported, never changed), writes
@@ -12,6 +13,9 @@ sides wrote is compared byte for byte. The only difference ignored is
 the work directory itself: each side's root path is replaced by one
 placeholder before comparing, since configs, echoes and messages name
 absolute paths.
+
+--workloads runs only the named workloads, all four by default, so that a
+change aimed at one workload can be byte-checked quickly.
 
 Exits 0 when both sides wrote the same files with the same bytes, 1 with
 one line per difference otherwise, and 2 when a checkout's run itself
@@ -40,8 +44,10 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 OPS_DIR = "_ops"
 
 
-def collect(checkout: str, root: str, seeds: list[int]) -> None:
-    """Run each workload once in checkout, writing everything under root.
+def collect(checkout: str, root: str, seeds: list[int],
+            names: list[str]) -> None:
+    """Run each named workload once in checkout, writing everything under
+    root.
 
     Runs in its own interpreter (see main), so that the checkout's own
     accelflow is the one imported.
@@ -54,7 +60,7 @@ def collect(checkout: str, root: str, seeds: list[int]) -> None:
     import workloads as wl_module
     from accelflow import cli
 
-    for name in WORKLOADS:
+    for name in names:
         for seed in seeds:
             work_dir = os.path.join(root, f"{name}-seed{seed}")
             wl = wl_module.build(name, seed, work_dir)
@@ -117,12 +123,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--base", required=True, help="the parent checkout")
     p.add_argument("--head", required=True, help="the changed checkout")
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    p.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                   default=list(WORKLOADS), metavar="NAME",
+                   help=f"the workloads to run, of {', '.join(WORKLOADS)} "
+                        f"(default: all)")
     p.add_argument("--work", help="keep both trees here (DIR/base, DIR/head)")
     p.add_argument("--collect", nargs=2, metavar=("CHECKOUT", "ROOT"),
                    help=argparse.SUPPRESS)  # the per-checkout child run
     args = p.parse_args(argv)
     if args.collect:
-        collect(*args.collect, args.seeds)
+        collect(*args.collect, args.seeds, args.workloads)
         return 0
 
     work = args.work or tempfile.mkdtemp(prefix="artifact_diff_")
@@ -136,7 +146,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 [sys.executable, os.path.abspath(__file__),
                  "--base", args.base, "--head", args.head,
                  "--collect", checkout, roots[side],
-                 "--seeds", *map(str, args.seeds)],
+                 "--seeds", *map(str, args.seeds),
+                 "--workloads", *args.workloads],
                 cwd=checkout, capture_output=True, text=True,
                 env={**os.environ, **dict.fromkeys(BLAS_THREADS, "1")})
             if proc.returncode != 0:

@@ -43,6 +43,7 @@ from .discrete import (
     nesterov_two_step_iterate,
 )
 from .export import (
+    DivergedRowError,
     atomic_write,
     discrete_summary,
     flow_summary,
@@ -218,13 +219,13 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     code, _ = _execute_run(config)
     return code
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     configs = [load_config(path) for path in args.configs]
     if len(configs) < 2:
         raise ConfigError("compare needs at least two configs")
@@ -288,7 +289,7 @@ def _print_table(rows: list[dict[str, Any]]) -> None:
         print("".join([r["label"].ljust(width)] + cells + [tail]))
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     method = config.method
     if not isinstance(method, FlowMethodConfig):
@@ -303,6 +304,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = config.problem.build()
     try:
         columns = read_trajectory_csv(args.trajectory)
+    except DivergedRowError as e:
+        print(f"run diverged: {args.trajectory}: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (OSError, ValueError) as e:
         reason = getattr(e, "strerror", None) or e  # OSError text has the path
         raise ConfigError(f"{args.trajectory}: {reason}") from e
@@ -342,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one config to artifacts")
     p_run.add_argument("config")
     add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare",
                            help="run several configs on one problem and "
                                 "tabulate progress")
     p_cmp.add_argument("configs", nargs="+")
     add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=_cmd_compare)
 
     p_ver = sub.add_parser("verify",
                            help="re-check an exported trajectory against "
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("trajectory")
     p_ver.add_argument("config")
     add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=_cmd_verify)
     return parser
 
 

@@ -14,11 +14,13 @@ iterate and carries it forward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .clf import _norm as _vector_norm
 from .metric import MetricKind, MetricSpec, _LU, metric_matrix, \
     metric_solve, quasi_newton_update, resolve_metric
 from .objective import ObjectiveOracle
@@ -119,13 +121,14 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 def _norm(g: Array) -> float:
     """Euclidean norm of a gradient, finite whenever the true norm is.
 
-    The plain norm squares the entries, so it overflows once they pass
-    about 1.3e154. Only then is g rescaled by its largest entry.
+    clf._norm is np.linalg.norm's bits without its dispatch. It squares
+    the entries, so it overflows once they pass about 1.3e154. Only then
+    is g rescaled by its largest entry.
     """
-    out = float(np.linalg.norm(g))
-    if out == np.inf and np.isfinite(g).all():
+    out = _vector_norm(g)
+    if out == math.inf and np.isfinite(g).all():
         scale = float(np.max(np.abs(g)))
-        out = scale * float(np.linalg.norm(g / scale))
+        out = scale * _vector_norm(g / scale)
     return out
 
 

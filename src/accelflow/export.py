@@ -61,12 +61,14 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % value
 
 
-#: values per block of CSV text; a block holds as many whole rows as fit.
-#: csvtext._csv_text keeps about 100 bytes per value of its block in
-#: flight. They add to a run's memory at the moment of writing, and a
-#: larger block's freed heap made the ops after a write page-fault more:
-#: 4.7 times the faults per flow_curvature pass at 4096 values, none
-#: more than the per-row writer at 2048
+#: values per block of CSV text, in trajectory and iterate files alike; a
+#: block holds as many whole rows as fit. An iterate block is also the
+#: unit of work before the text: its points are stacked, and E is taken
+#: over them, one block at a time. csvtext._csv_text keeps about 100
+#: bytes per value of its block in flight. They add to a run's memory at
+#: the moment of writing, and a larger block's freed heap made the ops
+#: after a write page-fault more: 4.7 times the faults per flow_curvature
+#: pass at 4096 values, none more than the per-row writer at 2048
 BLOCK_VALUES = 2048
 
 
@@ -94,10 +96,15 @@ def trajectory_header(dim: int, full_mode: bool) -> list[str]:
     return header
 
 
+def _block_rows(width: int) -> int:
+    """Rows of width values in one text block: as many whole rows as fit
+    in BLOCK_VALUES values, and at least one."""
+    return max(1, BLOCK_VALUES // width)
+
+
 def _text_blocks(table: np.ndarray) -> Iterator[np.ndarray]:
-    """table's CSV text, in blocks of as many whole rows as fit in
-    BLOCK_VALUES values, and at least one."""
-    step = max(1, BLOCK_VALUES // table.shape[1])
+    """table's CSV text, one block of _block_rows rows at a time."""
+    step = _block_rows(table.shape[1])
     for start in range(0, len(table), step):
         yield _csv_text(table[start:start + step])
 
@@ -112,12 +119,20 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
         [(",".join(header) + "\n").encode()], _text_blocks(body)))
 
 
+class DivergedRowError(ValueError):
+    """A trajectory file's diagnostic cell (any column after t, x and v)
+    is not finite: the run recorded the state it diverged at, as it does
+    for a start state whose gradient norm overflows."""
+
+
 def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
     """Parse a trajectory CSV back into the record's columns.
 
     A reduced-mode file gives every column but lambda_x and lambda_v.
     Raises ValueError, without the path, on a malformed file, on one with
-    no samples, and on a non-finite cell.
+    no samples, and on a non-finite t, x or v cell, which no run writes;
+    DivergedRowError on a non-finite cell in any other column. Either
+    names the first such cell's row and column.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -135,9 +150,11 @@ def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
                          f"{len(header)} header fields")
     bad = np.argwhere(~np.isfinite(body))
     if bad.size:
-        r, c = bad[0]
-        raise ValueError(f"row {r + 1}, column {header[c]}: non-finite "
-                         f"value {body[r, c]}")
+        state = bad[bad[:, 1] < 1 + 2 * dim]  # t, x and v lead each row
+        r, c = (state if state.size else bad)[0]
+        error = ValueError if state.size else DivergedRowError
+        raise error(f"row {r + 1}, column {header[c]}: non-finite "
+                    f"value {body[r, c]}")
     names = _csv_columns(full_mode)
     widths = [dim if name in VECTOR_PREFIX else 1 for name in names]
     blocks = np.split(body, np.cumsum(widths)[:-1], axis=1)
@@ -188,34 +205,30 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
                             diverged=diverged, meta=dict(meta))
 
 
-#: iterates per stacked objective call in write_iterates_csv. The bound
-#: keeps the block's arrays small: blocks of 256 points of dim 100 raised
-#: the peak memory of a compare over four discrete methods by 0.2 MB
-ITERATE_BLOCK = 64
-
-
 def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
                        path: str) -> None:
     """One row per iterate: k, x, E and the gradient norm.
 
-    E takes one stacked call per block of finite iterates, and each row
-    holds the bits the one-point call gives it. A non-finite iterate's E
-    and gradient norm are nan.
+    Rows go one text block at a time (_block_rows): E takes one stacked
+    call per block's finite iterates, and each row holds the bits the
+    one-point call gives it. A non-finite iterate's E and gradient norm
+    are nan.
     """
     dim = seq.points[0].shape[0]
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["E", "grad_norm"]
+    step = _block_rows(len(header))
 
     def chunks():
         yield (",".join(header) + "\n").encode()
-        for start in range(0, len(seq.points), ITERATE_BLOCK):
-            X = np.array(seq.points[start:start + ITERATE_BLOCK])
+        for start in range(0, len(seq.points), step):
+            X = np.array(seq.points[start:start + step])
             finite = np.isfinite(X).all(axis=1)
             E = np.full(len(X), np.nan)
             if finite.any():
                 E[finite] = oracle.value(X[finite])
-            g = np.array(seq.grad_norms[start:start + ITERATE_BLOCK])
+            g = np.array(seq.grad_norms[start:start + step])
             g[~finite] = np.nan
-            yield from _text_blocks(np.column_stack(
+            yield _csv_text(np.column_stack(
                 [np.arange(start, start + len(X), dtype=float), X, E, g]))
     atomic_write(path, chunks())
 

@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .clf import _norm
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -144,6 +145,38 @@ def shift_to_floor(M: Array, floor: float) -> Array:
     return M
 
 
+def _floor_at_point(M: Array, floor: float) -> Array:
+    """shift_to_floor(M, floor), bit for bit, in the other order: for a
+    Hessian taken at a point, whose floor test mostly fails there.
+
+    eigvalsh runs first. At or above the floor its smallest eigenvalue
+    leaves M as it is, whichever way the Cholesky test goes. Below it, the
+    Cholesky of M - floor*I is run only when the gap is within the
+    rounding bound: a Cholesky that succeeds perturbs M - floor*I by at
+    most about n(n + 1) u ||M - floor*I|| (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3), and eigvalsh's eigenvalues are
+    within p(n) u ||M|| of the true ones. Taking p(n) as n(n + 1) too,
+    and doubling the sum for the rounding of M - floor*I and of ||M|| read
+    off the eigenvalues, the bound is 2 n (n + 2) eps (||M|| + floor), with
+    eps = 2u. A larger gap fails the test, so the diagonal is lifted.
+    """
+    M = np.asarray(M, dtype=float)
+    M = 0.5 * (M + M.T)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix is not finite; no floor applies")
+    eigs = np.linalg.eigvalsh(M)
+    min_eig, n = float(eigs[0]), len(M)
+    if min_eig >= floor:
+        return M
+    bound = (2 * n * (n + 2) * np.finfo(float).eps
+             * (max(-min_eig, float(eigs[-1])) + floor))
+    # subtracting 0.0 off the diagonal keeps every bit, -0.0 included
+    if floor - min_eig <= bound and _has_cholesky(M - floor * np.eye(n)):
+        return M
+    M.flat[::n + 1] += floor - min_eig
+    return M
+
+
 def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
                   H: Optional[Array] = None) -> Array:
     """Resolve the metric W at the current point.
@@ -158,8 +191,8 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
     if spec.kind is MetricKind.HESSIAN:
         if spec.floored_hessian is not None:
             return spec.floored_hessian
-        return shift_to_floor(oracle.hessian_at(x) if H is None else H,
-                              spec.eig_floor)
+        return _floor_at_point(oracle.hessian_at(x) if H is None else H,
+                               spec.eig_floor)
     if spec.qn_state is None:  # quasi_newton, not updated yet
         return np.eye(oracle.dim)
     B = np.asarray(spec.qn_state, dtype=float)
@@ -210,6 +243,12 @@ def _lapack() -> Optional[tuple]:
     return found
 
 
+def _address(a: Array) -> int:
+    """The address of C-contiguous a's buffer, at about a third of the
+    cost of a.ctypes.data."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
 class _LU:
     """W^{-1} rhs for one fixed W, by its LU factors (module docstring).
 
@@ -230,13 +269,14 @@ class _LU:
         getrf, self._getrs, _ = lapack
         # n, nrhs and info
         self._ints = np.array([len(W), 1, 0], dtype=np.int64)
-        n, one, info = (self._ints.ctypes.data + 8 * k for k in range(3))
         self._lu = np.array(W, order="F")
         self._piv = np.empty(len(W), dtype=np.int64)
-        getrf(n, n, self._lu.ctypes.data, n, self._piv.ctypes.data, info)
+        # the Fortran-ordered factor's address is its C-ordered transpose's
+        ints, lu, piv = map(_address, (self._ints, self._lu.T, self._piv))
+        n, one, info = ints, ints + 8, ints + 16
+        getrf(n, n, lu, n, piv, info)
         if self._ints[2] == 0:
-            self._call = (b"N", n, one, self._lu.ctypes.data, n,
-                          self._piv.ctypes.data)
+            self._call = (b"N", n, one, lu, n, piv)
             self._tail = (n, info, 1)
 
     def solve(self, rhs: Array) -> Array:
@@ -245,8 +285,7 @@ class _LU:
                 or rhs.shape[-1:] != self.W.shape[:1]):
             return metric_solve(self.W, rhs)
         z = np.array(rhs, order="C")
-        # z's address, at about half the cost of z.ctypes.data
-        at = ctypes.addressof(ctypes.c_char.from_buffer(z))
+        at = _address(z)
         row = 8 * len(self.W)
         for k in range(len(z) if z.ndim == 2 else 1):  # b is row k of z
             self._getrs(*self._call, at + k * row, *self._tail)
@@ -278,7 +317,7 @@ def quasi_newton_update(spec: MetricSpec, s: Array, g_delta: Array) -> MetricSpe
     B = np.eye(s.size) if B is None else np.asarray(B, dtype=float)
 
     sy = float(s @ y)
-    if not (sy > CURVATURE_SKIP_REL * np.linalg.norm(s) * np.linalg.norm(y)):
+    if not (sy > CURVATURE_SKIP_REL * _norm(s) * _norm(y)):
         return spec if spec.qn_state is not None else dataclasses.replace(
             spec, qn_state=B, certified=True)
 

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from accelflow import cli
+from accelflow import cli, discrete
 from accelflow.cli import _execute_run, main
 from accelflow.config import ProblemConfig, load_config
 from accelflow.export import atomic_write, read_trajectory_csv
@@ -256,11 +256,12 @@ class TestRunDiscrete:
     def test_a_run_takes_one_norm_per_gradient(self, tmp_path, monkeypatch,
                                                method):
         # the norm the loop takes for its tol_g test serves the iterates
-        # CSV, the summary and the stationarity check too
+        # CSV, the summary and the stationarity check too. A norm is
+        # counted whether numpy's or the lean one the loop takes
         grads = {}
         normed = []
         build = ProblemConfig.build
-        norm = np.linalg.norm
+        norm, lean = np.linalg.norm, discrete._vector_norm
 
         def counted_build(problem_config):
             instance = build(problem_config)
@@ -274,13 +275,16 @@ class TestRunDiscrete:
             oracle = dataclasses.replace(instance.oracle, gradient=keeping)
             return dataclasses.replace(instance, oracle=oracle)
 
-        def counting_norm(x, *args, **kwargs):
-            if grads.get(id(x)) is x:
-                normed.append(id(x))
-            return norm(x, *args, **kwargs)
+        def counting(norm):
+            def counting_norm(x, *args, **kwargs):
+                if grads.get(id(x)) is x:
+                    normed.append(id(x))
+                return norm(x, *args, **kwargs)
+            return counting_norm
 
         monkeypatch.setattr(ProblemConfig, "build", counted_build)
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "norm", counting(norm))
+        monkeypatch.setattr(discrete, "_vector_norm", counting(lean))
         data = discrete_data(tmp_path / "run", **method)
         data["verify"] = {"checks": ["stationarity"]}
         config = load_config(write_config(tmp_path, "m.yaml", data))
@@ -845,6 +849,47 @@ class TestVerifyVerb:
         assert err == f"config error: {bad}: row 3, column x0: non-finite " \
                       f"value nan"
 
+    @pytest.mark.parametrize("column,code", [
+        ("t", 2), ("v1", 2), ("y", 3), ("E", 3), ("grad_norm", 3),
+        ("lieV", 3)])
+    def test_a_non_finite_cell_exits_by_its_column(self, finished_run,
+                                                   tmp_path, capsys, column,
+                                                   code):
+        # no run writes a non-finite t, x or v: such a file is a bad
+        # input. Any other column is derived from the state, and a run
+        # records a non-finite one only where it diverged
+        traj, cfg = finished_run
+        lines = open(traj).read().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(column)] = "-inf"
+        lines[2] = ",".join(row)
+        bad = tmp_path / "edited.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad), cfg]) == code
+        kind = "config error" if code == 2 else "run diverged"
+        assert capsys.readouterr().err == (
+            f"{kind}: {bad}: row 2, column {column}: non-finite value -inf\n")
+
+    def test_a_run_that_diverged_at_its_start_exits_three(self, tmp_path,
+                                                          capsys):
+        # the start gradient is finite but its norm overflows: the run
+        # records that one state, with grad_norm and V inf
+        out = tmp_path / "run"
+        data = flow_data(out, gamma_a=1.0, gamma_b=1.0, h=0.01, t_max=1.0)
+        data["problem"].update(scale=1.0e+154, seed=1)
+        cfg = write_config(tmp_path, "overflow.yaml", data)
+        assert main(["run", cfg]) == 3
+        traj = out / "trajectory.csv"
+        header, first = traj.read_text().splitlines()[:2]
+        cells = dict(zip(header.split(","), first.split(",")))
+        assert cells["grad_norm"] == cells["V"] == "inf"
+        capsys.readouterr()
+        assert main(["verify", str(traj), cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"run diverged: {traj}: row 1, column grad_norm: non-finite "
+            f"value inf\n")
+
     @pytest.mark.filterwarnings("error")
     def test_header_only_file_exits_two_without_a_warning(
             self, finished_run, tmp_path, capsys):
@@ -953,15 +998,18 @@ def _corrupt(lines, kind, row, col, value):
        row=st.integers(0, 100), col=st.integers(0, 100),
        value=st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "",
                               "x"]))
-def test_verify_input_fuzz_exits_one_or_two(small_run, capsys, kind, row,
-                                            col, value):
+def test_verify_input_fuzz_exits_with_a_contract_code(small_run, capsys,
+                                                     kind, row, col, value):
     root, lines, cfg = small_run
     path = root / "fuzzed.csv"
     path.write_text(_corrupt(lines, kind, row, col, value))
     capsys.readouterr()
     code = main(["verify", str(path), cfg])
     err = capsys.readouterr().err
-    assert code in (1, 2), err
+    assert code in (1, 2, 3), err
     assert "Traceback" not in err
-    if code == 2:
+    if code in (2, 3):
         assert len(err.splitlines()) == 1, err
+    if code == 3:
+        # only a non-finite cell past t, x and v reads as a divergence
+        assert kind == "cell" and err.startswith("run diverged: "), err

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from accelflow.clf import DEFAULT_CLF
@@ -318,6 +318,96 @@ class TestRoundTripAndOverrides:
         assert cfg.with_stride(5).output.stride == 5
         assert cfg.with_out_dir("elsewhere").output.out_dir == "elsewhere"
         assert cfg.with_out_dir("elsewhere").problem == cfg.problem
+
+
+# ---------------------------------------------------------------------------
+# config echo: libyaml's emitter writes the pure-Python emitter's bytes
+# ---------------------------------------------------------------------------
+
+#: printable ASCII, which libyaml's emitter writes, past the 80-column
+#: width too; or any text, with quotes, escapes and YAML indicators drawn
+#: more often
+ECHO_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                    min_size=1, max_size=120) \
+    | st.text(st.characters(blacklist_categories=["Cs"])
+              | st.sampled_from("'\"\\#:-&*!|>%@ "), min_size=1, max_size=40)
+#: doubles over the whole finite range: subnormal, huge and both zeros
+ECHO_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       1.7976931348623157e308, -1.7976931348623157e308])
+ECHO_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def _echo_configs(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(ECHO_DOUBLES, min_size=dim, max_size=dim)
+    if draw(st.booleans()):
+        method = {"kind": "flow", "controller": "polyak",
+                  "gamma_a": draw(ECHO_POSITIVE),
+                  "gamma_b": draw(ECHO_POSITIVE), "h": draw(ECHO_POSITIVE),
+                  "t_max": draw(ECHO_POSITIVE), "v0": draw(vector),
+                  # a certificate needs a, b > 0, c != 0 and ab > c^2
+                  "clf": {"a": draw(st.floats(2.0, 1e308)),
+                          "b": draw(st.floats(2.0, 1e308)),
+                          "c": draw(st.sampled_from([-1.0, 1.0]))
+                          * draw(st.floats(5e-324, 1.0))}}
+    else:
+        method = {"kind": "discrete", "name": "heavy_ball",
+                  "alpha": draw(ECHO_POSITIVE), "beta": draw(ECHO_DOUBLES),
+                  "max_iters": draw(st.integers(1, 2 ** 62))}
+    data = {"problem": {"name": "quadratic", "dim": dim,
+                        "scale": draw(ECHO_POSITIVE), "x0": draw(vector),
+                        "seed": draw(st.integers(0, 2 ** 31))},
+            "method": method,
+            "output": {"out_dir": draw(ECHO_TEXT)},
+            "verify": {"checks": draw(st.lists(st.sampled_from(
+                ["dissipation", "adjoint_consistency"]), max_size=3))},
+            "label": draw(ECHO_TEXT)}
+    try:
+        return parse_config(data)
+    except ConfigError:
+        assume(False)
+
+
+def _pure_python_echo(cfg):
+    return yaml.dump(cfg.to_dict(), Dumper=yaml.SafeDumper, sort_keys=True,
+                     default_flow_style=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cfg=_echo_configs())
+def test_the_echo_is_the_pure_python_emitters_bytes(cfg):
+    assert cfg.to_yaml() == _pure_python_echo(cfg)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_echo_configs())
+def test_the_echo_without_libyaml_is_the_same_bytes(monkeypatch, cfg):
+    # PyYAML built without libyaml has no CSafeDumper
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    assert cfg.to_yaml() == _pure_python_echo(cfg)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("label,libyaml", [
+    ("baseline 'a' \"b\" #1: x", True), ("tab\there", False),
+    ("\u00e9t\u00e9", False)])
+def test_the_echo_takes_libyaml_for_printable_ascii(monkeypatch, label,
+                                                      libyaml):
+    dumpers = []
+    dump = yaml.dump
+
+    def spy(data, Dumper, **kwargs):
+        dumpers.append(Dumper)
+        return dump(data, Dumper=Dumper, **kwargs)
+
+    monkeypatch.setattr(yaml, "dump", spy)
+    cfg = parse_config(dict(discrete_config(), label=label))
+    assert cfg.to_yaml() == _pure_python_echo(cfg)
+    assert dumpers[0] is (yaml.CSafeDumper if libyaml else yaml.SafeDumper)
 
 
 class TestLoadConfig:

@@ -490,3 +490,25 @@ class TestOneLoop:
         # the non-finite point's gradient is not asked of the oracle
         assert calls[0] == len(seq.points) - 1
         assert np.isnan(seq.grad_norms[-1])
+
+
+#: doubles whose squares underflow, overflow or sit anywhere between
+NORM_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1.3e154, 1e300,
+                       1.7976931348623157e308, np.inf, np.nan])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(NORM_ENTRIES, min_size=1, max_size=60))
+def test_the_lean_norm_is_numpys_bit_for_bit(entries):
+    # np.linalg.norm, and where its square overflows for a finite g, the
+    # same norm of g over its largest entry, scaled back
+    g = np.array(entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = float(np.linalg.norm(g))
+        if want == np.inf and np.isfinite(g).all():
+            scale = float(np.max(np.abs(g)))
+            want = scale * float(np.linalg.norm(g / scale))
+        got = discrete._norm(g)
+    assert type(got) is float
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -18,7 +18,6 @@ from accelflow.discrete import (
 )
 from accelflow.export import (
     BLOCK_VALUES,
-    ITERATE_BLOCK,
     decade_label,
     discrete_summary,
     flow_summary,
@@ -449,15 +448,18 @@ class TestIteratesCsv:
         prob = (random_quadratic(3, kappa=30.0, seed=4) if problem
                 == "quadratic" else rosenbrock_problem())
         oracle = prob.oracle
+        # rows of one text block: k, x, E and the gradient norm
+        block = BLOCK_VALUES // (len(prob.x0) + 3)
+        n = 4 * block + 7
         with np.errstate(over="ignore", invalid="ignore"):
-            seq = heavy_ball_iterate(oracle, prob.x0, 600, constant(0.02),
+            seq = heavy_ball_iterate(oracle, prob.x0, n, constant(0.02),
                                      constant(0.9))
-            while len(seq.points) < 600:
+            while len(seq.points) < n:
                 seq.points.append(seq.points[-1] * 1e200)
                 seq.grad_norms.append(float("nan"))
             seq.points[7] = np.full(len(prob.x0), np.nan)
             seq.points[8] = -np.zeros(len(prob.x0))
-            for k in range(300, 600, 2):
+            for k in range(n // 2, n, 2):
                 seq.points[k] = seq.points[k] * np.inf
             path = tmp_path / "tail.csv"
             write_iterates_csv(seq, oracle, str(path))
@@ -470,9 +472,9 @@ class TestIteratesCsv:
                     e, g = float("nan"), float("nan")
                 expected.append(",".join(
                     "%.17g" % v for v in [float(k), *x.tolist(), e, g]))
-        assert len(seq.points) > 4 * ITERATE_BLOCK
+        assert len(seq.points) > 4 * block
         assert path.read_text() == "\n".join(expected) + "\n"
-        assert path.read_text().count(",nan,nan\n") >= 150
+        assert path.read_text().count(",nan,nan\n") >= (n - n // 2) // 2
 
     def test_non_finite_points_become_nan_rows(self, quad, tmp_path):
         seq = heavy_ball_iterate(quad.oracle, quad.x0, 3,

@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -203,6 +204,47 @@ def test_artifact_diff_exits_one_on_a_difference(tmp_path, monkeypatch,
     out = capsys.readouterr().out.splitlines()
     assert (code, out) == ((0, ["identical"]) if same else
                            (1, ["differs: w/out.csv", "1 differences"]))
+
+
+@pytest.mark.parametrize("names", [[], ["discrete_compare"],
+                                   ["flow_euclid", "verify_replay"]])
+def test_artifact_diff_runs_the_named_workloads(tmp_path, monkeypatch,
+                                                 capsys, names):
+    # each checkout's run is told the workloads, all four by default
+    artifact_diff = _artifact_diff()
+    told = []
+
+    def canned(argv, **kwargs):
+        told.append(argv[argv.index("--workloads") + 1:])
+        _tree(pathlib.Path(argv[argv.index("--collect") + 2]),
+              {"w/out.csv": "1\n"})
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(artifact_diff.subprocess, "run", canned)
+    argv = ["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
+            "--work", str(tmp_path / "work")]
+    assert artifact_diff.main(
+        argv + (["--workloads", *names] if names else [])) == 0
+    assert told == [names or list(artifact_diff.WORKLOADS)] * 2
+    with pytest.raises(SystemExit) as exit_info:
+        artifact_diff.main(argv + ["--workloads", "flow_nowhere"])
+    assert exit_info.value.code == 2
+    assert "flow_nowhere" in capsys.readouterr().err
+
+
+def test_artifact_diff_collects_only_the_named_workloads(tmp_path,
+                                                         monkeypatch):
+    # the child's loop, over workload builds that write nothing
+    artifact_diff = _artifact_diff()
+    built = []
+    fake = type(sys)("workloads")
+    fake.build = lambda name, seed, work_dir: built.append(
+        (name, seed)) or types.SimpleNamespace(configs={}, prepare=[], ops=[])
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    artifact_diff.collect(ROOT, str(tmp_path), [0, 1], ["verify_replay"])
+    assert built == [("verify_replay", 0), ("verify_replay", 1)]
 
 
 def _api_surface(src):
