@@ -23,11 +23,17 @@ write_trajectory_csv on one benchmark-shaped record: the head's polyak
 flow (gains 10, 10) from the problem's x0, h = 1e-3 to t = 1.5, which at
 dim 50 is 1501 rows of 106 values. Each round writes it once per side.
 
+A "record memory" row is each checkout's memory for that record:
+tracemalloc's peak over its own integrate of the same run followed by its
+write_trajectory_csv, in bytes per value of the record's columns (t, x,
+v, y, E, grad_norm, V, lie V, the costates and u), the smallest of the
+--repeat rounds.
+
 Before timing, each law's u, each gradient and the two trajectory files
 must hold the same bytes in both checkouts. Prints one row per call with
 the base and head cost in raw microseconds per call (per value for the
-trajectory text) and their ratio. Exits 0, or 1 when a u, a gradient or
-the trajectory text differs.
+trajectory text, bytes per value for the record memory) and their ratio.
+Exits 0, or 1 when a u, a gradient or the trajectory text differs.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import os
 import sys
 import tempfile
 import timeit
+import tracemalloc
 from types import ModuleType
 from typing import Callable
 
@@ -124,6 +131,19 @@ def text_writes(packages: list[ModuleType], record,
             for pkg, path in zip(packages, paths)]
 
 
+def record_memory(package: ModuleType, dim: int, seed: int,
+                  path: str) -> int:
+    """The traced peak bytes of package's run of the trajectory text record
+    and its write to path."""
+    tracemalloc.start()
+    try:
+        package.export.write_trajectory_csv(trajectory(package, dim, seed),
+                                            path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -164,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
 
         best = [{name: float("inf") for name in side} for side in sides]
         text = [float("inf")] * 2
+        memory = [float("inf")] * 2
         for _ in range(args.repeat):
             for name in sides[0]:
                 for side, fastest in zip(sides, best):
@@ -171,12 +192,17 @@ def main(argv: list[str] | None = None) -> int:
                     fastest[name] = min(fastest[name], took)
             for k, (_, write) in enumerate(writes):
                 text[k] = min(text[k], timeit.timeit(write, number=1))
+            for k, (pkg, (path, _)) in enumerate(zip((base, head), writes)):
+                memory[k] = min(memory[k], record_memory(pkg, args.dim,
+                                                         args.seed, path))
     print(f"dim {args.dim}, best of {args.repeat} x {args.number} calls, "
           f"raw us per call")
     print(f"{'call':<22}{'base':>8}{'head':>8}{'head/base':>11}")
     rows = [(name, *(fastest[name] / args.number * 1e6 for fastest in best))
             for name in sides[0]]
     rows.append(("trajectory text", *(t / values * 1e6 for t in text)))
+    recorded = sum(column.size for column in record.columns.values())
+    rows.append(("record memory", *(m / recorded for m in memory)))
     for name, b, h in rows:
         # three decimals, so that the ratio of the printed costs is the
         # printed ratio to within 1% down to 0.1 us

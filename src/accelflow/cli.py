@@ -2,17 +2,19 @@
 
 Exit codes: 0 success, 1 failed verification checks, 2 invalid
 configuration, 3 runtime failure (divergence, an infeasible-rate abort,
-a ValueError the library raises while a method runs, or running out of
-memory). Artifacts land in the config's output directory: trajectory or
+a ValueError the library raises while a method runs, running out of
+memory, or an artifact that cannot be written). Artifacts land in the
+config's output directory, made before any method runs: trajectory or
 iterate CSV, summary JSON, and an echo of the resolved config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 # One BLAS thread unless the caller chose a count: more threads sum in
 # another order, so a rerun's bytes would depend on the machine. BLAS reads
@@ -72,6 +74,35 @@ EXIT_RUNTIME = 3
 #: raised while a method runs; ConfigError, itself a ValueError, is caught
 #: before these
 RUNTIME_ERRORS = (InfeasibleStateError, ValueError)
+
+
+class _WriteError(Exception):
+    """An artifact could not be written. It stops the whole command, as a
+    runtime failure: no member of a compare can write either."""
+
+
+@contextlib.contextmanager
+def _artifact(path: str) -> Iterator[str]:
+    """path, for the artifact written in the block; an OSError there is a
+    _WriteError naming path."""
+    try:
+        yield path
+    except OSError as e:
+        raise _WriteError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _make_out_dir(path: str, name: str) -> None:
+    """Make the output directory path, which name (a config field or a
+    flag) set; one that cannot be made is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{name}: cannot make directory {path!r}: "
+                          f"{e.strerror or e}") from e
+
+
+def _out_dir_name(args: argparse.Namespace) -> str:
+    return "output.out_dir" if args.out_dir is None else "--out-dir"
 
 
 def _runtime_failure(e: Exception) -> str:
@@ -152,25 +183,30 @@ def _emit(config: RunConfig, payload: dict[str, Any],
     out_dir = config.output.out_dir
     if report is not None:
         payload["checks"] = report.to_dict()
-    write_summary_json(payload, os.path.join(out_dir, "summary.json"))
-    atomic_write(os.path.join(out_dir, "config_echo.yaml"),
-                 [config.to_yaml().encode()])
-    print(f"wrote {os.path.join(out_dir, 'summary.json')}")
+    with _artifact(os.path.join(out_dir, "summary.json")) as path:
+        write_summary_json(payload, path)
+    with _artifact(os.path.join(out_dir, "config_echo.yaml")) as echo:
+        atomic_write(echo, [config.to_yaml().encode()])
+    print(f"wrote {path}")
     if report is not None:
         for line in report.lines():
             print(line)
 
 
-def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None
+def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None,
+                 out_dir_name: str = "output.out_dir"
                  ) -> tuple[int, dict[str, Any]]:
     """Run one config to artifacts; returns (exit code, summary payload).
 
     problem is config.problem built, when the caller holds it already: no
-    method writes to a problem or its x0.
+    method writes to a problem or its x0. The output directory is made
+    once the problem is built, before the method runs; out_dir_name names
+    what set it (_make_out_dir).
     """
     if problem is None:
         problem = config.problem.build()
     out_dir = config.output.out_dir
+    _make_out_dir(out_dir, out_dir_name)
     label = config.run_label()
 
     flow = isinstance(config.method, FlowMethodConfig)
@@ -183,8 +219,9 @@ def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None
         if flow:
             spec = config.method.build_controller()
             record = _run_flow(config, problem, spec)
-            csv_path = os.path.join(out_dir, "trajectory.csv")
-            write_trajectory_csv(record, csv_path)
+            with _artifact(os.path.join(out_dir, "trajectory.csv")) \
+                    as csv_path:
+                write_trajectory_csv(record, csv_path)
             print(f"wrote {csv_path}")
             payload = flow_summary(record, label)
             if config.verify.checks:
@@ -192,8 +229,9 @@ def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None
                                              config.verify.checks)
         else:
             seq = _run_discrete(config, problem)
-            csv_path = os.path.join(out_dir, "iterates.csv")
-            write_iterates_csv(seq, problem.oracle, csv_path)
+            with _artifact(os.path.join(out_dir, "iterates.csv")) \
+                    as csv_path:
+                write_iterates_csv(seq, problem.oracle, csv_path)
             print(f"wrote {csv_path}")
             payload = discrete_summary(seq, problem.oracle, label,
                                        config.method.tol_g)
@@ -221,7 +259,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    code, _ = _execute_run(config)
+    code, _ = _execute_run(config, out_dir_name=_out_dir_name(args))
     return code
 
 
@@ -236,6 +274,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                               f"{args.configs[0]}; compare needs one shared "
                               f"problem")
     labels = [c.run_label() for c in configs]
+    for path, label in zip(args.configs, labels):
+        # each member writes to the directory label under the out dir
+        if (label in (".", "..") or os.path.isabs(label)
+                or {"/", os.sep, "\0"} & set(label)):
+            raise ConfigError(f"{path}: label: {label!r} is not one path "
+                              f"component: it has a '/' or a NUL, or is "
+                              f"'.' or '..'")
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate run labels; set distinct label: fields")
 
@@ -249,7 +294,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         try:
             if problem is None:
                 problem = cfg.problem.build()
-            code, payload = _execute_run(cfg, problem)
+            code, payload = _execute_run(cfg, problem, _out_dir_name(args))
         except ConfigError:
             raise
         except RUNTIME_ERRORS as e:
@@ -266,8 +311,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows.append({"label": label, "cells": cells,
                      "final_E": payload["final"]["E"]})
 
-    table_path = os.path.join(out_dir, "compare.csv")
-    write_compare_csv(rows, table_path)
+    with _artifact(os.path.join(out_dir, "compare.csv")) as table_path:
+        write_compare_csv(rows, table_path)
     print(f"wrote {table_path}")
     _print_table(rows)
     return worst
@@ -380,6 +425,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # not a member failure in compare: the whole command stops here
         detail = f": {e}" if str(e) else ""
         print(f"runtime failure: out of memory{detail}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except _WriteError as e:
+        print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

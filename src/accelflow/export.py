@@ -102,21 +102,25 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_VALUES // width)
 
 
-def _text_blocks(table: np.ndarray) -> Iterator[np.ndarray]:
-    """table's CSV text, one block of _block_rows rows at a time."""
-    step = _block_rows(table.shape[1])
-    for start in range(0, len(table), step):
-        yield _csv_text(table[start:start + step])
-
-
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
+    """Write record's table as a trajectory CSV at path.
+
+    Each text block (_block_rows rows) is stacked from the row slices of
+    the columns it spans, so writing holds one block's text in flight, on
+    top of the record, and never a second copy of the whole table.
+    """
     dim = int(record.meta["dim"])
     full_mode = record.meta.get("mode") == "full_primal_dual"
     header = trajectory_header(dim, full_mode)
-    body = np.column_stack([record.columns[name]
-                            for name in _csv_columns(full_mode)])
+    columns = [record.columns[name] for name in _csv_columns(full_mode)]
+    step = _block_rows(len(header))
+
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, len(columns[0]), step):
+            yield _csv_text(np.column_stack(
+                [column[start:start + step] for column in columns]))
     atomic_write(path, itertools.chain(
-        [(",".join(header) + "\n").encode()], _text_blocks(body)))
+        [(",".join(header) + "\n").encode()], chunks()))
 
 
 class DivergedRowError(ValueError):

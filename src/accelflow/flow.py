@@ -42,6 +42,10 @@ Array = np.ndarray
 #: state norm beyond which the run is declared divergent
 DIVERGENCE_LIMIT = 1e12
 
+#: rows a run's column tables start at (integrate): a bound on what a run
+#: reserves before it records, whatever its t_max / h
+_TABLE_ROWS = 64
+
 
 class FlowMode(str, Enum):
     REDUCED = "reduced"
@@ -144,19 +148,26 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     finite gradient's can overflow). It ends at the last accepted state,
     which a diverging start state is.
 
-    The run comes back as one table. The loop keeps only the raw columns
-    of each recorded state: t, x, v, y, the gradient, grad_norm, u, the
-    law's drift term when it returns one, and in full_primal_dual mode
-    the costates. The diagnostic columns are
-    computed once, after the loop, over the whole table, with one stacked
-    call each, and every row holds the bits the one-state call gives it:
-    E is oracle.value, V is clf_value and lie V is lie_derivative. When
-    the law computed the drift term of lie V (min_p_star does), lie V is
-    that drift plus grad_v V . u instead, and takes no Hessian. The
-    diagnostics always use the substituted costate -grad E, so reduced
-    and full runs of the same flow report the same certificate values.
-    In reduced mode the costate columns hold their definitions,
-    lambda_x = -grad E and lambda_v = 0.
+    The run comes back as one table. The loop writes each recorded
+    state's raw columns straight into one column table each: t, x, v, y,
+    the gradient, grad_norm, u, the law's drift term when it returns one,
+    and in full_primal_dual mode the costates. A table starts at
+    _TABLE_ROWS rows, or at the most rows the run can record when that is
+    fewer, and when it fills it grows in place (ndarray.resize) by half
+    again, never past that most. After the loop each table is trimmed in
+    place to the rows it holds, and those trimmed tables are the record's
+    columns. No array made for a step outlives that step, and a run that
+    converges early holds about its own rows, whatever t_max / h is. The
+    gradient table is negated in place into the costate -grad E. The
+    diagnostic columns are computed once, after the loop, over the whole
+    table, with one stacked call each, and every row holds the bits the
+    one-state call gives it: E is oracle.value, V is clf_value and lie V
+    is lie_derivative. When the law computed the drift term of lie V
+    (min_p_star does), lie V is that drift plus grad_v V . u instead, and
+    takes no Hessian. The diagnostics always use the substituted costate
+    -grad E, so reduced and full runs of the same flow report the same
+    certificate values. In reduced mode the costate columns hold their
+    definitions, lambda_x = -grad E and lambda_v = 0.
 
     An InfeasibleStateError from the controller propagates to the caller
     untouched: it is a statement about the problem/rate pairing, not
@@ -188,8 +199,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         return law(zz[:n], -g, zz[n:2 * n])
 
     # the RK4 stage state, its x and v views and the slopes are made once
-    # per run; an accepted state is always a fresh array, since the rows
-    # keep views of it
+    # per run
     zs, k1, k2, k3, k4 = np.empty((5, 2 * n + 1))
     xs, vs = zs[:n], zs[n:2 * n]
     gradient = oracle.gradient
@@ -267,22 +277,54 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         return (lamx - h * (oracle.hessian_at(z0[:n]) @ z1[n:2 * n]),
                 lamv + h * (-lamx - g0))
 
-    # the raw columns of the recorded states, by reference: the loop never
-    # changes an array in place once it is kept, and the stacking copies
-    rows: list[tuple] = []
-
-    def keep(t: float, zz: Array, g: Array, g_norm: float,
-             res: ControlResult) -> None:
-        rows.append((t, zz, g, g_norm, res.u, res.drift, lamx, lamv))
-
     g = oracle.gradient(z[:n])
     g_norm = _norm(g)
     res = evaluate_control(live_spec, oracle, z[:n], -g, z[n:2 * n])
+    n_steps = int(np.ceil(t_max / h - 1e-12))
+    # the start, every record_stride-th step, and the last step or the one
+    # a run stops at
+    most = n_steps // record_stride + 2
+    drift = res.drift is not None
+    shapes = {"t": (), "x": (n,), "v": (n,), "y": (), "g": (n,),
+              "grad_norm": (), "u": (n,)}
+    if drift:
+        shapes["drift"] = ()
+    if full:
+        shapes.update(lambda_x=(n,), lambda_v=(n,))
+    tables = {name: np.empty((min(_TABLE_ROWS, most),) + shape)
+              for name, shape in shapes.items()}
+    # resizing keeps each table's identity, so these stay its names
+    t_col, x_col, v_col, y_col, g_col, norm_col, u_col = (
+        tables[name] for name in ("t", "x", "v", "y", "g", "grad_norm", "u"))
+    rows = 0
+
+    def keep(t: float, zz: Array, g: Array, g_norm: float,
+             res: ControlResult) -> None:
+        """Write one recorded state into row rows of the tables."""
+        nonlocal rows
+        if rows == len(t_col):
+            grown = min(most, rows + rows // 2)
+            for name, table in tables.items():
+                # no view of a table is taken before the loop ends
+                table.resize((grown,) + shapes[name], refcheck=False)
+        t_col[rows] = t
+        x_col[rows] = zz[:n]
+        v_col[rows] = zz[n:2 * n]
+        y_col[rows] = zz[2 * n]
+        g_col[rows] = g
+        norm_col[rows] = g_norm
+        u_col[rows] = res.u
+        if drift:
+            tables["drift"][rows] = res.drift
+        if full:
+            tables["lambda_x"][rows] = lamx
+            tables["lambda_v"][rows] = lamv
+        rows += 1
+
     keep(0.0, z, g, g_norm, res)
     converged = g_norm <= stop.tol_g and _norm(z[n:2 * n]) <= stop.tol_v
     # a law cannot steer by a gradient norm that is not finite
     diverged = not math.isfinite(g_norm)
-    n_steps = int(np.ceil(t_max / h - 1e-12))
     k = 0
 
     if not (converged or diverged):
@@ -338,26 +380,24 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         if diverged and k % record_stride:
             keep(k * h, z, g, g_norm, res)
 
+    for name, table in tables.items():
+        table.resize((rows,) + shapes[name], refcheck=False)
     # the diagnostics, one stacked call per column
-    t, states, gs, g_norms, us, drifts, lamxs, lamvs = zip(*rows)
-    Z = np.array(states)
-    X, Vel = Z[:, :n].copy(), Z[:, n:2 * n].copy()
-    U = np.array(us)
-    lam = -np.array(gs)
+    lam = np.negative(g_col, out=g_col)
     clf = spec.clf
-    if drifts[0] is None:
-        lie = lie_derivative(clf, oracle, X, lam, Vel, U)
-    else:
+    if drift:
         # the law already paid a Hessian for the drift term; the sum is
         # lie_derivative's, bit for bit
-        lie = np.array(drifts) + np.vecdot(clf_grad_v(clf, lam, Vel), U)
+        lie = tables["drift"] + np.vecdot(clf_grad_v(clf, lam, v_col), u_col)
+    else:
+        lie = lie_derivative(clf, oracle, x_col, lam, v_col, u_col)
     columns = {
-        "t": np.array(t), "x": X, "v": Vel, "y": Z[:, 2 * n].copy(),
-        "E": oracle.value(X), "grad_norm": np.array(g_norms),
-        "V": clf_value(clf, lam, Vel), "lieV": lie,
-        "lambda_x": np.array(lamxs) if full else lam,
-        "lambda_v": np.array(lamvs) if full else np.zeros_like(Vel),
-        "u": U,
+        "t": t_col, "x": x_col, "v": v_col, "y": y_col,
+        "E": oracle.value(x_col), "grad_norm": norm_col,
+        "V": clf_value(clf, lam, v_col), "lieV": lie,
+        "lambda_x": tables["lambda_x"] if full else lam,
+        "lambda_v": tables["lambda_v"] if full else np.zeros_like(v_col),
+        "u": u_col,
     }
     meta = {
         "mode": mode.value,
@@ -369,7 +409,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         "tol_g": stop.tol_g,
         "tol_v": stop.tol_v,
         "steps_taken": k,
-        "t_final": t[-1],
+        "t_final": float(t_col[-1]),
     }
     return TrajectoryRecord(columns=columns, converged=converged,
                             diverged=diverged, meta=meta)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from accelflow import cli, discrete
 from accelflow.cli import _execute_run, main
 from accelflow.config import ProblemConfig, load_config
 from accelflow.export import atomic_write, read_trajectory_csv
+from traced import PEAK_PER_COLUMN_BYTE, traced_peak
 
 PROBLEM = {"name": "quadratic", "dim": 4, "kappa": 10.0, "seed": 3}
 
@@ -375,6 +377,70 @@ def test_running_out_of_memory_exits_three_in_one_line(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "compare"])
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_an_out_dir_that_cannot_be_made_exits_two_naming_it(
+        tmp_path, capsys, verb, by_flag, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "run" if under else blocker
+    data = discrete_data(tmp_path / "unused" if by_flag else out)
+    argv = [verb, write_config(tmp_path, "a.yaml", data)]
+    if verb == "compare":
+        argv.append(write_config(tmp_path, "b.yaml",
+                                 dict(data, label="other")))
+    if by_flag:
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    name = "--out-dir" if by_flag else "output.out_dir"
+    assert len(err) == 1 and err[0].startswith(f"config error: {name}: ")
+    assert blocker.read_text() == "a file\n"
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC),
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))], ids=["bare", "os"])
+def test_an_artifact_that_cannot_be_written_exits_three_naming_it(
+        tmp_path, capsys, monkeypatch, verb, error):
+    def full_disk(path, chunks):
+        raise error
+
+    monkeypatch.setattr(cli, "atomic_write", full_disk)
+    monkeypatch.setattr("accelflow.export.atomic_write", full_disk)
+    out = tmp_path / "run"
+    data = discrete_data(out)
+    argv = [verb, write_config(tmp_path, "a.yaml", data)]
+    if verb == "compare":
+        argv.append(write_config(tmp_path, "b.yaml",
+                                 dict(data, label="other")))
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    path = out / ("heavy_ball" if verb == "compare" else "") / "iterates.csv"
+    assert err == [f"runtime failure: cannot write {os.path.normpath(path)}"
+                   f": {error.strerror or error}"]
+
+
+def test_a_run_of_1e10_steps_that_converges_early_exits_zero(tmp_path):
+    # t_max / h is 1e10 steps; the run converges after about 1200, and
+    # holds about its own table
+    out = tmp_path / "run"
+    data = flow_data(out, h=0.01, t_max=1.0e8)
+    data["problem"] = {"name": "quadratic", "dim": 100, "kappa": 10.0,
+                       "seed": 1}
+    cfg = write_config(tmp_path, "long.yaml", data)
+    code, peak = traced_peak(lambda: main(["run", cfg]))
+    assert code == 0
+    rows = len(read_trajectory_csv(str(out / "trajectory.csv"))["t"])
+    assert rows < 5000
+    # the record's columns: t, x, v, y, E, grad_norm, V, lie V, the two
+    # costates and u
+    assert peak < PEAK_PER_COLUMN_BYTE * rows * (5 * 100 + 6) * 8
+
+
 FLOW_METHODS = [
     {"controller": "min_p", "delta": 1.0},
     {"controller": "min_p_star", "eta": 1.0},
@@ -620,6 +686,25 @@ class TestConfigErrors:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("label", ["ABSOLUTE", "a/../../x", ".", "..",
+                                       "a\0b"])
+    def test_a_label_that_is_not_one_path_component_exits_two(
+            self, tmp_path, capsys, label):
+        if label == "ABSOLUTE":
+            label = str(tmp_path / "escaped")
+        out = tmp_path / "cmp" / "out"
+        first = write_config(tmp_path, "a.yaml",
+                             dict(discrete_data(out), label=label))
+        second = write_config(tmp_path, "b.yaml",
+                              dict(discrete_data(out), label="b"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["compare", first, second, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {first}: label: ")
+        # nothing is written, inside the out dir or outside it
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_nesterov_forms_report_identical_progress(self, tmp_path):
         problem = {"name": "quadratic", "dim": 10, "kappa": 100.0, "seed": 3}
         configs = []

@@ -33,6 +33,7 @@ from accelflow.objective import (
     random_log_sum_exp,
     random_quadratic,
 )
+from traced import PEAK_PER_COLUMN_BYTE, column_bytes, traced_peak
 
 Q2 = quadratic_problem(np.array([[2.0]]))
 RUN_FOREVER = StoppingRule(tol_g=0.0, tol_v=0.0)
@@ -689,3 +690,39 @@ def test_trajectory_meta_records_setup():
     assert rec.meta["mode"] == "reduced"
     assert rec.meta["method"] == "rk4"
     assert rec.meta["h"] == 1e-2
+
+
+@pytest.fixture(scope="module")
+def traced_dim100_run():
+    """A dim-100 polyak run of 2501 rows, and integrate's traced peak."""
+    problem = random_quadratic(100, 100.0, seed=1)
+    state0 = initial_state(problem.oracle, problem.x0)
+    return traced_peak(lambda: integrate(polyak_controller(10.0, 10.0),
+                                         problem.oracle, state0, 1e-3, 2.5,
+                                         stop=RUN_FOREVER))
+
+
+def test_a_run_holds_about_its_own_table(traced_dim100_run):
+    record, peak = traced_dim100_run
+    assert len(record.columns["t"]) == 2501
+    assert peak < PEAK_PER_COLUMN_BYTE * column_bytes(record)
+
+
+def test_the_trajectory_writer_holds_a_block_not_the_table(
+        traced_dim100_run, tmp_path):
+    from accelflow.export import trajectory_header, write_trajectory_csv
+    record, _ = traced_dim100_run
+    _, peak = traced_peak(lambda: write_trajectory_csv(
+        record, str(tmp_path / "trajectory.csv")))
+    table = len(record.columns["t"]) * len(trajectory_header(100, False)) * 8
+    assert peak < 0.1 * table
+
+
+def test_a_run_reserves_nothing_for_steps_it_never_takes():
+    # t_max / h is 1e10 steps; the run converges after about 1200
+    problem = random_quadratic(100, 10.0, seed=1)
+    state0 = initial_state(problem.oracle, problem.x0)
+    record, peak = traced_peak(lambda: integrate(
+        polyak_controller(10.0, 10.0), problem.oracle, state0, 0.01, 1e8))
+    assert record.converged and record.meta["steps_taken"] < 5000
+    assert peak < PEAK_PER_COLUMN_BYTE * column_bytes(record)
