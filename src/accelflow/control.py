@@ -57,8 +57,7 @@ from .clf import (
     drift_condition_check,
     state_norm,
 )
-from .metric import (MetricKind, MetricSpec, _LU, _floor_in_order,
-                     metric_matrix, metric_solve)
+from .metric import MetricKind, MetricSpec, _LU, metric_matrix, metric_solve
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -481,10 +480,7 @@ def _inverse(metric: MetricSpec,
     quasi-Newton matrix) is factored once, at the law's first solve
     (metric._LU), and serves every stacked row. A Hessian per row is
     floored and solved one row at a time, in row order, so the first row
-    that fails raises what its one-row call raises. Each floor takes its
-    test order from the one before it (metric._floor_in_order): the
-    Cholesky test first after a point that needed no lift, eigvalsh first
-    at the first point and after a lift. Either order gives the same W.
+    that fails raises what its one-row call raises.
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
@@ -501,20 +497,14 @@ def _inverse(metric: MetricSpec,
 
         return fixed
 
-    lifted = True  # by the last floor; none has run yet
-
-    def solve(H: Array, d: Array) -> Array:
-        nonlocal lifted
-        W, lifted = _floor_in_order(H, metric.eig_floor,
-                                    cholesky_first=not lifted)
-        return metric_solve(W, d)
-
     def inverse(x: Array, d: Array, H: Optional[Array] = None) -> Array:
         if H is None:
             H = oracle.hessian_at(x)
         if H.ndim == 3:  # not by a self-call, a cycle
-            return np.array([solve(Hk, dk) for dk, Hk in zip(d, H)])
-        return solve(H, d)
+            return np.array([
+                metric_solve(metric_matrix(metric, oracle, xk, Hk), dk)
+                for xk, dk, Hk in zip(x, d, H)])
+        return metric_solve(metric_matrix(metric, oracle, x, H), d)
 
     return inverse
 

@@ -153,21 +153,21 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     the gradient, grad_norm, u, the law's drift term when it returns one,
     and in full_primal_dual mode the costates. A table starts at
     _TABLE_ROWS rows, or at the most rows the run can record when that is
-    fewer, and when it fills it grows in place (ndarray.resize) by half
-    again, never past that most. After the loop each table is trimmed in
-    place to the rows it holds, and those trimmed tables are the record's
-    columns. No array made for a step outlives that step, and a run that
-    converges early holds about its own rows, whatever t_max / h is. The
-    gradient table is negated in place into the costate -grad E. The
-    diagnostic columns are computed once, after the loop, over the whole
-    table, with one stacked call each, and every row holds the bits the
-    one-state call gives it: E is oracle.value, V is clf_value and lie V
-    is lie_derivative. When the law computed the drift term of lie V
-    (min_p_star does), lie V is that drift plus grad_v V . u instead, and
-    takes no Hessian. The diagnostics always use the substituted costate
-    -grad E, so reduced and full runs of the same flow report the same
-    certificate values. In reduced mode the costate columns hold their
-    definitions, lambda_x = -grad E and lambda_v = 0.
+    fewer. When they fill, each grows in place (ndarray.resize, with its
+    reference check) by half again, never past that most, and after the
+    loop each is cut in place to the rows it holds: those are the
+    record's columns. No array made for a step outlives that step, and a
+    run that converges early holds about its own rows, whatever t_max / h
+    is. The gradient table is negated in place into the costate -grad E.
+    The diagnostic columns are computed once, after the loop, over the
+    whole table, with one stacked call each, and every row holds the bits
+    the one-state call gives it: E is oracle.value, V is clf_value and
+    lie V is lie_derivative. When the law computed the drift term of
+    lie V (min_p_star does), lie V is that drift plus grad_v V . u
+    instead, and takes no Hessian. The diagnostics always use the
+    substituted costate -grad E, so reduced and full runs of the same flow
+    report the same certificate values. In reduced mode the costate
+    columns hold their definitions, lambda_x = -grad E and lambda_v = 0.
 
     An InfeasibleStateError from the controller propagates to the caller
     untouched: it is a statement about the problem/rate pairing, not
@@ -293,27 +293,29 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         shapes.update(lambda_x=(n,), lambda_v=(n,))
     tables = {name: np.empty((min(_TABLE_ROWS, most),) + shape)
               for name, shape in shapes.items()}
-    # resizing keeps each table's identity, so these stay its names
-    t_col, x_col, v_col, y_col, g_col, norm_col, u_col = (
-        tables[name] for name in ("t", "x", "v", "y", "g", "grad_norm", "u"))
     rows = 0
+
+    def resize(size: int) -> None:
+        """Resize every table to size rows in place, a realloc. Only the
+        dict holds a table, so numpy's reference check passes; while a
+        view of a table is alive it raises ValueError instead of leaving
+        the view on freed memory."""
+        for name in tables:
+            tables[name].resize((size,) + shapes[name])
 
     def keep(t: float, zz: Array, g: Array, g_norm: float,
              res: ControlResult) -> None:
         """Write one recorded state into row rows of the tables."""
         nonlocal rows
-        if rows == len(t_col):
-            grown = min(most, rows + rows // 2)
-            for name, table in tables.items():
-                # no view of a table is taken before the loop ends
-                table.resize((grown,) + shapes[name], refcheck=False)
-        t_col[rows] = t
-        x_col[rows] = zz[:n]
-        v_col[rows] = zz[n:2 * n]
-        y_col[rows] = zz[2 * n]
-        g_col[rows] = g
-        norm_col[rows] = g_norm
-        u_col[rows] = res.u
+        if rows == len(tables["t"]):
+            resize(min(most, rows + rows // 2))
+        tables["t"][rows] = t
+        tables["x"][rows] = zz[:n]
+        tables["v"][rows] = zz[n:2 * n]
+        tables["y"][rows] = zz[2 * n]
+        tables["g"][rows] = g
+        tables["grad_norm"][rows] = g_norm
+        tables["u"][rows] = res.u
         if drift:
             tables["drift"][rows] = res.drift
         if full:
@@ -380,10 +382,10 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         if diverged and k % record_stride:
             keep(k * h, z, g, g_norm, res)
 
-    for name, table in tables.items():
-        table.resize((rows,) + shapes[name], refcheck=False)
+    resize(rows)
+    x_col, v_col, u_col = tables["x"], tables["v"], tables["u"]
     # the diagnostics, one stacked call per column
-    lam = np.negative(g_col, out=g_col)
+    lam = np.negative(tables["g"], out=tables["g"])
     clf = spec.clf
     if drift:
         # the law already paid a Hessian for the drift term; the sum is
@@ -392,8 +394,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     else:
         lie = lie_derivative(clf, oracle, x_col, lam, v_col, u_col)
     columns = {
-        "t": t_col, "x": x_col, "v": v_col, "y": y_col,
-        "E": oracle.value(x_col), "grad_norm": norm_col,
+        "t": tables["t"], "x": x_col, "v": v_col, "y": tables["y"],
+        "E": oracle.value(x_col), "grad_norm": tables["grad_norm"],
         "V": clf_value(clf, lam, v_col), "lieV": lie,
         "lambda_x": tables["lambda_x"] if full else lam,
         "lambda_v": tables["lambda_v"] if full else np.zeros_like(v_col),
@@ -409,7 +411,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         "tol_g": stop.tol_g,
         "tol_v": stop.tol_v,
         "steps_taken": k,
-        "t_final": float(t_col[-1]),
+        "t_final": float(tables["t"][-1]),
     }
     return TrajectoryRecord(columns=columns, converged=converged,
                             diverged=diverged, meta=meta)

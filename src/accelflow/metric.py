@@ -146,50 +146,35 @@ def shift_to_floor(M: Array, floor: float) -> Array:
 
 
 def _floor_at_point(M: Array, floor: float) -> Array:
-    """shift_to_floor(M, floor), bit for bit, eigvalsh first
-    (_floor_in_order)."""
-    return _floor_in_order(M, floor, cholesky_first=False)[0]
+    """shift_to_floor(M, floor), bit for bit, in the other order: for a
+    Hessian taken at a point, whose floor test mostly fails there.
 
-
-def _floor_in_order(M: Array, floor: float,
-                    cholesky_first: bool) -> tuple[Array, bool]:
-    """shift_to_floor(M, floor), bit for bit, for a Hessian taken at a
-    point, and whether it lifted the diagonal.
-
-    cholesky_first takes shift_to_floor's order, whose Cholesky of
-    M - floor*I settles a Hessian above its floor. Otherwise eigvalsh runs
-    first, which settles one below it, where the floor test mostly fails.
-    At or above the floor its smallest eigenvalue leaves M as it is,
-    whichever way the Cholesky test goes. Below it, the Cholesky of
-    M - floor*I is run only when the gap is within the rounding bound: a
-    Cholesky that succeeds perturbs M - floor*I by at most about
-    n(n + 1) u ||M - floor*I|| (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), and eigvalsh's eigenvalues are within
-    p(n) u ||M|| of the true ones. Taking p(n) as n(n + 1) too, and
-    doubling the sum for the rounding of M - floor*I and of ||M|| read off
-    the eigenvalues, the bound is 2 n (n + 2) eps (||M|| + floor), with
-    eps = 2u. A larger gap fails the test, so the diagonal is lifted, as
-    it is after a Cholesky-first test that failed.
+    eigvalsh runs first. At or above the floor its smallest eigenvalue
+    leaves M as it is, whichever way the Cholesky test goes. Below it, the
+    Cholesky of M - floor*I is run only when the gap is within the
+    rounding bound: a Cholesky that succeeds perturbs M - floor*I by at
+    most about n(n + 1) u ||M - floor*I|| (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3), and eigvalsh's eigenvalues are
+    within p(n) u ||M|| of the true ones. Taking p(n) as n(n + 1) too,
+    and doubling the sum for the rounding of M - floor*I and of ||M|| read
+    off the eigenvalues, the bound is 2 n (n + 2) eps (||M|| + floor), with
+    eps = 2u. A larger gap fails the test, so the diagonal is lifted.
     """
     M = np.asarray(M, dtype=float)
     M = 0.5 * (M + M.T)
-    n = len(M)
-    # subtracting 0.0 off the diagonal keeps every bit, -0.0 included
-    if cholesky_first and _has_cholesky(M - floor * np.eye(n)):
-        return M, False
     if not np.isfinite(M).all():
         raise ValueError("matrix is not finite; no floor applies")
     eigs = np.linalg.eigvalsh(M)
-    min_eig = float(eigs[0])
+    min_eig, n = float(eigs[0]), len(M)
     if min_eig >= floor:
-        return M, False
+        return M
     bound = (2 * n * (n + 2) * np.finfo(float).eps
              * (max(-min_eig, float(eigs[-1])) + floor))
-    if (not cholesky_first and floor - min_eig <= bound
-            and _has_cholesky(M - floor * np.eye(n))):
-        return M, False
+    # subtracting 0.0 off the diagonal keeps every bit, -0.0 included
+    if floor - min_eig <= bound and _has_cholesky(M - floor * np.eye(n)):
+        return M
     M.flat[::n + 1] += floor - min_eig
-    return M, True
+    return M
 
 
 def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,

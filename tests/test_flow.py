@@ -718,11 +718,27 @@ def test_the_trajectory_writer_holds_a_block_not_the_table(
     assert peak < 0.1 * table
 
 
-def test_a_run_reserves_nothing_for_steps_it_never_takes():
-    # t_max / h is 1e10 steps; the run converges after about 1200
-    problem = random_quadratic(100, 10.0, seed=1)
+def test_the_dissipation_check_holds_row_blocks_not_the_record(
+        traced_dim100_run):
+    from accelflow.verify import check_dissipation
+    record, _ = traced_dim100_run
+    spec = polyak_controller(10.0, 10.0)
+    oracle = random_quadratic(100, 100.0, seed=1).oracle
+    _, peak = traced_peak(lambda: check_dissipation(record, spec.clf,
+                                                    oracle))
+    assert peak < 0.25 * column_bytes(record)
+
+
+def test_a_run_that_grows_its_tables_keeps_every_row():
+    # 64 rows, then 96, 144, 216 and 302, cut to 301: the first 51 rows
+    # are those of a run short enough to fit the first tables
+    problem = random_quadratic(20, 10.0, seed=2)
     state0 = initial_state(problem.oracle, problem.x0)
-    record, peak = traced_peak(lambda: integrate(
-        polyak_controller(10.0, 10.0), problem.oracle, state0, 0.01, 1e8))
-    assert record.converged and record.meta["steps_taken"] < 5000
-    assert peak < PEAK_PER_COLUMN_BYTE * column_bytes(record)
+    spec = nesterov_flow_controller(5.0)
+    short, long = (integrate(spec, problem.oracle, state0, 0.01, t_max,
+                             stop=RUN_FOREVER).columns
+                   for t_max in (0.5, 3.0))
+    assert len(short["t"]) == 51 and len(long["t"]) == 301
+    for name, column in short.items():
+        assert long[name][:51].tobytes() == column.tobytes(), name
+        assert long[name].flags.c_contiguous, name

@@ -138,12 +138,6 @@ def test_the_pointwise_floor_is_shift_to_floor_bit_for_bit(
     want = shift_to_floor(M, floor)
     got = metric._floor_at_point(M, floor)
     assert got.tobytes() == want.tobytes()
-    # the Cholesky-first order gives the same bits, and both orders agree
-    # on whether the diagonal was lifted
-    first, lifted = metric._floor_in_order(M, floor, cholesky_first=True)
-    assert first.tobytes() == want.tobytes()
-    assert metric._floor_in_order(M, floor, cholesky_first=False)[1] \
-        == lifted
 
 
 def test_the_pointwise_floor_runs_a_cholesky_only_near_the_floor(
@@ -172,57 +166,6 @@ def test_a_log_sum_exp_hessian_is_floored_without_a_cholesky(monkeypatch):
     W = metric_matrix(spec, problem.oracle, problem.x0)
     assert calls == []
     assert np.linalg.eigvalsh(W)[0] == pytest.approx(1e-2, rel=1e-9)
-
-
-def test_a_run_above_its_floor_takes_one_eigvalsh_per_bound_law(
-        monkeypatch):
-    # the Hessians of this run sit far above the floor: after each law's
-    # first point, every floor is settled by its Cholesky test
-    from accelflow import control
-    from accelflow.flow import initial_state, integrate
-    problem = random_log_sum_exp(5, terms=40, seed=1)
-    spec = control.accelerated_newton_controller(4.0, 4.0, eig_floor=1e-6)
-    state0 = initial_state(problem.oracle, problem.x0)
-
-    def run():
-        return integrate(spec, problem.oracle, state0, 0.01, 1.0).columns
-
-    eigvalsh = np.linalg.eigvalsh
-    lows = []
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda M: lows.append(eigvalsh(M)[0]) or eigvalsh(M))
-    got = run()
-    # one for the law the checked first evaluation binds, one for the
-    # run's own: not one per point (the run's 101 rows take 401 floors)
-    assert len(got["t"]) == 101 and len(lows) == 2
-    assert min(lows) > 1e-2
-    # and the eigvalsh-first order at every point gives the same bits
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(control, "_floor_in_order",
-                        lambda M, floor, cholesky_first:
-                        metric._floor_in_order(M, floor, False))
-    want = run()
-    for name in want:
-        assert got[name].tobytes() == want[name].tobytes(), name
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_the_benchmark_log_sum_exp_run_takes_no_cholesky(monkeypatch, seed):
-    # the flow_curvature member: min_p_star in the Hessian metric with a
-    # 1e-2 floor on log_sum_exp dim 50 x 200 terms, t_max 1. Its Hessians
-    # lie below the floor at every point, so each floor keeps the
-    # eigvalsh-first order and needs no Cholesky test
-    from accelflow.control import MinPStar
-    from accelflow.flow import initial_state, integrate
-    calls = []
-    monkeypatch.setattr(metric, "_has_cholesky", calls.append)
-    problem = random_log_sum_exp(50, terms=200, seed=seed)
-    spec = MinPStar(rate_eta=1.0,
-                    metric=MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2))
-    record = integrate(spec, problem.oracle,
-                       initial_state(problem.oracle, problem.x0), 0.01, 1.0)
-    assert len(record.columns["t"]) == 101
-    assert calls == []
 
 
 def _eigvalsh_floor(M, floor):

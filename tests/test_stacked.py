@@ -364,6 +364,22 @@ def test_checks_equal_their_row_loops(records, name, column, row, value,
             assert same_report(new, old), (new.lines(), old.lines())
 
 
+@pytest.mark.parametrize("mode", list(DissipationMode))
+def test_dissipation_in_row_blocks_is_the_one_block_check(records,
+                                                         monkeypatch, mode):
+    # every record here fits one block; blocks of 7 rows leave a tail
+    for spec, record in records.values():
+        assert 7 < len(record.columns["t"]) <= verify._DISSIPATION_ROWS
+        assert len(record.columns["t"]) % 7
+        whole = check_dissipation(record, spec.clf, QUAD4.oracle, mode=mode,
+                                  eta=0.5, tol=1e-6)
+        monkeypatch.setattr(verify, "_DISSIPATION_ROWS", 7)
+        blocks = check_dissipation(record, spec.clf, QUAD4.oracle,
+                                   mode=mode, eta=0.5, tol=1e-6)
+        monkeypatch.undo()
+        assert same_report(blocks, whole), (blocks.lines(), whole.lines())
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_rebuild_equals_its_row_loop(records, name, tmp_path):
     spec, record = records[name]
