@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    DiscreteMethodConfig,
     FlowMethodConfig,
     RunConfig,
     load_config,
@@ -56,7 +55,7 @@ from .export import (
     write_summary_json,
     write_trajectory_csv,
 )
-from .flow import TrajectoryRecord, initial_state, integrate
+from .flow import FlowMode, TrajectoryRecord, initial_state, integrate
 from .metric import MetricKind, MetricSpec
 from .objective import ProblemInstance
 from .verify import (
@@ -171,13 +170,6 @@ def _verify_flow_record(config: RunConfig, problem: ProblemInstance,
                       singular_tol=v.singular_tol)
 
 
-def _check_discrete_verify(config: RunConfig) -> None:
-    extra = [c for c in config.verify.checks if c != "stationarity"]
-    if extra:
-        raise ConfigError(f"verify.checks: only 'stationarity' applies to "
-                          f"discrete methods, got {extra}")
-
-
 def _emit(config: RunConfig, payload: dict[str, Any],
           report: Optional[VerificationReport]) -> None:
     out_dir = config.output.out_dir
@@ -210,8 +202,6 @@ def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None,
     label = config.run_label()
 
     flow = isinstance(config.method, FlowMethodConfig)
-    if not flow:
-        _check_discrete_verify(config)
     # a diverging method overflows on its way to the non-finite state
     # that stops it; the summary reports that as divergence, not numpy
     report = None
@@ -359,6 +349,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.trajectory}: trajectory dimension "
                           f"{columns['x'].shape[1]} does not match the "
                           f"config problem ({problem.oracle.dim})")
+    full = method.mode is FlowMode.FULL_PRIMAL_DUAL
+    if ("lambda_x" in columns) != full:
+        raise ConfigError(f"{args.trajectory}: the file "
+                          f"{'lacks' if full else 'has'} costate columns, "
+                          f"but method.mode is {method.mode.value}")
 
     meta = {"mode": method.mode.value, "method": method.integrator.value,
             "h": method.h, "t_max": method.t_max, "dim": problem.oracle.dim,

@@ -138,6 +138,13 @@ def _as_positive(value: Any, path: str) -> float:
     return out
 
 
+def _as_at_least(value: Any, path: str, minimum: float) -> float:
+    out = _as_float(value, path)
+    if not (out >= minimum):
+        raise ConfigError(f"{path}: must be >= {minimum:g}, got {out}")
+    return out
+
+
 def _as_int(value: Any, path: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -210,7 +217,7 @@ def _parse_clf(data: Any, path: str) -> ClfParams:
 class ProblemConfig:
     name: str = _field(_as_choice, choices=PROBLEM_NAMES)
     dim: int = _field(_as_int, 2, minimum=1)
-    kappa: float = _field(_as_positive, 10.0)
+    kappa: float = _field(_as_at_least, 10.0, minimum=1.0)
     scale: float = _field(_as_positive, 1.0)
     terms: int = _field(_as_int, 8, minimum=2)
     seed: int = _field(_as_int, 0)
@@ -337,10 +344,11 @@ class DiscreteMethodConfig:
     beta: Optional[float] = _field(_as_float, None)
     gamma: Optional[float] = _field(_as_float, None)
     beta_cg: Union[float, str, None] = _field(
-        _as_number_or, None, name="fletcher_reeves", number=_as_float)
+        _as_number_or, None, name="fletcher_reeves",
+        number=functools.partial(_as_at_least, minimum=0.0))
     gamma_a: Optional[float] = _field(_as_float, None)
     gamma_b: Optional[float] = _field(_as_float, None)
-    h: Optional[float] = _field(_as_float, None)
+    h: Optional[float] = _field(_as_positive, None)
     eig_floor: float = _field(_as_positive, 1e-6)
     tol_g: float = _field(_as_positive, 1e-6)
 
@@ -490,6 +498,11 @@ def parse_config(data: Any) -> RunConfig:
     cfg = _parse_fields(RunConfig, data)
     if isinstance(cfg.method, FlowMethodConfig):
         _check_length(cfg.method.v0, cfg.problem, "method.v0")
+    else:
+        extra = [c for c in cfg.verify.checks if c != "stationarity"]
+        if extra:
+            raise ConfigError(f"verify.checks: only 'stationarity' applies "
+                              f"to discrete methods, got {extra}")
     return cfg
 
 

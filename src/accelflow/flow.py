@@ -136,9 +136,11 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     is evaluated once, after that state's metric update, and shared: its
     row records it, and the next step's first slope uses it. An RK4 step
     therefore costs four control evaluations. In full_primal_dual RK4
-    mode the adjoint step's endpoint control is that same value, except
-    with a quasi-Newton metric, where the adjoint sees the control under
-    the matrix the primal step used.
+    mode the adjoint step sees the controls of the law the primal step
+    used: at its start the accepted state's one control, the primal's
+    first slope, and at its end the law before any quasi-Newton update.
+    Without a quasi-Newton metric that end control is the next accepted
+    state's one control.
     Each accepted state takes the norms of x, v and the gradient once;
     they serve the divergence test, the stopping rule and the grad_norm
     column.
@@ -332,7 +334,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     if not (converged or diverged):
         qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
         adjoint_rk4 = full and method is Integrator.RK4
-        u_adj = res.u  # the adjoint step's control at the primal step's start
         for k in range(1, n_steps + 1):
             z_new = step(z, g, res.u)
             # a non-finite x or v has a non-finite norm
@@ -352,9 +353,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
             if full:
                 if adjoint_rk4:
                     res_new = control_at(z_new, g_new)
-                    lam_new = adjoint_rk4_step(z, g, u_adj, z_new, g_new,
+                    lam_new = adjoint_rk4_step(z, g, res.u, z_new, g_new,
                                                res_new.u)
-                    u_adj = res_new.u
                 else:
                     lam_new = adjoint_euler_step(z, g, z_new)
                 # a rejected step's costates are never kept

@@ -122,6 +122,18 @@ class TestRunFlow:
         cfg = write_config(tmp_path, "short.yaml", data)
         assert main(["run", cfg]) == 1
 
+    def test_quasi_newton_costates_pass_the_adjoint_check(self, tmp_path,
+                                                          capsys):
+        # the adjoint step sees the quasi-Newton matrix the primal used
+        data = flow_data(tmp_path / "run", controller="quasi_newton",
+                         gamma_a=2.0, gamma_b=2.0, t_max=5.0,
+                         mode="full_primal_dual")
+        data["problem"] = {"name": "quadratic", "dim": 10, "kappa": 10.0,
+                           "seed": 7}
+        data["verify"] = {"checks": ["adjoint_consistency"]}
+        assert main(["run", write_config(tmp_path, "qn.yaml", data)]) == 0
+        assert "PASS adjoint_consistency" in capsys.readouterr().out
+
     def test_divergence_exits_three(self, tmp_path):
         out = tmp_path / "run"
         data = flow_data(out, gamma_a=1e8, gamma_b=1e4, t_max=5.0)
@@ -661,6 +673,41 @@ class TestConfigErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {line}"]
 
+    @pytest.mark.parametrize("problem, method, line", [
+        ({"kappa": 0.5}, {}, "problem.kappa: must be >= 1, got 0.5"),
+        ({}, {"name": "accel_newton", "gamma_a": 1.0, "gamma_b": 1.0,
+              "h": 0.0}, "method.h: must be positive, got 0.0"),
+        ({}, {"name": "accel_qn", "gamma_a": 1.0, "gamma_b": 1.0,
+              "h": -0.5}, "method.h: must be positive, got -0.5"),
+        ({}, {"name": "cg", "beta_cg": -0.1},
+         "method.beta_cg: must be >= 0, got -0.1"),
+    ], ids=["kappa", "accel_newton-h", "accel_qn-h", "beta_cg"])
+    def test_a_value_no_method_can_run_exits_two_before_any_output(
+            self, tmp_path, capsys, problem, method, line):
+        out = tmp_path / "run"
+        data = discrete_data(out, **method)
+        data["problem"].update(problem)
+        assert main(["run", write_config(tmp_path, "bad.yaml", data)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {line}"]
+        assert not out.exists()
+
+    def test_a_discrete_members_flow_check_exits_two_before_any_member_runs(
+            self, tmp_path, capsys):
+        good = write_config(tmp_path, "a.yaml",
+                            dict(discrete_data(tmp_path / "x"), label="a"))
+        data = dict(discrete_data(tmp_path / "x"), label="b")
+        data["verify"] = {"checks": ["stationarity", "dissipation"]}
+        bad = write_config(tmp_path, "b.yaml", data)
+        line = ("config error: verify.checks: only 'stationarity' applies "
+                "to discrete methods, got ['dissipation']")
+        out = tmp_path / "out"
+        for args in (["run", bad, "--out-dir", str(out)],
+                     ["compare", good, bad, "--out-dir", str(out)]):
+            assert main(args) == 2
+            assert capsys.readouterr().err.splitlines() == [line]
+            assert not out.exists()
+
     def test_an_overflowing_step_count_exits_two_naming_t_max(self, tmp_path,
                                                              capsys):
         # t_max / h overflows to inf: no step count, so no run
@@ -919,6 +966,26 @@ class TestVerifyVerb:
         bad = write_config(tmp_path, "dim.yaml", data)
         assert main(["verify", traj, bad]) == 2
         assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ran, checked", [
+        ("reduced", "full_primal_dual"), ("full_primal_dual", "reduced")])
+    def test_a_file_of_the_other_mode_exits_two_naming_it(
+            self, tmp_path, capsys, ran, checked):
+        # a reduced file's costates would be filled in from their
+        # definitions and pass every costate check
+        out = tmp_path / "run"
+        data = flow_data(out, t_max=1.0, mode=ran)
+        assert main(["run", write_config(tmp_path, "ran.yaml", data)]) == 0
+        data["method"]["mode"] = checked
+        cfg = write_config(tmp_path, "checked.yaml", data)
+        traj = str(out / "trajectory.csv")
+        capsys.readouterr()
+        assert main(["verify", traj, cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {traj}:")
+        assert f"method.mode is {checked}" in err[0]
 
     def test_non_finite_cell_exits_two_naming_row_and_column(
             self, finished_run, tmp_path, capsys):

@@ -236,6 +236,17 @@ class TestDiscreteMethodBlock:
         with pytest.raises(ConfigError, match="method.alpha"):
             parse_config(data)
 
+    def test_a_zero_beta_cg_is_valid(self):
+        data = discrete_config(name="cg", beta_cg=0)
+        del data["method"]["beta"]
+        assert parse_config(data).method.beta_cg == 0.0
+
+    def test_flow_checks_rejected_at_parse(self):
+        data = discrete_config()
+        data["verify"] = {"checks": ["adjoint_consistency"]}
+        with pytest.raises(ConfigError, match="verify.checks: only"):
+            parse_config(data)
+
     def test_momentum_methods_need_numeric_alpha(self):
         data = discrete_config(alpha="exact_line_search")
         with pytest.raises(ConfigError, match="numeric step"):

@@ -475,6 +475,31 @@ def test_full_mode_costates_track_arc_identities():
     assert lv2 <= 1e-8
 
 
+@pytest.mark.parametrize("spec", [
+    polyak_controller(2.0, 2.0), nesterov_flow_controller(2.0),
+    accelerated_newton_controller(2.0, 2.0),
+    quasi_newton_flow_controller(2.0, 2.0),
+    MinPStar(metric=MetricSpec(MetricKind.HESSIAN), rate_eta=0.5)],
+    ids=["polyak", "nesterov", "accel_newton", "quasi_newton",
+         "min_p_star-hessian"])
+def test_full_mode_costates_reach_the_integrators_order_under_every_metric(
+        spec):
+    # the adjoint step sees the controls the primal step used, so a
+    # quasi-Newton matrix updated after the step leaves the order alone
+    prob = random_quadratic(8, kappa=10.0, seed=7)
+    oracle = prob.oracle
+    s0 = initial_state(oracle, prob.x0)
+
+    def drift(h):
+        cols = integrate(spec, oracle, s0, h=h, t_max=3.0,
+                         mode=FlowMode.FULL_PRIMAL_DUAL,
+                         stop=RUN_FOREVER).columns
+        return np.linalg.norm(cols["lambda_x"] + oracle.gradient(cols["x"]),
+                              axis=1).max()
+
+    assert 8.0 <= drift(2e-3) / drift(1e-3) <= 32.0
+
+
 def test_full_mode_reduced_mode_same_primal():
     # costate propagation must not feed back into the primal trajectory,
     # nor into the recorded control, for any metric or integrator
