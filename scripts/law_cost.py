@@ -15,8 +15,12 @@ Both checkouts need the bound laws (ControllerSpec.bind).
 
 The "metric solve" row is the accel_newton law (gains 25, 100), bound
 as a run binds it: over the metric resolved for the quadratic, so its
-solve is with the floored constant Hessian. The script pins one BLAS
-thread, as the CLI does, unless the caller set a count.
+solve is with the floored constant Hessian. The "pointwise floor" row is
+metric_matrix with a Hessian metric at floor 1e-2 and no constant
+Hessian, given the Hessian of random_log_sum_exp(dim, 4 dim, seed) at its
+x0: the floor a Hessian that depends on the point takes at each point.
+The script pins one BLAS thread, as the CLI does, unless the caller set a
+count.
 
 A last row, "trajectory text", is the per-value cost of each checkout's
 write_trajectory_csv on one benchmark-shaped record: the head's polyak
@@ -29,11 +33,12 @@ write_trajectory_csv, in bytes per value of the record's columns (t, x,
 v, y, E, grad_norm, V, lie V, the costates and u), the smallest of the
 --repeat rounds.
 
-Before timing, each law's u, each gradient and the two trajectory files
-must hold the same bytes in both checkouts. Prints one row per call with
-the base and head cost in raw microseconds per call (per value for the
-trajectory text, bytes per value for the record memory) and their ratio.
-Exits 0, or 1 when a u, a gradient or the trajectory text differs.
+Before timing, each law's u, the floored metric, each gradient and the
+two trajectory files must hold the same bytes in both checkouts. Prints
+one row per call with the base and head cost in raw microseconds per call
+(per value for the trajectory text, bytes per value for the record
+memory) and their ratio. Exits 0, or 1 when a u, the metric, a gradient
+or the trajectory text differs.
 """
 
 from __future__ import annotations
@@ -96,6 +101,9 @@ def calls(package: ModuleType, dim: int, seed: int,
     newton = control.accelerated_newton_controller(25.0, 100.0)
     newton = dataclasses.replace(newton, metric=package.metric.resolve_metric(
         newton.metric, oracle)).bind(oracle)
+    lse = package.objective.random_log_sum_exp(dim, 4 * dim, seed=seed)
+    floored = package.metric.MetricSpec("hessian", eig_floor=1e-2)
+    hessian = lse.oracle.hessian(lse.x0)
     any_state = states["active"]
     x = any_state[0]
     return {
@@ -104,12 +112,14 @@ def calls(package: ModuleType, dim: int, seed: int,
         "min_p_star inactive": lambda: star(*states["inactive"]),
         "min_p_star active": lambda: star(*states["active"]),
         "metric solve": lambda: newton(*any_state),
+        "pointwise floor": lambda: package.metric.metric_matrix(
+            floored, lse.oracle, lse.x0, hessian),
         "gradient": lambda: oracle.gradient(x),
     }
 
 
 def output(result: object) -> bytes:
-    """The bytes a call gives: a law's u, or the gradient."""
+    """The bytes a call gives: a law's u, a metric or the gradient."""
     return np.asarray(getattr(result, "u", result)).tobytes()
 
 

@@ -105,9 +105,11 @@ def _out_dir_name(args: argparse.Namespace) -> str:
 
 
 def _runtime_failure(e: Exception) -> str:
+    """The one stderr line for a runtime failure: every run of whitespace
+    in the error's text, newlines included, reads as one space."""
     kind = "infeasible state" if isinstance(e, InfeasibleStateError) \
         else "runtime failure"
-    return f"{kind}: {e}"
+    return f"{kind}: {' '.join(str(e).split())}"
 
 
 def _run_flow(config: RunConfig, problem: ProblemInstance,

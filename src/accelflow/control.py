@@ -468,7 +468,8 @@ def _inverse(metric: MetricSpec,
 
     None for the identity metric (Euclidean, or quasi-Newton before its
     first update), which needs no solve: the laws add +0.0 to d there, as
-    a zero vector made at bind (see _held). That matches the solve bit for
+    a zero vector made at bind (see _held), and so does the discrete
+    Newton driver. That matches the solve bit for
     bit except at a -0.0 in d: it always maps that to +0.0, while the
     LAPACK solve does so at some positions and keeps -0.0 at others,
     depending on the signs of the other entries. H is hess E(x) when the

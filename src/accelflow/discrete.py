@@ -21,8 +21,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .clf import _norm as _vector_norm
-from .metric import MetricKind, MetricSpec, _LU, metric_matrix, \
-    metric_solve, quasi_newton_update, resolve_metric
+from .control import _inverse
+from .metric import MetricKind, MetricSpec, quasi_newton_update, \
+    resolve_metric
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -267,11 +268,11 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
 
     The metric must be curvature-carrying (hessian or quasi_newton); with
     the identity there is nothing Newton-like about the step. It is
-    resolved for oracle once, here (metric.resolve_metric), and a floored
-    constant Hessian is factored once, here too (metric._LU). The
-    driver owns the quasi-Newton updates: the one for the pair
-    (x_{k-1}, x_k) runs at the start of step k, the first point where
-    both gradients are at hand and the metric is needed.
+    resolved for oracle once, here (metric.resolve_metric), and W^{-1}
+    is applied as a bound law applies it (control._inverse, +0.0 for the
+    identity). The driver owns the quasi-Newton updates: the one for the
+    pair (x_{k-1}, x_k) runs at the start of step k, the first point
+    where both gradients are at hand, and W^{-1} is rebuilt for it.
     """
     if metric.kind is MetricKind.EUCLIDEAN:
         raise ValueError("accelerated_newton_iterate needs a hessian or "
@@ -282,16 +283,15 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
     gamma_a, gamma_b = (float(c) for c in gains)
     v = np.zeros_like(np.asarray(x0, dtype=float))
     last: Optional[tuple[Array, Array]] = None
-    lu = None if metric.floored_hessian is None else _LU(
-        metric.floored_hessian)
+    inverse = _inverse(metric, oracle)
 
     def step(k: int, x: Array, g: Array) -> Array:
-        nonlocal metric, v, last
+        nonlocal metric, inverse, v, last
         if last is not None and metric.kind is MetricKind.QUASI_NEWTON:
             metric = quasi_newton_update(metric, x - last[0], g - last[1])
+            inverse = _inverse(metric, oracle)
         rhs = gamma_a * g + gamma_b * v
-        z = (metric_solve(metric_matrix(metric, oracle, x), rhs) if lu is None
-             else lu.solve(rhs))
+        z = rhs + 0.0 if inverse is None else inverse(x, rhs)
         v = v - h * z
         last = (x, g)
         return x + h * v

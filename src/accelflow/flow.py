@@ -155,7 +155,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     the gradient, grad_norm, u, the law's drift term when it returns one,
     and in full_primal_dual mode the costates. A table starts at
     _TABLE_ROWS rows, or at the most rows the run can record when that is
-    fewer. When they fill, each grows in place (ndarray.resize, with its
+    fewer. When they fill, each grows in place (ndarray.resize, without its
     reference check) by half again, never past that most, and after the
     loop each is cut in place to the rows it holds: those are the
     record's columns. No array made for a step outlives that step, and a
@@ -298,12 +298,13 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     rows = 0
 
     def resize(size: int) -> None:
-        """Resize every table to size rows in place, a realloc. Only the
-        dict holds a table, so numpy's reference check passes; while a
-        view of a table is alive it raises ValueError instead of leaving
-        the view on freed memory."""
+        """Resize every table to size rows in place, a realloc, without
+        numpy's reference check, which under a sys.setprofile or
+        sys.settrace hook counts one reference too many and raises. No
+        view of a table is alive at a resize: keep writes rows and keeps
+        no view, and the columns are read only after the last resize."""
         for name in tables:
-            tables[name].resize((size,) + shapes[name])
+            tables[name].resize((size,) + shapes[name], refcheck=False)
 
     def keep(t: float, zz: Array, g: Array, g_norm: float,
              res: ControlResult) -> None:

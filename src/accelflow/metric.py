@@ -12,7 +12,7 @@ it is made, and metric_solve then only solves:
   Hessian (a quadratic's) that is one call per run: resolve_metric floors
   it where the run is set up, and every solve after it reuses the
   floored W. A Hessian that depends on the point is floored at each
-  point;
+  point, by the same shift_to_floor;
 * a quasi-Newton matrix, by the shift_to_floor in the quasi_newton_update
   that makes it;
 * a qn_state a caller supplies, by MetricSpec's own Cholesky check.
@@ -145,38 +145,6 @@ def shift_to_floor(M: Array, floor: float) -> Array:
     return M
 
 
-def _floor_at_point(M: Array, floor: float) -> Array:
-    """shift_to_floor(M, floor), bit for bit, in the other order: for a
-    Hessian taken at a point, whose floor test mostly fails there.
-
-    eigvalsh runs first. At or above the floor its smallest eigenvalue
-    leaves M as it is, whichever way the Cholesky test goes. Below it, the
-    Cholesky of M - floor*I is run only when the gap is within the
-    rounding bound: a Cholesky that succeeds perturbs M - floor*I by at
-    most about n(n + 1) u ||M - floor*I|| (Higham, Accuracy and Stability
-    of Numerical Algorithms, Thm 10.3), and eigvalsh's eigenvalues are
-    within p(n) u ||M|| of the true ones. Taking p(n) as n(n + 1) too,
-    and doubling the sum for the rounding of M - floor*I and of ||M|| read
-    off the eigenvalues, the bound is 2 n (n + 2) eps (||M|| + floor), with
-    eps = 2u. A larger gap fails the test, so the diagonal is lifted.
-    """
-    M = np.asarray(M, dtype=float)
-    M = 0.5 * (M + M.T)
-    if not np.isfinite(M).all():
-        raise ValueError("matrix is not finite; no floor applies")
-    eigs = np.linalg.eigvalsh(M)
-    min_eig, n = float(eigs[0]), len(M)
-    if min_eig >= floor:
-        return M
-    bound = (2 * n * (n + 2) * np.finfo(float).eps
-             * (max(-min_eig, float(eigs[-1])) + floor))
-    # subtracting 0.0 off the diagonal keeps every bit, -0.0 included
-    if floor - min_eig <= bound and _has_cholesky(M - floor * np.eye(n)):
-        return M
-    M.flat[::n + 1] += floor - min_eig
-    return M
-
-
 def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
                   H: Optional[Array] = None) -> Array:
     """Resolve the metric W at the current point.
@@ -191,8 +159,8 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
     if spec.kind is MetricKind.HESSIAN:
         if spec.floored_hessian is not None:
             return spec.floored_hessian
-        return _floor_at_point(oracle.hessian_at(x) if H is None else H,
-                               spec.eig_floor)
+        return shift_to_floor(oracle.hessian_at(x) if H is None else H,
+                              spec.eig_floor)
     if spec.qn_state is None:  # quasi_newton, not updated yet
         return np.eye(oracle.dim)
     B = np.asarray(spec.qn_state, dtype=float)

@@ -1165,3 +1165,41 @@ def test_verify_input_fuzz_exits_with_a_contract_code(small_run, capsys,
     if code == 3:
         # only a non-finite cell past t, x and v reads as a divergence
         assert kind == "cell" and err.startswith("run diverged: "), err
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+def test_a_run_under_a_profiler_or_tracer_exits_zero(tmp_path, hook):
+    out = tmp_path / "run"
+    data = flow_data(out, t_max=0.2)
+    data["problem"] = {"name": "quadratic", "dim": 10, "kappa": 10.0,
+                       "seed": 1}
+    cfg = write_config(tmp_path, "run.yaml", data)
+    set_hook = getattr(sys, hook)
+    previous = getattr(sys, hook.replace("set", "get"))()
+    set_hook(lambda *args: None)
+    try:
+        code = main(["run", cfg])
+    finally:
+        set_hook(previous)
+    assert code == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 22
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_a_runtime_failure_over_several_lines_prints_one(tmp_path, capsys,
+                                                         monkeypatch, verb):
+    # a library error whose text runs over lines, as numpy's do
+    def failing(*args, **kwargs):
+        raise ValueError("first line,\n  then a second\tand\n\na third\n")
+
+    monkeypatch.setattr(cli, "heavy_ball_iterate", failing)
+    argv = [verb, write_config(tmp_path, "a.yaml",
+                               discrete_data(tmp_path / "run"))]
+    if verb == "compare":
+        argv.append(write_config(tmp_path, "b.yaml", dict(
+            discrete_data(tmp_path / "run"), label="other")))
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    line = "runtime failure: first line, then a second and a third"
+    assert err == ([line] if verb == "run" else
+                   [f"heavy_ball: {line}", f"other: {line}"])

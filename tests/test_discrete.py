@@ -21,9 +21,24 @@ from accelflow.discrete import (
     nesterov_two_step_iterate,
 )
 from accelflow import discrete, metric
+from accelflow.control import (
+    accelerated_newton_controller,
+    polyak_controller,
+    quasi_newton_flow_controller,
+)
+from accelflow.flow import (
+    Integrator,
+    StoppingRule,
+    initial_state,
+    integrate,
+)
 from accelflow.metric import MetricKind, MetricSpec, metric_matrix, \
     metric_solve, quasi_newton_update
-from accelflow.objective import quadratic_problem, random_quadratic
+from accelflow.objective import (
+    quadratic_problem,
+    random_log_sum_exp,
+    random_quadratic,
+)
 from blas import blas_threads
 
 
@@ -377,7 +392,6 @@ def test_the_newton_driver_gives_the_bytes_of_a_solve_per_iterate(
         solves.append(rhs)
         return metric_solve(W, rhs)
 
-    monkeypatch.setattr(discrete, "metric_solve", counted)
     monkeypatch.setattr(metric, "metric_solve", counted)
     with blas_threads(1):
         seq = accelerated_newton_iterate(oracle, MetricSpec(kind), x0,
@@ -393,11 +407,55 @@ def test_the_newton_driver_gives_the_bytes_of_a_solve_per_iterate(
             v = v - h * metric_solve(W, gains[0] * g + gains[1] * v)
             last, x = (x, g), x + h * v
             want.append(x)
-    # the floored constant Hessian is factored, each quasi-Newton W solved
-    assert len(solves) == (0 if kind is MetricKind.HESSIAN else steps)
+    # the floored constant Hessian and each quasi-Newton W are factored
+    assert len(solves) == 0
     assert len(seq.points) == steps + 1
     for got, expected in zip(seq.points, want):
         assert got.tobytes() == expected.tobytes()
+
+
+#: max |x_flow - x_driver| over max |x_driver| per method: the flow's law
+#: computes -sigma W^{-1}(c lambda + b v) with its certificate's (b, c),
+#: the driver W^{-1}(gamma_a g + gamma_b v), so they agree to rounding,
+#: not bit for bit (measured up to 1e-12, 6.6e-16 and 3.7e-14)
+SIE_TOLERANCE = {"polyak": 1e-11, "accel_newton": 1e-14,
+                 "quasi_newton": 5e-13}
+
+
+@pytest.mark.parametrize("method", list(SIE_TOLERANCE))
+@pytest.mark.parametrize("kind", ["quadratic", "log_sum_exp"])
+@pytest.mark.parametrize("dim", [1, 7, 50])
+def test_each_discrete_method_is_its_flows_semi_implicit_euler_step(
+        method, kind, dim):
+    # from v0 = 0, v_{k+1} = v_k - h W^{-1}(gamma_a g_k + gamma_b v_k) and
+    # x_{k+1} = x_k + h v_{k+1}; with W = I that is heavy ball with
+    # alpha = gamma_a h^2 and beta = 1 - gamma_b h
+    gains, h, steps, floor = (4.0, 3.0), 0.05, 150, 0.2
+    problem = (random_quadratic(dim, 10.0, seed=3) if kind == "quadratic"
+               else random_log_sum_exp(dim, 3 * dim + 2, seed=3))
+    oracle, x0 = problem.oracle, problem.x0
+    if method == "polyak":
+        spec = polyak_controller(*gains)
+        seq = heavy_ball_iterate(oracle, x0, steps,
+                                 constant(gains[0] * h * h),
+                                 constant(1.0 - gains[1] * h))
+    else:
+        make = (accelerated_newton_controller if method == "accel_newton"
+                else quasi_newton_flow_controller)
+        spec = make(*gains, eig_floor=floor)
+        seq = accelerated_newton_iterate(oracle, spec.metric, x0, gains, h,
+                                         steps)
+    record = integrate(spec, oracle, initial_state(oracle, x0), h,
+                       steps * h, method=Integrator.SEMI_IMPLICIT_EULER,
+                       stop=StoppingRule(tol_g=-1.0, tol_v=-1.0))
+    want = np.array(seq.points)
+    assert not record.diverged and len(record.columns["x"]) == steps + 1
+    # the runs descend, and the law never takes its origin branch, whose
+    # dead zone (u = 0) the driver does not have
+    assert seq.grad_norms[-1] < seq.grad_norms[0]
+    assert (np.abs(record.columns["u"]).max(axis=1) > 0.0).all()
+    err = np.max(np.abs(record.columns["x"] - want)) / np.max(np.abs(want))
+    assert err <= SIE_TOLERANCE[method]
 
 
 class TestIterateSequence:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -767,3 +768,31 @@ def test_a_run_that_grows_its_tables_keeps_every_row():
     for name, column in short.items():
         assert long[name][:51].tobytes() == column.tobytes(), name
         assert long[name].flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+@pytest.mark.parametrize("mode", list(FlowMode))
+@pytest.mark.parametrize("t_max", [0.5, 3.0], ids=["fits", "grows"])
+def test_a_run_under_a_profiler_or_tracer_keeps_its_bits(hook, mode, t_max):
+    # a no-op hook, as a profiler or debugger sets one: the run's tables
+    # are resized in place under it, at the cut and (3.0) as they grow
+    problem = random_quadratic(20, 10.0, seed=2)
+    state0 = initial_state(problem.oracle, problem.x0)
+    spec = nesterov_flow_controller(5.0)
+
+    def run():
+        return integrate(spec, problem.oracle, state0, 0.01, t_max,
+                         mode=mode, stop=RUN_FOREVER).columns
+
+    want = run()
+    set_hook = getattr(sys, hook)
+    previous = getattr(sys, hook.replace("set", "get"))()
+    set_hook(lambda *args: None)
+    try:
+        got = run()
+    finally:
+        set_hook(previous)
+    assert len(got["t"]) == round(t_max / 0.01) + 1
+    assert got.keys() == want.keys()
+    for name, column in want.items():
+        assert got[name].tobytes() == column.tobytes(), name

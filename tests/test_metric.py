@@ -103,68 +103,22 @@ def test_metric_solve_rejects_a_nan_quasi_newton_state():
         metric_solve(W, np.ones(2))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_shift_to_floor_rejects_a_non_finite_matrix(bad):
     for M in (np.diag([1.0, bad]), np.array([[1.0, bad], [bad, 1.0]]),
+              np.array([[1.0, bad], [0.0, 1.0]]),
               np.where(np.eye(3) > 0, bad, 0.0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not finite"):
             shift_to_floor(M, 1e-6)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_the_pointwise_floor_rejects_a_non_finite_matrix(bad):
-    for M in (np.diag([1.0, bad]), np.array([[1.0, bad], [0.0, 1.0]]),
-              np.where(np.eye(3) > 0, bad, 0.0)):
-        with pytest.raises(ValueError, match="not finite"):
-            metric._floor_at_point(M, 1e-6)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
-       st.floats(1e-8, 1e2), st.floats(-1e3, 1e3),
-       st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-9, 1e-4]),
-       st.floats(1e-3, 1e4))
-def test_the_pointwise_floor_is_shift_to_floor_bit_for_bit(
-        n, seed, floor, offset, gap, spread):
-    # M = Q diag(eigs) Q^T, smallest eigenvalue floor + offset * gap *
-    # floor: on the floor, within rounding of it on either side, and well
-    # off it, with the rest of the spectrum up to spread above
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = floor + rng.random(n) * spread
-    eigs[0] = floor * (1.0 + np.clip(offset, -1e3, 1e3) * gap)
-    M = (Q * eigs) @ Q.T
-    M = M + rng.standard_normal((n, n)) * 1e-17 * spread  # not symmetric
-    want = shift_to_floor(M, floor)
-    got = metric._floor_at_point(M, floor)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_the_pointwise_floor_runs_a_cholesky_only_near_the_floor(
-        monkeypatch):
-    calls = []
-    has_cholesky = metric._has_cholesky
-    monkeypatch.setattr(metric, "_has_cholesky",
-                        lambda M: calls.append(M) or has_cholesky(M))
-    floor = 1e-2
-    # eigvalsh is exact on a diagonal matrix
-    for low, chol in [(floor - 1e-16, True), (floor - 1e-3, False),
-                      (floor, False), (floor + 1e-16, False), (2.0, False)]:
-        calls.clear()
-        M = np.diag([low, 1.0, 3.0])
-        got = metric._floor_at_point(M, floor)
-        assert len(calls) == chol
-        assert got.tobytes() == shift_to_floor(M, floor).tobytes()
-
-
-def test_a_log_sum_exp_hessian_is_floored_without_a_cholesky(monkeypatch):
+def test_a_hessian_at_a_point_is_floored_by_shift_to_floor():
     # its Hessian's smallest eigenvalue sits far below a 1e-2 floor
-    calls = []
-    monkeypatch.setattr(metric, "_has_cholesky", calls.append)
     problem = random_log_sum_exp(20, terms=40, seed=1)
     spec = MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2)
     W = metric_matrix(spec, problem.oracle, problem.x0)
-    assert calls == []
+    want = shift_to_floor(problem.oracle.hessian(problem.x0), 1e-2)
+    assert W.tobytes() == want.tobytes()
     assert np.linalg.eigvalsh(W)[0] == pytest.approx(1e-2, rel=1e-9)
 
 

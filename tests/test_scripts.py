@@ -374,7 +374,8 @@ def test_law_cost_times_each_law_in_both_checkouts():
     assert rows[0] == "dim 4, best of 1 x 2 calls, raw us per call"
     assert [row[:22].strip() for row in rows[2:]] == [
         "polyak", "nesterov", "min_p_star inactive", "min_p_star active",
-        "metric solve", "gradient", "trajectory text", "record memory"]
+        "metric solve", "pointwise floor", "gradient", "trajectory text",
+        "record memory"]
     for row in rows[2:]:
         base, head, ratio = map(float, row[22:].split())
         assert base > 0.0 and head > 0.0
