@@ -26,7 +26,11 @@ from accelflow.control import (
 )
 from accelflow.flow import StoppingRule, initial_state, integrate
 from accelflow.metric import MetricKind, MetricSpec
-from accelflow.objective import log_sum_exp_problem, quadratic_problem
+from accelflow.objective import (
+    log_sum_exp_problem,
+    quadratic_problem,
+    random_quadratic,
+)
 
 DIM, H, T_MAX = 12, 0.01, 3.0  # 300 RK4 steps
 RUN_FOREVER = StoppingRule(tol_g=-1.0, tol_v=-1.0)
@@ -36,12 +40,10 @@ TOLERANCE = 2e-13
 
 
 def _quadratic(R=np.eye(DIM), s=np.zeros(DIM)):
-    rng = np.random.default_rng(5)
-    Q0, _ = np.linalg.qr(rng.standard_normal((DIM, DIM)))
-    Q = (Q0 * np.logspace(0.0, np.log10(50.0), DIM)) @ Q0.T
-    x_star, x0 = rng.standard_normal((2, DIM))
-    return quadratic_problem(R @ (0.5 * (Q + Q.T)) @ R.T,
-                             x_star=R @ x_star + s, x0=R @ x0 + s)
+    problem = random_quadratic(DIM, 50.0, seed=5)
+    Q = problem.oracle.constant_hessian
+    return quadratic_problem(R @ Q @ R.T, x_star=R @ problem.x_star + s,
+                             x0=R @ problem.x0 + s)
 
 
 def _log_sum_exp(R=np.eye(DIM), s=np.zeros(DIM)):
