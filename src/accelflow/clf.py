@@ -18,7 +18,8 @@ Each function takes one state, as vectors of shape (n,), or N stacked
 states, as (N, n) arrays. A stacked call returns one value per row, and
 every row holds the bits the one-state call gives: the dot products and
 Hessian-vector products go through np.vecdot and np.matvec, which take
-the same BLAS path per row as a @ b and H @ v.
+the same BLAS path per row as a @ b and H @ v. A Hessian that depends on
+the point is taken in row blocks (objective._row_blocks).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .objective import ObjectiveOracle
+from .objective import ObjectiveOracle, _row_blocks
 
 Array = np.ndarray
 
@@ -149,7 +150,9 @@ def lie_derivative(p: ClfParams, oracle: ObjectiveOracle, x: Array,
     u = np.asarray(u, dtype=float)
     if u.shape != vv.shape:
         raise ValueError(f"u has shape {u.shape}, expected {vv.shape}")
-    Hv = np.matvec(oracle.hessian_at(x), vv)
+    parts = [np.matvec(oracle.hessian_at(x[rows]), vv[rows])
+             for rows in _row_blocks(oracle, x)]
+    Hv = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return _scalar(np.vecdot(-clf_grad_lambda(p, lam, vv), Hv)
                    + np.vecdot(clf_grad_v(p, lam, vv), u))
 

@@ -70,8 +70,8 @@ EXIT_CHECKS = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-#: raised while a method runs; ConfigError, itself a ValueError, is caught
-#: before these
+#: raised while a method runs: a compare member that raises one fails
+#: alone. ConfigError, itself a ValueError, is caught before these
 RUNTIME_ERRORS = (InfeasibleStateError, ValueError)
 
 
@@ -104,12 +104,21 @@ def _out_dir_name(args: argparse.Namespace) -> str:
     return "output.out_dir" if args.out_dir is None else "--out-dir"
 
 
-def _runtime_failure(e: Exception) -> str:
-    """The one stderr line for a runtime failure: every run of whitespace
-    in the error's text, newlines included, reads as one space."""
-    kind = "infeasible state" if isinstance(e, InfeasibleStateError) \
-        else "runtime failure"
-    return f"{kind}: {' '.join(str(e).split())}"
+def _failure(e: Exception) -> tuple[int, str]:
+    """The exit code and the one stderr line for a failure: every run of
+    whitespace in the line, newlines included, reads as one space."""
+    if isinstance(e, ConfigError):  # a ValueError: tested first
+        code, kind = EXIT_CONFIG, "config error"
+    elif isinstance(e, DivergedRowError):
+        code, kind = EXIT_RUNTIME, "run diverged"
+    elif isinstance(e, InfeasibleStateError):
+        code, kind = EXIT_RUNTIME, "infeasible state"
+    else:
+        code, kind = EXIT_RUNTIME, "runtime failure"
+    text = str(e)
+    if isinstance(e, MemoryError):
+        text = f"out of memory: {text}" if text else "out of memory"
+    return code, " ".join(f"{kind}: {text}".split())
 
 
 def _run_flow(config: RunConfig, problem: ProblemInstance,
@@ -291,7 +300,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise
         except RUNTIME_ERRORS as e:
             # a failed member is a row of nan cells; the others still run
-            print(f"{label}: {_runtime_failure(e)}", file=sys.stderr)
+            print(f"{label}: {_failure(e)[1]}", file=sys.stderr)
             worst = max(worst, EXIT_RUNTIME)
             rows.append({"label": label, "cells": {}, "final_E": None})
             continue
@@ -342,8 +351,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         columns = read_trajectory_csv(args.trajectory)
     except DivergedRowError as e:
-        print(f"run diverged: {args.trajectory}: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise DivergedRowError(f"{args.trajectory}: {e}") from e
     except (OSError, ValueError) as e:
         reason = getattr(e, "strerror", None) or e  # OSError text has the path
         raise ConfigError(f"{args.trajectory}: {reason}") from e
@@ -412,20 +420,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RUNTIME_ERRORS as e:
-        print(_runtime_failure(e), file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError as e:
-        # not a member failure in compare: the whole command stops here
-        detail = f": {e}" if str(e) else ""
-        print(f"runtime failure: out of memory{detail}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except _WriteError as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (*RUNTIME_ERRORS, MemoryError, _WriteError) as e:
+        code, line = _failure(e)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ from .clf import (
     state_norm,
 )
 from .metric import MetricKind, MetricSpec, _LU, metric_matrix, metric_solve
-from .objective import ObjectiveOracle
+from .objective import ObjectiveOracle, _row_blocks
 
 Array = np.ndarray
 
@@ -441,7 +441,9 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
     each row holds the bits the one-state call gives it. A branch is a
     mask over the rows, and a row that takes no control gets u = +0.0.
     min_p_star raises at the first row where it is infeasible, with the
-    error the one-state call raises there.
+    error the one-state call raises there. The law takes a Hessian that
+    depends on the point in row blocks (objective._row_blocks), one call
+    per block, in row order, and never holds one per row of them all.
     """
     lam = np.asarray(lambda_x, dtype=float)
     vv = np.asarray(v, dtype=float)
@@ -453,7 +455,13 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         raise ValueError(f"v has shape {vv.shape}, expected {x.shape}")
     if lam.shape != x.shape:
         raise ValueError(f"lambda has shape {lam.shape}, expected {x.shape}")
-    return spec.bind(oracle)(x, lam, vv)
+    law = spec.bind(oracle)
+    parts = [law(x[rows], lam[rows], vv[rows])
+             for rows in _row_blocks(oracle, x)]
+    return parts[0] if len(parts) == 1 else ControlResult(*(
+        None if getattr(parts[0], name) is None
+        else np.concatenate([getattr(part, name) for part in parts])
+        for name in ControlResult.__slots__))
 
 
 def _held(*values: float) -> tuple[Array, ...]:

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,25 +57,16 @@ def atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % value
-
-
 #: values per block of CSV text, in trajectory and iterate files alike; a
-#: block holds as many whole rows as fit. An iterate block is also the
-#: unit of work before the text: its points are stacked, and E is taken
-#: over them, one block at a time. csvtext._csv_text keeps about 100
-#: bytes per value of its block in flight. They add to a run's memory at
-#: the moment of writing, and a larger block's freed heap made the ops
-#: after a write page-fault more: 4.7 times the faults per flow_curvature
-#: pass at 4096 values, none more than the per-row writer at 2048
+#: block holds as many whole rows as fit. A block is also the unit of
+#: work before the text: its rows are stacked, and an iterate block's E
+#: is taken over its points, one block at a time. csvtext._csv_text
+#: keeps about 100 bytes per value of its block in flight. They add to a
+#: run's memory at the moment of writing, and a larger block's freed heap
+#: made the ops after a write page-fault more: 4.7 times the faults per
+#: flow_curvature pass at 4096 values, none more than the per-row writer
+#: at 2048
 BLOCK_VALUES = 2048
-
-#: text blocks of a trajectory whose rows are stacked at once: stacking
-#: pays a fixed cost per column, about 14 us per block of 19 rows at dim
-#: 50 when each block was stacked alone, and four blocks' values take
-#: 64 KiB
-_STACK_BLOCKS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -102,34 +93,32 @@ def trajectory_header(dim: int, full_mode: bool) -> list[str]:
     return header
 
 
-def _block_rows(width: int) -> int:
-    """Rows of width values in one text block: as many whole rows as fit
-    in BLOCK_VALUES values, and at least one."""
-    return max(1, BLOCK_VALUES // width)
+def _write_table(path: str, header: list[str], rows: int,
+                 block: Callable[[int, int], np.ndarray]) -> None:
+    """Write a CSV table of rows rows under header at path, one text
+    block at a time: as many whole rows as fit in BLOCK_VALUES values,
+    and at least one. block(start, stop) stacks the values of rows start
+    to stop (stop may pass the last row); only that block and its text
+    are in flight."""
+    step = max(1, BLOCK_VALUES // len(header))
+    atomic_write(path, itertools.chain(
+        [(",".join(header) + "\n").encode()],
+        (_csv_text(block(start, start + step))
+         for start in range(0, rows, step))))
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     """Write record's table as a trajectory CSV at path.
 
-    The rows of _STACK_BLOCKS text blocks (_block_rows rows each) at a
-    time are stacked from the columns' row slices, so writing holds that
-    stack and one block's text in flight, on top of the record, and never
-    a second copy of the whole table.
+    Each text block's rows are stacked from the columns' row slices, so
+    writing never holds a second copy of the whole table.
     """
     dim = int(record.meta["dim"])
     full_mode = record.meta.get("mode") == "full_primal_dual"
     header = trajectory_header(dim, full_mode)
     columns = [record.columns[name] for name in _csv_columns(full_mode)]
-    step = _block_rows(len(header))
-
-    def chunks() -> Iterator[np.ndarray]:
-        for start in range(0, len(columns[0]), _STACK_BLOCKS * step):
-            rows = np.column_stack([column[start:start + _STACK_BLOCKS * step]
-                                    for column in columns])
-            for block in range(0, len(rows), step):
-                yield _csv_text(rows[block:block + step])
-    atomic_write(path, itertools.chain(
-        [(",".join(header) + "\n").encode()], chunks()))
+    _write_table(path, header, len(columns[0]), lambda start, stop:
+                 np.column_stack([column[start:stop] for column in columns]))
 
 
 class DivergedRowError(ValueError):
@@ -222,28 +211,25 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
                        path: str) -> None:
     """One row per iterate: k, x, E and the gradient norm.
 
-    Rows go one text block at a time (_block_rows): E takes one stacked
+    Rows go one text block at a time (_write_table): E takes one stacked
     call per block's finite iterates, and each row holds the bits the
     one-point call gives it. A non-finite iterate's E and gradient norm
     are nan.
     """
     dim = seq.points[0].shape[0]
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["E", "grad_norm"]
-    step = _block_rows(len(header))
 
-    def chunks():
-        yield (",".join(header) + "\n").encode()
-        for start in range(0, len(seq.points), step):
-            X = np.array(seq.points[start:start + step])
-            finite = np.isfinite(X).all(axis=1)
-            E = np.full(len(X), np.nan)
-            if finite.any():
-                E[finite] = oracle.value(X[finite])
-            g = np.array(seq.grad_norms[start:start + step])
-            g[~finite] = np.nan
-            yield _csv_text(np.column_stack(
-                [np.arange(start, start + len(X), dtype=float), X, E, g]))
-    atomic_write(path, chunks())
+    def block(start: int, stop: int) -> np.ndarray:
+        X = np.array(seq.points[start:stop])
+        finite = np.isfinite(X).all(axis=1)
+        E = np.full(len(X), np.nan)
+        if finite.any():
+            E[finite] = oracle.value(X[finite])
+        g = np.array(seq.grad_norms[start:stop])
+        g[~finite] = np.nan
+        return np.column_stack(
+            [np.arange(start, start + len(X), dtype=float), X, E, g])
+    _write_table(path, header, len(seq.points), block)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +333,10 @@ def write_compare_csv(rows: Sequence[dict[str, Any]], path: str) -> None:
             cells = [row["label"]]
             for lab in labels:
                 value = row["cells"].get(lab)
-                cells.append("nan" if value is None else _fmt(float(value)))
+                cells.append("nan" if value is None
+                             else FLOAT_FMT % float(value))
             final_e = row.get("final_E")
-            cells.append("nan" if final_e is None else _fmt(float(final_e)))
+            cells.append("nan" if final_e is None
+                         else FLOAT_FMT % float(final_e))
             yield (",".join(cells) + "\n").encode()
     atomic_write(path, lines())

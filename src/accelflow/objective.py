@@ -53,6 +53,21 @@ class ObjectiveOracle:
         return self.hessian(x) if H is None else H
 
 
+#: Hessian entries in one row block (_row_blocks): 512 KiB of matrices,
+#: which a stacked hessian call builds twice (_stacked)
+_HESSIAN_BLOCK_ENTRIES = 2 ** 16
+
+
+def _row_blocks(oracle: ObjectiveOracle, x: Array) -> list[slice]:
+    """Row blocks of the stacked points x (N, n) to take Hessians over, in
+    row order: as many rows as fit in _HESSIAN_BLOCK_ENTRIES entries, at
+    least one; one block of every row for one point or a constant one."""
+    if oracle.constant_hessian is not None or x.ndim == 1:
+        return [slice(None)]
+    step = max(1, _HESSIAN_BLOCK_ENTRIES // oracle.dim ** 2)
+    return [slice(start, start + step) for start in range(0, len(x), step)]
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """An oracle plus a start point and, when known in closed form, the minimizer."""

@@ -1203,3 +1203,56 @@ def test_a_runtime_failure_over_several_lines_prints_one(tmp_path, capsys,
     line = "runtime failure: first line, then a second and a third"
     assert err == ([line] if verb == "run" else
                    [f"heavy_ball: {line}", f"other: {line}"])
+
+
+def test_a_yaml_parse_error_prints_one_line(tmp_path, capsys):
+    # PyYAML's text for a bad indent runs over four lines
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem:\n  name: quadratic\n dim: 4\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {bad}:"), err
+    assert "YAML parse error" in err[0]
+
+
+def test_a_missing_config_whose_path_holds_a_newline_prints_one_line(
+        tmp_path, capsys):
+    missing = tmp_path / "two\nlines.yaml"
+    assert main(["run", str(missing)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert " ".join(str(missing).split()) in err[0]
+
+
+@pytest.mark.parametrize("problem", [
+    {"name": "quadratic", "dim": 7, "kappa": 10.0, "seed": 3},
+    {"name": "log_sum_exp", "dim": 7, "terms": 23, "seed": 3}],
+    ids=["quadratic", "log_sum_exp"])
+def test_an_accel_newton_config_writes_its_flows_semi_implicit_euler_x(
+        tmp_path, problem):
+    # the identity of test_discrete.py's semi-implicit Euler test, from
+    # the written files: same gains, h and floor, stride 1 and v0 = 0
+    from test_discrete import SIE_TOLERANCE
+    gains, h, steps, floor = {"gamma_a": 4.0, "gamma_b": 3.0}, 0.05, 150, 0.2
+    flow = {"problem": problem, "output": {"out_dir": str(tmp_path / "flow"),
+                                           "stride": 1},
+            "method": {"kind": "flow", "controller": "accel_newton", **gains,
+                       "eig_floor": floor, "h": h, "t_max": steps * h,
+                       "integrator": "semi_implicit_euler",
+                       "v0": [0.0] * 7}}
+    disc = {"problem": problem, "output": {"out_dir": str(tmp_path / "disc")},
+            "method": {"kind": "discrete", "name": "accel_newton", **gains,
+                       "eig_floor": floor, "h": h, "max_iters": steps}}
+    for name, data in (("flow", flow), ("disc", disc)):
+        assert main(["run", write_config(tmp_path, f"{name}.yaml", data)]) \
+            == 0
+    x_flow = read_trajectory_csv(str(tmp_path / "flow" / "trajectory.csv"))[
+        "x"]
+    iterates = np.loadtxt(tmp_path / "disc" / "iterates.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+    x_disc = iterates[:, 1:8]
+    rows = min(len(x_flow), len(x_disc))
+    assert rows > 100
+    err = (np.max(np.abs(x_flow[:rows] - x_disc[:rows]))
+           / np.max(np.abs(x_disc[:rows])))
+    assert err <= SIE_TOLERANCE["accel_newton"]

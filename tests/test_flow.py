@@ -755,6 +755,55 @@ def test_the_dissipation_check_holds_row_blocks_not_the_record(
     assert peak < 0.25 * column_bytes(record)
 
 
+#: a log_sum_exp Hessian depends on the point: one (40, 40) matrix per
+#: row, nearly eight times a row's 206 column values
+LSE40 = random_log_sum_exp(40, 80, seed=1)
+HESSIAN_MIN_P_STAR_LSE = MinPStar(
+    metric=MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2), rate_eta=0.5)
+
+
+@pytest.fixture(scope="module")
+def traced_log_sum_exp_runs():
+    """Runs of 2001 rows on LSE40, by name: (spec, record, traced peak)."""
+    state0 = initial_state(LSE40.oracle, LSE40.x0)
+    runs = {}
+    for name, spec in (("nesterov", nesterov_flow_controller(2.0)),
+                       ("min_p_star", HESSIAN_MIN_P_STAR_LSE)):
+        record, peak = traced_peak(lambda: integrate(
+            spec, LSE40.oracle, state0, 0.01, 20.0, stop=RUN_FOREVER))
+        assert len(record.columns["t"]) == 2001
+        runs[name] = spec, record, peak
+    return runs
+
+
+def test_a_run_holds_no_hessian_per_row_at_once(traced_log_sum_exp_runs):
+    # the nesterov run's lie V column takes H v over the whole table
+    _, record, peak = traced_log_sum_exp_runs["nesterov"]
+    assert peak < PEAK_PER_COLUMN_BYTE * column_bytes(record)
+
+
+@pytest.mark.parametrize("name", ["nesterov", "min_p_star"])
+def test_a_replay_holds_no_hessian_per_row_at_once(traced_log_sum_exp_runs,
+                                                   name):
+    # the rebuilt control takes a Hessian per row (the min_p_star one
+    # for its drift and its W), and so does the dissipation check's lie V
+    from accelflow.export import trajectory_from_arrays
+    from accelflow.verify import run_checks
+    spec, record, _ = traced_log_sum_exp_runs[name]
+    columns = {key: col for key, col in record.columns.items() if key != "u"}
+
+    def replay():
+        rebuilt = trajectory_from_arrays(columns, LSE40.oracle, spec,
+                                         record.meta)
+        return rebuilt, run_checks(rebuilt, LSE40.oracle, spec.clf,
+                                   ("dissipation",))
+
+    (rebuilt, report), peak = traced_peak(replay)
+    assert report.ok, report.lines()
+    assert rebuilt.columns["u"].tobytes() == record.columns["u"].tobytes()
+    assert peak < PEAK_PER_COLUMN_BYTE * column_bytes(record)
+
+
 def test_a_run_that_grows_its_tables_keeps_every_row():
     # 64 rows, then 96, 144, 216 and 302, cut to 301: the first 51 rows
     # are those of a run short enough to fit the first tables

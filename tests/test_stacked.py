@@ -17,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from accelflow import cli, export, verify
+from accelflow import cli, export, objective, verify
 from accelflow.clf import (
     ClfParams,
     clf_value,
@@ -140,6 +140,12 @@ def test_stacked_control_equals_one_state_calls(problem, law, data):
     if data.draw(st.booleans()):
         with np.errstate(all="ignore"):
             lam = -oracle.gradient(x)  # the costate the flows use
+    assert_stacked_control_is_one_state_calls(spec, oracle, x, lam, v)
+
+
+def assert_stacked_control_is_one_state_calls(spec, oracle, x, lam, v):
+    """The stacked call gives each row's one-state result, or raises the
+    first error the one-state calls raise."""
     with np.errstate(all="ignore"):
         rows, error = one_by_one(
             lambda k: evaluate_control(spec, oracle, x[k], lam[k], v[k]),
@@ -184,6 +190,55 @@ def test_stacked_certificate_and_oracle_equal_one_state_calls(problem, data):
         ]
     for stacked, per_row in pairs:
         assert same_bits(stacked, np.array(per_row))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("problem", ["rosenbrock", "log_sum_exp"])
+@given(data=st.data())
+def test_hessian_row_blocks_keep_each_rows_bits(problem, data, monkeypatch):
+    # blocks of two rows: up to six stacked rows span up to three blocks
+    oracle = PROBLEMS[problem].oracle
+    monkeypatch.setattr(objective, "_HESSIAN_BLOCK_ENTRIES",
+                        2 * oracle.dim ** 2)
+    x, lam, v = data.draw(stacked_rows(oracle.dim))
+    u = v[::-1].copy()
+    p = ClfParams(2.0, 1.5, -0.8)
+    with np.errstate(all="ignore"):
+        assert same_bits(lie_derivative(p, oracle, x, lam, v, u), [
+            lie_derivative(p, oracle, x[k], lam[k], v[k], u[k])
+            for k in range(len(x))])
+        if data.draw(st.booleans()):
+            lam = -oracle.gradient(x)  # the costate the flows use
+    for law in sorted(LAWS):
+        assert_stacked_control_is_one_state_calls(LAWS[law], oracle, x, lam,
+                                                  v)
+
+
+@pytest.mark.parametrize("law", ["min_p_star_hessian",
+                                 "min_p_constant_hessian", "direct", "lie"])
+def test_a_stacked_call_takes_each_rows_hessian_once(law, monkeypatch):
+    # seven rows in blocks of three; min_p_star's drift and W share one
+    # Hessian per row
+    problem = PROBLEMS["log_sum_exp"]
+    taken = []
+
+    def hessian(x):
+        taken.append(len(x))
+        return problem.oracle.hessian(x)
+
+    oracle = dataclasses.replace(problem.oracle, hessian=hessian)
+    monkeypatch.setattr(objective, "_HESSIAN_BLOCK_ENTRIES", 3 * 3 ** 2)
+    rng = np.random.default_rng(4)
+    x, v = rng.standard_normal((2, 7, 3))
+    lam = -oracle.gradient(x)
+    if law == "lie":
+        lie_derivative(ClfParams(2.0, 1.5, -0.8), oracle, x, lam, v, v)
+    else:
+        res = evaluate_control(LAWS[law], oracle, x, lam, v)
+        assert set(res.branch) <= {"active", "boundary", "linear"}
+    assert taken == [3, 3, 1]
 
 
 def test_a_stacked_point_is_never_read_as_one():

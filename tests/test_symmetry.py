@@ -1,4 +1,5 @@
-"""Metamorphic tests: the flows commute with rotations and translations.
+"""Metamorphic tests: the flows commute with rotations and translations,
+and with a scaling of the objective.
 
 Moving a problem by y = R x + s, with R orthogonal, moves every flow's
 trajectory the same way: each law reads the state only through dots,
@@ -7,6 +8,11 @@ Hessian too, since the floor reads only eigenvalues). So a run on the
 moved problem, mapped back, is the run on the problem, up to rounding.
 A law that read a coordinate directly, a solve with a transposed factor
 or a floor applied in the wrong basis would break that.
+
+Scaling E to cE scales grad E and the Hessian by c. The heavy-ball flow
+with gamma_a / c, and the Newton-type flow with gamma_b c and its
+eigenvalue floor times c (W is then c times the floored Hessian), are
+the same ODE as before, so x agrees and E / c gives the old E.
 """
 
 import functools
@@ -99,3 +105,42 @@ def test_a_rotated_and_translated_run_maps_back_to_the_run(flow, seed,
     assert np.max(np.abs((y - s) @ R - x)) <= TOLERANCE * scale
     E = want["E"]
     assert np.max(np.abs(got["E"] - E)) <= TOLERANCE * np.max(np.abs(E))
+
+
+#: x as above, and E / c against E over max |E|; measured up to 5.0e-16
+#: over 63 scalings c in [1e-3, 1e4]
+SCALING_TOLERANCE = 5e-15
+
+#: flow -> controller for E scaled by c. The floor 2.0 lifts the
+#: quadratic's smallest eigenvalue, 1.0.
+SCALED = {
+    "polyak": lambda c: polyak_controller(10.0 / c, 10.0),
+    "accel_newton": lambda c: accelerated_newton_controller(
+        25.0, 100.0 * c, eig_floor=2.0 * c),
+}
+
+
+def _scaled_quadratic(c):
+    problem = random_quadratic(DIM, 50.0, seed=5)
+    return quadratic_problem(c * problem.oracle.constant_hessian,
+                             x_star=problem.x_star, x0=problem.x0)
+
+
+@functools.cache
+def _unscaled(flow):
+    return _run(SCALED[flow](1.0), _scaled_quadratic(1.0))
+
+
+@pytest.mark.parametrize("flow", list(SCALED))
+@settings(max_examples=8, deadline=None)
+@given(decade=st.floats(-3.0, 4.0))
+def test_a_run_on_a_scaled_objective_is_the_run(flow, decade):
+    c = 10.0 ** decade
+    want = _unscaled(flow)
+    got = _run(SCALED[flow](c), _scaled_quadratic(c))
+    x, y = want["x"], got["x"]
+    scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
+    assert np.max(np.abs(y - x)) <= SCALING_TOLERANCE * scale
+    E = want["E"]
+    assert np.max(np.abs(got["E"] / c - E)) <= \
+        SCALING_TOLERANCE * np.max(np.abs(E))
