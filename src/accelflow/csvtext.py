@@ -1,4 +1,5 @@
-"""CSV text of float64 tables, exactly as '%.17g' writes each field.
+"""CSV text of float64 tables, exactly as '%.17g' writes each field, and
+the tables back from such text, bit for bit as np.loadtxt reads them.
 
 _csv_text turns a 2-D float64 block into its CSV text: each field byte
 for byte '%.17g' % v, ',' between fields and '\\n' after each row. It
@@ -27,6 +28,24 @@ stays exact.
 The tables are built at import from short byte strings and Python lists,
 and integers are 64-bit throughout: each numpy loop a process runs for
 the first time adds its code to the process's memory.
+
+_csv_values reads whole rows of such text back, in the manner of fast
+float parsers (Lemire, "Number Parsing at a Gigabyte per Second", 2021):
+- A field [-]digits[.digits][e+DD[D]] (or e-) of at most _FIELD bytes
+  is read without its exponent, right-aligned in a slot of three uint64
+  words. The bytes before it and its sign become 0, and the bytes before
+  its dot move up one, over the dot.
+- Three multiply-shift steps per word turn its eight ASCII digits into
+  an integer, so a field is M * 10**E with M < 10**19.
+- M * 10**E is taken in long double, in one rounding for |E| <= 27
+  (_POWERS) and in two up to 54, so it lies within two units of long
+  double precision of the exact value. Rounded to double it is the
+  correctly rounded value unless the 11 bits below a double's read
+  within 3 of 1024, a midpoint.
+Every other field takes float() of its bytes, the strtod np.loadtxt
+calls: a field near a midpoint, one with |E| > 54, and every field where
+long double is plain double. Text outside the grammar, nan and inf among
+it, gives None, and the caller reads it some other way.
 """
 
 from __future__ import annotations
@@ -43,6 +62,17 @@ _LD = np.longdouble
 _SLOT = 28  # bytes of text per value: sign, 22 of digits and dot, e+XX, sep
 
 
+def _powers() -> np.ndarray:
+    """10**0 .. 10**54 in long double: exact up to 10**27, and above that
+    10**27 * 10**(k - 27), rounded once."""
+    power = np.array([10.0 ** k for k in range(23)]).astype(_LD)
+    power = np.concatenate([power, power[22] * power[1:6]])
+    return np.concatenate([power, power[27] * power[1:]])
+
+
+_POWERS = _powers()
+
+
 def _power_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multiplier, divisor and fraction limit at each scale index
     i = 43 - X, that is for the scale 10**k with k = 16 - X = i - 27.
@@ -55,9 +85,7 @@ def _power_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fraction whose distance from .5 is not more than that is unsafe to
     round; the limit is .5 less that bound.
     """
-    power = np.array([10.0 ** k for k in range(23)]).astype(_LD)
-    power = np.concatenate([power, power[22] * power[1:6]])
-    power = np.concatenate([power, power[27] * power[1:]])  # 10**0..10**54
+    power = _POWERS
     one = power[:1]
     mul = np.concatenate([one.repeat(27), power])
     div = np.concatenate([power[27:0:-1], one.repeat(55)])
@@ -204,3 +232,153 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
             (fmt % x).ljust(27, b"\0") for x in v[slow].tolist()),
             np.uint8).reshape(-1, 27)
     return text[text != 0]
+
+
+# ---------------------------------------------------------------------------
+# read side
+# ---------------------------------------------------------------------------
+
+_FIELD = 24  # most bytes of a field the reader takes: -d.16 digits e-XXX
+_WORDS = _FIELD // 8
+
+
+def _byte_masks() -> tuple[np.ndarray, np.ndarray]:
+    """Masks of a slot's bytes, as its three uint64 words, at g * 25 + q
+    for g, q in 0..24: high has 0xff at bytes j >= max(g, q), low at
+    bytes g <= j < q - 1. Word k holds bytes 8k to 8k + 7, the first in
+    its lowest bits."""
+    def run(start: int, stop: int) -> bytes:
+        stop = max(start, stop)
+        return (b"\0" * start + b"\xff" * (stop - start)
+                + b"\0" * (_FIELD - stop))
+
+    pairs = [(g, q) for g in range(25) for q in range(25)]
+    return tuple(np.frombuffer(b"".join(rows), np.uint64).reshape(-1, _WORDS)
+                 for rows in ([run(max(g, q), _FIELD) for g, q in pairs],
+                              [run(g, q - 1) for g, q in pairs]))
+
+
+_HIGH, _LOW = _byte_masks()
+#: minus the digits after a dot that is slot byte q - 1, 0 for q = 0
+_FRACTION = np.array([0] + list(range(1 - _FIELD, 1)))
+_ZERO_BYTES, _HIGH_NIBBLES, _SIX = (np.uint64(int(b * 8, 16)) for b in
+                                    ("30", "f0", "06"))
+#: (multiplier, shift, mask) of the steps that turn a word's eight digits
+#: 0-9, the first in its lowest byte, into their integer
+_EIGHT_DIGITS = tuple(tuple(map(np.uint64, step)) for step in (
+    (2561, 8, 0x00ff00ff00ff00ff), (6553601, 16, 0x0000ffff0000ffff),
+    (42949672960001, 32, 0xffffffff)))
+#: x87 long double: 11 mantissa bits below a double's, whose rounding
+#: the reader tests for a midpoint; elsewhere every field is exact
+_WIDE = np.finfo(_LD).nmant == 63
+
+
+def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
+    """The float64 table of text, whole CSV rows of cols fields each as
+    uint8 bytes, bit-equal to np.loadtxt's; None when a field is not
+    [-]digits[.digits][e+DD[D]] with e-DD[D] too, in at most _FIELD bytes,
+    or the rows are not whole or of cols fields."""
+    if not text.size or text[-1] != ord("\n"):
+        return None
+    # ',', '\n' and '.' are below '/', with '-', '+' and foreign bytes
+    marks = np.flatnonzero(text < ord("/"))
+    kind = text[marks]
+    is_sep = (kind == ord(",")) | (kind == ord("\n"))
+    seps = marks[is_sep]
+    n = seps.size
+    if n % cols:
+        return None
+    newline = (text[seps] == ord("\n")).reshape(-1, cols)
+    if newline[:, :-1].any() or not newline[:, -1].all():
+        return None
+    starts = np.concatenate([[0], seps[:-1] + 1])
+    lens = seps - starts
+    if lens.min() < 1 or lens.max() > _FIELD:
+        return None
+    dots = np.flatnonzero(kind == ord("."))
+    owner = np.cumsum(is_sep)[dots]  # the seps before a dot: its field
+    if np.any(owner[1:] == owner[:-1]):  # two dots in one field
+        return None
+    dots = marks[dots]
+    del marks, kind, is_sep
+    negative = text[starts] == ord("-")
+
+    # the exponent: e, a sign and two or three digits end the field, and
+    # a digit comes before them (bytes clipped to the text's first are
+    # never in the field)
+    elen = np.where(text.take(seps - 5, mode="clip") == ord("e"), 5,
+                    4 * (text.take(seps - 4, mode="clip") == ord("e")))
+    elen[elen >= lens] = 0
+    E = np.zeros(n, np.int64)
+    ie = np.flatnonzero(elen)
+    if ie.size:
+        end = seps[ie]
+        three = elen[ie] == 5
+        sign = text[end - 3 - three]
+        d = [text[end - k].astype(np.int64) - ord("0") for k in (1, 2, 3)]
+        d[2] *= three
+        if (np.any((sign != ord("+")) & (sign != ord("-")))
+                or any(np.any((x < 0) | (x > 9)) for x in d)):
+            return None
+        value = d[0] + 10 * d[1] + 100 * d[2]
+        E[ie] = np.where(sign == ord("-"), -value, value)
+
+    # each field's mantissa right-aligned in a slot of _FIELD bytes, its
+    # digits and dot xor '0' (digits become 0-9), the bytes before its
+    # first digit 0, the dot removed by moving the bytes before it one up
+    ends = seps - elen
+    q = np.zeros(n, np.int64)  # 1 + the slot byte of the field's dot
+    q[owner] = dots - ends[owner] + _FIELD + 1
+    E += _FRACTION[q]
+    digits = lens - elen - negative  # and the dot
+    windows = np.ndarray((max(text.size - _FIELD + 1, 0),), f"V{_FIELD}",
+                         text, strides=(1,))
+    head = int(np.searchsorted(ends, _FIELD))
+    slots = np.empty((n, _WORDS), np.uint64)
+    slots.view(f"V{_FIELD}")[head:, 0] = windows[ends[head:] - _FIELD]
+    for i in range(head):
+        slots[i] = np.frombuffer(
+            text[:ends[i]].tobytes().rjust(_FIELD, b"\0"), np.uint64)
+    slots ^= _ZERO_BYTES
+    gq = (_FIELD - digits) * 25 + q
+    low = np.take(_LOW, gq, axis=0, mode="clip")
+    low &= slots
+    high = np.take(_HIGH, gq, axis=0, mode="clip")
+    slots &= high
+    flat, low, high = slots.reshape(-1), low.reshape(-1), high.reshape(-1)
+    # byte 23 is never below a dot: no carry is lost
+    flat[1:] |= np.right_shift(low[:-1], np.uint64(56), out=high[1:])
+    low <<= np.uint64(8)
+    flat |= low
+    if ((digits - (q > 0)).min() < 1
+            or np.bitwise_and(flat, _HIGH_NIBBLES, out=high).any()
+            or (np.add(flat, _SIX, out=high) & _HIGH_NIBBLES).any()):
+        return None
+    del low, high
+
+    # eight digits to an integer in three multiply-shift steps per word
+    for multiplier, shift, mask in _EIGHT_DIGITS:
+        flat *= multiplier
+        flat >>= shift
+        flat &= mask
+    if slots[:, 0].max() >= 1000:  # more than 19 digits
+        return None
+    M = (slots[:, 0] * np.uint64(10 ** 16) + slots[:, 1] * np.uint64(10 ** 8)
+         + slots[:, 2])
+
+    # M * 10**E in long double, and to double where that rounds as M
+    # * 10**E does: |E| <= 54 and off a midpoint by more than the error
+    r = M.astype(_LD) / _POWERS[np.minimum(np.maximum(-E, 0), 54)]
+    up = np.flatnonzero(E > 0)
+    r[up] *= _POWERS[np.minimum(E[up], 54)]
+    fast = np.abs(E) <= 54
+    if _WIDE:
+        bits = (r.view(np.uint64)[::2] & np.uint64(0x7ff)).astype(np.int64)
+        fast &= np.abs(bits - 1024) > 3
+    else:
+        fast[:] = False
+    values = r.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+    for i in np.flatnonzero(~fast).tolist():
+        values[i] = float(text[starts[i]:seps[i]].tobytes())
+    return values.reshape(-1, cols)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .clf import _norm, clf_grad_v, clf_value, lie_derivative
-from .control import ControllerSpec, ControlResult, evaluate_control
+from .control import ControllerSpec, ControlResult, Direct, evaluate_control
 from .metric import MetricKind, quasi_newton_update, resolve_metric
 from .objective import ObjectiveOracle
 
@@ -140,7 +140,10 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     used: at its start the accepted state's one control, the primal's
     first slope, and at its end the law before any quasi-Newton update.
     Without a quasi-Newton metric that end control is the next accepted
-    state's one control.
+    state's one control. The adjoint step takes hess E(x) v once per
+    accepted state: the product at a step's end starts the next step.
+    A Direct law reads no metric, so a quasi-Newton one is never updated
+    for it and the law is bound once.
     Each accepted state takes the norms of x, v and the gradient once;
     they serve the divergence test, the stopping rule and the grad_norm
     column.
@@ -244,9 +247,12 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     step = rk4_step if method is Integrator.RK4 else sie_step
 
-    def adjoint_rk4_step(z0: Array, g0: Array, u0: Array, z1: Array,
-                         g1: Array, u1: Array) -> tuple[Array, Array]:
-        """(lamx, lamv) advanced across one completed primal step.
+    def adjoint_rk4_step(z0: Array, g0: Array, u0: Array, H0v: Array,
+                         z1: Array, g1: Array,
+                         u1: Array) -> tuple[Array, Array, Array]:
+        """(lamx, lamv) advanced across one completed primal step, and
+        hess E(x1) v1, which the next step takes as its H0v: the product
+        hess E(x0) v0 at the step's start state.
 
         Stage states come from cubic Hermite dense output of the primal:
         position interpolated from (x, v) at the endpoints, velocity from
@@ -257,7 +263,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         x1, v1 = z1[:n], z1[n:2 * n]
         xm = 0.5 * (x0 + x1) + 0.125 * h * (v0 - v1)
         vm = 0.5 * (v0 + v1) + 0.125 * h * (u0 - u1)
-        H0v = oracle.hessian_at(x0) @ v0
         Hmvm = oracle.hessian_at(xm) @ vm
         H1v1 = oracle.hessian_at(x1) @ v1
         gm = oracle.gradient(xm)
@@ -272,7 +277,8 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
         k3 = -l3 - gm
         l4 = lamx - h * Hmvm
         k4 = -l4 - g1
-        return lamx_new, lamv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return (lamx_new, lamv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                H1v1)
 
     def adjoint_euler_step(z0: Array, g0: Array,
                            z1: Array) -> tuple[Array, Array]:
@@ -333,8 +339,12 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     k = 0
 
     if not (converged or diverged):
-        qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
+        # Direct reads no metric: its quasi-Newton matrix is never updated
+        qn = (live_spec.metric.kind is MetricKind.QUASI_NEWTON
+              and not isinstance(spec, Direct))
         adjoint_rk4 = full and method is Integrator.RK4
+        if adjoint_rk4:
+            Hv = oracle.hessian_at(z[:n]) @ z[n:2 * n]
         for k in range(1, n_steps + 1):
             z_new = step(z, g, res.u)
             # a non-finite x or v has a non-finite norm
@@ -354,8 +364,9 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
             if full:
                 if adjoint_rk4:
                     res_new = control_at(z_new, g_new)
-                    lam_new = adjoint_rk4_step(z, g, res.u, z_new, g_new,
-                                               res_new.u)
+                    # a rejected step ends the loop: its Hv is never used
+                    *lam_new, Hv = adjoint_rk4_step(
+                        z, g, res.u, Hv, z_new, g_new, res_new.u)
                 else:
                     lam_new = adjoint_euler_step(z, g, z_new)
                 # a rejected step's costates are never kept

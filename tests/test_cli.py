@@ -1167,6 +1167,64 @@ def test_verify_input_fuzz_exits_with_a_contract_code(small_run, capsys,
         assert kind == "cell" and err.startswith("run diverged: "), err
 
 
+@pytest.fixture(scope="module")
+def dim3_run(tmp_path_factory):
+    """A dim-3 nesterov trajectory's bytes, its config and its report."""
+    root = tmp_path_factory.mktemp("foreign")
+    data = flow_data(root / "run", controller="nesterov", t_max=1.0)
+    del data["method"]["gamma_b"]
+    data["problem"]["dim"] = 3
+    cfg = write_config(root, "nesterov.yaml", data)
+    assert main(["run", cfg]) == 0
+    return root, (root / "run" / "trajectory.csv").read_bytes(), cfg
+
+
+def _verify_bytes(root, text, cfg, capsys):
+    path = root / "foreign.csv"
+    path.write_bytes(text)
+    capsys.readouterr()
+    code = main(["verify", str(path), cfg])
+    out, err = capsys.readouterr()
+    return code, out.replace(str(path), "FILE"), err.replace(str(path), "FILE")
+
+
+def test_a_crlf_trajectory_verifies_as_its_lf_file(dim3_run, capsys):
+    root, text, cfg = dim3_run
+    lf = _verify_bytes(root, text, cfg, capsys)
+    assert lf[2] == ""
+    assert _verify_bytes(root, text.replace(b"\n", b"\r\n"), cfg,
+                         capsys) == lf
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("header byte", "'utf-8' codec can't decode byte 0xff in position 3: "
+                    "invalid start byte"),
+    ("nul", "could not convert string '-0.\\x00"),
+    ("short last row", "the number of columns changed from 12 to 10 at row "
+                       "101; use `usecols` to select a subset and avoid "
+                       "this error"),
+])
+def test_foreign_trajectory_bytes_exit_two_with_one_line(dim3_run, capsys,
+                                                         fault, message):
+    root, text, cfg = dim3_run
+    header, body = text.split(b"\n", 1)
+    rows = body.split(b"\n")[:-1]
+    if fault == "header byte":
+        header = header[:3] + b"\xff" + header[3:]
+    elif fault == "nul":
+        cells = rows[5].split(b",")
+        cells[2] = cells[2][:3] + b"\0" + cells[2][3:]
+        rows[5] = b",".join(cells)
+    else:
+        rows[-1] = b",".join(rows[-1].split(b",")[:-2])
+    code, out, err = _verify_bytes(
+        root, b"\n".join([header] + rows) + b"\n", cfg, capsys)
+    assert code == 2
+    assert err.startswith(f"config error: FILE: {message}"), err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("hook", ["setprofile", "settrace"])
 def test_a_run_under_a_profiler_or_tracer_exits_zero(tmp_path, hook):
     out = tmp_path / "run"

@@ -1,15 +1,24 @@
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
+import threading
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelflow.control import MinPStar, polyak_controller
-from accelflow.csvtext import _csv_text
+from accelflow.control import (
+    MinPStar,
+    nesterov_flow_controller,
+    polyak_controller,
+)
+from accelflow import csvtext
+from accelflow.csvtext import _FIELD, _csv_text, _csv_values
 from accelflow.discrete import (
     IterateSequence,
     cg_iterate,
@@ -18,6 +27,7 @@ from accelflow.discrete import (
 )
 from accelflow.export import (
     BLOCK_VALUES,
+    _read_table,
     decade_label,
     discrete_summary,
     flow_summary,
@@ -32,6 +42,7 @@ from accelflow.export import (
 from accelflow.flow import (
     COLUMNS,
     FlowMode,
+    StoppingRule,
     TrajectoryRecord,
     initial_state,
     integrate,
@@ -39,6 +50,7 @@ from accelflow.flow import (
 from accelflow.metric import MetricKind, MetricSpec
 from accelflow.clf import DEFAULT_CLF
 from accelflow.objective import random_quadratic, rosenbrock_problem
+from traced import PEAK_PER_COLUMN_BYTE, traced_peak
 from accelflow.verify import CheckStatus, DissipationMode, check_dissipation
 
 EUCLID = MetricSpec(MetricKind.EUCLIDEAN)
@@ -87,6 +99,23 @@ class TestTrajectoryCsv:
             assert data["V"][k] == cols["V"][k]
             assert data["lieV"][k] == cols["lieV"][k]
         assert "lambda_x" not in data
+
+    def test_a_dim_50_file_reads_back_exactly_and_holds_little_more(
+            self, tmp_path):
+        # 1601 rows of 106 columns: about 50 chunks of text, the table
+        # made once at its size, and the kernel's arrays a chunk's worth
+        prob = random_quadratic(50, 100.0, seed=1)
+        record = integrate(nesterov_flow_controller(10.0), prob.oracle,
+                           initial_state(prob.oracle, prob.x0), 0.01, 16.0,
+                           stop=StoppingRule(tol_g=0.0, tol_v=0.0))
+        path = str(tmp_path / "traj.csv")
+        write_trajectory_csv(record, path)
+        data, peak = traced_peak(lambda: read_trajectory_csv(path))
+        assert len(data["t"]) == 1601
+        for name, column in data.items():
+            assert column.tobytes() == record.columns[name].tobytes(), name
+        table_bytes = sum(column.nbytes for column in data.values())
+        assert peak < PEAK_PER_COLUMN_BYTE * table_bytes
 
     def test_full_mode_round_trips_multipliers(self, full_record, tmp_path):
         path = str(tmp_path / "full.csv")
@@ -309,6 +338,172 @@ class TestCsvText:
     def test_the_row_separators(self, cols):
         block = np.arange(2.0 * cols).reshape(2, cols) / 3.0
         assert _csv_text(block).tobytes() == per_value_text(block)
+
+
+def read_back(text, cols):
+    """_csv_values of text, CSV bytes, as a fresh array, or None."""
+    table = _csv_values(np.frombuffer(text, np.uint8), cols)
+    return None if table is None else table.copy()
+
+
+def loadtxt_table(path):
+    """A CSV file's rows as np.loadtxt reads them after the header line,
+    blank lines skipped: the table or the error the reader must give."""
+    with open(path) as fh:
+        fh.readline()
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError("the file has no samples")
+        return np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                          ndmin=2)
+
+
+def outcome(read, path):
+    """read(path)'s table bits and shape, or its error's type and text."""
+    try:
+        table = read(path)
+    except ValueError as e:
+        return type(e), str(e)
+    return table.shape, table.tobytes()
+
+
+SPECIAL_BITS = [float(v) for v in (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, np.finfo(float).max, np.inf, -np.inf, np.nan,
+    1e300, 1.0, -1.0, 1e-5, 1e-4, 1e16, 1e17)]
+
+
+def near_midpoints():
+    """Decimals of 17 to 19 digits within 1e-3 ulp of a midpoint between
+    adjacent doubles, or on one, in %g's exponent form and, where it
+    fits, in fixed notation: texts a rounding of M * 10**E in long double
+    could put on the wrong side."""
+    rng = np.random.default_rng(5)
+    doubles = rng.uniform(1.0, 10.0, 120) * 10.0 ** rng.integers(-60, 61,
+                                                                  120)
+    texts = []
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for d in doubles.tolist():
+            low, high = Decimal(d), Decimal(np.nextafter(d, np.inf))
+            for offset in (-1, 0, 1):
+                value = (low + high) / 2 + offset * (high - low) / 1000
+                for digits in (17, 18, 19):
+                    mantissa, exp = f"{value:.{digits - 1}e}".split("e")
+                    texts.append(f"{mantissa}e{int(exp):+03d}")
+                    if -5 < int(exp) < 5:
+                        fixed = f"{value:.{digits - 1 - int(exp)}f}"
+                        if len(fixed) <= _FIELD:
+                            texts.append(fixed)
+    return texts
+
+
+class TestCsvValues:
+    """_csv_values, the reader's kernel, against np.loadtxt and float()."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                              st.sampled_from(SPECIAL_BITS).map(
+                                  lambda v: int(np.float64(v).view(
+                                      np.uint64)))),
+                    min_size=1, max_size=120),
+           st.integers(1, 60))
+    def test_any_bit_pattern_reads_back(self, words, cols):
+        values = np.array(words, dtype=np.uint64).view(np.float64)
+        block = np.resize(values, (-(-len(values) // cols), cols))
+        text = _csv_text(block).tobytes()
+        table = read_back(text, cols)
+        if not np.isfinite(block).all():
+            assert table is None  # nan and inf are not its grammar
+            return
+        assert table.tobytes() == block.tobytes()
+        expected = np.loadtxt(io.StringIO(text.decode()), delimiter=",",
+                              ndmin=2)
+        assert table.tobytes() == expected.tobytes()
+
+    def test_decimals_near_a_midpoint_read_as_float_does(self):
+        texts = near_midpoints()
+        table = read_back(("\n".join(texts) + "\n").encode(), 1)
+        expected = np.array([float(t) for t in texts])
+        assert table.ravel().tobytes() == expected.tobytes()
+
+    def test_every_field_on_the_exact_path(self, monkeypatch):
+        # where long double is plain double, no field is rounded from it
+        monkeypatch.setattr(csvtext, "_WIDE", False)
+        rng = np.random.default_rng(9)
+        block = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(
+            -40, 40, (40, 7))
+        text = _csv_text(block).tobytes()
+        assert read_back(text, 7).tobytes() == block.tobytes()
+        texts = near_midpoints()
+        table = read_back(("\n".join(texts) + "\n").encode(), 1)
+        assert table.ravel().tobytes() == np.array(
+            [float(t) for t in texts]).tobytes()
+
+    @pytest.mark.parametrize("cell", [
+        "1e5", "+1", " 1", "1E+05", ".5", "5.", "1_0", "NaN", "1e999", "",
+        "1.234567890123456789e+05", "-1.234567890123456789e+05", "-",
+        ".", "e+05", "--1", "1.2.3", "1e+5", "1e+005", "1-2", "1\0",
+        "123456789012345678901", "12345678901234567890123", "-0", "0.0",
+        "1e-300", "4.9406564584124654e-324"])
+    def test_a_foreign_cell_reads_as_loadtxt_reads_it(self, cell,
+                                                       tmp_path):
+        rows = ["0.5,-2,3.25e-07", "1,2,3"]
+        rows.insert(1, f"4,{cell},6")
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        assert (outcome(lambda p: _read_table(p)[1], path)
+                == outcome(loadtxt_table, path))
+        table = read_back(path.read_bytes().split(b"\n", 1)[1], 3)
+        if table is not None:
+            assert table.tobytes() == loadtxt_table(path).tobytes()
+
+    @pytest.mark.parametrize("form", [
+        "crlf", "blank lines", "no final newline", "trailing space",
+        "short row", "long row", "header only", "empty"])
+    def test_foreign_rows_read_as_loadtxt_reads_them(self, form, tmp_path):
+        rows = ["0.5,-2,3.25e-07", "1,2,3", "4,5,6"]
+        text = "a,b,c\n" + "\n".join(rows) + "\n"
+        text = {
+            "crlf": text.replace("\n", "\r\n"),
+            "blank lines": text.replace("\n1,", "\n\n1,"),
+            "no final newline": text[:-1],
+            "trailing space": text.replace("\n", " \n"),
+            "short row": text.replace("4,5,6", "4,5"),
+            "long row": text.replace("4,5,6", "4,5,6,7"),
+            "header only": "a,b,c\n",
+            "empty": "",
+        }[form]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        assert (outcome(lambda p: _read_table(p)[1], path)
+                == outcome(loadtxt_table, path))
+
+    def test_a_pipe_reads_as_its_file(self, reduced_record, tmp_path):
+        # a pipe cannot be read twice: it takes np.loadtxt's path at once
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(reduced_record, str(path))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(path.read_bytes(),))
+        writer.start()
+        try:
+            piped = read_trajectory_csv(str(fifo))
+        finally:
+            writer.join()
+        for name, column in read_trajectory_csv(str(path)).items():
+            assert piped[name].tobytes() == column.tobytes()
+
+    def test_a_row_wider_than_a_chunk_reads_back(self, tmp_path):
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((3, 5000))
+        path = tmp_path / "wide.csv"
+        path.write_bytes(",".join(f"c{i}" for i in range(5000)).encode()
+                         + b"\n" + _csv_text(block).tobytes())
+        header, table = _read_table(str(path))
+        assert len(header) == 5000
+        assert table.tobytes() == block.tobytes()
 
 
 class TestRecordReconstruction:
