@@ -31,9 +31,9 @@ the first time adds its code to the process's memory.
 
 _csv_values reads whole rows of such text back, in the manner of fast
 float parsers (Lemire, "Number Parsing at a Gigabyte per Second", 2021):
-- A field [-]digits[.digits][e+DD[D]] (or e-) of at most _FIELD bytes
-  is read without its exponent, right-aligned in a slot of three uint64
-  words. The bytes before it and its sign become 0, and the bytes before
+- A field of at most _FIELD bytes, [-]digits[.digits][e+DD[D]] (or
+  e-, and a dot may lead or end the digits, as float() takes it), is read
+  without its exponent, right-aligned in a slot of three uint64 words. The bytes before it and its sign become 0, and the bytes before
   its dot move up one, over the dot.
 - Three multiply-shift steps per word turn its eight ASCII digits into
   an integer, so a field is M * 10**E with M < 10**19.
@@ -276,8 +276,9 @@ _WIDE = np.finfo(_LD).nmant == 63
 def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
     """The float64 table of text, whole CSV rows of cols fields each as
     uint8 bytes, bit-equal to np.loadtxt's; None when a field is not
-    [-]digits[.digits][e+DD[D]] with e-DD[D] too, in at most _FIELD bytes,
-    or the rows are not whole or of cols fields."""
+    [-]digits[.digits][e+DD[D]] with e-DD[D] too (a dot may lead or end
+    the digits) in at most _FIELD bytes, or the rows are not whole or not
+    of cols fields."""
     if not text.size or text[-1] != ord("\n"):
         return None
     # ',', '\n' and '.' are below '/', with '-', '+' and foreign bytes

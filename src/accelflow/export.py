@@ -148,7 +148,7 @@ def _read_rows(fh, cols: int) -> np.ndarray | None:
     grown and cut to its rows after the read raised verify_replay's
     peak_rss_mb by 0.45 MB; the count costs about 6% of the read.
     """
-    buf = bytearray(max(_READ_CHUNK, (_FIELD + 1) * cols))
+    buf = bytearray(max(_READ_CHUNK, (_FIELD + 1) * cols))  # a whole row
     view, text = memoryview(buf), np.frombuffer(buf, np.uint8)
     start, rows = fh.tell(), 0
     while got := fh.readinto(view):
