@@ -486,12 +486,13 @@ class TestCsvValues:
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes,
-                                  args=(path.read_bytes(),))
+                                  args=(path.read_bytes(),), daemon=True)
         writer.start()
         try:
             piped = read_trajectory_csv(str(fifo))
         finally:
-            writer.join()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
         for name, column in read_trajectory_csv(str(path)).items():
             assert piped[name].tobytes() == column.tobytes()
 
