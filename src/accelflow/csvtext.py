@@ -285,7 +285,7 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
     marks = np.flatnonzero(text < ord("/"))
     kind = text[marks]
     is_sep = (kind == ord(",")) | (kind == ord("\n"))
-    seps = marks[is_sep]
+    seps = np.compress(is_sep, marks)
     n = seps.size
     if n % cols:
         return None
@@ -309,7 +309,7 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
     # never in the field)
     elen = np.where(text.take(seps - 5, mode="clip") == ord("e"), 5,
                     4 * (text.take(seps - 4, mode="clip") == ord("e")))
-    elen[elen >= lens] = 0
+    elen *= elen < lens
     E = np.zeros(n, np.int64)
     ie = np.flatnonzero(elen)
     if ie.size:
@@ -379,7 +379,7 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
     else:
         fast[:] = False
     values = r.astype(np.float64)
-    np.negative(values, out=values, where=negative)
+    values.view(np.uint64)[...] |= negative.astype(np.uint64) << np.uint64(63)
     for i in np.flatnonzero(~fast).tolist():
         values[i] = float(text[starts[i]:seps[i]].tobytes())
     return values.reshape(-1, cols)
