@@ -14,8 +14,10 @@ and then the head over --number calls, and keeps each side's best round.
 Both checkouts need the bound laws (ControllerSpec.bind).
 
 The "metric solve" row is the accel_newton law (gains 25, 100), bound
-as a run binds it: over the metric resolved for the quadratic, so its
-solve is with the floored constant Hessian. The "pointwise floor" row is
+as a run binds it, so its solve is with the floored constant Hessian,
+factored once. A checkout whose runs still resolve their metric before
+binding (metric.resolve_metric) has it resolved here too; without that
+it would time the floor at each point instead. The "pointwise floor" row is
 metric_matrix with a Hessian metric at floor 1e-2 and no constant
 Hessian, given the Hessian of random_log_sum_exp(dim, 4 dim, seed) at its
 x0: the floor a Hessian that depends on the point takes at each point.
@@ -99,8 +101,11 @@ def calls(package: ModuleType, dim: int, seed: int,
     nesterov = control.nesterov_flow_controller(10.0).bind(oracle)
     star = control.MinPStar(rate_eta=1.0).bind(oracle)
     newton = control.accelerated_newton_controller(25.0, 100.0)
-    newton = dataclasses.replace(newton, metric=package.metric.resolve_metric(
-        newton.metric, oracle)).bind(oracle)
+    resolve = getattr(package.metric, "resolve_metric", None)
+    if resolve is not None:
+        newton = dataclasses.replace(newton,
+                                     metric=resolve(newton.metric, oracle))
+    newton = newton.bind(oracle)
     lse = package.objective.random_log_sum_exp(dim, 4 * dim, seed=seed)
     floored = package.metric.MetricSpec("hessian", eig_floor=1e-2)
     hessian = lse.oracle.hessian(lse.x0)

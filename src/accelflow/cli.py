@@ -276,11 +276,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                               f"problem")
     labels = [c.run_label() for c in configs]
     for path, label in zip(args.configs, labels):
-        # each member writes to the directory label under the out dir
+        # each member writes to the directory label under the out dir, and
+        # its label is one unquoted field of a compare.csv row
         if (label in (".", "..") or os.path.isabs(label)
-                or {"/", os.sep, "\0"} & set(label)):
+                or {"/", os.sep, "\0", ",", '"', "\r", "\n"} & set(label)):
             raise ConfigError(f"{path}: label: {label!r} is not one path "
-                              f"component: it has a '/' or a NUL, or is "
+                              f"component and one CSV field: it has a '/', "
+                              f"a NUL, a ',', a '\"', a CR or an LF, or is "
                               f"'.' or '..'")
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate run labels; set distinct label: fields")

@@ -28,7 +28,8 @@ oracle.constant_hessian are read there, and the metric is taken as it
 is. A run binds it, then calls it at every state; the law takes
 evaluate_control's inputs as float arrays, unchecked, and gives what
 evaluate_control gives. evaluate_control is the checked entry for one
-call: it validates the shapes, then binds and calls the law.
+call: it validates the shapes, then binds the law, unless it is given
+one already bound, and calls it.
 
 A law's one-state path is the one every RK4 stage takes. So a law holds
 its coefficients as 0-d arrays, made at bind (_held): numpy converts a
@@ -432,12 +433,16 @@ def validate_direct_gains(clf: ClfParams, gamma_a: float, gamma_b: float,
 # ---------------------------------------------------------------------------
 
 
-def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
-                     lambda_x: Array, v: Array) -> ControlResult:
+def evaluate_control(spec: Union[ControllerSpec, Law],
+                     oracle: ObjectiveOracle, x: Array, lambda_x: Array,
+                     v: Array) -> ControlResult:
     """Evaluate the controller, with diagnostics: the checked entry.
 
-    x, lambda_x and v are one state (n,) or N stacked states (N, n). For
-    stacked states every ControlResult field holds one entry per row, and
+    spec is a controller spec, bound here for oracle, or a law a caller
+    already bound for oracle (spec.bind), which is called as it is: a run
+    checks its start state with the law it then steps with, so it binds
+    once. x, lambda_x and v are one state (n,) or N stacked states (N, n).
+    For stacked states every ControlResult field holds one entry per row, and
     each row holds the bits the one-state call gives it. A branch is a
     mask over the rows, and a row that takes no control gets u = +0.0.
     min_p_star raises at the first row where it is infeasible, with the
@@ -455,7 +460,7 @@ def evaluate_control(spec: ControllerSpec, oracle: ObjectiveOracle, x: Array,
         raise ValueError(f"v has shape {vv.shape}, expected {x.shape}")
     if lam.shape != x.shape:
         raise ValueError(f"lambda has shape {lam.shape}, expected {x.shape}")
-    law = spec.bind(oracle)
+    law = spec if callable(spec) else spec.bind(oracle)
     parts = [law(x[rows], lam[rows], vv[rows])
              for rows in _row_blocks(oracle, x)]
     return parts[0] if len(parts) == 1 else ControlResult(*(
@@ -481,21 +486,22 @@ def _inverse(metric: MetricSpec,
     bit except at a -0.0 in d: it always maps that to +0.0, while the
     LAPACK solve does so at some positions and keeps -0.0 at others,
     depending on the signs of the other entries. H is hess E(x) when the
-    caller already holds it; a Hessian metric that holds its floored
-    constant Hessian needs none. No metric is certified again for the
-    solve: each got its certificate where it was made.
+    caller already holds it. No metric is certified again for the solve:
+    each got its certificate where it was made.
 
-    A W that does not depend on the point (a floored constant Hessian, a
-    quasi-Newton matrix) is factored once, at the law's first solve
-    (metric._LU), and serves every stacked row. A Hessian per row is
-    floored and solved one row at a time, in row order, so the first row
-    that fails raises what its one-row call raises.
+    A W that does not depend on the point (a quasi-Newton matrix, or a
+    Hessian metric over oracle.constant_hessian) is made and factored
+    once, at the law's first solve (metric._LU), and serves every stacked
+    row: the law floors a constant Hessian there, once, with no hessian
+    call. A Hessian per row is floored and solved one row at a time, in
+    row order, so the first row that fails raises what its one-row call
+    raises.
     """
     if metric.kind is MetricKind.EUCLIDEAN or (
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
         return None
-    if metric.kind is not MetricKind.HESSIAN or (
-            metric.floored_hessian is not None):
+    if (metric.kind is not MetricKind.HESSIAN
+            or oracle.constant_hessian is not None):
         lu: Optional[_LU] = None
 
         def fixed(x: Array, d: Array, H: Optional[Array] = None) -> Array:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .clf import _norm as _vector_norm
 from .control import _inverse
-from .metric import MetricKind, MetricSpec, quasi_newton_update, \
-    resolve_metric
+from .metric import MetricKind, MetricSpec, quasi_newton_update
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -267,10 +266,10 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
         x_{k+1} = x_k + h v_{k+1}
 
     The metric must be curvature-carrying (hessian or quasi_newton); with
-    the identity there is nothing Newton-like about the step. It is
-    resolved for oracle once, here (metric.resolve_metric), and W^{-1}
-    is applied as a bound law applies it (control._inverse, +0.0 for the
-    identity). The driver owns the quasi-Newton updates: the one for the
+    the identity there is nothing Newton-like about the step. W^{-1} is
+    applied as a bound law applies it (control._inverse, +0.0 for the
+    identity), so a constant Hessian is floored once, at the first
+    step. The driver owns the quasi-Newton updates: the one for the
     pair (x_{k-1}, x_k) runs at the start of step k, the first point
     where both gradients are at hand, and W^{-1} is rebuilt for it.
     """
@@ -279,7 +278,6 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
                          "quasi_newton metric")
     if not (h > 0.0):
         raise ValueError(f"h must be positive, got {h}")
-    metric = resolve_metric(metric, oracle)
     gamma_a, gamma_b = (float(c) for c in gains)
     v = np.zeros_like(np.asarray(x0, dtype=float))
     last: Optional[tuple[Array, Array]] = None

@@ -19,7 +19,6 @@ config and seed produces byte-identical output.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import itertools
 import json
@@ -34,7 +33,6 @@ from .control import ControllerSpec, evaluate_control
 from .csvtext import _FIELD, FLOAT_FMT, _csv_text, _csv_values
 from .discrete import IterateSequence
 from .flow import COLUMNS, DIVERGENCE_LIMIT, TrajectoryRecord
-from .metric import resolve_metric
 from .objective import ObjectiveOracle
 
 GRAD_DECADES = tuple(10.0 ** -k for k in range(1, 7))
@@ -235,9 +233,9 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
 
     The control is re-evaluated from the controller spec at the stored
     states (it is a pure function of the state), in one call over the
-    stacked rows, under the metric resolved once for oracle
-    (metric.resolve_metric), while the diagnostic columns keep their
-    exported values so the honesty check in check_dissipation still
+    stacked rows, by one law bound for oracle, which floors a constant
+    Hessian once (control._inverse), while the diagnostic columns keep
+    their exported values so the honesty check in check_dissipation still
     compares cached against recomputed. A reduced-mode file's costates
     are filled in from their definitions. Metrics with path-dependent
     state cannot be rebuilt this way; callers reject those before getting
@@ -245,8 +243,6 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
     """
     cols = dict(columns)
     lam_x = -oracle.gradient(cols["x"])
-    spec = dataclasses.replace(spec,
-                               metric=resolve_metric(spec.metric, oracle))
     cols["u"] = evaluate_control(spec, oracle, cols["x"], lam_x, cols["v"]).u
     if "lambda_x" not in cols:
         cols["lambda_x"] = lam_x

@@ -34,7 +34,7 @@ import numpy as np
 
 from .clf import _norm, clf_grad_v, clf_value, lie_derivative
 from .control import ControllerSpec, ControlResult, Direct, evaluate_control
-from .metric import MetricKind, quasi_newton_update, resolve_metric
+from .metric import MetricKind, quasi_newton_update
 from .objective import ObjectiveOracle
 
 Array = np.ndarray
@@ -121,14 +121,15 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     method and mode take their members or the members' values ("rk4",
     ...). record_stride thins what is stored, never what is computed:
     stopping and divergence are checked every step, and the final state
-    is always recorded. The metric is resolved for oracle once, before
-    the first step (metric.resolve_metric), so a Hessian metric over a
-    constant Hessian is floored once per run. Quasi-Newton metrics are updated
-    once per completed step from the observed (step, gradient change)
-    pair; stage evaluations within a step all see the matrix from the
-    step's start. The law is bound (spec.bind) after the metric is
-    resolved and after each quasi-Newton update; only state0 goes through
-    the checked evaluate_control.
+    is always recorded. state0's x and v, and in full_primal_dual mode its
+    costates, must have shape (n,). The law is bound (spec.bind) before
+    the first step and again after each quasi-Newton update, and at no
+    other point, so a Hessian metric over a constant Hessian is floored
+    once per run, at the law's first solve. Quasi-Newton metrics are updated once per
+    completed step from the observed (step, gradient change) pair; stage
+    evaluations within a step all see the matrix from the step's start.
+    Only state0 goes through the checked evaluate_control, with the law
+    the run then steps with.
 
     One slope writer holds the vector field (x, v, y)' = (v, u, g . v):
     it fills every RK4 stage, and a semi-implicit Euler step adds h times
@@ -191,9 +192,13 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     n = oracle.dim
     full = mode is FlowMode.FULL_PRIMAL_DUAL
-    live_spec = dataclasses.replace(spec,
-                                    metric=resolve_metric(spec.metric, oracle))
-    law = live_spec.bind(oracle)
+    for name in ("x", "v") + (("lambda_x", "lambda_v") if full else ()):
+        shape = np.shape(getattr(state0, name))
+        if shape != (n,):
+            raise ValueError(f"state0.{name} has shape {shape}, expected "
+                             f"({n},)")
+    live_spec = spec  # a quasi-Newton update replaces its metric
+    law = spec.bind(oracle)
 
     # primal packed layout: [x, v, y]; costates ride separately
     z = np.concatenate([state0.x, state0.v, [state0.y]])
@@ -287,7 +292,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
 
     g = oracle.gradient(z[:n])
     g_norm = _norm(g)
-    res = evaluate_control(live_spec, oracle, z[:n], -g, z[n:2 * n])
+    res = evaluate_control(law, oracle, z[:n], -g, z[n:2 * n])
     n_steps = int(np.ceil(t_max / h - 1e-12))
     # the start, every record_stride-th step, and the last step or the one
     # a run stops at

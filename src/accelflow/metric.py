@@ -8,16 +8,14 @@ positive curvature), and a quasi-Newton matrix maintained from observed
 symmetric positive definite, so each W gets its certificate once, where
 it is made, and metric_solve then only solves:
 
-* a Hessian W, by the shift_to_floor that floors it. Over a constant
-  Hessian (a quadratic's) that is one call per run: resolve_metric floors
-  it where the run is set up, and every solve after it reuses the
-  floored W. A Hessian that depends on the point is floored at each
-  point, by the same shift_to_floor;
+* a Hessian W, by the shift_to_floor that floors it: at each point for
+  a Hessian that depends on the point, and once per bound law, at its
+  first solve, for a constant one (a quadratic's);
 * a quasi-Newton matrix, by the shift_to_floor in the quasi_newton_update
   that makes it;
 * a qn_state a caller supplies, by MetricSpec's own Cholesky check.
 
-A W that stays fixed (a floored constant Hessian for a run, a
+A W that stays fixed (a floored constant Hessian for a law, a
 quasi-Newton matrix until the next update) is also factored once, by an
 _LU, with the LAPACK numpy bundles: one dgetrf, then one dgetrs per
 solve. np.linalg.solve's dgesv is that dgetrf and that dgetrs, so the
@@ -30,7 +28,7 @@ import ctypes
 import dataclasses
 import functools
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -61,25 +59,16 @@ class MetricSpec:
     drives the iteration owns the sequencing. A qn_state must be finite
     with a finite Cholesky factor; certified=True says it already has its
     certificate (quasi_newton_update's floor), so it is not factored
-    again.
-
-    constant_hessian, given to a Hessian metric, is the objective's
-    Hessian when it does not depend on the point: it is floored once,
-    here, into floored_hessian, which is then W at every point. A spec
-    made from this one by dataclasses.replace drops floored_hessian
-    unless it is given constant_hessian again; resolve_metric is the
-    intended way to set it.
+    again. A spec holds no floored Hessian: the law bound over it floors
+    one where it solves (control._inverse).
     """
 
     kind: MetricKind
     eig_floor: float = 1e-6
     qn_state: Optional[Array] = None
-    floored_hessian: Optional[Array] = field(default=None, init=False)
-    constant_hessian: InitVar[Optional[Array]] = None
     certified: InitVar[bool] = False
 
-    def __post_init__(self, constant_hessian: Optional[Array],
-                      certified: bool) -> None:
+    def __post_init__(self, certified: bool) -> None:
         object.__setattr__(self, "kind", MetricKind(self.kind))
         if not (self.eig_floor > 0.0):
             raise ValueError(f"eig_floor must be positive, got {self.eig_floor}")
@@ -87,23 +76,6 @@ class MetricSpec:
             B = np.asarray(self.qn_state, dtype=float)
             if not (np.isfinite(B).all() and _has_cholesky(B)):
                 raise ValueError("qn_state is not positive definite")
-        if constant_hessian is not None and self.kind is MetricKind.HESSIAN:
-            object.__setattr__(self, "floored_hessian",
-                               shift_to_floor(constant_hessian,
-                                              self.eig_floor))
-
-
-def resolve_metric(spec: MetricSpec, oracle: ObjectiveOracle) -> MetricSpec:
-    """The spec a run on oracle uses.
-
-    A Hessian metric comes back floored over oracle.constant_hessian when
-    the oracle has one, and without a floored Hessian when it has none;
-    any other spec comes back as it is. Every run, replay and discrete
-    Newton drive resolves its metric here, once, where it is set up.
-    """
-    if spec.kind is not MetricKind.HESSIAN:
-        return spec
-    return dataclasses.replace(spec, constant_hessian=oracle.constant_hessian)
 
 
 def _has_cholesky(M: Array) -> bool:
@@ -150,15 +122,13 @@ def metric_matrix(spec: MetricSpec, oracle: ObjectiveOracle, x: Array,
     """Resolve the metric W at the current point.
 
     H, when given, is hess E(x) already evaluated by the caller; the
-    Hessian metric uses it instead of asking the oracle again. A Hessian
-    metric that holds a floored constant Hessian returns it, and neither
-    reads H nor floors again.
+    Hessian metric uses it instead of asking the oracle again, and
+    otherwise reads it through oracle.hessian_at, which takes a constant
+    Hessian without a call.
     """
     if spec.kind is MetricKind.EUCLIDEAN:
         return np.eye(oracle.dim)
     if spec.kind is MetricKind.HESSIAN:
-        if spec.floored_hessian is not None:
-            return spec.floored_hessian
         return shift_to_floor(oracle.hessian_at(x) if H is None else H,
                               spec.eig_floor)
     if spec.qn_state is None:  # quasi_newton, not updated yet

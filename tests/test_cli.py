@@ -733,8 +733,10 @@ class TestConfigErrors:
 
 
 class TestCompare:
+    # a ',', '"', CR or LF would break the label's compare.csv field
     @pytest.mark.parametrize("label", ["ABSOLUTE", "a/../../x", ".", "..",
-                                       "a\0b"])
+                                       "a\0b", "m,a", 'm"a', "m\ra",
+                                       "m\na"])
     def test_a_label_that_is_not_one_path_component_exits_two(
             self, tmp_path, capsys, label):
         if label == "ABSOLUTE":

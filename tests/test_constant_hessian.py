@@ -1,9 +1,10 @@
 """A constant Hessian is floored once per run and read without a call.
 
 A quadratic's oracle carries its Hessian as constant_hessian. The runs,
-the replay and the discrete Newton drive floor it once, through
-metric.resolve_metric, and every product with it gives the bits of the
-product with hessian(x) it replaces.
+the replay and the discrete Newton drive floor it once, where their one
+bound law (or inverse) first solves (control._inverse), and every
+product with it gives the bits of the product with hessian(x) it
+replaces.
 """
 
 import dataclasses
@@ -33,10 +34,8 @@ from accelflow.flow import (
     initial_state,
     integrate,
 )
-from accelflow.metric import MetricKind, MetricSpec, resolve_metric, \
-    shift_to_floor
-from accelflow.objective import quadratic_problem, random_log_sum_exp, \
-    random_quadratic
+from accelflow.metric import MetricKind, MetricSpec
+from accelflow.objective import quadratic_problem, random_quadratic
 
 RUN_FOREVER = StoppingRule(tol_g=0.0, tol_v=0.0)
 
@@ -76,11 +75,6 @@ def test_the_constant_hessian_gives_the_bits_of_the_hessian_call(case):
     H = oracle.hessian(x)
     Q = oracle.constant_hessian
     assert not Q.flags.writeable
-    # the once-floored W is today's per-call floor
-    resolved = resolve_metric(MetricSpec(MetricKind.HESSIAN, eig_floor=floor),
-                              oracle)
-    assert resolved.floored_hessian.tobytes() == \
-        shift_to_floor(H, floor).tobytes()
     # the products, in both forms, one state and stacked
     assert np.matvec(Q, v).tobytes() == np.matvec(H, v).tobytes()
     assert np.matvec(Q, vs).tobytes() == np.matvec(H, vs).tobytes()
@@ -100,17 +94,16 @@ def test_the_constant_hessian_gives_the_bits_of_the_hessian_call(case):
         drift_condition_check(DEFAULT_CLF, called, x, lam, v)
     assert exact_line_search_alpha(oracle, 0, x, -lam, lam) == \
         exact_line_search_alpha(called, 0, x, -lam, lam)
-    # a law under the once-floored W, against today's floor per call
+    # a law over the constant Hessian, floored once, against the floor at
+    # each call
     for spec in (nesterov_flow_controller(2.0),
                  MinPStar(rate_eta=1.0),
                  MinPStar(
                      metric=MetricSpec(MetricKind.HESSIAN, eig_floor=floor),
                      rate_eta=1.0),
                  accelerated_newton_controller(2.0, 2.0, eig_floor=floor)):
-        run = dataclasses.replace(spec,
-                                  metric=resolve_metric(spec.metric, oracle))
         for xx, ll, vv in ((x, lam, v), (X, -oracle.gradient(X), vs)):
-            mine = evaluate_control(run, oracle, xx, ll, vv)
+            mine = evaluate_control(spec, oracle, xx, ll, vv)
             theirs = evaluate_control(spec, called, xx, ll, vv)
             assert mine.u.tobytes() == theirs.u.tobytes()
 
@@ -210,18 +203,3 @@ def test_rk4_factors_each_quasi_newton_matrix_once_per_step(monkeypatch):
 def test_a_supplied_qn_state_is_still_checked():
     with pytest.raises(ValueError, match="not positive definite"):
         MetricSpec(MetricKind.QUASI_NEWTON, qn_state=np.diag([1.0, -1.0]))
-
-
-def test_a_floored_hessian_does_not_outlive_its_floor_or_its_oracle():
-    prob = random_quadratic(4, kappa=10.0, seed=1)
-    spec = resolve_metric(MetricSpec(MetricKind.HESSIAN, eig_floor=2.0),
-                          prob.oracle)
-    assert spec.floored_hessian is not None
-    # a new floor needs a new resolution, and so does another oracle
-    assert dataclasses.replace(spec, eig_floor=3.0).floored_hessian is None
-    lse = random_log_sum_exp(4, 8, seed=1).oracle
-    assert lse.constant_hessian is None
-    assert resolve_metric(spec, lse).floored_hessian is None
-    # a metric with nothing to floor comes back as it is
-    euclid = MetricSpec(MetricKind.EUCLIDEAN)
-    assert resolve_metric(euclid, prob.oracle) is euclid

@@ -321,6 +321,26 @@ def test_integrate_validates_arguments():
                   record_stride=0)
 
 
+@pytest.mark.parametrize("field, shape, mode", [
+    ("x", (5,), FlowMode.REDUCED),
+    ("v", (3,), FlowMode.REDUCED),
+    ("lambda_x", (1,), FlowMode.FULL_PRIMAL_DUAL),
+    ("lambda_v", (1,), FlowMode.FULL_PRIMAL_DUAL),
+])
+def test_integrate_rejects_a_start_state_of_another_shape(field, shape,
+                                                          mode):
+    # each would otherwise run: x's extra entry spills into v, a short v
+    # takes y, and a (1,) costate broadcasts into every row
+    prob = random_quadratic(4, kappa=10.0, seed=1)
+    s0 = dataclasses.replace(initial_state(prob.oracle, prob.x0),
+                             **{field: np.ones(shape)})
+    with pytest.raises(ValueError,
+                       match=rf"state0\.{field} has shape \({shape[0]},\), "
+                             r"expected \(4,\)"):
+        integrate(polyak_controller(2.0, 2.0), prob.oracle, s0, h=1e-2,
+                  t_max=0.1, mode=mode)
+
+
 def test_integrate_rejects_an_overflowing_step_count():
     # t_max / h overflows to inf, which has no integer step count
     s0 = initial_state(Q2.oracle, np.array([3.0]))

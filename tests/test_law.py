@@ -36,9 +36,8 @@ from accelflow.flow import FlowMode, StoppingRule, initial_state, integrate
 from accelflow.metric import (
     MetricKind,
     MetricSpec,
-    metric_matrix,
     metric_solve,
-    resolve_metric,
+    shift_to_floor,
 )
 from accelflow.objective import random_log_sum_exp, random_quadratic
 
@@ -47,6 +46,10 @@ QUADRATIC = random_quadratic(DIM, kappa=20.0, seed=5).oracle
 LOG_SUM_EXP = random_log_sum_exp(DIM, terms=5, seed=6).oracle
 CLF = ClfParams(a=2.0, b=1.5, c=-0.8)
 QN_STATE = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+
+#: a Hessian metric whose floor was changed after it was made
+REFLOORED = dataclasses.replace(MetricSpec(MetricKind.HESSIAN, eig_floor=50.0),
+                                eig_floor=2.0)
 
 #: metric -> (spec, oracle): identity, constant-Hessian, pointwise-Hessian
 #: and quasi-Newton metrics, and the Euclidean metric over a Hessian that
@@ -58,6 +61,8 @@ METRICS = {
                          QUADRATIC),
     "log_sum_exp_hessian": (MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2),
                             LOG_SUM_EXP),
+    "refloored_constant_hessian": (REFLOORED, QUADRATIC),
+    "refloored_log_sum_exp_hessian": (REFLOORED, LOG_SUM_EXP),
     "quasi_newton_empty": (MetricSpec(MetricKind.QUASI_NEWTON), QUADRATIC),
     "quasi_newton": (MetricSpec(MetricKind.QUASI_NEWTON, qn_state=QN_STATE),
                      QUADRATIC),
@@ -77,12 +82,11 @@ CASES += [("direct", "euclidean"), ("direct", "euclidean_log_sum_exp")]
 
 
 def build(family, metric):
-    """The spec as a run binds it: its metric resolved for the oracle."""
+    """The spec and the oracle its law is bound for."""
     spec_metric, oracle = METRICS[metric]
     spec = (nesterov_flow_controller(3.0, CLF) if family == "direct"
             else FAMILIES[family](spec_metric))
-    return dataclasses.replace(
-        spec, metric=resolve_metric(spec.metric, oracle)), oracle
+    return spec, oracle
 
 
 def closed_form(spec, oracle, x, lam, v):
@@ -96,8 +100,11 @@ def closed_form(spec, oracle, x, lam, v):
             metric.kind is MetricKind.QUASI_NEWTON and metric.qn_state is None):
         z = d + 0.0
     else:
+        # a Hessian W is the Hessian at x floored at the spec's eig_floor
+        W = (shift_to_floor(oracle.hessian(x), metric.eig_floor)
+             if metric.kind is MetricKind.HESSIAN else metric.qn_state)
         with np.errstate(all="ignore"):
-            z = metric_solve(metric_matrix(metric, oracle, x), d)
+            z = metric_solve(W, d)
     if isinstance(spec, Direct):
         u = (spec.gamma_a * lam - spec.gamma_b * v
              - spec.gamma_c * np.matvec(oracle.hessian(x), v))
@@ -270,8 +277,7 @@ def test_the_one_state_law_is_the_stacked_row(family, metric, n, seed, data):
     spec_metric = METRICS[metric][0]
     spec = (nesterov_flow_controller(3.0, CLF) if family == "direct"
             else FAMILIES[family](spec_metric))
-    law = dataclasses.replace(
-        spec, metric=resolve_metric(spec.metric, oracle)).bind(oracle)
+    law = spec.bind(oracle)
     X, L, V = data.draw(signed_states(n))
     if data.draw(st.booleans()):
         L = -oracle.gradient(X)  # the costate the flows use
@@ -369,6 +375,6 @@ def test_a_run_binds_once_and_again_after_each_quasi_newton_update(
     assert rec.meta["steps_taken"] == 50
     qn = spec.metric.kind is MetricKind.QUASI_NEWTON
     assert calls["update"] == (50 if qn else 0)
-    # the run's law, and the one the checked start evaluation binds
+    # the run's one law, which the checked start evaluation is given
     assert calls["checked"] == 1
-    assert calls["bind"] == 2 + calls["update"]
+    assert calls["bind"] == 1 + calls["update"]

@@ -11,7 +11,6 @@ from accelflow.metric import (
     metric_matrix,
     metric_solve,
     quasi_newton_update,
-    resolve_metric,
     shift_to_floor,
 )
 from accelflow.objective import (
@@ -56,10 +55,10 @@ def test_eig_floor_must_be_positive():
 @pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
 def test_metric_kind_takes_its_string_value(kind):
     # the Hessian's eigenvalue 1e-9 sits below the floor, which a Hessian
-    # metric applies where resolve_metric makes it
+    # metric applies
     oracle = quadratic_problem(Q=np.diag([1e-9, 2.0])).oracle
-    by_value = resolve_metric(MetricSpec(kind.value, eig_floor=1e-3), oracle)
-    want = resolve_metric(MetricSpec(kind, eig_floor=1e-3), oracle)
+    by_value = MetricSpec(kind.value, eig_floor=1e-3)
+    want = MetricSpec(kind, eig_floor=1e-3)
     assert by_value.kind is kind
     x = np.array([0.5, -1.0])
     assert metric_matrix(by_value, oracle, x).tobytes() \
@@ -250,7 +249,7 @@ def test_qn_metric_descent_on_quadratic():
 def _fixed_w(kind, n, rng):
     """A W of the kind the laws and the Newton driver factor, or any
     non-symmetric one."""
-    if kind == "floored_hessian":
+    if kind == "floored":
         M = rng.standard_normal((n, n)) + rng.uniform(-3.0, 3.0) * np.eye(n)
         return shift_to_floor(M, 10.0 ** rng.integers(-6, 0))
     if kind == "quasi_newton":
@@ -277,7 +276,7 @@ def _solves(W, R):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["floored_hessian", "quasi_newton", "general"]),
+@given(st.sampled_from(["floored", "quasi_newton", "general"]),
        st.integers(1, 128), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_a_factored_solve_gives_the_bytes_of_np_linalg_solve(kind, n, rows,
                                                              seed):
@@ -298,7 +297,7 @@ def test_without_the_library_the_holder_solves_with_metric_solve(
         monkeypatch):
     monkeypatch.setattr(metric, "_lapack", lambda: None)
     rng = np.random.default_rng(3)
-    W, R = _fixed_w("floored_hessian", 9, rng), rng.standard_normal((3, 9))
+    W, R = _fixed_w("floored", 9, rng), rng.standard_normal((3, 9))
     with blas_threads(1):
         lu = _LU(W)
         assert lu._call is None
@@ -312,7 +311,7 @@ def test_on_two_blas_threads_the_holder_solves_with_metric_solve():
     # at n = 100 a two-thread dgesv takes another path than a one-thread
     # dgetrf, so only the fallback gives np.linalg.solve's bytes there
     rng = np.random.default_rng(4)
-    W, R = _fixed_w("floored_hessian", 100, rng), rng.standard_normal((3, 100))
+    W, R = _fixed_w("floored", 100, rng), rng.standard_normal((3, 100))
     with blas_threads(2) as count:
         if count != 2:
             pytest.skip("the library would not run two threads")

@@ -69,7 +69,7 @@ FLOWS = {
     "accel_newton": (_quadratic, accelerated_newton_controller(25.0, 100.0)),
     "quasi_newton": (_quadratic, quasi_newton_flow_controller(25.0, 100.0)),
     "min_p_star": (_quadratic, MinPStar(rate_eta=1.0)),
-    "min_p_star_floored_hessian": (_log_sum_exp, MinPStar(
+    "min_p_star_pointwise_floor": (_log_sum_exp, MinPStar(
         rate_eta=1.0, metric=MetricSpec(MetricKind.HESSIAN, eig_floor=1e-2))),
     "polyak_log_sum_exp": (_log_sum_exp, polyak_controller(2.0, 2.0)),
 }
