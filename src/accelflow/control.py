@@ -274,7 +274,7 @@ class Direct:
 
     The gains must meet the certificate's stability conditions
     (validate_direct_gains). The law weights no effort, so it reads no
-    metric; a run still resolves and reports the metric it is given.
+    metric; a run still reports the metric it is given.
     """
 
     gamma_a: float

@@ -125,11 +125,11 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     costates, must have shape (n,). The law is bound (spec.bind) before
     the first step and again after each quasi-Newton update, and at no
     other point, so a Hessian metric over a constant Hessian is floored
-    once per run, at the law's first solve. Quasi-Newton metrics are updated once per
-    completed step from the observed (step, gradient change) pair; stage
-    evaluations within a step all see the matrix from the step's start.
-    Only state0 goes through the checked evaluate_control, with the law
-    the run then steps with.
+    once per run, at the law's first solve. Quasi-Newton metrics are
+    updated once per completed step from the observed (step, gradient
+    change) pair; stage evaluations within a step all see the matrix from
+    the step's start. Only state0 goes through the checked
+    evaluate_control, with the law the run then steps with.
 
     One slope writer holds the vector field (x, v, y)' = (v, u, g . v):
     it fills every RK4 stage, and a semi-implicit Euler step adds h times
