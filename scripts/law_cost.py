@@ -15,12 +15,10 @@ Both checkouts need the bound laws (ControllerSpec.bind).
 
 The "metric solve" row is the accel_newton law (gains 25, 100), bound
 as a run binds it, so its solve is with the floored constant Hessian,
-factored once. A checkout whose runs still resolve their metric before
-binding (metric.resolve_metric) has it resolved here too; without that
-it would time the floor at each point instead. The "pointwise floor" row is
-metric_matrix with a Hessian metric at floor 1e-2 and no constant
-Hessian, given the Hessian of random_log_sum_exp(dim, 4 dim, seed) at its
-x0: the floor a Hessian that depends on the point takes at each point.
+factored once. The "pointwise floor" row is metric_matrix with a
+Hessian metric at floor 1e-2 and no constant Hessian, given the Hessian
+of random_log_sum_exp(dim, 4 dim, seed) at its x0: the floor a Hessian
+that depends on the point takes at each point.
 The script pins one BLAS thread, as the CLI does, unless the caller set a
 count.
 
@@ -46,7 +44,6 @@ or the trajectory text differs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import os
 import sys
@@ -100,12 +97,7 @@ def calls(package: ModuleType, dim: int, seed: int,
     polyak = control.polyak_controller(10.0, 10.0).bind(oracle)
     nesterov = control.nesterov_flow_controller(10.0).bind(oracle)
     star = control.MinPStar(rate_eta=1.0).bind(oracle)
-    newton = control.accelerated_newton_controller(25.0, 100.0)
-    resolve = getattr(package.metric, "resolve_metric", None)
-    if resolve is not None:
-        newton = dataclasses.replace(newton,
-                                     metric=resolve(newton.metric, oracle))
-    newton = newton.bind(oracle)
+    newton = control.accelerated_newton_controller(25.0, 100.0).bind(oracle)
     lse = package.objective.random_log_sum_exp(dim, 4 * dim, seed=seed)
     floored = package.metric.MetricSpec("hessian", eig_floor=1e-2)
     hessian = lse.oracle.hessian(lse.x0)

@@ -57,10 +57,10 @@ def unit_step_row(problem, spectrum, kind):
                                              MAX_ITERS, tol_g=TOL_G)
         grad = seq.grad_norms[-1]
     iters = len(seq.points) - 1
-    if not np.isfinite(grad):
-        return (spectrum, "unit step", kind.value, f"{iters} iters",
-                "overflow", "diverged")
-    status = "converged" if grad <= TOL_G else "stalled"
+    if seq.diverged:
+        status = "diverged"
+    else:
+        status = "converged" if grad <= TOL_G else "stalled"
     return (spectrum, "unit step", kind.value, f"{iters} iters",
             f"{grad:.1e}", status)
 

@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NoReturn, Optional
 
 # One BLAS thread unless the caller chose a count: more threads sum in
 # another order, so a rerun's bytes would depend on the machine. BLAS reads
@@ -213,8 +213,7 @@ def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None,
     label = config.run_label()
 
     flow = isinstance(config.method, FlowMethodConfig)
-    # a diverging method overflows on its way to the non-finite state
-    # that stops it; the summary reports that as divergence, not numpy
+    # a diverging method may overflow first: its summary says so, not numpy
     report = None
     with np.errstate(over="ignore", invalid="ignore"):
         if flow:
@@ -276,14 +275,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                               f"problem")
     labels = [c.run_label() for c in configs]
     for path, label in zip(args.configs, labels):
-        # each member writes to the directory label under the out dir, and
-        # its label is one unquoted field of a compare.csv row
-        if (label in (".", "..") or os.path.isabs(label)
+        # each member writes to the directory label under the out dir,
+        # beside compare.csv, and its label is one unquoted field of a
+        # compare.csv row
+        if (label in (".", "..", "compare.csv") or os.path.isabs(label)
                 or {"/", os.sep, "\0", ",", '"', "\r", "\n"} & set(label)):
-            raise ConfigError(f"{path}: label: {label!r} is not one path "
-                              f"component and one CSV field: it has a '/', "
-                              f"a NUL, a ',', a '\"', a CR or an LF, or is "
-                              f"'.' or '..'")
+            raise ConfigError(f"{path}: label: {label!r} does not name one "
+                              f"member directory and one CSV field: it has "
+                              f"a '/', a NUL, a ',', a '\"', a CR or an LF, "
+                              f"or is '.', '..' or 'compare.csv'")
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate run labels; set distinct label: fields")
 
@@ -381,8 +381,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_CHECKS
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """A usage error is a config error, one stderr line in main."""
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="accelflow",
         description="Run, compare, and verify optimization flows and their "
                     "discrete counterparts.")
@@ -418,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (*RUNTIME_ERRORS, MemoryError, _WriteError) as e:
         code, line = _failure(e)

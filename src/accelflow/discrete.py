@@ -22,6 +22,7 @@ import numpy as np
 
 from .clf import _norm as _vector_norm
 from .control import _inverse
+from .flow import DIVERGENCE_LIMIT
 from .metric import MetricKind, MetricSpec, quasi_newton_update
 from .objective import ObjectiveOracle
 
@@ -33,11 +34,13 @@ Schedule = Callable[[int], float]
 class IterateSequence:
     """Iterates with the norm of the gradient at each of them.
 
-    The drivers fill both lists as they go, one entry per iterate.
+    The drivers fill both lists as they go, one entry per iterate, and
+    set diverged when the run stopped at a rejected iterate.
     """
 
     points: list[Array]
     grad_norms: list[float] = field(default_factory=list)
+    diverged: bool = field(default=False, init=False)
 
 
 def constant(value: float) -> Schedule:
@@ -98,38 +101,34 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 
     The gradient is evaluated once per point, at x0 and then at each new
     iterate, where it serves the tol_g test and the next step; its norm is
-    taken once too, for the tol_g test and the sequence's grad_norms. A
-    non-finite iterate ends the run: it is kept, with a NaN gradient norm
-    the oracle is not asked for, so the sequence reads as diverged.
+    taken once too, for the tol_g test and the sequence's grad_norms.
+    A divergence ends the run by flow.integrate's rule, at the last
+    accepted iterate, with diverged set. An iterate is rejected when its
+    norm is not within DIVERGENCE_LIMIT, before its gradient is asked
+    for, or when its gradient norm is not finite; a start with such a
+    gradient is the run's only point.
     """
     x = np.array(x0, dtype=float)
     g = oracle.gradient(x)
-    seq = IterateSequence(points=[x], grad_norms=[_norm(g)])
+    seq = IterateSequence(points=[x], grad_norms=[_vector_norm(g)])
+    if not math.isfinite(seq.grad_norms[0]):
+        seq.diverged = True
+        return seq
     for k in range(steps):
         x = step(k, x, g)
-        seq.points.append(x)
-        if not np.isfinite(x).all():
-            seq.grad_norms.append(float("nan"))
+        if not _vector_norm(x) <= DIVERGENCE_LIMIT:
+            seq.diverged = True
             break
         g = oracle.gradient(x)
-        seq.grad_norms.append(_norm(g))
-        if tol_g is not None and seq.grad_norms[-1] <= tol_g:
+        g_norm = _vector_norm(g)
+        if not math.isfinite(g_norm):
+            seq.diverged = True
+            break
+        seq.points.append(x)
+        seq.grad_norms.append(g_norm)
+        if tol_g is not None and g_norm <= tol_g:
             break
     return seq
-
-
-def _norm(g: Array) -> float:
-    """Euclidean norm of a gradient, finite whenever the true norm is.
-
-    clf._norm is np.linalg.norm's bits without its dispatch. It squares
-    the entries, so it overflows once they pass about 1.3e154. Only then
-    is g rescaled by its largest entry.
-    """
-    out = _vector_norm(g)
-    if out == math.inf and np.isfinite(g).all():
-        scale = float(np.max(np.abs(g)))
-        out = scale * _vector_norm(g / scale)
-    return out
 
 
 def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,

@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .clf import _norm
 from .control import ControllerSpec, evaluate_control
 from .csvtext import _FIELD, FLOAT_FMT, _csv_text, _csv_values
 from .discrete import IterateSequence
@@ -253,8 +254,7 @@ def trajectory_from_arrays(columns: dict[str, np.ndarray],
     tol_v = float(meta.get("tol_v", 1e-6))
     rule_met = bool(cols["grad_norm"][-1] <= tol_g
                     and np.linalg.norm(v) <= tol_v)
-    beyond = bool(max(np.max(np.abs(x)), np.max(np.abs(v)))
-                  > DIVERGENCE_LIMIT)
+    beyond = max(_norm(x), _norm(v)) > DIVERGENCE_LIMIT  # integrate's test
     # the integrator drops a blown-up state rather than recording it, so
     # a diverged run shows up as a truncated file: it ends before t_max
     # without meeting the stopping rule
@@ -333,14 +333,16 @@ def flow_summary(record: TrajectoryRecord, label: str) -> dict[str, Any]:
 
 def discrete_summary(seq: IterateSequence, oracle: ObjectiveOracle,
                      label: str, tol_g: float) -> dict[str, Any]:
+    """Run outcome at the last iterate, the last accepted one when the
+    run diverged; a non-finite last iterate reads as diverged too."""
     x_final = seq.points[-1]
     finite = bool(np.all(np.isfinite(x_final)))
     gnorm = seq.grad_norms[-1] if finite else float("inf")
     return {
         "label": label,
         "kind": "discrete",
-        "converged": finite and gnorm <= tol_g,
-        "diverged": not finite,
+        "converged": not seq.diverged and gnorm <= tol_g,
+        "diverged": seq.diverged or not finite,
         "iterations": len(seq.points) - 1,
         "final": {
             "E": float(oracle.value(x_final)) if finite else None,

@@ -358,13 +358,11 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                     and v_norm <= DIVERGENCE_LIMIT
                     and math.isfinite(z_new[2 * n])):
                 diverged = True
-                k -= 1
                 break
             g_new = oracle.gradient(z_new[:n])
             g_norm_new = _norm(g_new)
             if not math.isfinite(g_norm_new):
                 diverged = True
-                k -= 1
                 break
             if full:
                 if adjoint_rk4:
@@ -377,7 +375,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 # a rejected step's costates are never kept
                 if not all(np.isfinite(lam).all() for lam in lam_new):
                     diverged = True
-                    k -= 1
                     break
                 lamx, lamv = lam_new
             if qn:
@@ -395,9 +392,10 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
                 keep(k * h, z, g, g_norm, res)
             if converged:
                 break
-        # a divergence break leaves the last accepted state at step k
-        if diverged and k % record_stride:
-            keep(k * h, z, g, g_norm, res)
+        if diverged:
+            k -= 1  # the step of z, the last accepted state
+            if k % record_stride:
+                keep(k * h, z, g, g_norm, res)
 
     resize(rows)
     x_col, v_col, u_col = tables["x"], tables["v"], tables["u"]

@@ -254,19 +254,14 @@ def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
                 detail="divergence flag set" if run.diverged else ""))
     else:
         tol_g = 1e-6 if tol_g is None else tol_g
-        x_final = run.points[-1]
-        if not np.all(np.isfinite(x_final)):
-            checks.append(CheckResult(
-                name="stationarity_grad", status=CheckStatus.FAILED,
-                worst_value=float("inf"), tolerance=tol_g,
-                location=float(len(run.points) - 1),
-                detail="non-finite final iterate"))
-        else:
-            gnorm = run.grad_norms[-1]
-            checks.append(CheckResult(
-                name="stationarity_grad", status=_status(gnorm, tol_g),
-                worst_value=gnorm, tolerance=tol_g,
-                location=float(len(run.points) - 1)))
+        finite = bool(np.all(np.isfinite(run.points[-1])))
+        gnorm = run.grad_norms[-1] if finite else float("inf")
+        detail = ("non-finite final iterate" if not finite
+                  else "divergence flag set" if run.diverged else "")
+        checks.append(CheckResult(
+            name="stationarity_grad", worst_value=gnorm, tolerance=tol_g,
+            status=CheckStatus.FAILED if detail else _status(gnorm, tol_g),
+            location=float(len(run.points) - 1), detail=detail))
     return VerificationReport(checks=tuple(checks))
 
 

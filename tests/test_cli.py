@@ -307,38 +307,38 @@ class TestRunDiscrete:
         assert len(grads) == payload["iterations"] + 1
         assert sorted(normed) == sorted(grads)
 
-    def test_overflowing_gradient_norms_stay_finite(self, tmp_path):
-        # the diverging run below: its iterates pass 1e154 long before
-        # they stop being finite
+    @pytest.mark.parametrize("method", [
+        {"name": "heavy_ball", "alpha": 1e-160, "beta": 0.5},
+        {"name": "accel_newton", "gamma_a": 1.0, "gamma_b": 1.0, "h": 0.1},
+    ], ids=lambda m: m["name"])
+    def test_an_overflowing_gradient_norm_diverges(self, tmp_path, capsys,
+                                                   method):
+        # TestRunFlow's case for the discrete loop: at scale 1e154 the
+        # start gradient is finite, but its norm overflows, so the run
+        # stops at its start, as a flow does
         out = tmp_path / "run"
-        data = discrete_data(out, alpha=5.0, beta=0.5, max_iters=2000)
-        data["problem"] = {"name": "quadratic", "dim": 5, "kappa": 100.0,
-                           "seed": 1}
-        assert main(["run", write_config(tmp_path, "div.yaml", data)]) == 3
-        oracle = load_config(str(tmp_path / "div.yaml")).problem.build() \
-            .oracle
-        rows = np.loadtxt(out / "iterates.csv", delimiter=",", skiprows=1,
-                          ndmin=2)
-        overflowed = 0
-        with np.errstate(over="ignore"):
-            for row in rows[:-1]:  # the last row is the non-finite iterate
-                g = oracle.gradient(row[1:-2])
-                if not np.isfinite(g).all():
-                    # x about 1e307: the gradient itself overflows
-                    assert row[-1] == np.inf
-                    continue
-                scale = np.max(np.abs(g))
-                rescaled = scale * np.linalg.norm(g / scale)
-                overflowed += np.linalg.norm(g) == np.inf
-                assert np.isfinite(row[-1])
-                assert abs(row[-1] - rescaled) <= 1e-15 * rescaled
-        assert overflowed == 57
+        data = discrete_data(out, max_iters=50, **method)
+        if method["name"] != "heavy_ball":
+            del data["method"]["alpha"], data["method"]["beta"]
+        data["problem"].update(scale=1.0e+154, seed=1)
+        cfg = write_config(tmp_path, "overflow.yaml", data)
+        capsys.readouterr()
+        assert main(["run", cfg]) == 3
+        assert capsys.readouterr().err == "run diverged\n"
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["diverged"] and summary["iterations"] == 0
+        assert summary["final"]["grad_norm"] is None
 
     def test_stops_at_the_first_non_finite_iterate(self, tmp_path, capsys):
         out = tmp_path / "run"
         data = discrete_data(out, alpha=5.0, beta=0.5, max_iters=2000)
         data["problem"] = {"name": "quadratic", "dim": 5, "kappa": 100.0,
                            "seed": 1}
+        data["verify"] = {"checks": ["stationarity"]}
         cfg = write_config(tmp_path, "div.yaml", data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -346,11 +346,17 @@ class TestRunDiscrete:
         assert capsys.readouterr().err == "run diverged\n"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["diverged"] and not summary["converged"]
-        assert summary["iterations"] == 115
+        # the run ends at its last iterate within the flow's limit
+        assert summary["iterations"] == 4
         rows = (out / "iterates.csv").read_text().splitlines()[1:]
-        assert len(rows) == 116
-        assert [r for r in rows if "nan" in r] == [rows[-1]]
-        assert rows[-1].startswith("115,")
+        assert len(rows) == 5
+        assert not [r for r in rows if "nan" in r or "inf" in r]
+        assert rows[-1].startswith("4,")
+        assert np.isfinite([summary["final"]["E"],
+                            summary["final"]["grad_norm"]]).all()
+        check, = summary["checks"]["checks"]
+        assert check["status"] == "failed"
+        assert check["detail"] == "divergence flag set"
 
     def test_library_value_error_exits_three_in_one_line(self, tmp_path,
                                                           capsys):
@@ -547,6 +553,26 @@ class TestConfigErrors:
         assert len(err) == 1 and f"{option}:" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,words", [
+        (["run"], "required: config"),
+        (["run", "a.yaml", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["run", "a.yaml", "--stride", "x"], "--stride: invalid int value"),
+    ], ids=["missing", "unknown-option", "unknown-verb", "bad-type"])
+    def test_a_usage_error_exits_two_in_one_line(self, capsys, argv, words):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: accelflow")
+        assert words in err[0]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: accelflow run")
+
     @pytest.mark.parametrize("verb", ["run", "compare", "verify"])
     def test_a_config_that_is_not_utf8_exits_two_naming_it(self, tmp_path,
                                                           capsys, verb):
@@ -733,10 +759,11 @@ class TestConfigErrors:
 
 
 class TestCompare:
-    # a ',', '"', CR or LF would break the label's compare.csv field
+    # a ',', '"', CR or LF would break the label's compare.csv field, and
+    # a member directory named compare.csv would take the table's path
     @pytest.mark.parametrize("label", ["ABSOLUTE", "a/../../x", ".", "..",
                                        "a\0b", "m,a", 'm"a', "m\ra",
-                                       "m\na"])
+                                       "m\na", "compare.csv"])
     def test_a_label_that_is_not_one_path_component_exits_two(
             self, tmp_path, capsys, label):
         if label == "ABSOLUTE":

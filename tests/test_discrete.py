@@ -20,13 +20,14 @@ from accelflow.discrete import (
     nesterov_one_step_iterate,
     nesterov_two_step_iterate,
 )
-from accelflow import discrete, metric
+from accelflow import clf, discrete, metric
 from accelflow.control import (
     accelerated_newton_controller,
     polyak_controller,
     quasi_newton_flow_controller,
 )
 from accelflow.flow import (
+    DIVERGENCE_LIMIT,
     Integrator,
     StoppingRule,
     initial_state,
@@ -458,6 +459,26 @@ def test_each_discrete_method_is_its_flows_semi_implicit_euler_step(
     assert err <= SIE_TOLERANCE[method]
 
 
+def test_a_diverging_driver_stops_where_its_flow_stops():
+    # one divergence rule for both layers: an x or v norm past
+    # DIVERGENCE_LIMIT is rejected. The flow tests |v| too, and its v_5 =
+    # (x_5 - x_4) / h passes the limit while the driver's x_5 does not, so
+    # the flow stops one step earlier
+    problem = random_log_sum_exp(20, 60, seed=3)
+    oracle, x0 = problem.oracle, problem.x0
+    gains, h = (4.0, 3.0), 0.05
+    spec = accelerated_newton_controller(*gains)
+    seq = accelerated_newton_iterate(oracle, spec.metric, x0, gains, h, 1000)
+    record = integrate(spec, oracle, initial_state(oracle, x0), h, 1000 * h,
+                       method=Integrator.SEMI_IMPLICIT_EULER,
+                       stop=StoppingRule(tol_g=-1.0, tol_v=-1.0))
+    assert seq.diverged and len(seq.points) - 1 == 5
+    assert record.diverged and record.meta["steps_taken"] == 4
+    want = np.array(seq.points[:5])
+    err = np.max(np.abs(record.columns["x"] - want)) / np.max(np.abs(want))
+    assert err <= 1.2e-13
+
+
 class TestIterateSequence:
     def test_bookkeeping(self):
         prob = random_quadratic(dim=3, kappa=3.0, seed=4)
@@ -522,32 +543,39 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("name", list(DRIVERS))
     def test_stops_at_the_first_non_finite_iterate(self, name):
-        # far too long a step: every method blows up within a few hundred
-        # iterations and must stop there, not run to max_iters
+        # far too long a step: every method blows up within twenty
+        # iterations and must stop by the flow's rule, at the last iterate
+        # within DIVERGENCE_LIMIT, not run to max_iters
         prob = random_quadratic(dim=5, kappa=100.0, seed=1)
         blow_up = {
-            "heavy_ball": lambda o, x0: heavy_ball_iterate(
-                o, x0, 2000, constant(5.0), constant(0.5)),
-            "cg": lambda o, x0: cg_iterate(
-                o, x0, 2000, lambda *a: 5.0, lambda *a: 0.5),
-            "nesterov1": lambda o, x0: nesterov_one_step_iterate(
-                o, x0, 2000, constant(5.0), constant(0.5)),
-            "nesterov2": lambda o, x0: nesterov_two_step_iterate(
-                o, x0, 2000, constant(5.0), constant(0.5)),
-            "accel_newton": lambda o, x0: accelerated_newton_iterate(
-                o, HESSIAN, x0, (1.0, -10.0), 0.5, 2000),
-            "accel_qn": lambda o, x0: accelerated_newton_iterate(
-                o, QUASI_NEWTON, x0, (1.0, -10.0), 0.5, 2000),
+            "heavy_ball": lambda o, x0, n: heavy_ball_iterate(
+                o, x0, n, constant(5.0), constant(0.5)),
+            "cg": lambda o, x0, n: cg_iterate(
+                o, x0, n, lambda *a: 5.0, lambda *a: 0.5),
+            "nesterov1": lambda o, x0, n: nesterov_one_step_iterate(
+                o, x0, n, constant(5.0), constant(0.5)),
+            "nesterov2": lambda o, x0, n: nesterov_two_step_iterate(
+                o, x0, n, constant(5.0), constant(0.5)),
+            "accel_newton": lambda o, x0, n: accelerated_newton_iterate(
+                o, HESSIAN, x0, (1.0, -10.0), 0.5, n),
+            "accel_qn": lambda o, x0, n: accelerated_newton_iterate(
+                o, QUASI_NEWTON, x0, (1.0, -10.0), 0.5, n),
         }[name]
         oracle, calls = counting(prob.oracle)
-        with np.errstate(over="ignore", invalid="ignore"):
-            seq = blow_up(oracle, prob.x0)
-        assert len(seq.points) < 2001
-        assert not np.all(np.isfinite(seq.points[-1]))
-        assert all(np.all(np.isfinite(x)) for x in seq.points[:-1])
-        # the non-finite point's gradient is not asked of the oracle
-        assert calls[0] == len(seq.points) - 1
-        assert np.isnan(seq.grad_norms[-1])
+        seq = blow_up(oracle, prob.x0, 2000)
+        assert seq.diverged and len(seq.points) < 2001
+        assert all(np.linalg.norm(x) <= DIVERGENCE_LIMIT
+                   for x in seq.points)
+        # the rejected iterate's gradient is not asked of the oracle: one
+        # gradient per kept point
+        assert calls[0] == len(seq.points)
+        np.testing.assert_array_equal(
+            seq.grad_norms,
+            [np.linalg.norm(prob.oracle.gradient(x)) for x in seq.points])
+        # the step after the last kept point is the one rejected
+        kept = blow_up(prob.oracle, prob.x0, len(seq.points) - 1)
+        assert not kept.diverged
+        assert np.array_equal(kept.points, seq.points)
 
 
 #: doubles whose squares underflow, overflow or sit anywhere between
@@ -559,14 +587,14 @@ NORM_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) \
 @settings(max_examples=500, deadline=None)
 @given(st.lists(NORM_ENTRIES, min_size=1, max_size=60))
 def test_the_lean_norm_is_numpys_bit_for_bit(entries):
-    # np.linalg.norm, and where its square overflows for a finite g, the
-    # same norm of g over its largest entry, scaled back
+    # the loop's norm is the flow's clf._norm: np.linalg.norm's bits, inf
+    # where the square overflows for a finite g, which a run rejects
     g = np.array(entries)
     with np.errstate(over="ignore", invalid="ignore"):
         want = float(np.linalg.norm(g))
-        if want == np.inf and np.isfinite(g).all():
-            scale = float(np.max(np.abs(g)))
-            want = scale * float(np.linalg.norm(g / scale))
-        got = discrete._norm(g)
+        got = clf._norm(g)
+    assert discrete._vector_norm is clf._norm
     assert type(got) is float
     assert np.array(got).tobytes() == np.array(want).tobytes()
+    if np.isfinite(g).all() and np.max(np.abs(g)) > 1.4e154:
+        assert got == np.inf

@@ -572,6 +572,28 @@ class TestRecordReconstruction:
         assert rebuilt.diverged
         assert not rebuilt.converged
 
+    def test_an_x_norm_past_the_limit_reads_as_diverged(self, quad,
+                                                         tmp_path):
+        # integrate tests the Euclidean norm of x: a last row whose every
+        # entry is within DIVERGENCE_LIMIT while its norm is not is a
+        # state no run keeps, whatever t it ends at
+        spec = polyak_controller(2.0, 2.0)
+        record = integrate(spec, quad.oracle,
+                           initial_state(quad.oracle, quad.x0), 1e-2, 0.1,
+                           stop=StoppingRule(tol_g=-1.0, tol_v=-1.0))
+        assert not record.diverged and record.meta["t_final"] == 0.1
+        columns = dict(record.columns, x=record.columns["x"].copy())
+        columns["x"][-1] = 8e11
+        assert np.abs(columns["x"][-1]).max() < 1e12
+        assert np.linalg.norm(columns["x"][-1]) > 1e12
+        path = str(tmp_path / "beyond.csv")
+        write_trajectory_csv(dataclasses.replace(record, columns=columns),
+                             path)
+        rebuilt = trajectory_from_arrays(read_trajectory_csv(path),
+                                         quad.oracle, spec,
+                                         dict(record.meta))
+        assert rebuilt.diverged and not rebuilt.converged
+
 
 class TestTable:
     @pytest.mark.parametrize("which,spec", [
