@@ -5,16 +5,21 @@
         --out BENCH_<n>.json
 
 Runs perfbench/run.py in the base and the head checkout in turn, --pairs
-times, each run in its own checkout's root. The order alternates from
-pair to pair (base first, then head first), so a slow drift of the
-machine does not favour one side. Each run's last output line (the
-result JSON), its "raw (unscaled)" figures and its exit code go to the
-record, with both commits, the workload, the seed and the seconds. A
-summary gives, per end-to-end metric, each side's median and quartiles
-of the scaled and raw figures, and how many pairs the head won. The
---out file holds a JSON list of such records: a run appends its record
-to the list already there, so one BENCH_<n>.json collects every workload
-and seed a change was measured on.
+times. The order alternates from pair to pair (base first, then head
+first), so a slow drift of the machine does not favour one side. Each
+side runs in a staged copy of its checkout's src/, perfbench/ and
+BENCHMARK.json, <tmp>/base and <tmp>/head under one temporary directory,
+so both paths have the same length: the length of a checkout's path
+alone moved one tree's figures by about 10%.
+
+Each run's last output line (the result JSON), its "raw (unscaled)"
+figures and its exit code go to the record, with both commits, both
+checkouts' paths and their staged paths, the workload, the seed and the
+seconds. A summary gives, per end-to-end metric, each side's median and
+quartiles of the scaled and raw figures, and how many pairs the head
+won. The --out file holds a JSON list of such records: a run appends its
+record to the list already there, so one BENCH_<n>.json collects every
+workload and seed a change was measured on.
 
 A checkout's commit is read with git when it is a git checkout; --base-
 commit and --head-commit name it otherwise (a copy made with git
@@ -26,15 +31,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from typing import Any, Optional
 
 #: end-to-end metrics of run.py's result line, with the better direction
 BETTER = {"setup_s": "lower", "wall_s": "lower", "op_s_p50": "lower",
           "work_per_s": "higher", "peak_rss_mb": "lower"}
 RAW_PREFIX = "raw (unscaled) "
+#: what a run needs of a checkout, copied into its staged directory
+STAGED = ("src", "perfbench", "BENCHMARK.json")
 
 
 def parse_run_output(text: str) -> dict[str, Any]:
@@ -68,6 +77,20 @@ def commit_of(checkout: str, given: Optional[str]) -> Optional[str]:
     proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def stage(checkout: str, dest: str) -> str:
+    """Copy what a run needs of checkout (STAGED, where present, without
+    bytecode caches) to dest, and return dest."""
+    os.makedirs(dest)
+    for name in STAGED:
+        path = os.path.join(checkout, name)
+        if os.path.isdir(path):
+            shutil.copytree(path, os.path.join(dest, name),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        elif os.path.exists(path):
+            shutil.copy2(path, dest)
+    return dest
 
 
 def run_once(checkout: str, workload: str, seed: int,
@@ -141,24 +164,30 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.error("--pairs must be at least 1")
 
     pairs = []
-    for i in range(args.pairs):
-        order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        pair: dict[str, Any] = {"order": list(order)}
-        for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload,
-                                  args.seed, args.seconds)
-        pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-            f"{side} work_per_s "
-            f"{pair[side]['result']['metrics']['work_per_s']['value']:.6g}"
-            if "result" in pair[side] else f"{side} failed"
-            for side in ("base", "head")), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        staged = {side: stage(getattr(args, side), os.path.join(tmp, side))
+                  for side in ("base", "head")}
+        for i in range(args.pairs):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            pair: dict[str, Any] = {"order": list(order)}
+            for side in order:
+                pair[side] = run_once(staged[side], args.workload,
+                                      args.seed, args.seconds)
+            pairs.append(pair)
+            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+                f"{side} work_per_s "
+                f"{pair[side]['result']['metrics']['work_per_s']['value']:.6g}"
+                if "result" in pair[side] else f"{side} failed"
+                for side in ("base", "head")), flush=True)
 
     record = {
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds,
         "base_commit": commit_of(args.base, args.base_commit),
         "head_commit": commit_of(args.head, args.head_commit),
+        "base_path": os.path.abspath(args.base),
+        "head_path": os.path.abspath(args.head),
+        "base_staged": staged["base"], "head_staged": staged["head"],
         "pairs": pairs, "summary": summarize(pairs),
     }
     records = []

@@ -7,15 +7,21 @@ works in numpy, in the manner of fixed-precision printf by scaled
 multiplication (Adams, "Ryu revisited", OOPSLA 2019).
 
 For a finite v with _FAST_MIN <= |v| < _FAST_MAX and decimal exponent X:
-- |v| * 10**(16 - X) is taken in long double, in at most two roundings
-  (_power_tables), so its integer part has 17 digits and its fraction is
-  exact. Rounded half to even, the integer is v's 17 significant digits,
+- s = |v| * 10**(16 - X) is taken in long double, in at most two
+  roundings (_power_tables; only a block with some X > 16 divides), so
+  its integer part has 17 digits and its fraction is exact. N, the
+  integer part of s + .5, is s rounded and v's 17 significant digits,
   unless the fraction lies within the rounding-error bound of .5.
-- Tables of four-digit ASCII words spell the digits out; trailing zeros
-  become pad bytes 0 (_digit_tables).
+- A value's text is built in a slot of four uint64 words. Tables of
+  ASCII words spell out the sign, leading zeros and digits in the first
+  three, with trailing zeros as pad bytes 0 (_digit_tables); the last is
+  e+XX or pads, and the separator.
 - %g's layout follows: fixed notation when -4 <= X < 17, otherwise
-  d.ddd e+XX. Each value's text takes a slot of _SLOT bytes, and one mask
-  removes the pad bytes at the end.
+  d.ddd e+XX. The dot goes in by word operations on the slot's words
+  read one and two bytes on, that is (W_j >> 8) | (W_j+1 << 56) and
+  (W_j >> 16) | (W_j+1 << 48) on a little-endian machine: a mask per
+  word, _SELECT[j][q], takes the bytes up to the dot from the second.
+  One pass removes the pad bytes at the end.
 
 Every other value takes '%.17g' % v itself, which is exact: a fraction
 near .5 (ties among them), digits that round up to the next power of
@@ -59,7 +65,7 @@ FLOAT_FMT = "%.17g"
 # ten up to 10**54 or divides by one up to 10**27
 _FAST_MIN, _FAST_MAX = 1e-37, 1e43
 _LD = np.longdouble
-_SLOT = 28  # bytes of text per value: sign, 22 of digits and dot, e+XX, sep
+_SLOT = 32  # bytes of a value's text slot, four uint64 words
 
 
 def _powers() -> np.ndarray:
@@ -91,7 +97,7 @@ def _power_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     div = np.concatenate([power[27:0:-1], one.repeat(55)])
     unit = float(np.finfo(_LD).eps) / 2
     limit = np.array([0.5 - 1.01e17 * unit * (2 if k > 27 else 1)
-                      for k in range(-27, 55)])
+                      for k in range(-27, 55)], _LD)
     return mul, div, limit
 
 
@@ -105,11 +111,14 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
       right-aligned in 4 bytes, and digit d: the start of -0.000ddd.
     - zero[g] is whether g == 0.
     - upto[q, p] is whether p <= q, for the bytes p of Z with its dot.
+    - select[j, q] is word j of the mask that is 0xff at the bytes
+      b <= q + 1 of a slot's first three words.
     At X + 50, for each decimal exponent X in [-50, 50):
     - dot_after[X] is the byte of Z after which the dot goes: the units
       digit in fixed notation (-4 <= X < 17), the first digit otherwise;
     - lead_row[X] is 10 * c, with c = -X leading '0's for X in [-4, 0);
-    - exponent[X] is e+XX or e-XX outside fixed notation, else 4 pads.
+    - comma[X] and newline[X] are a slot's last word: e+XX or e-XX
+      outside fixed notation, else 4 pads, then the separator and pads.
     """
     pairs = [b"%02d" % g for g in range(100)]
     two = np.frombuffer(b"".join(pairs), np.uint16)
@@ -127,30 +136,27 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     zero = np.zeros(10 ** 4, bool)
     zero[0] = True
     upto = [[p <= q for p in range(22)] for q in range(21)]
+    select = b"".join(b"\xff" * (q + 2) + b"\0" * (22 - q)
+                      for q in range(21))
     exponents = range(-50, 50)
     fixed = [-4 <= X < 17 for X in exponents]
     dot_after = [X + 4 if f else 4 for X, f in zip(exponents, fixed)]
     lead_row = [-10 * X if f and X < 0 else 0
                 for X, f in zip(exponents, fixed)]
-    exponent = b"".join(b"\0" * 4 if f else b"e%+03d" % X
-                        for X, f in zip(exponents, fixed))
+    exponent = [b"\0" * 4 if f else b"e%+03d" % X
+                for X, f in zip(exponents, fixed)]
+    comma, newline = (np.frombuffer(b"".join(e + sep + b"\0" * 3
+                                             for e in exponent), np.uint64)
+                      for sep in (b",", b"\n"))
     return (quads.view(np.uint32).ravel(), np.frombuffer(lead, np.uint64),
-            zero, np.array(upto), np.array(dot_after), np.array(lead_row),
-            np.frombuffer(exponent, np.uint32))
+            zero, np.array(upto),
+            np.frombuffer(select, np.uint64).reshape(21, 3).T.copy(),
+            np.array(dot_after), np.array(lead_row), comma, newline)
 
 
 _MUL, _DIV, _LIMIT = _power_tables()
-_QUADS, _LEAD, _ZERO, _UPTO, _DOT_AFTER, _LEAD_ROW, _EXPONENT = \
-    _digit_tables()
-
-
-def _scaled(a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**(16 - X) in long double, and its scale index."""
-    i = 43 - X
-    s = a.astype(_LD)
-    s *= _MUL[i]
-    s /= _DIV[i]
-    return s, i
+(_QUADS, _LEAD, _ZERO, _UPTO, _SELECT, _DOT_AFTER, _LEAD_ROW, _COMMA,
+ _NEWLINE) = _digit_tables()
 
 
 def _csv_text(block: np.ndarray) -> np.ndarray:
@@ -166,72 +172,89 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
     # the decimal exponent; log10 may put it one off next to a power of
     # ten, and such a value falls back
     X = np.floor(np.log10(a)).astype(np.intp)
-    s, i = _scaled(a, X)
-    fast &= (s >= 1e16) & (s < 1e17)
+    i = 43 - X
+    s = a.astype(_LD)
     del a
-    whole = np.rint(s)
-    s -= whole
-    fast &= np.abs(s, out=s) < _LIMIT[i]
-    fast &= whole < 1e17  # rounded up to the next power of ten
-    N = whole.astype(np.int64)
-    del s, whole, i
+    s *= _MUL[i]
+    if X.max() > 16:
+        s /= _DIV[i]
+    # N, the integer part of s + .5, is s rounded; where the fraction left
+    # lies within .5 - L of 0 or 1, s lies near a tie and falls back
+    fast &= s >= 1e16
+    s += 0.5
+    fast &= s < 1e17  # rounded up to the next power of ten
+    N = s.astype(np.int64)
+    s -= N
+    # up to the scale 10**27 (X >= -11) a value takes one rounding
+    limit = _LIMIT[i] if X.min() < -11 else _LIMIT[43]
+    fast &= (s > 0.5 - limit) & (s < 0.5 + limit)
+    del s, i
     N[~fast] = 10 ** 16
     X[~fast] = 0
     X += 50
 
-    # A[:, 3:24] is Z; A[:, 2] is the sign. The 17 digits are d and four
+    # W0 is 2 pads, the sign, 4 lead bytes and the first digit d, so Z is
+    # bytes 3 to 23 of a slot, and W3 is 0. The 17 digits are d and four
     # groups of four, each read from the stripped half of _QUADS when
-    # every later group is 0.
-    A = np.zeros((n, 32), np.uint8)
-    words = A.view(np.uint32)
-    high, low = np.divmod(N, 10 ** 8)
-    del N
-    d, high = np.divmod(high, 10 ** 8)
-    later_zero = np.ones(n, bool)
-    for j, eight in ((5, low), (3, high)):
-        upper, lower = np.divmod(eight, 10 ** 4)
-        for k, group in ((j, lower), (j - 1, upper)):
+    # every later group is 0. A spare word of pads ends the slots.
+    buf = bytearray(_SLOT * n + 8)
+    words = np.frombuffer(buf, np.uint64)
+    quads = words[:-1].view(np.uint32).reshape(n, 8)
+    high = N // 10 ** 8
+    N -= high * 10 ** 8
+    d = high // 10 ** 8
+    high -= d * 10 ** 8
+    later = np.full(n, 10 ** 4)  # 10**4 while every later group is 0
+    for j, eight in ((5, N), (3, high)):
+        upper = eight // 10 ** 4
+        eight -= upper * 10 ** 4
+        for k, group in ((j, eight), (j - 1, upper)):
             zero = _ZERO[group]
-            group[later_zero] += 10 ** 4
-            words[:, k] = _QUADS[group]
-            later_zero &= zero
-    del high, low, upper, lower, group, later_zero, zero
+            group += later
+            quads[:, k] = _QUADS[group]
+            later *= zero
+    del N, high, upper, group, later, zero, quads
     d += _LEAD_ROW[X]
-    d[v < 0] += 50
-    A.view(np.uint64)[:, 0] = _LEAD[d]
-    del d, words
+    d += (v < 0) * 50
+    words[:-1:4] = _LEAD[d]
+    del d
 
-    # %g writes Z up to Z[q], a dot if a digit follows, then the rest of Z
-    text = np.empty((n, _SLOT), np.uint8)
-    text[:, 23:27] = _EXPONENT[X].view(np.uint8).reshape(n, 4)
+    # %g writes Z up to Z[q], a dot if a digit follows, then the rest of
+    # Z: text bytes b <= q + 1 are slot bytes b + 2, later ones are slot
+    # bytes b + 1, and byte q + 2 is the dot. Text word j reads only slot
+    # words j and j + 1, so it takes word j's place, from j = 0 up.
     q = _DOT_AFTER[X]
+    for j in range(3):
+        one, two = (np.ndarray(n, np.uint64, buf, 8 * j + b, (_SLOT,))
+                    for b in (1, 2))
+        word = one ^ two
+        word &= _SELECT[j][q]
+        word ^= one
+        words[j:-1:4] = word
+    del one, two, word
+    words[3:-1:4] = _COMMA[X]
+    words[:-1].reshape(rows, cols, 4)[:, -1, 3] = _NEWLINE[X[cols - 1::cols]]
     del X
-    text[:, 0] = A[:, 2]
-    text[:, 1:23] = A[:, 2:24]
-    np.copyto(text[:, 1:23], A[:, 3:25], where=_UPTO[q])
-    # A's byte at Z[q] is 0 where an integer's last digits went with the
-    # trailing zeros; the dot after it needs a digit after it. (Tests for
-    # 0 take ~(x != 0): the final mask runs that loop anyway.)
-    at = np.arange(3, 32 * n, 32) + q
-    after = A.ravel()[at + 1] != 0
-    cut = np.flatnonzero(~(A.ravel()[at] != 0))
-    del A
+    # Z[q] is 0 where an integer's last digits went with the trailing
+    # zeros; the dot after it needs a digit after it
+    chars = words[:-1].view(np.uint8).reshape(n, _SLOT)
+    flat = chars.reshape(-1)
     at = np.arange(2, _SLOT * n, _SLOT) + q
-    text.ravel()[at] = np.where(after, ord("."), 0)
+    after = flat[at + 1] != 0
+    cut = np.flatnonzero(flat[at - 1] == 0)
+    flat[at] = np.where(after, ord("."), 0)
     del at, after
     if cut.size:
-        digits = text[cut, 5:23]
-        digits[~(digits != 0) & _UPTO[q[cut], 4:]] = ord("0")
-        text[cut, 5:23] = digits
-    text[:, 27] = ord(",")
-    text.reshape(rows, cols, _SLOT)[:, -1, 27] = ord("\n")
+        digits = chars[cut, 5:23]
+        digits[(digits == 0) & _UPTO[q[cut], 4:]] = ord("0")
+        chars[cut, 5:23] = digits
     slow = np.flatnonzero(~fast)
-    if slow.size:
+    if slow.size:  # in the first three words: '%.17g' is at most 24 bytes
         fmt = FLOAT_FMT.encode()
-        text[slow, :27] = np.frombuffer(b"".join(
-            (fmt % x).ljust(27, b"\0") for x in v[slow].tolist()),
-            np.uint8).reshape(-1, 27)
-    return text[text != 0]
+        chars[slow, :24] = np.frombuffer(b"".join(
+            (fmt % x).ljust(24, b"\0") for x in v[slow].tolist()),
+            np.uint8).reshape(-1, 24)
+    return np.frombuffer(buf.translate(None, b"\0"), np.uint8)
 
 
 # ---------------------------------------------------------------------------

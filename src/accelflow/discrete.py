@@ -35,7 +35,9 @@ class IterateSequence:
     """Iterates with the norm of the gradient at each of them.
 
     The drivers fill both lists as they go, one entry per iterate, and
-    set diverged when the run stopped at a rejected iterate.
+    set diverged when the run stopped at a rejected iterate. Every point
+    is finite: the loop rejects an iterate that is not, and a start that
+    is not raises.
     """
 
     points: list[Array]
@@ -106,9 +108,12 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     accepted iterate, with diverged set. An iterate is rejected when its
     norm is not within DIVERGENCE_LIMIT, before its gradient is asked
     for, or when its gradient norm is not finite; a start with such a
-    gradient is the run's only point.
+    gradient is the run's only point. A start that is not finite raises
+    ValueError.
     """
     x = np.array(x0, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     g = oracle.gradient(x)
     seq = IterateSequence(points=[x], grad_norms=[_vector_norm(g)])
     if not math.isfinite(seq.grad_norms[0]):

@@ -62,11 +62,12 @@ def atomic_write(path: str, chunks: Iterable[bytes]) -> None:
 #: block holds as many whole rows as fit. A block is also the unit of
 #: work before the text: its rows are stacked, and an iterate block's E
 #: is taken over its points, one block at a time. csvtext._csv_text
-#: keeps about 100 bytes per value of its block in flight. They add to a
-#: run's memory at the moment of writing, and a larger block's freed heap
-#: made the ops after a write page-fault more: 4.7 times the faults per
-#: flow_curvature pass at 4096 values, none more than the per-row writer
-#: at 2048
+#: keeps about 100 bytes per value of its block in flight (102 traced on
+#: a dim-100 trajectory block of 1854 values, its 32-byte slots among
+#: them). They add to a run's memory at the moment of writing, and a
+#: larger block's freed heap made the ops after a write page-fault more:
+#: 4.7 times the faults per flow_curvature pass at 4096 values, none more
+#: than the per-row writer at 2048
 BLOCK_VALUES = 2048
 
 
@@ -272,23 +273,17 @@ def write_iterates_csv(seq: IterateSequence, oracle: ObjectiveOracle,
     """One row per iterate: k, x, E and the gradient norm.
 
     Rows go one text block at a time (_write_table): E takes one stacked
-    call per block's finite iterates, and each row holds the bits the
-    one-point call gives it. A non-finite iterate's E and gradient norm
-    are nan.
+    call per block, and each row holds the bits the one-point call gives
+    it.
     """
     dim = seq.points[0].shape[0]
     header = ["k"] + [f"x{i}" for i in range(dim)] + ["E", "grad_norm"]
 
     def block(start: int, stop: int) -> np.ndarray:
         X = np.array(seq.points[start:stop])
-        finite = np.isfinite(X).all(axis=1)
-        E = np.full(len(X), np.nan)
-        if finite.any():
-            E[finite] = oracle.value(X[finite])
-        g = np.array(seq.grad_norms[start:stop])
-        g[~finite] = np.nan
         return np.column_stack(
-            [np.arange(start, start + len(X), dtype=float), X, E, g])
+            [np.arange(start, start + len(X), dtype=float), X,
+             oracle.value(X), seq.grad_norms[start:stop]])
     _write_table(path, header, len(seq.points), block)
 
 
@@ -334,19 +329,17 @@ def flow_summary(record: TrajectoryRecord, label: str) -> dict[str, Any]:
 def discrete_summary(seq: IterateSequence, oracle: ObjectiveOracle,
                      label: str, tol_g: float) -> dict[str, Any]:
     """Run outcome at the last iterate, the last accepted one when the
-    run diverged; a non-finite last iterate reads as diverged too."""
-    x_final = seq.points[-1]
-    finite = bool(np.all(np.isfinite(x_final)))
-    gnorm = seq.grad_norms[-1] if finite else float("inf")
+    run diverged."""
+    gnorm = seq.grad_norms[-1]
     return {
         "label": label,
         "kind": "discrete",
         "converged": not seq.diverged and gnorm <= tol_g,
-        "diverged": seq.diverged or not finite,
+        "diverged": seq.diverged,
         "iterations": len(seq.points) - 1,
         "final": {
-            "E": float(oracle.value(x_final)) if finite else None,
-            "grad_norm": gnorm if finite else None,
+            "E": float(oracle.value(seq.points[-1])),
+            "grad_norm": gnorm,
         },
         "iterations_to_grad": _first_hits(seq.grad_norms,
                                           range(len(seq.grad_norms))),

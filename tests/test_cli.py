@@ -333,7 +333,7 @@ class TestRunDiscrete:
         assert summary["diverged"] and summary["iterations"] == 0
         assert summary["final"]["grad_norm"] is None
 
-    def test_stops_at_the_first_non_finite_iterate(self, tmp_path, capsys):
+    def test_stops_at_the_divergence_limit(self, tmp_path, capsys):
         out = tmp_path / "run"
         data = discrete_data(out, alpha=5.0, beta=0.5, max_iters=2000)
         data["problem"] = {"name": "quadratic", "dim": 5, "kappa": 100.0,

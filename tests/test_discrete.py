@@ -542,7 +542,7 @@ class TestOneLoop:
         assert calls[0] == len(seq.points)
 
     @pytest.mark.parametrize("name", list(DRIVERS))
-    def test_stops_at_the_first_non_finite_iterate(self, name):
+    def test_stops_at_the_divergence_limit(self, name):
         # far too long a step: every method blows up within twenty
         # iterations and must stop by the flow's rule, at the last iterate
         # within DIVERGENCE_LIMIT, not run to max_iters

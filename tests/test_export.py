@@ -334,6 +334,51 @@ class TestCsvText:
         # both sides of the exact-power range, 10**k for k <= 27
         assert (near < 1e-11).sum() > 100 and (near > 1e-11).sum() > 100
 
+    @pytest.mark.parametrize("extra", [[], [3.7e17, -1e300], [-3.3e-12],
+                                       [3.7e17, -3.3e-12, 1e-300]],
+                             ids=["plain", "divides", "limit_table", "both"])
+    def test_each_scale_branch(self, extra):
+        # a block within [1e-11, 1e17) takes no division and one fraction
+        # limit; a value of 1e17 or more makes it divide, and one below
+        # 1e-11 makes it take the limit per value
+        rng = np.random.default_rng(13)
+        values = 10.0 ** rng.uniform(-11, 17, 600) * rng.choice([-1, 1], 600)
+        assert 1e-11 <= np.abs(values).min() and np.abs(values).max() < 1e17
+        block = as_rows(np.concatenate([values, extra]))
+        assert _csv_text(block).tobytes() == per_value_text(block)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="fractions counted in x87 long double units")
+    def test_fractions_at_the_limit(self):
+        # v * 1e16 for v in [1, 1.8) has a fraction in units of 2**-10:
+        # the last unit below L and the first above 1 - L round on the
+        # fast path, the next ones toward .5 fall back
+        limit = float(csvtext._LIMIT[43])
+        inside = math.floor(limit * 1024), math.ceil((1 - limit) * 1024)
+        units = {inside[0], inside[0] + 1, inside[1] - 1, inside[1]}
+        v = np.random.default_rng(11).uniform(1.0, 1.8, 200_000)
+        s = v.astype(np.longdouble) * 10 ** 16
+        unit = ((s - s.astype(np.int64)) * 1024).astype(np.int64)
+        picked = np.concatenate([v[unit == u][:40] for u in sorted(units)])
+        assert len(picked) == 160
+        block = as_rows(np.concatenate([picked, -picked]))
+        assert _csv_text(block).tobytes() == per_value_text(block)
+
+    def test_seventeen_nines_and_a_half(self):
+        # the double 1e-14 lies below 10**-14 by less than half a unit of
+        # its 17th digit: its digits round up to the next power of ten,
+        # which '%.17g' writes as 1e-14
+        nines = [1e-14, np.nextafter(1e-14, 0), np.nextafter(10.0, 0),
+                 np.nextafter(1e17, 0), np.nextafter(1.0, 0)]
+        assert "%.17g" % 1e-14 == "1e-14"
+        block = as_rows(np.concatenate([nines, np.negative(nines)]))
+        assert _csv_text(block).tobytes() == per_value_text(block)
+
+    def test_a_block_of_fallbacks_only(self):
+        block = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf],
+                          [5e-324, -1e-320, 1e-38, -1e43, np.nan]])
+        assert _csv_text(block).tobytes() == per_value_text(block)
+
     @pytest.mark.parametrize("cols", [1, 3, 106])
     def test_the_row_separators(self, cols):
         block = np.arange(2.0 * cols).reshape(2, cols) / 3.0
@@ -630,12 +675,12 @@ class TestIteratesCsv:
         np.testing.assert_array_equal(last[1:5], seq.points[-1])
 
     def test_rows_are_the_per_value_format(self, quad, tmp_path):
-        # signed zero, subnormal and huge values in every column, stored
-        # gradients whose norms are zero, subnormal-squared and overflowing,
-        # and a non-finite last row
+        # signed zero, subnormal and huge values in every column, and
+        # stored gradients whose norms are zero, subnormal-squared and
+        # overflowing
         odd = np.array([-0.0, 5e-324, 1e308, -1e308])
         points = [np.roll(odd, -k) for k in range(4)]
-        points.append(np.array([1.0, np.nan, -np.inf, 0.0]))
+        points.append(np.array([1.0, 2.5e-300, -7.0, 0.0]))
         grads = [np.roll(odd, k) for k in range(5)]
         with np.errstate(over="ignore"):
             norms = [np.linalg.norm(g) for g in grads]
@@ -649,20 +694,18 @@ class TestIteratesCsv:
         rows = path.read_text().splitlines()[1:]
         expected = []
         for k, x in enumerate(points):
-            if np.all(np.isfinite(x)):
-                e, g = float(oracle.value(x)), float(norms[k])
-            else:
-                e, g = float("nan"), float("nan")
-            values = [float(k)] + list(x) + [e, g]
+            values = [float(k)] + list(x) + [float(oracle.value(x)),
+                                             float(norms[k])]
             expected.append(",".join("%.17g" % v for v in values))
         assert rows == expected
         assert "-0" in rows[0] and "4.9406564584124654e-324" in rows[0]
-        assert rows[-1].endswith("nan,nan")
+        assert any(row.endswith(",inf") for row in rows)
 
     @pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
-    def test_a_diverged_tail_is_the_per_row_formula(self, problem, tmp_path):
-        # rows over several stacked blocks, with non-finite iterates inside
-        # the first block and a diverged tail across the later ones
+    def test_rows_over_many_blocks_are_the_per_row_formula(self, problem,
+                                                           tmp_path):
+        # rows over several stacked blocks: a run, a signed zero point in
+        # the first block and a tail over the whole double range
         prob = (random_quadratic(3, kappa=30.0, seed=4) if problem
                 == "quadratic" else rosenbrock_problem())
         oracle = prob.oracle
@@ -672,36 +715,39 @@ class TestIteratesCsv:
         with np.errstate(over="ignore", invalid="ignore"):
             seq = heavy_ball_iterate(oracle, prob.x0, n, constant(0.02),
                                      constant(0.9))
-            while len(seq.points) < n:
-                seq.points.append(seq.points[-1] * 1e200)
-                seq.grad_norms.append(float("nan"))
-            seq.points[7] = np.full(len(prob.x0), np.nan)
+            run = len(seq.points)
+            for k in range(run, n):
+                seq.points.append(seq.points[k % run]
+                                  * 10.0 ** (k % 601 - 300))
+                seq.grad_norms.append(float(k))
             seq.points[8] = -np.zeros(len(prob.x0))
-            for k in range(n // 2, n, 2):
-                seq.points[k] = seq.points[k] * np.inf
             path = tmp_path / "tail.csv"
             write_iterates_csv(seq, oracle, str(path))
             expected = [",".join(["k"] + [f"x{i}" for i in range(
                 len(prob.x0))] + ["E", "grad_norm"])]
             for k, x in enumerate(seq.points):
-                if np.isfinite(x).all():
-                    e, g = float(oracle.value(x)), seq.grad_norms[k]
-                else:
-                    e, g = float("nan"), float("nan")
+                e, g = float(oracle.value(x)), seq.grad_norms[k]
                 expected.append(",".join(
                     "%.17g" % v for v in [float(k), *x.tolist(), e, g]))
         assert len(seq.points) > 4 * block
+        assert all(np.isfinite(x).all() for x in seq.points)
         assert path.read_text() == "\n".join(expected) + "\n"
-        assert path.read_text().count(",nan,nan\n") >= (n - n // 2) // 2
 
-    def test_non_finite_points_become_nan_rows(self, quad, tmp_path):
-        seq = heavy_ball_iterate(quad.oracle, quad.x0, 3,
-                                 constant(0.05), constant(0.5))
-        seq.points[-1] = np.full(4, np.nan)
-        path = tmp_path / "nan.csv"
+    def test_no_iterate_is_non_finite(self, quad, tmp_path):
+        # a start that is not finite raises, and a diverging run stops at
+        # its last iterate within the limit: no file holds a nan point
+        start = quad.x0.copy()
+        start[1] = np.nan
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            heavy_ball_iterate(quad.oracle, start, 3, constant(0.05),
+                               constant(0.5))
+        seq = heavy_ball_iterate(quad.oracle, quad.x0, 500, constant(50.0),
+                                 constant(0.5))
+        assert seq.diverged
+        path = tmp_path / "diverged.csv"
         write_iterates_csv(seq, quad.oracle, str(path))
-        last = path.read_text().splitlines()[-1].split(",")
-        assert all(cell == "nan" for cell in last[1:])
+        cells = path.read_text().splitlines()[-1].split(",")
+        assert np.isfinite([float(c) for c in cells[:-2]]).all()
 
 
 class TestSummaries:

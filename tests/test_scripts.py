@@ -133,6 +133,7 @@ def test_bench_pairs_appends_its_record_and_alternates_the_order(
         return {"exit_code": 0, **run}
 
     monkeypatch.setattr(bench_pairs, "run_once", canned)
+    monkeypatch.setattr(bench_pairs, "stage", lambda checkout, dest: checkout)
     out = tmp_path / "BENCH.json"
     argv = ["--base", "old", "--head", "new", "--workload", "flow_curvature",
             "--seconds", "1", "--pairs", "3", "--out", str(out),
@@ -144,6 +145,41 @@ def test_bench_pairs_appends_its_record_and_alternates_the_order(
     assert [r["seed"] for r in records] == [1, 2]
     assert records[0]["base_commit"] == "a"
     assert records[0]["summary"]["work_per_s"]["head_wins"] == 3
+
+
+def test_bench_pairs_runs_both_sides_from_paths_of_equal_length(
+        tmp_path, monkeypatch):
+    # checkouts whose paths differ in length run from staged copies whose
+    # paths do not; only subprocess.run is replaced, so no workload runs
+    bench_pairs = _bench_pairs()
+    checkouts = {"base": tmp_path / "b", "head": tmp_path / "a-longer-head"}
+    for side, root in checkouts.items():
+        _tree(root, {"src/accelflow/cli.py": side, "perfbench/run.py": "",
+                     "BENCHMARK.json": "{}", "tests/test_x.py": ""})
+    cwds = []
+
+    def canned(argv, cwd, **kwargs):
+        cwds.append(cwd)
+        assert os.path.isfile(os.path.join(cwd, "perfbench", "run.py"))
+        assert os.path.isfile(os.path.join(cwd, "BENCHMARK.json"))
+        assert not os.path.exists(os.path.join(cwd, "tests"))
+        side = pathlib.Path(cwd, "src", "accelflow", "cli.py").read_text()
+        assert os.path.basename(cwd) == side
+        return subprocess.CompletedProcess(argv, 0, _run_output(1.0, 1.0),
+                                           "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", canned)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([
+        "--base", str(checkouts["base"]), "--head", str(checkouts["head"]),
+        "--workload", "flow_curvature", "--seed", "1", "--seconds", "1",
+        "--pairs", "2", "--out", str(out), "--base-commit", "a",
+        "--head-commit", "b"]) == 0
+    assert len(cwds) == 4 and len({len(cwd) for cwd in cwds}) == 1
+    record = json.loads(out.read_text())[0]
+    assert record["base_path"] == str(checkouts["base"])
+    assert record["head_path"] == str(checkouts["head"])
+    assert [record["base_staged"], record["head_staged"]] == cwds[:2]
 
 
 def _artifact_diff():
@@ -405,9 +441,9 @@ def test_law_cost_exits_one_when_the_trajectory_text_differs(tmp_path):
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
     csvtext = tmp_path / "src" / "accelflow" / "csvtext.py"
     text = csvtext.read_text()
-    old = 'text[:, 27] = ord(",")'
+    old = 'for sep in (b",", b"\\n")'
     assert old in text
-    csvtext.write_text(text.replace(old, 'text[:, 27] = ord(";")'))
+    csvtext.write_text(text.replace(old, 'for sep in (b";", b"\\n")'))
     proc = _law_cost(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [

@@ -12,10 +12,11 @@ from accelflow.control import (
     polyak_controller,
 )
 from accelflow.discrete import (
-    IterateSequence,
     cg_iterate,
+    constant,
     exact_line_search_alpha,
     fletcher_reeves_beta,
+    heavy_ball_iterate,
 )
 from accelflow.flow import (
     FlowMode,
@@ -319,13 +320,18 @@ class TestStationarity:
         rep = check_stationarity(seq, prob.oracle, tol_g=1e-10)
         assert rep.ok
 
-    def test_iterate_sequence_nonfinite_fails(self):
+    def test_a_diverged_iterate_sequence_fails(self):
+        # the run stops at its last iterate within the divergence limit:
+        # the check fails on the flag, at that iterate's gradient norm
         prob = quadratic_problem(Q=np.array([[1.0]]))
-        seq = IterateSequence(points=[np.array([1.0]), np.array([np.nan])])
+        seq = heavy_ball_iterate(prob.oracle, np.array([1.0]), 500,
+                                 constant(5.0), constant(0.5))
+        assert seq.diverged and np.isfinite(seq.points[-1]).all()
         rep = check_stationarity(seq, prob.oracle)
         c = rep.checks[0]
         assert c.status is CheckStatus.FAILED
-        assert c.worst_value == np.inf
+        assert c.detail == "divergence flag set"
+        assert c.worst_value == seq.grad_norms[-1]
 
 
 class TestReportMechanics:
