@@ -33,12 +33,18 @@ write_trajectory_csv, in bytes per value of the record's columns (t, x,
 v, y, E, grad_norm, V, lie V, the costates and u), the smallest of the
 --repeat rounds.
 
-Before timing, each law's u, the floored metric, each gradient and the
-two trajectory files must hold the same bytes in both checkouts. Prints
-one row per call with the base and head cost in raw microseconds per call
-(per value for the trajectory text, bytes per value for the record
-memory) and their ratio. Exits 0, or 1 when a u, the metric, a gradient
-or the trajectory text differs.
+A "trajectory read" row is the per-value cost of each checkout's
+read_trajectory_csv of that file, once per round, and a "read memory" row
+is tracemalloc's peak over that read in bytes per byte of the columns it
+returns, the smallest of the rounds.
+
+Before timing, each law's u, the floored metric, each gradient, the two
+trajectory files and the columns each checkout reads back from them must
+hold the same bytes in both checkouts. Prints one row per call with the
+base and head cost in raw microseconds per call (per value for the
+trajectory text and read, bytes per value for the record memory, per
+table byte for the read memory) and their ratio. Exits 0, or 1 when a u,
+the metric, a gradient, the trajectory text or the table read differs.
 """
 
 from __future__ import annotations
@@ -151,6 +157,25 @@ def record_memory(package: ModuleType, dim: int, seed: int,
         tracemalloc.stop()
 
 
+def traced_read(package: ModuleType, path: str) -> float:
+    """tracemalloc's peak over package's read of the trajectory file at
+    path, in bytes per byte of the columns it returns."""
+    tracemalloc.start()
+    try:
+        columns = package.export.read_trajectory_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / sum(column.nbytes for column in columns.values())
+
+
+def table_bytes(columns: dict[str, np.ndarray]) -> bytes:
+    """The names, shapes and bits of the columns a read returns."""
+    return repr([(name, column.shape) for name, column in columns.items()]
+                ).encode() + b"".join(column.tobytes()
+                                      for column in columns.values())
+
+
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -184,6 +209,11 @@ def main(argv: list[str] | None = None) -> int:
             write()
         if len({read_bytes(path) for path, _ in writes}) > 1:
             differ.append("trajectory text")
+        read_path = writes[0][0]
+        reads = [lambda pkg=pkg: pkg.export.read_trajectory_csv(read_path)
+                 for pkg in (base, head)]
+        if len({table_bytes(read()) for read in reads}) > 1:
+            differ.append("trajectory read")
         for name in differ:
             print(f"{name}: the checkouts give different bytes")
         if differ:
@@ -192,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         best = [{name: float("inf") for name in side} for side in sides]
         text = [float("inf")] * 2
         memory = [float("inf")] * 2
+        read = [float("inf")] * 2
+        read_memory = [float("inf")] * 2
         for _ in range(args.repeat):
             for name in sides[0]:
                 for side, fastest in zip(sides, best):
@@ -202,6 +234,10 @@ def main(argv: list[str] | None = None) -> int:
             for k, (pkg, (path, _)) in enumerate(zip((base, head), writes)):
                 memory[k] = min(memory[k], record_memory(pkg, args.dim,
                                                          args.seed, path))
+            for k, (pkg, call) in enumerate(zip((base, head), reads)):
+                read[k] = min(read[k], timeit.timeit(call, number=1))
+                read_memory[k] = min(read_memory[k],
+                                     traced_read(pkg, read_path))
     print(f"dim {args.dim}, best of {args.repeat} x {args.number} calls, "
           f"raw us per call")
     print(f"{'call':<22}{'base':>8}{'head':>8}{'head/base':>11}")
@@ -210,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     rows.append(("trajectory text", *(t / values * 1e6 for t in text)))
     recorded = sum(column.size for column in record.columns.values())
     rows.append(("record memory", *(m / recorded for m in memory)))
+    rows.append(("trajectory read", *(t / values * 1e6 for t in read)))
+    rows.append(("read memory", *read_memory))
     for name, b, h in rows:
         # three decimals, so that the ratio of the printed costs is the
         # printed ratio to within 1% down to 0.1 us

@@ -39,8 +39,9 @@ _csv_values reads whole rows of such text back, in the manner of fast
 float parsers (Lemire, "Number Parsing at a Gigabyte per Second", 2021):
 - A field of at most _FIELD bytes, [-]digits[.digits][e+DD[D]] (or
   e-, and a dot may lead or end the digits, as float() takes it), is read
-  without its exponent, right-aligned in a slot of three uint64 words. The bytes before it and its sign become 0, and the bytes before
-  its dot move up one, over the dot.
+  without its exponent, right-aligned in a slot of three uint64 words.
+  The bytes before it and its sign become 0, and the bytes before its dot
+  move up one, over the dot, by masks taken one word at a time.
 - Three multiply-shift steps per word turn its eight ASCII digits into
   an integer, so a field is M * 10**E with M < 10**19.
 - M * 10**E is taken in long double, in one rounding for |E| <= 27
@@ -182,7 +183,7 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
     # lies within .5 - L of 0 or 1, s lies near a tie and falls back
     fast &= s >= 1e16
     s += 0.5
-    fast &= s < 1e17  # rounded up to the next power of ten
+    fast &= s < 1e17  # rounds to 10**17: log10 read X one low
     N = s.astype(np.int64)
     s -= N
     # up to the scale 10**27 (X >= -11) a value takes one rounding
@@ -266,22 +267,22 @@ _WORDS = _FIELD // 8
 
 
 def _byte_masks() -> tuple[np.ndarray, np.ndarray]:
-    """Masks of a slot's bytes, as its three uint64 words, at g * 25 + q
-    for g, q in 0..24: high has 0xff at bytes j >= max(g, q), low at
-    bytes g <= j < q - 1. Word k holds bytes 8k to 8k + 7, the first in
-    its lowest bits."""
+    """Masks of a slot's bytes at g * 25 + q, g < 24 and q < 25, a row
+    per uint64 word: high has 0xff at bytes j >= max(g, q), move at bytes
+    g < j < q. Word k holds bytes 8k to 8k + 7, the first in its lowest."""
     def run(start: int, stop: int) -> bytes:
         stop = max(start, stop)
         return (b"\0" * start + b"\xff" * (stop - start)
                 + b"\0" * (_FIELD - stop))
 
-    pairs = [(g, q) for g in range(25) for q in range(25)]
-    return tuple(np.frombuffer(b"".join(rows), np.uint64).reshape(-1, _WORDS)
+    pairs = [(g, q) for g in range(_FIELD) for q in range(25)]
+    return tuple(np.frombuffer(b"".join(rows), np.uint64)
+                 .reshape(-1, _WORDS).T.copy()
                  for rows in ([run(max(g, q), _FIELD) for g, q in pairs],
-                              [run(g, q - 1) for g, q in pairs]))
+                              [run(g + 1, q) for g, q in pairs]))
 
 
-_HIGH, _LOW = _byte_masks()
+_HIGH, _MOVE = _byte_masks()
 #: minus the digits after a dot that is slot byte q - 1, 0 for q = 0
 _FRACTION = np.array([0] + list(range(1 - _FIELD, 1)))
 _ZERO_BYTES, _HIGH_NIBBLES, _SIX = (np.uint64(int(b * 8, 16)) for b in
@@ -304,28 +305,30 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
     of cols fields."""
     if not text.size or text[-1] != ord("\n"):
         return None
-    # ',', '\n' and '.' are below '/', with '-', '+' and foreign bytes
-    marks = np.flatnonzero(text < ord("/"))
-    kind = text[marks]
-    is_sep = (kind == ord(",")) | (kind == ord("\n"))
-    seps = np.compress(is_sep, marks)
+    # the separators and the dots: ',' and '.' are the bytes b with b | 2
+    # == '.'; the field's digit check finds every other byte
+    marks = np.bitwise_or(text, 2)
+    marks = np.equal(marks, ord("."), out=marks.view(np.bool_))
+    marks |= text == ord("\n")
+    marks = np.flatnonzero(marks)
+    is_dot = text[marks] == ord(".")
+    seps = np.compress(~is_dot, marks)
     n = seps.size
     if n % cols:
         return None
     newline = (text[seps] == ord("\n")).reshape(-1, cols)
     if newline[:, :-1].any() or not newline[:, -1].all():
         return None
-    starts = np.concatenate([[0], seps[:-1] + 1])
-    lens = seps - starts
-    if lens.min() < 1 or lens.max() > _FIELD:
-        return None
-    dots = np.flatnonzero(kind == ord("."))
-    owner = np.cumsum(is_sep)[dots]  # the seps before a dot: its field
+    dots = np.flatnonzero(is_dot)
+    owner = dots - np.arange(dots.size)  # the seps before a dot: its field
     if np.any(owner[1:] == owner[:-1]):  # two dots in one field
         return None
     dots = marks[dots]
-    del marks, kind, is_sep
-    negative = text[starts] == ord("-")
+    del marks, is_dot
+    lens = np.diff(seps, prepend=-1) - 1
+    if lens.min() < 1 or lens.max() > _FIELD:
+        return None
+    negative = text[seps - lens] == ord("-")
 
     # the exponent: e, a sign and two or three digits end the field, and
     # a digit comes before them (bytes clipped to the text's first are
@@ -346,53 +349,66 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
             return None
         value = d[0] + 10 * d[1] + 100 * d[2]
         E[ie] = np.where(sign == ord("-"), -value, value)
+        del end, three, sign, d, value
+    del ie
 
     # each field's mantissa right-aligned in a slot of _FIELD bytes, its
-    # digits and dot xor '0' (digits become 0-9), the bytes before its
-    # first digit 0, the dot removed by moving the bytes before it one up
-    ends = seps - elen
+    # digits and dot xor '0' (digits become 0-9): at is the text byte of
+    # its slot's first, gq indexes its masks, and a spare slot leads,
+    # which only the first field's masked bytes read
+    at = seps - elen - _FIELD
     q = np.zeros(n, np.int64)  # 1 + the slot byte of the field's dot
-    q[owner] = dots - ends[owner] + _FIELD + 1
+    q[owner] = dots - at[owner] + 1
+    del owner, dots
     E += _FRACTION[q]
-    digits = lens - elen - negative  # and the dot
+    lens -= elen + negative  # the digits and the dot
+    del elen
+    if (lens - (q > 0)).min() < 1:
+        return None
+    gq = (_FIELD - lens) * 25 + q
+    del q, lens
+    head = int(np.searchsorted(at, 0))
+    slots = np.empty((n + 1, _WORDS), np.uint64)
     windows = np.ndarray((max(text.size - _FIELD + 1, 0),), f"V{_FIELD}",
                          text, strides=(1,))
-    head = int(np.searchsorted(ends, _FIELD))
-    slots = np.empty((n, _WORDS), np.uint64)
-    slots.view(f"V{_FIELD}")[head:, 0] = windows[ends[head:] - _FIELD]
+    slots[1 + head:].view(f"V{_FIELD}")[:, 0] = windows[at[head:]]
     for i in range(head):
-        slots[i] = np.frombuffer(
-            text[:ends[i]].tobytes().rjust(_FIELD, b"\0"), np.uint64)
+        slots[1 + i] = np.frombuffer(
+            text[:at[i] + _FIELD].tobytes().rjust(_FIELD, b"\0"), np.uint64)
+    del at
     slots ^= _ZERO_BYTES
-    gq = (_FIELD - digits) * 25 + q
-    low = np.take(_LOW, gq, axis=0, mode="clip")
-    low &= slots
-    high = np.take(_HIGH, gq, axis=0, mode="clip")
-    slots &= high
-    flat, low, high = slots.reshape(-1), low.reshape(-1), high.reshape(-1)
-    # byte 23 is never below a dot: no carry is lost
-    flat[1:] |= np.right_shift(low[:-1], np.uint64(56), out=high[1:])
-    low <<= np.uint64(8)
-    flat |= low
-    if ((digits - (q > 0)).min() < 1
-            or np.bitwise_and(flat, _HIGH_NIBBLES, out=high).any()
-            or (np.add(flat, _SIX, out=high) & _HIGH_NIBBLES).any()):
+    # the bytes before the first digit become 0, and those before the dot
+    # move one up, over it: word k takes _MOVE's bytes from the slot read
+    # a byte back, so the words go from the last down, one at a time
+    for k in range(_WORDS - 1, -1, -1):
+        back = np.ndarray(n, np.uint64, slots, _FIELD + 8 * k - 1, (_FIELD,))
+        moved = np.take(_MOVE[k], gq, mode="clip")
+        moved &= back
+        word = slots[1:, k]
+        word &= np.take(_HIGH[k], gq, mode="clip")
+        word |= moved
+    del gq, moved, back, word  # and with them their hold on slots
+    # every byte is a digit: its high nibble is 0, and stays 0 plus 6
+    flat = slots[1:].reshape(-1)
+    if ((np.bitwise_or.reduce(flat) | np.bitwise_or.reduce(flat + _SIX))
+            & _HIGH_NIBBLES):
         return None
-    del low, high
 
     # eight digits to an integer in three multiply-shift steps per word
     for multiplier, shift, mask in _EIGHT_DIGITS:
         flat *= multiplier
         flat >>= shift
         flat &= mask
-    if slots[:, 0].max() >= 1000:  # more than 19 digits
+    if slots[1:, 0].max() >= 1000:  # more than 19 digits
         return None
-    M = (slots[:, 0] * np.uint64(10 ** 16) + slots[:, 1] * np.uint64(10 ** 8)
-         + slots[:, 2])
+    M = (slots[1:, 0] * np.uint64(10 ** 16)
+         + slots[1:, 1] * np.uint64(10 ** 8) + slots[1:, 2])
+    r = M.astype(_LD)
+    del slots, M, flat
 
     # M * 10**E in long double, and to double where that rounds as M
     # * 10**E does: |E| <= 54 and off a midpoint by more than the error
-    r = M.astype(_LD) / _POWERS[np.minimum(np.maximum(-E, 0), 54)]
+    r /= _POWERS[np.minimum(np.maximum(-E, 0), 54)]
     up = np.flatnonzero(E > 0)
     r[up] *= _POWERS[np.minimum(E[up], 54)]
     fast = np.abs(E) <= 54
@@ -404,5 +420,6 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
     values = r.astype(np.float64)
     values.view(np.uint64)[...] |= negative.astype(np.uint64) << np.uint64(63)
     for i in np.flatnonzero(~fast).tolist():
-        values[i] = float(text[starts[i]:seps[i]].tobytes())
+        start = seps[i - 1] + 1 if i else 0
+        values[i] = float(text[start:seps[i]].tobytes())
     return values.reshape(-1, cols)

@@ -131,11 +131,12 @@ class DivergedRowError(ValueError):
 
 #: bytes of trajectory text per call of csvtext._csv_values, the reader's
 #: numpy kernel; a chunk holds the whole rows that fit, and the rest of
-#: its last row starts the next one. The kernel holds about 150 bytes per
-#: field of its chunk at once: 128 KiB read verify_replay's files about
-#: 15% faster, but took the read's traced peak to 2.06 times the table
-#: (1.52 at 64 KiB) and its peak RSS above a verify pass's
-_READ_CHUNK = 1 << 16
+#: its last row starts the next one. Each call pays a fixed cost of
+#: numpy calls, and the kernel holds up to about 92 bytes per field of
+#: its chunk at once: 128 KiB read verify_replay's files about 13% faster
+#: than 64 KiB, and the read of a dim-50 file of 1601 rows traced 1.50
+#: times its table (1.26 at 64 KiB, 1.98 at 256 KiB)
+_READ_CHUNK = 1 << 17
 
 
 def _read_rows(fh, cols: int) -> np.ndarray | None:
@@ -144,9 +145,10 @@ def _read_rows(fh, cols: int) -> np.ndarray | None:
     the text does not end in a newline, and where there is none.
 
     A first pass counts the rows, so that the table is made once, at its
-    size, before the kernel's arrays. A table sized from the first chunk,
-    grown and cut to its rows after the read raised verify_replay's
-    peak_rss_mb by 0.45 MB; the count costs about 6% of the read.
+    size, before the kernel's arrays; rows that differ in the second pass
+    give None. A table sized from the first chunk, grown and cut to its
+    rows after the read raised verify_replay's peak_rss_mb by 0.45 MB; the
+    count costs about 6% of the read.
     """
     buf = bytearray(max(_READ_CHUNK, (_FIELD + 1) * cols))  # a whole row
     view, text = memoryview(buf), np.frombuffer(buf, np.uint8)
@@ -157,18 +159,19 @@ def _read_rows(fh, cols: int) -> np.ndarray | None:
         return None
     fh.seek(start)
     table = np.empty((rows, cols))
-    rows = kept = 0
+    done = kept = 0
     while got := fh.readinto(view[kept:]):
         filled = kept + got
         end = buf.rfind(b"\n", 0, filled) + 1
         block = _csv_values(text[:end], cols) if end else None
-        if block is None:
+        if block is None or done + len(block) > rows:
             return None
-        table[rows:rows + len(block)] = block
-        rows += len(block)
+        table[done:done + len(block)] = block
+        done += len(block)
+        del block  # before the next chunk's arrays
         kept = filled - end
         buf[:kept] = buf[end:filled]
-    return None if kept else table
+    return None if kept or done < rows else table
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:

@@ -26,7 +26,9 @@ from accelflow.discrete import (
     heavy_ball_iterate,
 )
 from accelflow.export import (
+    _READ_CHUNK,
     BLOCK_VALUES,
+    _read_rows,
     _read_table,
     decade_label,
     discrete_summary,
@@ -374,6 +376,18 @@ class TestCsvText:
         block = as_rows(np.concatenate([nines, np.negative(nines)]))
         assert _csv_text(block).tobytes() == per_value_text(block)
 
+    def test_an_exponent_read_one_low_falls_back(self, monkeypatch):
+        # a log10 one unit low, as a less exact one may read at a power
+        # of ten, makes the exponent one low there: the scaled value is
+        # 10**17 or more, and only the check that s + .5 stays below it
+        # sends the value to '%.17g'
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10",
+                            lambda a: np.nextafter(log10(a), -np.inf))
+        powers = powers_of_ten()
+        block = as_rows(np.concatenate([powers, -powers]))
+        assert _csv_text(block).tobytes() == per_value_text(block)
+
     def test_a_block_of_fallbacks_only(self):
         block = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf],
                           [5e-324, -1e-320, 1e-38, -1e43, np.nan]])
@@ -550,6 +564,97 @@ class TestCsvValues:
         header, table = _read_table(str(path))
         assert len(header) == 5000
         assert table.tobytes() == block.tobytes()
+
+
+@pytest.fixture(scope="module")
+def dim_50_text(tmp_path_factory):
+    """The rows of the dim-50 trajectory file of 1601 rows and 106
+    columns that the read test writes, as CSV bytes."""
+    prob = random_quadratic(50, 100.0, seed=1)
+    record = integrate(nesterov_flow_controller(10.0), prob.oracle,
+                       initial_state(prob.oracle, prob.x0), 0.01, 16.0,
+                       stop=StoppingRule(tol_g=0.0, tol_v=0.0))
+    path = tmp_path_factory.mktemp("dim50") / "traj.csv"
+    write_trajectory_csv(record, str(path))
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+class TwoPasses:
+    """A binary file whose text changes when it is read again: the first
+    text until the reader seeks back, the second after."""
+
+    def __init__(self, first, second):
+        self.texts = [io.BytesIO(first), io.BytesIO(second)]
+
+    def tell(self):
+        return self.texts[0].tell()
+
+    def seek(self, offset):
+        del self.texts[:-1]
+        return self.texts[0].seek(offset)
+
+    def readinto(self, buffer):
+        return self.texts[0].readinto(buffer)
+
+
+def padded_rows(rows, cols, size):
+    """CSV text of exactly size bytes: whole leading rows of rows, CSV
+    text of cols fields a row, then two rows of fields '1.000...', whose
+    lengths make up the rest."""
+    cut = rows.rfind(b"\n", 0, size - 24 * cols) + 1
+    rest = size - cut - 2 * cols  # the fields' bytes, separators left out
+    lengths = [rest // (2 * cols) + (k < rest % (2 * cols))
+               for k in range(2 * cols)]
+    assert 2 <= min(lengths) and max(lengths) <= _FIELD
+    fields = [b"1." + b"0" * (n - 2) for n in lengths]
+    return rows[:cut] + b"".join(b",".join(fields[k:k + cols]) + b"\n"
+                                 for k in (0, cols))
+
+
+class TestChunks:
+    """The reader's chunks: the kernel's memory, the boundary between
+    chunks, and a file whose rows change between the reader's passes."""
+
+    def test_the_kernel_holds_at_most_100_bytes_per_field(self, dim_50_text):
+        # the first chunk's rows, and the last ones, where many fields
+        # carry an exponent
+        head = dim_50_text[:_READ_CHUNK]
+        tail = dim_50_text[-_READ_CHUNK:]
+        for rows in (head[:head.rfind(b"\n") + 1],
+                     tail[tail.find(b"\n") + 1:]):
+            fields = rows.count(b",") + rows.count(b"\n")
+            text = np.frombuffer(rows, np.uint8)
+            table, peak = traced_peak(lambda: _csv_values(text, 106))
+            assert table.shape == (fields // 106, 106)
+            assert peak <= 100 * fields
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 500])
+    def test_a_row_across_the_chunk_boundary(self, extra, dim_50_text,
+                                             tmp_path):
+        # a body of one chunk, a byte less, a byte more and 500 bytes
+        # more: in the last two, the last row crosses the chunk's end
+        body = padded_rows(dim_50_text, 106, _READ_CHUNK + extra)
+        assert len(body) == _READ_CHUNK + extra
+        path = tmp_path / "t.csv"
+        path.write_bytes(b",".join([b"c"] * 106) + b"\n" + body)
+        expected = loadtxt_table(path)
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert _read_rows(fh, 106).tobytes() == expected.tobytes()
+        assert _read_table(str(path))[1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("first,second", [(1601, 10), (10, 1601)],
+                             ids=["shrinks", "grows"])
+    def test_rows_that_change_between_the_passes_are_declined(
+            self, first, second, dim_50_text):
+        # the rows are counted in one pass and read in a second: a table
+        # of the first count, or a broadcast error, would be wrong
+        lines = dim_50_text.splitlines(keepends=True)
+        texts = [b"".join(lines[:k]) for k in (first, second)]
+        assert _read_rows(TwoPasses(*texts), 106) is None
+        table = _read_rows(TwoPasses(texts[1], texts[1]), 106)
+        expected = np.loadtxt(io.BytesIO(texts[1]), delimiter=",", ndmin=2)
+        assert table.tobytes() == expected.tobytes()
 
 
 class TestRecordReconstruction:

@@ -411,7 +411,7 @@ def test_law_cost_times_each_law_in_both_checkouts():
     assert [row[:22].strip() for row in rows[2:]] == [
         "polyak", "nesterov", "min_p_star inactive", "min_p_star active",
         "metric solve", "pointwise floor", "gradient", "trajectory text",
-        "record memory"]
+        "record memory", "trajectory read", "read memory"]
     for row in rows[2:]:
         base, head, ratio = map(float, row[22:].split())
         assert base > 0.0 and head > 0.0
@@ -448,6 +448,22 @@ def test_law_cost_exits_one_when_the_trajectory_text_differs(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "trajectory text: the checkouts give different bytes"]
+
+
+def test_law_cost_exits_one_when_the_table_read_differs(tmp_path):
+    # a head whose reader rounds every field one ulp up: it writes the
+    # same text, so only the table read back from it differs
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    csvtext = tmp_path / "src" / "accelflow" / "csvtext.py"
+    text = csvtext.read_text()
+    old = "values = r.astype(np.float64)"
+    assert old in text
+    csvtext.write_text(text.replace(
+        old, "values = np.nextafter(r.astype(np.float64), np.inf)"))
+    proc = _law_cost(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "trajectory read: the checkouts give different bytes"]
 
 
 def test_law_cost_exits_one_when_the_metric_solve_differs(tmp_path):

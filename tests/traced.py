@@ -12,8 +12,9 @@ import tracemalloc
 #: arrays and stacked after the loop, and 1.39 with the rows written into
 #: column tables: the tables, plus the diagnostics' stacked temporaries.
 #: read_trajectory_csv's, over the columns it returns, read 1.26 with
-#: np.loadtxt and 1.61 with csvtext's kernel, on a dim-50 file of 1601
-#: rows: the table, plus one chunk's text and the kernel's arrays
+#: np.loadtxt and 1.50 with csvtext's kernel in chunks of 128 KiB, on a
+#: dim-50 file of 1601 rows: the table, plus one chunk's text and the
+#: kernel's arrays, at most about 90 bytes per field of the chunk
 PEAK_PER_COLUMN_BYTE = 2.0
 
 
