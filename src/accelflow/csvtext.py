@@ -7,11 +7,10 @@ works in numpy, in the manner of fixed-precision printf by scaled
 multiplication (Adams, "Ryu revisited", OOPSLA 2019).
 
 For a finite v with _FAST_MIN <= |v| < _FAST_MAX and decimal exponent X:
-- s = |v| * 10**(16 - X) is taken in long double, in at most two
-  roundings (_power_tables; only a block with some X > 16 divides), so
-  its integer part has 17 digits and its fraction is exact. N, the
-  integer part of s + .5, is s rounded and v's 17 significant digits,
-  unless the fraction lies within the rounding-error bound of .5.
+- s = |v| * 10**(16 - X) is taken in long double, |v| * _POWERS[16 - X]
+  or, in a block with some X > 16, |v| / _POWERS[X - 16]: its integer part
+  has 17 digits and its fraction is exact. N, the integer part of s + .5,
+  is s rounded and v's 17 digits unless s lies within the bound of a tie.
 - A value's text is built in a slot of four uint64 words. Tables of
   ASCII words spell out the sign, leading zeros and digits in the first
   three, with trailing zeros as pad bytes 0 (_digit_tables); the last is
@@ -23,13 +22,21 @@ For a finite v with _FAST_MIN <= |v| < _FAST_MAX and decimal exponent X:
   word, _SELECT[j][q], takes the bytes up to the dot from the second.
   One pass removes the pad bytes at the end.
 
+The rounding bound: s lies within 1.01e17 u of |v| * 10**k, u a unit of
+long double precision, after its one rounding where 10**k is exact (k <=
+27), and within twice that where 10**k is itself rounded (k > 27). A
+fraction of s + .5 within the bound of 0 or 1 falls back; _LIMIT is .5
+less the bound. On x87 (u = 2**-64) the one-rounding bound holds at every
+scale: at s >= 2**56, s and each tie are multiples of 2**-7, and two
+roundings err by at most 0.0075 < 2**-7; below, by 2**56 * 0.67 u + 2**-9
+< 1.01e17 u at most (0.67 u: _POWERS' worst error). Elsewhere it is the
+two-rounding bound, over .5 for a plain double: every value falls back.
+
 Every other value takes '%.17g' % v itself, which is exact: a fraction
 near .5 (ties among them), digits that round up to the next power of
 ten, an exponent that log10 put one off next to a power of ten (its
 scaled value leaves [1e16, 1e17)), zero, a subnormal or other value
-outside the range, nan and inf. Where long double is plain double the
-rounding bound exceeds .5, so every value takes that path and the text
-stays exact.
+outside the range, nan and inf.
 
 The tables are built at import from short byte strings and Python lists,
 and integers are 64-bit throughout: each numpy loop a process runs for
@@ -66,6 +73,9 @@ FLOAT_FMT = "%.17g"
 # ten up to 10**54 or divides by one up to 10**27
 _FAST_MIN, _FAST_MAX = 1e-37, 1e43
 _LD = np.longdouble
+#: x87 long double: the writer's one-rounding bound holds at every scale,
+#: and the reader rounds where 11 bits below a double's are off a midpoint
+_WIDE = np.finfo(_LD).nmant == 63
 _SLOT = 32  # bytes of a value's text slot, four uint64 words
 
 
@@ -78,28 +88,7 @@ def _powers() -> np.ndarray:
 
 
 _POWERS = _powers()
-
-
-def _power_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multiplier, divisor and fraction limit at each scale index
-    i = 43 - X, that is for the scale 10**k with k = 16 - X = i - 27.
-
-    10**k is exact in an x87 long double up to k = 27 (5**27 < 2**63):
-    up to 10**22 it is a double, and up to 10**27 a product of two exact
-    ones. Above, 10**27 * 10**(k - 27) is rounded once. So a scaled value
-    takes one rounding, or two for k > 27, and lies within that many
-    units of long double precision of the exact |v| * 10**k < 1e17. A
-    fraction whose distance from .5 is not more than that is unsafe to
-    round; the limit is .5 less that bound.
-    """
-    power = _POWERS
-    one = power[:1]
-    mul = np.concatenate([one.repeat(27), power])
-    div = np.concatenate([power[27:0:-1], one.repeat(55)])
-    unit = float(np.finfo(_LD).eps) / 2
-    limit = np.array([0.5 - 1.01e17 * unit * (2 if k > 27 else 1)
-                      for k in range(-27, 55)], _LD)
-    return mul, div, limit
+_LIMIT = _LD(0.5 - 1.01e17 * float(np.finfo(_LD).eps) / (2 if _WIDE else 1))
 
 
 def _digit_tables() -> tuple[np.ndarray, ...]:
@@ -155,7 +144,6 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
             np.array(dot_after), np.array(lead_row), comma, newline)
 
 
-_MUL, _DIV, _LIMIT = _power_tables()
 (_QUADS, _LEAD, _ZERO, _UPTO, _SELECT, _DOT_AFTER, _LEAD_ROW, _COMMA,
  _NEWLINE) = _digit_tables()
 
@@ -173,23 +161,20 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
     # the decimal exponent; log10 may put it one off next to a power of
     # ten, and such a value falls back
     X = np.floor(np.log10(a)).astype(np.intp)
-    i = 43 - X
     s = a.astype(_LD)
     del a
-    s *= _MUL[i]
+    s *= _POWERS[np.maximum(16 - X, 0)]
     if X.max() > 16:
-        s /= _DIV[i]
+        s /= _POWERS[np.maximum(X - 16, 0)]
     # N, the integer part of s + .5, is s rounded; where the fraction left
-    # lies within .5 - L of 0 or 1, s lies near a tie and falls back
+    # lies within .5 - _LIMIT of 0 or 1, s lies near a tie and falls back
     fast &= s >= 1e16
     s += 0.5
     fast &= s < 1e17  # rounds to 10**17: log10 read X one low
     N = s.astype(np.int64)
     s -= N
-    # up to the scale 10**27 (X >= -11) a value takes one rounding
-    limit = _LIMIT[i] if X.min() < -11 else _LIMIT[43]
-    fast &= (s > 0.5 - limit) & (s < 0.5 + limit)
-    del s, i
+    fast &= (s > 0.5 - _LIMIT) & (s < 0.5 + _LIMIT)
+    del s
     N[~fast] = 10 ** 16
     X[~fast] = 0
     X += 50
@@ -292,9 +277,6 @@ _ZERO_BYTES, _HIGH_NIBBLES, _SIX = (np.uint64(int(b * 8, 16)) for b in
 _EIGHT_DIGITS = tuple(tuple(map(np.uint64, step)) for step in (
     (2561, 8, 0x00ff00ff00ff00ff), (6553601, 16, 0x0000ffff0000ffff),
     (42949672960001, 32, 0xffffffff)))
-#: x87 long double: 11 mantissa bits below a double's, whose rounding
-#: the reader tests for a midpoint; elsewhere every field is exact
-_WIDE = np.finfo(_LD).nmant == 63
 
 
 def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
@@ -332,7 +314,7 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
 
     # the exponent: e, a sign and two or three digits end the field, and
     # a digit comes before them (bytes clipped to the text's first are
-    # never in the field)
+    # never in the field); a uint8 digit below '0' wraps past 9
     elen = np.where(text.take(seps - 5, mode="clip") == ord("e"), 5,
                     4 * (text.take(seps - 4, mode="clip") == ord("e")))
     elen *= elen < lens
@@ -342,12 +324,12 @@ def _csv_values(text: np.ndarray, cols: int) -> np.ndarray | None:
         end = seps[ie]
         three = elen[ie] == 5
         sign = text[end - 3 - three]
-        d = [text[end - k].astype(np.int64) - ord("0") for k in (1, 2, 3)]
+        d = [text[end - k] - np.uint8(ord("0")) for k in (1, 2, 3)]
         d[2] *= three
         if (np.any((sign != ord("+")) & (sign != ord("-")))
-                or any(np.any((x < 0) | (x > 9)) for x in d)):
+                or any(np.any(x > 9) for x in d)):
             return None
-        value = d[0] + 10 * d[1] + 100 * d[2]
+        value = 100 * d[2].astype(np.int64) + 10 * d[1] + d[0]
         E[ie] = np.where(sign == ord("-"), -value, value)
         del end, three, sign, d, value
     del ie

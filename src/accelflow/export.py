@@ -33,7 +33,7 @@ from .clf import _norm
 from .control import ControllerSpec, evaluate_control
 from .csvtext import _FIELD, FLOAT_FMT, _csv_text, _csv_values
 from .discrete import IterateSequence
-from .flow import COLUMNS, DIVERGENCE_LIMIT, TrajectoryRecord
+from .flow import COLUMNS, DIVERGENCE_LIMIT, TrajectoryRecord, _is_reduced
 from .objective import ObjectiveOracle
 
 GRAD_DECADES = tuple(10.0 ** -k for k in range(1, 7))
@@ -116,7 +116,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     writing never holds a second copy of the whole table.
     """
     dim = int(record.meta["dim"])
-    full_mode = record.meta.get("mode") == "full_primal_dual"
+    full_mode = not _is_reduced(record)
     header = trajectory_header(dim, full_mode)
     columns = [record.columns[name] for name in _csv_columns(full_mode)]
     _write_table(path, header, len(columns[0]), lambda start, stop:

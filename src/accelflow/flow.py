@@ -96,6 +96,12 @@ class TrajectoryRecord:
     meta: dict = field(default_factory=dict)
 
 
+def _is_reduced(record: TrajectoryRecord) -> bool:
+    """Whether record has no costate columns of its own: every record but
+    a full_primal_dual one, a meta without a mode among them."""
+    return record.meta.get("mode") != FlowMode.FULL_PRIMAL_DUAL.value
+
+
 def initial_state(oracle: ObjectiveOracle, x0: Array,
                   v0: Optional[Array] = None) -> AugmentedState:
     """Augmented initial condition consistent with the arc identities."""

@@ -110,6 +110,8 @@ def quadratic_problem(Q: Array, x_star: Optional[Array] = None,
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     n = Q.shape[0]
+    if not np.isfinite(Q).all():
+        raise ValueError("Q must be finite, got a non-finite entry")
     asym = np.max(np.abs(Q - Q.T))
     if asym > 1e-12 * (1.0 + np.max(np.abs(Q))):
         raise ValueError(f"Q must be symmetric, max asymmetry {asym:.3e}")
@@ -170,8 +172,10 @@ def random_quadratic(dim: int, kappa: float,
     rng = np.random.default_rng(seed)
     eigs = np.logspace(0.0, np.log10(kappa), dim)
     U, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    Q = U @ np.diag(scale * eigs) @ U.T
-    Q = 0.5 * (Q + Q.T)
+    # an extreme kappa or scale overflows Q, which quadratic_problem rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = U @ np.diag(scale * eigs) @ U.T
+        Q = 0.5 * (Q + Q.T)
     x_star = rng.standard_normal(dim)
     if x0 is None:
         x0 = x_star + rng.standard_normal(dim)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clf import ClfParams, clf_value, lie_derivative, state_norm
 from .discrete import IterateSequence
-from .flow import Integrator, TrajectoryRecord
+from .flow import Integrator, TrajectoryRecord, _is_reduced
 from .objective import ObjectiveOracle
 
 INTEGRATOR_ORDER = {
@@ -130,10 +130,6 @@ def _worst(name: str, values: np.ndarray, times: np.ndarray,
     return CheckResult(name=name, status=status, worst_value=float(values[k]),
                        tolerance=tol, location=float(times[k]),
                        detail="non-finite value" if bad.size else "")
-
-
-def _is_reduced(record: TrajectoryRecord) -> bool:
-    return record.meta.get("mode") == "reduced"
 
 
 def check_dissipation(record: TrajectoryRecord, clf: ClfParams,

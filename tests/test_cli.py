@@ -395,6 +395,31 @@ def test_running_out_of_memory_exits_three_in_one_line(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "compare", "verify"])
+def test_a_quadratic_that_overflows_exits_three_in_one_line(tmp_path, capsys,
+                                                            verb):
+    # kappa 1e308 overflows Q's entries: one line per member names Q, and
+    # numpy warns of nothing on the way
+    data = flow_data(tmp_path / "run", t_max=0.1)
+    data["problem"] = {"name": "quadratic", "dim": 4, "kappa": 1.0e308,
+                       "seed": 1}
+    cfg = write_config(tmp_path, "a.yaml", {**data, "label": "a"})
+    if verb == "run":
+        argv = ["run", cfg]
+    elif verb == "compare":
+        argv = ["compare", cfg,
+                write_config(tmp_path, "b.yaml", {**data, "label": "b"})]
+    else:
+        argv = ["verify", str(tmp_path / "trajectory.csv"), cfg]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
+    line = "runtime failure: Q must be finite, got a non-finite entry"
+    assert capsys.readouterr().err.splitlines() == (
+        [f"a: {line}", f"b: {line}"] if verb == "compare" else [line])
+
+
 @pytest.mark.parametrize("verb", ["run", "compare"])
 @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])

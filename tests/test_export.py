@@ -6,6 +6,7 @@ import math
 import os
 import threading
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -338,11 +339,12 @@ class TestCsvText:
 
     @pytest.mark.parametrize("extra", [[], [3.7e17, -1e300], [-3.3e-12],
                                        [3.7e17, -3.3e-12, 1e-300]],
-                             ids=["plain", "divides", "limit_table", "both"])
+                             ids=["plain", "divides", "rounded_power",
+                                  "both"])
     def test_each_scale_branch(self, extra):
-        # a block within [1e-11, 1e17) takes no division and one fraction
-        # limit; a value of 1e17 or more makes it divide, and one below
-        # 1e-11 makes it take the limit per value
+        # a block within [1e-11, 1e17) takes no division; a value of 1e17
+        # or more makes it divide, and one below 1e-11 scales by a power
+        # of ten above 10**27, itself rounded once
         rng = np.random.default_rng(13)
         values = 10.0 ** rng.uniform(-11, 17, 600) * rng.choice([-1, 1], 600)
         assert 1e-11 <= np.abs(values).min() and np.abs(values).max() < 1e17
@@ -355,7 +357,7 @@ class TestCsvText:
         # v * 1e16 for v in [1, 1.8) has a fraction in units of 2**-10:
         # the last unit below L and the first above 1 - L round on the
         # fast path, the next ones toward .5 fall back
-        limit = float(csvtext._LIMIT[43])
+        limit = float(csvtext._LIMIT)
         inside = math.floor(limit * 1024), math.ceil((1 - limit) * 1024)
         units = {inside[0], inside[0] + 1, inside[1] - 1, inside[1]}
         v = np.random.default_rng(11).uniform(1.0, 1.8, 200_000)
@@ -363,6 +365,44 @@ class TestCsvText:
         unit = ((s - s.astype(np.int64)) * 1024).astype(np.int64)
         picked = np.concatenate([v[unit == u][:40] for u in sorted(units)])
         assert len(picked) == 160
+        block = as_rows(np.concatenate([picked, -picked]))
+        assert _csv_text(block).tobytes() == per_value_text(block)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="the bound is proven for x87 long double")
+    def test_the_powers_hold_the_one_rounding_bound(self):
+        # the worst relative error of 10**28 .. 10**54, in units of
+        # 2**-64, keeps a scaled value's two roundings within 2**-7 at
+        # s >= 2**56, where s is a multiple of 2**-7, and within the
+        # one-rounding bound 1.01e17 * 2**-64 below
+        err = 0.0
+        for k, power in enumerate(csvtext._POWERS[28:55], 28):
+            high = power.astype(np.float64)
+            exact = Fraction(float(high)) + Fraction(float(power - high))
+            err = max(err, float(abs(exact - 10 ** k) / 10 ** k) * 2 ** 64)
+        assert 0 < err < 1
+        assert 1.01e17 * err * 2 ** -64 + 2 ** -8 < 2 ** -7
+        assert 2 ** 56 * err * 2 ** -64 + 2 ** -9 < 1.01e17 * 2 ** -64
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="fractions counted in x87 long double units")
+    def test_fractions_between_the_two_bounds_below_1e_11(self):
+        # below 1e-11 a scaled value takes two roundings; those whose
+        # fraction lies between the one-rounding and the two-rounding
+        # bound round on the fast path, at s >= 2**56 and below it
+        rng = np.random.default_rng(17)
+        v = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(
+            -37, -11, 100_000)
+        X = np.floor(np.log10(v)).astype(np.intp)
+        s = v.astype(np.longdouble) * csvtext._POWERS[16 - X]
+        r = s + 0.5
+        fraction = np.abs(r - r.astype(np.int64) - 0.5)
+        one = 1.01e17 * 2.0 ** -64
+        between = (fraction >= 0.5 - 2 * one) & (fraction < 0.5 - one)
+        assert np.all(fraction[between] < csvtext._LIMIT)
+        high = between & (s >= 2 ** 56)
+        picked = np.concatenate([v[high][:150], v[between & ~high][:150]])
+        assert len(picked) == 300
         block = as_rows(np.concatenate([picked, -picked]))
         assert _csv_text(block).tobytes() == per_value_text(block)
 

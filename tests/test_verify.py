@@ -18,6 +18,7 @@ from accelflow.discrete import (
     fletcher_reeves_beta,
     heavy_ball_iterate,
 )
+from accelflow.export import read_trajectory_csv, write_trajectory_csv
 from accelflow.flow import (
     FlowMode,
     Integrator,
@@ -271,6 +272,18 @@ class TestSingularArc:
         c = check_singular_arc(rec).checks[0]
         assert c.status is CheckStatus.PASSED
         assert c.worst_value == 0.0
+
+
+def test_a_record_without_a_mode_is_checked_as_it_is_written(
+        quad4, min_p_star_record, tmp_path):
+    # the writer leaves the costates out of a record whose meta names no
+    # mode, and the costate checks find none to check
+    rec = dataclasses.replace(min_p_star_record, meta={"dim": 4})
+    write_trajectory_csv(rec, str(tmp_path / "t.csv"))
+    assert "lambda_x" not in read_trajectory_csv(str(tmp_path / "t.csv"))
+    for rep in (check_adjoint_consistency(rec, quad4.oracle),
+                check_singular_arc(rec)):
+        assert rep.checks[0].status is CheckStatus.NOT_APPLICABLE
 
 
 class TestStationarity:
