@@ -169,18 +169,6 @@ def _run_discrete(config: RunConfig,
                                       m.max_iters, tol_g=m.tol_g)
 
 
-def _verify_flow_record(config: RunConfig, problem: ProblemInstance,
-                        spec: ControllerSpec, record: TrajectoryRecord,
-                        checks: tuple[str, ...]) -> VerificationReport:
-    """Run checks with the config's verify settings, under the
-    controller's own certificate."""
-    v = config.verify
-    return run_checks(record, problem.oracle, spec.clf,
-                      checks, dissipation_mode=v.dissipation_mode, eta=v.eta,
-                      tol=v.effective_tol(), adjoint_coeff=v.adjoint_coeff,
-                      singular_tol=v.singular_tol)
-
-
 def _emit(config: RunConfig, payload: dict[str, Any],
           report: Optional[VerificationReport]) -> None:
     out_dir = config.output.out_dir
@@ -225,8 +213,8 @@ def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None,
             print(f"wrote {csv_path}")
             payload = flow_summary(record, label)
             if config.verify.checks:
-                report = _verify_flow_record(config, problem, spec, record,
-                                             config.verify.checks)
+                report = run_checks(record, problem.oracle, spec.clf,
+                                    config.verify.checks, config.verify)
         else:
             seq = _run_discrete(config, problem)
             with _artifact(os.path.join(out_dir, "iterates.csv")) \
@@ -374,8 +362,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # as a non-finite value, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
         record = trajectory_from_arrays(columns, problem.oracle, spec, meta)
-        report = _verify_flow_record(config, problem, spec, record,
-                                     config.verify.checks or CHECK_NAMES)
+        report = run_checks(record, problem.oracle, spec.clf,
+                            config.verify.checks or CHECK_NAMES,
+                            config.verify)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_CHECKS

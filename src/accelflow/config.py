@@ -398,12 +398,6 @@ class VerifyConfig:
     adjoint_coeff: float = _field(_as_positive, 1e3)
     singular_tol: float = _field(_as_positive, 1e-8)
 
-    def effective_tol(self) -> float:
-        if self.tol is not None:
-            return self.tol
-        return 1e-12 if self.dissipation_mode is DissipationMode.STRICT \
-            else 1e-6
-
 
 def _plain(value: Any) -> Any:
     """A config value as YAML-ready data: a dataclass becomes a mapping of

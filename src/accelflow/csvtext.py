@@ -35,8 +35,9 @@ two-rounding bound, over .5 for a plain double: every value falls back.
 Every other value takes '%.17g' % v itself, which is exact: a fraction
 near .5 (ties among them), digits that round up to the next power of
 ten, an exponent that log10 put one off next to a power of ten (its
-scaled value leaves [1e16, 1e17)), zero, a subnormal or other value
-outside the range, nan and inf.
+scaled value leaves [1e16, 1e17)), an integer of 10 or more that ends
+in 0 (its stripped trailing zeros reach the units digit), zero, a
+subnormal or other value outside the range, nan and inf.
 
 The tables are built at import from short byte strings and Python lists,
 and integers are 64-bit throughout: each numpy loop a process runs for
@@ -100,7 +101,6 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     - lead[50 * m + 10 * c + d] is 2 pads, '-' if m else a pad, c '0's
       right-aligned in 4 bytes, and digit d: the start of -0.000ddd.
     - zero[g] is whether g == 0.
-    - upto[q, p] is whether p <= q, for the bytes p of Z with its dot.
     - select[j, q] is word j of the mask that is 0xff at the bytes
       b <= q + 1 of a slot's first three words.
     At X + 50, for each decimal exponent X in [-50, 50):
@@ -125,7 +125,6 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
                     for d in range(10))
     zero = np.zeros(10 ** 4, bool)
     zero[0] = True
-    upto = [[p <= q for p in range(22)] for q in range(21)]
     select = b"".join(b"\xff" * (q + 2) + b"\0" * (22 - q)
                       for q in range(21))
     exponents = range(-50, 50)
@@ -139,12 +138,11 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
                                              for e in exponent), np.uint64)
                       for sep in (b",", b"\n"))
     return (quads.view(np.uint32).ravel(), np.frombuffer(lead, np.uint64),
-            zero, np.array(upto),
-            np.frombuffer(select, np.uint64).reshape(21, 3).T.copy(),
+            zero, np.frombuffer(select, np.uint64).reshape(21, 3).T.copy(),
             np.array(dot_after), np.array(lead_row), comma, newline)
 
 
-(_QUADS, _LEAD, _ZERO, _UPTO, _SELECT, _DOT_AFTER, _LEAD_ROW, _COMMA,
+(_QUADS, _LEAD, _ZERO, _SELECT, _DOT_AFTER, _LEAD_ROW, _COMMA,
  _NEWLINE) = _digit_tables()
 
 
@@ -221,19 +219,14 @@ def _csv_text(block: np.ndarray) -> np.ndarray:
     words[3:-1:4] = _COMMA[X]
     words[:-1].reshape(rows, cols, 4)[:, -1, 3] = _NEWLINE[X[cols - 1::cols]]
     del X
-    # Z[q] is 0 where an integer's last digits went with the trailing
-    # zeros; the dot after it needs a digit after it
+    # the dot needs a digit after it; Z[q] is 0 where an integer's last
+    # digits went with the trailing zeros, and such a value falls back
     chars = words[:-1].view(np.uint8).reshape(n, _SLOT)
     flat = chars.reshape(-1)
     at = np.arange(2, _SLOT * n, _SLOT) + q
-    after = flat[at + 1] != 0
-    cut = np.flatnonzero(flat[at - 1] == 0)
-    flat[at] = np.where(after, ord("."), 0)
-    del at, after
-    if cut.size:
-        digits = chars[cut, 5:23]
-        digits[(digits == 0) & _UPTO[q[cut], 4:]] = ord("0")
-        chars[cut, 5:23] = digits
+    fast &= flat[at - 1] != 0
+    flat[at] = np.where(flat[at + 1] != 0, ord("."), 0)
+    del at
     slow = np.flatnonzero(~fast)
     if slow.size:  # in the first three words: '%.17g' is at most 24 bytes
         fmt = FLOAT_FMT.encode()

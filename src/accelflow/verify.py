@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .clf import ClfParams, clf_value, lie_derivative, state_norm
 from .discrete import IterateSequence
 from .flow import Integrator, TrajectoryRecord, _is_reduced
 from .objective import ObjectiveOracle
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import VerifyConfig
 
 INTEGRATOR_ORDER = {
     Integrator.RK4: 4,
@@ -85,9 +88,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.n_failed == 0
 
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(checks=self.checks + other.checks)
-
     def lines(self) -> list[str]:
         body = [c.line() for c in self.checks]
         body.append(f"{self.n_passed} passed, {self.n_failed} failed, "
@@ -136,16 +136,19 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
                       oracle: ObjectiveOracle,
                       mode: DissipationMode = DissipationMode.STRICT,
                       eta: float = 1.0,
-                      tol: float = 1e-12) -> VerificationReport:
+                      tol: Optional[float] = None) -> VerificationReport:
     """Negativity (Strict) or exponential-rate (Rate) check on the CLF.
 
     Strict asks for lieV <= tol at every sample away from the target;
     Rate asks for lieV <= -eta V + tol pointwise plus the integrated
-    envelope V(t) <= V(0) exp(-eta t)(1 + tol). Both evaluate V and lieV
+    envelope V(t) <= V(0) exp(-eta t)(1 + tol). tol defaults to 1e-12 in
+    Strict mode and 1e-6 in Rate mode. Both evaluate V and lieV
     afresh from (x, v, u) with the costate substitution lambda = -grad E,
     and report how far the producer's cached values drift from that,
     relative to 1 + |cached|, against 1e-12.
     """
+    if tol is None:
+        tol = 1e-12 if mode is DissipationMode.STRICT else 1e-6
     cols = record.columns
     times, x, v, u = cols["t"], cols["x"], cols["v"], cols["u"]
     vals, lies = np.empty(len(times)), np.empty(len(times))
@@ -260,31 +263,31 @@ def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
     return VerificationReport(checks=tuple(checks))
 
 
-CHECK_NAMES = ("dissipation", "adjoint_consistency", "singular_arc",
-               "stationarity")
+#: each check's call on (record, oracle, clf, settings), settings being the
+#: verify block; a call looks its check up by global name when it runs
+CHECKS = {
+    "dissipation": lambda record, oracle, clf, settings: check_dissipation(
+        record, clf, oracle, mode=settings.dissipation_mode,
+        eta=settings.eta, tol=settings.tol),
+    "adjoint_consistency": lambda record, oracle, clf, settings:
+        check_adjoint_consistency(record, oracle,
+                                  coeff=settings.adjoint_coeff),
+    "singular_arc": lambda record, oracle, clf, settings: check_singular_arc(
+        record, tol=settings.singular_tol),
+    "stationarity": lambda record, oracle, clf, settings: check_stationarity(
+        record, oracle),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_checks(record: TrajectoryRecord, oracle: ObjectiveOracle,
                clf: ClfParams, checks: Sequence[str],
-               dissipation_mode: DissipationMode = DissipationMode.STRICT,
-               eta: float = 1.0, tol: float = 1e-12,
-               adjoint_coeff: float = 1e3,
-               singular_tol: float = 1e-8) -> VerificationReport:
-    """Run the named checks over one trajectory and merge the reports."""
-    report = VerificationReport(checks=())
+               settings: VerifyConfig) -> VerificationReport:
+    """Run the named checks over one trajectory into one report."""
+    results: list[CheckResult] = []
     for name in checks:
-        if name == "dissipation":
-            part = check_dissipation(record, clf, oracle,
-                                     mode=dissipation_mode, eta=eta, tol=tol)
-        elif name == "adjoint_consistency":
-            part = check_adjoint_consistency(record, oracle,
-                                             coeff=adjoint_coeff)
-        elif name == "singular_arc":
-            part = check_singular_arc(record, tol=singular_tol)
-        elif name == "stationarity":
-            part = check_stationarity(record, oracle)
-        else:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; "
                              f"expected one of {CHECK_NAMES}")
-        report = report.merged(part)
-    return report
+        results += CHECKS[name](record, oracle, clf, settings).checks
+    return VerificationReport(checks=tuple(results))

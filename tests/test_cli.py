@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -983,6 +984,40 @@ class TestVerifyVerb:
         verified = capsys.readouterr().out
         for stdout in (ran, verified):
             assert "PASS cached_diagnostics" in stdout
+
+    def test_both_verbs_check_with_the_verify_blocks_values(self, tmp_path,
+                                                            capsys):
+        # each check prints the tolerance its block value sets (the
+        # adjoint check's is coeff * h**4 under RK4); the rate check's
+        # worst value is max(lie V + eta V) at the block's eta
+        out = tmp_path / "run"
+        data = flow_data(out, controller="min_p_star", eta=1.0, h=0.01,
+                         t_max=1.0, mode="full_primal_dual")
+        del data["method"]["gamma_a"], data["method"]["gamma_b"]
+        data["verify"] = {"checks": ["dissipation", "adjoint_consistency",
+                                     "singular_arc"],
+                          "dissipation_mode": "rate", "eta": 0.5,
+                          "tol": 1e-3, "adjoint_coeff": 2e3,
+                          "singular_tol": 1e-5}
+        cfg = write_config(tmp_path, "mps.yaml", data)
+        assert main(["run", cfg]) == 0
+        ran = capsys.readouterr().out
+        traj = str(out / "trajectory.csv")
+        assert main(["verify", traj, cfg]) == 0
+        verified = capsys.readouterr().out
+        cols = read_trajectory_csv(traj)
+        rate = np.max(cols["lieV"] + 0.5 * cols["V"])
+        expected = {"cached_diagnostics": "1e-12",
+                    "dissipation_rate": "0.001",
+                    "dissipation_envelope": "0.001",
+                    "adjoint_consistency": f"{2e3 * 0.01 ** 4:.6g}",
+                    "singular_arc": "1e-05"}
+        for stdout in (ran, verified):
+            found = dict(re.findall(r"^PASS (\w+): worst=\S+ tol=(\S+)",
+                                    stdout, re.M))
+            assert found == expected, stdout
+            worst = re.search(r"dissipation_rate: worst=(\S+)", stdout)
+            assert float(worst.group(1)) == pytest.approx(rate, rel=1e-5)
 
     def test_tampered_certificate_column_caught(self, finished_run,
                                                 capsys, tmp_path):

@@ -22,6 +22,7 @@ from accelflow.control import (
     polyak_controller,
     quasi_newton_flow_controller,
 )
+from accelflow.verify import run_checks
 
 
 def flow_config(**method_overrides):
@@ -272,15 +273,23 @@ class TestOtherBlocks:
             parse_config(data)
 
     def test_verify_effective_tol_tracks_mode(self):
-        data = flow_config()
+        def tolerance(data):
+            cfg = parse_config(data)
+            problem = cfg.problem.build()
+            spec = cfg.method.build_controller()
+            record = _run_flow(cfg, problem, spec)
+            report = run_checks(record, problem.oracle, spec.clf,
+                                cfg.verify.checks, cfg.verify)
+            return report.checks[-1].tolerance
+
+        data = flow_config(t_max=0.1)
         data["verify"] = {"checks": ["dissipation"],
                           "dissipation_mode": "rate"}
-        cfg = parse_config(data)
-        assert cfg.verify.effective_tol() == 1e-6
+        assert tolerance(data) == 1e-6
         data["verify"]["dissipation_mode"] = "strict"
-        assert parse_config(data).verify.effective_tol() == 1e-12
+        assert tolerance(data) == 1e-12
         data["verify"]["tol"] = 1e-9
-        assert parse_config(data).verify.effective_tol() == 1e-9
+        assert tolerance(data) == 1e-9
 
     def test_empty_label_rejected(self):
         data = flow_config()

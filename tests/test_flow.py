@@ -851,6 +851,7 @@ def test_a_replay_holds_no_hessian_per_row_at_once(traced_log_sum_exp_runs,
                                                    name):
     # the rebuilt control takes a Hessian per row (the min_p_star one
     # for its drift and its W), and so does the dissipation check's lie V
+    from accelflow.config import VerifyConfig
     from accelflow.export import trajectory_from_arrays
     from accelflow.verify import run_checks
     spec, record, _ = traced_log_sum_exp_runs[name]
@@ -860,7 +861,7 @@ def test_a_replay_holds_no_hessian_per_row_at_once(traced_log_sum_exp_runs,
         rebuilt = trajectory_from_arrays(columns, LSE40.oracle, spec,
                                          record.meta)
         return rebuilt, run_checks(rebuilt, LSE40.oracle, spec.clf,
-                                   ("dissipation",))
+                                   ("dissipation",), VerifyConfig())
 
     (rebuilt, report), peak = traced_peak(replay)
     assert report.ok, report.lines()

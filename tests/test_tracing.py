@@ -2,24 +2,36 @@
 
 The tracer in perfbench/tracing.py wraps each layer function at the
 modules that call it. A refactor that moves a call site breaks the traced
-benchmark, so the check runs here, with the rest of the suite.
+benchmark, and one that stops calling through a traced binding leaves its
+layer at zero, so both checks run here, with the rest of the suite.
 """
 
 import importlib.util
 import os
+import sys
 
 import pytest
+import yaml
+
+from accelflow import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def load(name):
+    """A perfbench module, loaded from its file without importing the
+    benchmark's package path."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load("tracing")
 
 
 def bound(tracing):
@@ -44,3 +56,25 @@ def test_tracer_installs_uninstalls_and_misses_no_binding(tracing):
         tracer.uninstall()
     assert bound(tracing) == before
     assert tracing.unlisted_bindings() == []
+
+
+def test_the_smoke_workloads_reach_every_traced_binding(tracing, tmp_path):
+    workloads = load("workloads")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name in workloads.NAMES:
+            wl = workloads.build(name, 0, str(tmp_path / name), smoke=True)
+            for path, doc in wl.configs.items():
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w") as fh:
+                    yaml.safe_dump(doc, fh, sort_keys=True)
+            for op in wl.prepare + wl.ops:
+                assert cli.main(list(op.argv)) == 0, op.op_id
+    finally:
+        tracer.uninstall()
+    pairs = {f"{caller}.{name.split('.')[1]}"
+             for name, callers in tracing.BINDINGS.items()
+             for caller in callers}
+    assert sorted(key for key in pairs
+                  if tracer.binding_calls.get(key, 0) == 0) == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from accelflow.clf import DEFAULT_CLF, ClfParams
+from accelflow.config import VerifyConfig
 from accelflow.control import (
     Direct,
     MinPStar,
@@ -30,7 +31,6 @@ from accelflow.objective import quadratic_problem, random_quadratic
 from accelflow.verify import (
     CheckStatus,
     DissipationMode,
-    VerificationReport,
     check_adjoint_consistency,
     check_dissipation,
     check_singular_arc,
@@ -140,6 +140,21 @@ class TestDissipation:
         names = [c.name for c in rep.checks]
         assert "dissipation_rate" in names
         assert "dissipation_envelope" in names
+
+    @pytest.mark.parametrize("mode,tol", [(DissipationMode.RATE, 1e-6),
+                                          (DissipationMode.STRICT, 1e-12)])
+    def test_default_tolerance_follows_the_mode(self, quad4,
+                                                min_p_star_record, mode,
+                                                tol):
+        # a library call and a verify block without tol read the same
+        # default; cached_diagnostics keeps its own 1e-12
+        rep = check_dissipation(min_p_star_record, DEFAULT_CLF, quad4.oracle,
+                                mode=mode)
+        assert [c.tolerance for c in rep.checks[1:]] == \
+            [tol] * (len(rep.checks) - 1)
+        assert run_checks(min_p_star_record, quad4.oracle, DEFAULT_CLF,
+                          ["dissipation"],
+                          VerifyConfig(dissipation_mode=mode)) == rep
 
     def test_rate_fails_above_design_rate(self, quad4, min_p_star_record):
         rep = check_dissipation(min_p_star_record, DEFAULT_CLF, quad4.oracle,
@@ -360,7 +375,7 @@ class TestReportMechanics:
     def test_run_checks_merges_everything(self, quad4, full_mode_record):
         rep = run_checks(full_mode_record, quad4.oracle, DEFAULT_CLF,
                          ["dissipation", "adjoint_consistency",
-                          "singular_arc", "stationarity"])
+                          "singular_arc", "stationarity"], VerifyConfig())
         names = {c.name for c in rep.checks}
         assert {"cached_diagnostics", "dissipation_strict",
                 "adjoint_consistency", "singular_arc",
@@ -371,7 +386,7 @@ class TestReportMechanics:
     def test_run_checks_rejects_unknown_name(self, quad4, full_mode_record):
         with pytest.raises(ValueError, match="unknown check"):
             run_checks(full_mode_record, quad4.oracle, DEFAULT_CLF,
-                       ["dissipation", "spectral_gap"])
+                       ["dissipation", "spectral_gap"], VerifyConfig())
 
     def test_lines_and_dict_round_trip(self, quad4, min_p_star_record):
         rep = check_dissipation(min_p_star_record, DEFAULT_CLF, quad4.oracle,
@@ -382,10 +397,3 @@ class TestReportMechanics:
         d = rep.to_dict()
         assert d["summary"]["failed"] == 0
         assert len(d["checks"]) == len(rep.checks)
-
-    def test_merged_reports_concatenate(self, quad4, full_mode_record):
-        a = check_singular_arc(full_mode_record)
-        b = check_adjoint_consistency(full_mode_record, quad4.oracle)
-        m = a.merged(b)
-        assert isinstance(m, VerificationReport)
-        assert len(m.checks) == len(a.checks) + len(b.checks)
