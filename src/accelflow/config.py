@@ -396,7 +396,6 @@ class VerifyConfig:
     eta: float = _field(_as_positive, 1.0)
     tol: Optional[float] = _field(_as_positive, None)
     adjoint_coeff: float = _field(_as_positive, 1e3)
-    singular_tol: float = _field(_as_positive, 1e-8)
 
 
 def _plain(value: Any) -> Any:

@@ -44,7 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -273,15 +273,15 @@ class Direct:
     """direct: u = gamma_a lambda - gamma_b v - gamma_c hess E(x) v.
 
     The gains must meet the certificate's stability conditions
-    (validate_direct_gains). The law weights no effort, so it reads no
-    metric; a run still reports the metric it is given.
+    (validate_direct_gains). The law weights no effort, so it takes no
+    metric: its metric is the identity, a class constant.
     """
 
     gamma_a: float
     gamma_b: float
     gamma_c: float
     clf: ClfParams = DEFAULT_CLF
-    metric: MetricSpec = _EUCLIDEAN
+    metric: ClassVar[MetricSpec] = _EUCLIDEAN
 
     def __post_init__(self) -> None:
         violations = validate_direct_gains(self.clf, self.gamma_a,

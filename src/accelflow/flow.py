@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .clf import _norm, clf_grad_v, clf_value, lie_derivative
-from .control import ControllerSpec, ControlResult, Direct, evaluate_control
+from .control import ControllerSpec, ControlResult, evaluate_control
 from .metric import MetricKind, quasi_newton_update
 from .objective import ObjectiveOracle
 
@@ -149,8 +149,6 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     Without a quasi-Newton metric that end control is the next accepted
     state's one control. The adjoint step takes hess E(x) v once per
     accepted state: the product at a step's end starts the next step.
-    A Direct law reads no metric, so a quasi-Newton one is never updated
-    for it and the law is bound once.
     Each accepted state takes the norms of x, v and the gradient once;
     they serve the divergence test, the stopping rule and the grad_norm
     column.
@@ -350,9 +348,7 @@ def integrate(spec: ControllerSpec, oracle: ObjectiveOracle,
     k = 0
 
     if not (converged or diverged):
-        # Direct reads no metric: its quasi-Newton matrix is never updated
-        qn = (live_spec.metric.kind is MetricKind.QUASI_NEWTON
-              and not isinstance(spec, Direct))
+        qn = live_spec.metric.kind is MetricKind.QUASI_NEWTON
         adjoint_rk4 = full and method is Integrator.RK4
         if adjoint_rk4:
             Hv = oracle.hessian_at(z[:n]) @ z[n:2 * n]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,41 +195,38 @@ def check_dissipation(record: TrajectoryRecord, clf: ClfParams,
     return VerificationReport(checks=tuple(checks))
 
 
-def check_adjoint_consistency(record: TrajectoryRecord,
-                              oracle: ObjectiveOracle,
-                              coeff: float = 1e3) -> VerificationReport:
-    """Costate identity lambda_x = -grad E along a co-integrated run.
-
-    Applicable to full primal-dual trajectories only; in reduced mode the
-    identity holds by construction and the check reports not-applicable.
-    The tolerance is coeff * h^p, matching the integrator order.
-    """
+def _costate_check(record: TrajectoryRecord, name: str, reduced: str,
+                   residual: Callable[[dict], np.ndarray],
+                   coeff: float) -> VerificationReport:
+    """A singular-arc costate identity: the per-sample norm of
+    residual(columns) against coeff * h^p, N/A on a reduced record."""
     if _is_reduced(record):
         return VerificationReport(checks=(CheckResult(
-            name="adjoint_consistency", status=CheckStatus.NOT_APPLICABLE,
-            worst_value=0.0, tolerance=0.0,
-            detail="reduced mode defines lambda_x as -grad E"),))
-
+            name=name, status=CheckStatus.NOT_APPLICABLE,
+            worst_value=0.0, tolerance=0.0, detail=reduced),))
     cols = record.columns
-    resid = state_norm(cols["lambda_x"] + oracle.gradient(cols["x"]))
     return VerificationReport(checks=(
-        _worst("adjoint_consistency", resid, cols["t"],
+        _worst(name, state_norm(residual(cols)), cols["t"],
                order_tolerance(record, coeff)),))
 
 
-def check_singular_arc(record: TrajectoryRecord,
-                       tol: float = 1e-8) -> VerificationReport:
-    """All extremals are singular: the velocity costate must stay at zero."""
-    if _is_reduced(record):
-        return VerificationReport(checks=(CheckResult(
-            name="singular_arc", status=CheckStatus.NOT_APPLICABLE,
-            worst_value=0.0, tolerance=0.0,
-            detail="reduced mode holds lambda_v at zero by construction"),))
+def check_adjoint_consistency(record: TrajectoryRecord,
+                              oracle: ObjectiveOracle,
+                              coeff: float = 1e3) -> VerificationReport:
+    """Costate identity lambda_x = -grad E along a co-integrated run."""
+    return _costate_check(
+        record, "adjoint_consistency",
+        "reduced mode defines lambda_x as -grad E",
+        lambda cols: cols["lambda_x"] + oracle.gradient(cols["x"]), coeff)
 
-    cols = record.columns
-    norms = state_norm(cols["lambda_v"])
-    return VerificationReport(checks=(
-        _worst("singular_arc", norms, cols["t"], tol),))
+
+def check_singular_arc(record: TrajectoryRecord,
+                       coeff: float = 1e3) -> VerificationReport:
+    """All extremals are singular: the velocity costate stays at zero."""
+    return _costate_check(
+        record, "singular_arc",
+        "reduced mode holds lambda_v at zero by construction",
+        lambda cols: cols["lambda_v"], coeff)
 
 
 def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
@@ -273,7 +270,7 @@ CHECKS = {
         check_adjoint_consistency(record, oracle,
                                   coeff=settings.adjoint_coeff),
     "singular_arc": lambda record, oracle, clf, settings: check_singular_arc(
-        record, tol=settings.singular_tol),
+        record, coeff=settings.adjoint_coeff),
     "stationarity": lambda record, oracle, clf, settings: check_stationarity(
         record, oracle),
 }

@@ -987,8 +987,8 @@ class TestVerifyVerb:
 
     def test_both_verbs_check_with_the_verify_blocks_values(self, tmp_path,
                                                             capsys):
-        # each check prints the tolerance its block value sets (the
-        # adjoint check's is coeff * h**4 under RK4); the rate check's
+        # each check prints the tolerance its block value sets (both
+        # costate checks' is coeff * h**4 under RK4); the rate check's
         # worst value is max(lie V + eta V) at the block's eta
         out = tmp_path / "run"
         data = flow_data(out, controller="min_p_star", eta=1.0, h=0.01,
@@ -997,8 +997,7 @@ class TestVerifyVerb:
         data["verify"] = {"checks": ["dissipation", "adjoint_consistency",
                                      "singular_arc"],
                           "dissipation_mode": "rate", "eta": 0.5,
-                          "tol": 1e-3, "adjoint_coeff": 2e3,
-                          "singular_tol": 1e-5}
+                          "tol": 1e-3, "adjoint_coeff": 2e3}
         cfg = write_config(tmp_path, "mps.yaml", data)
         assert main(["run", cfg]) == 0
         ran = capsys.readouterr().out
@@ -1011,13 +1010,25 @@ class TestVerifyVerb:
                     "dissipation_rate": "0.001",
                     "dissipation_envelope": "0.001",
                     "adjoint_consistency": f"{2e3 * 0.01 ** 4:.6g}",
-                    "singular_arc": "1e-05"}
+                    "singular_arc": f"{2e3 * 0.01 ** 4:.6g}"}
         for stdout in (ran, verified):
             found = dict(re.findall(r"^PASS (\w+): worst=\S+ tol=(\S+)",
                                     stdout, re.M))
             assert found == expected, stdout
             worst = re.search(r"dissipation_rate: worst=(\S+)", stdout)
             assert float(worst.group(1)) == pytest.approx(rate, rel=1e-5)
+
+    def test_a_block_that_sets_singular_tol_exits_two(self, tmp_path,
+                                                      capsys):
+        # singular_arc takes adjoint_coeff * h**p: the old key is refused
+        data = flow_data(tmp_path / "run")
+        data["verify"] = {"checks": ["singular_arc"], "singular_tol": 1e-8}
+        cfg = write_config(tmp_path, "old.yaml", data)
+        for argv in (["run", cfg], ["verify", str(tmp_path / "t.csv"), cfg]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "config error: verify: unknown field(s): singular_tol"]
+        assert not (tmp_path / "run").exists()
 
     def test_tampered_certificate_column_caught(self, finished_run,
                                                 capsys, tmp_path):

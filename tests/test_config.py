@@ -532,7 +532,6 @@ VERIFY = _fields({}, {
     "dissipation_mode": st.sampled_from(["strict", "rate"]),
     "eta": st.floats(0.1, 2.0), "tol": st.floats(1e-12, 1e-3),
     "adjoint_coeff": st.floats(1.0, 1e4),
-    "singular_tol": st.floats(1e-10, 1e-4),
 })
 PLAUSIBLE = _fields({"problem": _problem(), "method": FLOW | DISCRETE}, {
     "output": _fields({}, {"out_dir": st.just("runs"),

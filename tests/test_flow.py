@@ -632,30 +632,6 @@ def test_the_full_mode_adjoint_takes_two_hessians_per_step():
     assert len(calls) == 2 * 200 + 1 + blocks == 409
 
 
-def test_a_direct_law_takes_no_quasi_newton_update(monkeypatch):
-    # the law reads no metric: the run is the Euclidean run, bit for bit,
-    # and still reports the metric it was given
-    updates = []
-    update = flow.quasi_newton_update
-    monkeypatch.setattr(flow, "quasi_newton_update",
-                        lambda *args: updates.append(1) or update(*args))
-    prob = random_quadratic(10, kappa=20.0, seed=1)
-    runs = {}
-    for kind in (MetricKind.QUASI_NEWTON, MetricKind.EUCLIDEAN):
-        spec = dataclasses.replace(nesterov_flow_controller(10.0),
-                                   metric=MetricSpec(kind))
-        assert isinstance(spec, Direct)
-        runs[kind] = integrate(spec, prob.oracle,
-                               initial_state(prob.oracle, prob.x0),
-                               h=1e-2, t_max=5.0)
-    assert updates == []
-    qn, euclid = runs[MetricKind.QUASI_NEWTON], runs[MetricKind.EUCLIDEAN]
-    assert qn.meta["metric"] == "quasi_newton"
-    assert qn.columns.keys() == euclid.columns.keys()
-    for name in qn.columns:
-        assert qn.columns[name].tobytes() == euclid.columns[name].tobytes()
-
-
 def test_rk4_certifies_each_quasi_newton_matrix_once(monkeypatch):
     # a matrix is certified where it is made, by the update's floor test,
     # and not again by the four solves of a step

@@ -29,6 +29,7 @@ from accelflow.flow import (
 )
 from accelflow.objective import quadratic_problem, random_quadratic
 from accelflow.verify import (
+    CHECKS,
     CheckStatus,
     DissipationMode,
     check_adjoint_consistency,
@@ -288,6 +289,20 @@ class TestSingularArc:
         assert c.status is CheckStatus.PASSED
         assert c.worst_value == 0.0
 
+    @pytest.mark.parametrize("h", [0.02, 0.01, 0.005])
+    def test_tolerance_follows_the_integrators_order(self, h):
+        # lambda_v misses zero by RK4's error, 3.7e-5, 2.0e-6 and 1.1e-7
+        # here: both costate checks take coeff * h**4 for it
+        prob = random_quadratic(4, 10.0, seed=3)
+        rec = integrate(MinPStar(rate_eta=1.0), prob.oracle,
+                        initial_state(prob.oracle, prob.x0), h=h, t_max=1.0,
+                        method=Integrator.RK4, mode=FlowMode.FULL_PRIMAL_DUAL)
+        (arc,) = check_singular_arc(rec).checks
+        (adjoint,) = check_adjoint_consistency(rec, prob.oracle).checks
+        assert arc.status is CheckStatus.PASSED
+        assert arc.tolerance == adjoint.tolerance
+        assert arc.tolerance == pytest.approx(1e3 * h ** 4)
+
 
 def test_a_record_without_a_mode_is_checked_as_it_is_written(
         quad4, min_p_star_record, tmp_path):
@@ -382,6 +397,21 @@ class TestReportMechanics:
                 "stationarity_grad"} <= names
         assert rep.n_passed + rep.n_failed + rep.n_not_applicable == \
             len(rep.checks)
+
+    def test_the_checks_read_every_verify_setting(self, quad4,
+                                                  full_mode_record):
+        # a verify block value that no check reads would be a dead knob
+        read = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(VerifyConfig(), name)
+
+        for check in CHECKS.values():
+            check(full_mode_record, quad4.oracle, DEFAULT_CLF, Recording())
+        assert read == {f.name for f in dataclasses.fields(VerifyConfig)
+                        if f.name != "checks"}
 
     def test_run_checks_rejects_unknown_name(self, quad4, full_mode_record):
         with pytest.raises(ValueError, match="unknown check"):
