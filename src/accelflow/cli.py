@@ -236,9 +236,9 @@ def _execute_run(config: RunConfig, problem: Optional[ProblemInstance] = None,
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.out_dir is not None:
+    if getattr(args, "out_dir", None) is not None:  # verify has neither
         config = config.with_out_dir(args.out_dir, "--out-dir")
-    if args.stride is not None:
+    if getattr(args, "stride", None) is not None:
         config = config.with_stride(args.stride, "--stride")
     if args.seed_override is not None:
         config = config.with_seed(args.seed_override, "--seed-override")
@@ -252,7 +252,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    configs = [load_config(path) for path in args.configs]
+    configs = [_apply_overrides(load_config(p), args) for p in args.configs]
     if len(configs) < 2:
         raise ConfigError("compare needs at least two configs")
     base = configs[0].problem
@@ -275,7 +275,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate run labels; set distinct label: fields")
 
-    configs = [_apply_overrides(cfg, args) for cfg in configs]
     out_dir = configs[0].output.out_dir
     worst = EXIT_OK
     rows = []
@@ -383,10 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrete counterparts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out-dir", help="override output.out_dir")
-        p.add_argument("--stride", type=int,
-                       help="override output.stride (flow sampling)")
+    def add_common(p: argparse.ArgumentParser, writes: bool = True) -> None:
+        if writes:  # verify writes nothing
+            p.add_argument("--out-dir", help="override output.out_dir")
+            p.add_argument("--stride", type=int,
+                           help="override output.stride (flow sampling)")
         p.add_argument("--seed-override", type=int,
                        help="override problem.seed")
 
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "its config")
     p_ver.add_argument("trajectory")
     p_ver.add_argument("config")
-    add_common(p_ver)
+    add_common(p_ver, writes=False)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -7,9 +7,10 @@ sequences, and the flow gains map onto step-size/momentum/correction
 coefficients (flow_to_discrete). The tests pin these identities at
 rounding-error tolerances, so every update keeps exactly the stated form
 rather than an algebraically rearranged one. Each method has one public
-entry, its *_iterate driver, whose step holds the method's one formula;
-every driver runs on one loop that evaluates the gradient once per
-iterate and carries it forward.
+entry, its *_iterate driver, whose step holds the method's one formula
+on (x_k, x_{k-1}, g_k, g_{k-1}); every driver runs on one loop that
+evaluates the gradient once per iterate and carries the previous point
+and gradient, seeded as x_{-1} = x0 and g_{-1} = grad E(x0).
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def flow_to_discrete(gains: Sequence[float], h: float) -> tuple[float, float, fl
 # iteration drivers
 # ---------------------------------------------------------------------------
 
-#: step(k, x_k, g_k) -> x_{k+1}
-Step = Callable[[int, Array, Array], Array]
+#: step(k, x_k, x_{k-1}, g_k, g_{k-1}) -> x_{k+1}
+Step = Callable[[int, Array, Array, Array, Array], Array]
 
 
 def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
@@ -102,14 +103,16 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     """The one iteration loop behind every driver.
 
     The gradient is evaluated once per point, at x0 and then at each new
-    iterate, where it serves the tol_g test and the next step; its norm is
-    taken once too, for the tol_g test and the sequence's grad_norms.
-    A divergence ends the run by flow.integrate's rule, at the last
-    accepted iterate, with diverged set. An iterate is rejected when its
-    norm is not within DIVERGENCE_LIMIT, before its gradient is asked
-    for, or when its gradient norm is not finite; a start with such a
-    gradient is the run's only point. A start that is not finite raises
-    ValueError.
+    iterate, where it serves the tol_g test and the next two steps; its
+    norm is taken once too, for the tol_g test and the sequence's
+    grad_norms. The loop alone carries x_{k-1} and g_{k-1}, seeded as
+    x_{-1} = x0 and g_{-1} = grad E(x0), and moves them forward only with
+    an accepted iterate. A divergence ends the run by flow.integrate's
+    rule, at the last accepted iterate, with diverged set. An iterate is
+    rejected when its norm is not within DIVERGENCE_LIMIT, before its
+    gradient is asked for, or when its gradient norm is not finite; a
+    start with such a gradient is the run's only point. A start that is
+    not finite raises ValueError.
     """
     x = np.array(x0, dtype=float)
     if not np.isfinite(x).all():
@@ -119,16 +122,18 @@ def _iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     if not math.isfinite(seq.grad_norms[0]):
         seq.diverged = True
         return seq
+    x_prev, g_prev = x, g
     for k in range(steps):
-        x = step(k, x, g)
-        if not _vector_norm(x) <= DIVERGENCE_LIMIT:
+        x_new = step(k, x, x_prev, g, g_prev)
+        if not _vector_norm(x_new) <= DIVERGENCE_LIMIT:
             seq.diverged = True
             break
-        g = oracle.gradient(x)
-        g_norm = _vector_norm(g)
+        g_new = oracle.gradient(x_new)
+        g_norm = _vector_norm(g_new)
         if not math.isfinite(g_norm):
             seq.diverged = True
             break
+        x_prev, g_prev, x, g = x, g, x_new, g_new
         seq.points.append(x)
         seq.grad_norms.append(g_norm)
         if tol_g is not None and g_norm <= tol_g:
@@ -143,13 +148,8 @@ def heavy_ball_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
 
         x_{k+1} = x_k - alpha_k grad E(x_k) + beta_k (x_k - x_{k-1}).
     """
-    x_prev = np.asarray(x0, dtype=float)
-
-    def step(k: int, x: Array, g: Array) -> Array:
-        nonlocal x_prev
-        x_new = x - alpha(k) * g + beta(k) * (x - x_prev)
-        x_prev = x
-        return x_new
+    def step(k: int, x: Array, x_prev: Array, g: Array, g_prev: Array) -> Array:
+        return x - alpha(k) * g + beta(k) * (x - x_prev)
 
     return _iterate(oracle, x0, steps, tol_g, step)
 
@@ -167,10 +167,9 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     schedules fit one shape.
     """
     v = np.zeros_like(np.asarray(x0, dtype=float))
-    g_prev: Optional[Array] = None
 
-    def step(k: int, x: Array, g: Array) -> Array:
-        nonlocal v, g_prev
+    def step(k: int, x: Array, x_prev: Array, g: Array, g_prev: Array) -> Array:
+        nonlocal v
         b = 0.0 if k == 0 else float(beta_cg_rule(oracle, k, g, g_prev))
         if b < 0.0:
             raise ValueError(f"beta_cg_rule returned {b} < 0 at step {k}")
@@ -178,7 +177,6 @@ def cg_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
         a = float(alpha_rule(oracle, k, x, g, v))
         if a < 0.0:
             raise ValueError(f"alpha_rule returned {a} < 0 at step {k}")
-        g_prev = g
         return x + a * v
 
     return _iterate(oracle, x0, steps, tol_g, step)
@@ -218,17 +216,10 @@ def nesterov_one_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     which this sequence coincides with the lookahead sequence of the
     two-step form.
     """
-    x_prev = np.asarray(x0, dtype=float)
-    g_prev: Optional[Array] = None
-
-    def step(k: int, x: Array, g: Array) -> Array:
-        nonlocal x_prev, g_prev
+    def step(k: int, x: Array, x_prev: Array, g: Array, g_prev: Array) -> Array:
         a, b = alpha(k), beta(k)
         c = a * b if gamma is None else gamma(k)
-        g_km1 = g if g_prev is None else g_prev
-        x_new = x - a * g + b * (x - x_prev) - c * (g - g_km1)
-        x_prev, g_prev = x, g
-        return x_new
+        return x - a * g + b * (x - x_prev) - c * (g - g_prev)
 
     return _iterate(oracle, x0, steps, tol_g, step)
 
@@ -247,9 +238,9 @@ def nesterov_two_step_iterate(oracle: ObjectiveOracle, x0: Array, steps: int,
     The first extrapolation uses x_{-1} = x_0 (the first descent point),
     so it starts momentum-free, matching the one-step driver's seeding.
     """
-    x_prev: Optional[Array] = None
+    x_prev: Optional[Array] = None  # the descent point x_{k-1}
 
-    def step(k: int, y: Array, g: Array) -> Array:
+    def step(k: int, y: Array, y_prev: Array, g: Array, g_prev: Array) -> Array:
         nonlocal x_prev
         x = y - alpha(k) * g
         y_new = x + beta(k) * (x - (x if x_prev is None else x_prev))
@@ -274,8 +265,8 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
     applied as a bound law applies it (control._inverse, +0.0 for the
     identity), so a constant Hessian is floored once, at the first
     step. The driver owns the quasi-Newton updates: the one for the
-    pair (x_{k-1}, x_k) runs at the start of step k, the first point
-    where both gradients are at hand, and W^{-1} is rebuilt for it.
+    pair (x_k - x_{k-1}, g_k - g_{k-1}) runs at the start of step k >= 1,
+    and W^{-1} is rebuilt for it.
     """
     if metric.kind is MetricKind.EUCLIDEAN:
         raise ValueError("accelerated_newton_iterate needs a hessian or "
@@ -284,18 +275,16 @@ def accelerated_newton_iterate(oracle: ObjectiveOracle, metric: MetricSpec,
         raise ValueError(f"h must be positive, got {h}")
     gamma_a, gamma_b = (float(c) for c in gains)
     v = np.zeros_like(np.asarray(x0, dtype=float))
-    last: Optional[tuple[Array, Array]] = None
     inverse = _inverse(metric, oracle)
 
-    def step(k: int, x: Array, g: Array) -> Array:
-        nonlocal metric, inverse, v, last
-        if last is not None and metric.kind is MetricKind.QUASI_NEWTON:
-            metric = quasi_newton_update(metric, x - last[0], g - last[1])
+    def step(k: int, x: Array, x_prev: Array, g: Array, g_prev: Array) -> Array:
+        nonlocal metric, inverse, v
+        if k and metric.kind is MetricKind.QUASI_NEWTON:
+            metric = quasi_newton_update(metric, x - x_prev, g - g_prev)
             inverse = _inverse(metric, oracle)
         rhs = gamma_a * g + gamma_b * v
         z = rhs + 0.0 if inverse is None else inverse(x, rhs)
         v = v - h * z
-        last = (x, g)
         return x + h * v
 
     return _iterate(oracle, x0, steps, tol_g, step)

@@ -233,31 +233,25 @@ def check_stationarity(run: Union[TrajectoryRecord, IterateSequence],
                        oracle: ObjectiveOracle,
                        tol_g: Optional[float] = None) -> VerificationReport:
     """Terminal first-order condition: grad E -> 0 (and v -> 0 for flows)."""
-    checks: list[CheckResult] = []
     if isinstance(run, TrajectoryRecord):
         tol_g = float(run.meta.get("tol_g", 1e-6)) if tol_g is None else tol_g
         tol_v = float(run.meta.get("tol_v", 1e-6))
         cols = run.columns
-        t = float(cols["t"][-1])
+        location = float(cols["t"][-1])
         gnorm = float(np.linalg.norm(oracle.gradient(cols["x"][-1])))
         vnorm = float(np.linalg.norm(cols["v"][-1]))
-        for name, worst, tol in (("stationarity_grad", gnorm, tol_g),
-                                 ("stationarity_velocity", vnorm, tol_v)):
-            checks.append(CheckResult(
-                name=name, worst_value=worst, tolerance=tol, location=t,
-                status=(CheckStatus.FAILED if run.diverged
-                        else _status(worst, tol)),
-                detail="divergence flag set" if run.diverged else ""))
+        terms = [("stationarity_grad", gnorm, tol_g),
+                 ("stationarity_velocity", vnorm, tol_v)]
     else:
-        tol_g = 1e-6 if tol_g is None else tol_g
-        gnorm = run.grad_norms[-1]
-        checks.append(CheckResult(
-            name="stationarity_grad", worst_value=gnorm, tolerance=tol_g,
-            status=(CheckStatus.FAILED if run.diverged
-                    else _status(gnorm, tol_g)),
-            location=float(len(run.points) - 1),
-            detail="divergence flag set" if run.diverged else ""))
-    return VerificationReport(checks=tuple(checks))
+        location = float(len(run.points) - 1)
+        terms = [("stationarity_grad", run.grad_norms[-1],
+                  1e-6 if tol_g is None else tol_g)]
+    detail = "divergence flag set" if run.diverged else ""
+    return VerificationReport(checks=tuple(
+        CheckResult(name=name, worst_value=worst, tolerance=tol,
+                    location=location, detail=detail, status=(
+                        CheckStatus.FAILED if detail else _status(worst, tol)))
+        for name, worst, tol in terms))
 
 
 #: each check's call on (record, oracle, clf, settings), settings being the

@@ -561,10 +561,13 @@ def test_a_cli_run_writes_the_same_bytes_whatever_the_blas_threads(
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("verb", ["run", "compare", "verify"])
-    @pytest.mark.parametrize("option,value", [
-        ("--stride", "0"), ("--stride", "-2"), ("--out-dir", ""),
-        ("--seed-override", "-1")])
+    # verify writes nothing, so of the three it takes only --seed-override
+    @pytest.mark.parametrize("option,value,verb", [
+        (option, value, verb)
+        for option, value in [("--stride", "0"), ("--stride", "-2"),
+                              ("--out-dir", ""), ("--seed-override", "-1")]
+        for verb in ["run", "compare", "verify"]
+        if verb != "verify" or option == "--seed-override"])
     def test_a_bad_override_exits_two_naming_the_option(self, tmp_path,
                                                         capsys, option,
                                                         value, verb):
@@ -584,7 +587,12 @@ class TestConfigErrors:
         (["run", "a.yaml", "--bogus"], "unrecognized arguments: --bogus"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         (["run", "a.yaml", "--stride", "x"], "--stride: invalid int value"),
-    ], ids=["missing", "unknown-option", "unknown-verb", "bad-type"])
+        (["verify", "t.csv", "a.yaml", "--stride", "2"],
+         "unrecognized arguments: --stride 2"),
+        (["verify", "t.csv", "a.yaml", "--out-dir", "d"],
+         "unrecognized arguments: --out-dir d"),
+    ], ids=["missing", "unknown-option", "unknown-verb", "bad-type",
+            "verify-stride", "verify-out-dir"])
     def test_a_usage_error_exits_two_in_one_line(self, capsys, argv, words):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -923,6 +931,21 @@ class TestCompare:
         assert main(["compare", a, b]) == 2
         assert "problem block differs" in capsys.readouterr().err
 
+    def test_a_seed_override_applies_before_the_shared_problem_check(
+            self, tmp_path):
+        a = write_config(tmp_path, "a.yaml",
+                         dict(discrete_data(tmp_path / "x"), label="a"))
+        other = dict(discrete_data(tmp_path / "y"), label="b")
+        other["problem"]["seed"] = 4
+        b = write_config(tmp_path, "b.yaml", other)
+        out = tmp_path / "out"
+        assert main(["compare", a, b, "--seed-override", "5",
+                     "--out-dir", str(out)]) == 0
+        for label in ("a", "b"):
+            echo = yaml.safe_load((out / label / "config_echo.yaml")
+                                  .read_text())
+            assert echo["problem"]["seed"] == 5
+
     def test_duplicate_labels_rejected(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.yaml", discrete_data(tmp_path / "x"))
         b = write_config(tmp_path, "b.yaml", discrete_data(tmp_path / "y"))
@@ -1047,7 +1070,9 @@ class TestVerifyVerb:
         bad = write_config(tmp_path, "hb.yaml",
                            discrete_data(tmp_path / "x"))
         assert main(["verify", traj, bad]) == 2
-        assert "flow" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: verify works on flow trajectories; the config's "
+            "method block is discrete"]
 
     def test_quasi_newton_metric_rejected(self, finished_run, tmp_path,
                                           capsys):
