@@ -38,13 +38,21 @@ read_trajectory_csv of that file, once per round, and a "read memory" row
 is tracemalloc's peak over that read in bytes per byte of the columns it
 returns, the smallest of the rounds.
 
+A "config load" row is the per-config cost of each checkout's
+load_config over a benchmark-shaped set of config files: every config of
+the four perfbench workloads at --seed, written as perfbench/bench.py
+writes it, and the head's config_echo.yaml text of each. Each round loads
+every file once per side. The workloads come from the perfbench/ beside
+this script.
+
 Before timing, each law's u, the floored metric, each gradient, the two
-trajectory files and the columns each checkout reads back from them must
-hold the same bytes in both checkouts. Prints one row per call with the
-base and head cost in raw microseconds per call (per value for the
-trajectory text and read, bytes per value for the record memory, per
-table byte for the read memory) and their ratio. Exits 0, or 1 when a u,
-the metric, a gradient, the trajectory text or the table read differs.
+trajectory files, the columns each checkout reads back from them and the
+repr of each config each checkout loads must hold the same bytes in both
+checkouts. Prints one row per call with the base and head cost in raw
+microseconds per call (per value for the trajectory text and read, bytes
+per value for the record memory, per table byte for the read memory, per
+config for the config load) and their ratio. Exits 0, or 1 when a u, the metric, a gradient, the trajectory
+text, the table read or a loaded config differs.
 """
 
 from __future__ import annotations
@@ -63,6 +71,9 @@ for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_threads, "1")
 
 import numpy as np
+import yaml
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load(checkout: str, name: str) -> ModuleType:
@@ -74,7 +85,7 @@ def load(checkout: str, name: str) -> ModuleType:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for sub in ("control", "objective", "flow", "export"):
+    for sub in ("control", "objective", "flow", "export", "config"):
         importlib.import_module(f"{name}.{sub}")
     return package
 
@@ -181,6 +192,29 @@ def read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def config_files(package: ModuleType, seed: int, directory: str) -> list[str]:
+    """The config load row's files, written under directory: each
+    workload config as bench.py writes it, then package's echo of it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench",
+                                            "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    docs = [doc for name in workloads.NAMES
+            for doc in workloads.build(name, seed, directory).configs.values()]
+    paths = []
+    for k, doc in enumerate(docs):
+        path = os.path.join(directory, f"config-{k}.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        echo = os.path.join(directory, f"echo-{k}.yaml")
+        with open(echo, "w") as fh:
+            fh.write(package.config.load_config(path).to_yaml())
+        paths += [path, echo]
+    return paths
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="the parent checkout")
@@ -214,6 +248,12 @@ def main(argv: list[str] | None = None) -> int:
                  for pkg in (base, head)]
         if len({table_bytes(read()) for read in reads}) > 1:
             differ.append("trajectory read")
+        configs = config_files(head, args.seed, directory)
+        loads = [lambda pkg=pkg: [pkg.config.load_config(path)
+                                  for path in configs]
+                 for pkg in (base, head)]
+        if len({repr(call()).encode() for call in loads}) > 1:
+            differ.append("config load")
         for name in differ:
             print(f"{name}: the checkouts give different bytes")
         if differ:
@@ -224,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         memory = [float("inf")] * 2
         read = [float("inf")] * 2
         read_memory = [float("inf")] * 2
+        load_s = [float("inf")] * 2
         for _ in range(args.repeat):
             for name in sides[0]:
                 for side, fastest in zip(sides, best):
@@ -238,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
                 read[k] = min(read[k], timeit.timeit(call, number=1))
                 read_memory[k] = min(read_memory[k],
                                      traced_read(pkg, read_path))
+            for k, call in enumerate(loads):
+                load_s[k] = min(load_s[k], timeit.timeit(call, number=1))
     print(f"dim {args.dim}, best of {args.repeat} x {args.number} calls, "
           f"raw us per call")
     print(f"{'call':<22}{'base':>8}{'head':>8}{'head/base':>11}")
@@ -248,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     rows.append(("record memory", *(m / recorded for m in memory)))
     rows.append(("trajectory read", *(t / values * 1e6 for t in read)))
     rows.append(("read memory", *read_memory))
+    rows.append(("config load", *(t / len(configs) * 1e6 for t in load_s)))
     for name, b, h in rows:
         # three decimals, so that the ratio of the printed costs is the
         # printed ratio to within 1% down to 0.1 us

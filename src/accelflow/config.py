@@ -461,27 +461,31 @@ class RunConfig:
         return out
 
     def to_yaml(self) -> str:
-        """The config as YAML, by libyaml's emitter where PyYAML was built
-        with it, at about a quarter of the pure-Python one's cost. The two
-        write the same bytes for a document whose every string is
-        printable ASCII. A string they double-quote with escapes
-        (non-ASCII or control characters) past the 80-column width is
-        folded at other points, so such a document takes the pure-Python
-        emitter."""
-        data = self.to_dict()
-        dumper = (getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-                  if _printable_ascii(data) else yaml.SafeDumper)
-        return yaml.dump(data, Dumper=dumper, sort_keys=True,
-                         default_flow_style=False)
+        """The config as YAML: the echo that run and compare write."""
+        return _dump(self.to_dict())
+
+
+def _dump(data: Any) -> str:
+    """data as YAML, by libyaml's emitter where PyYAML was built with it,
+    at about a quarter of the pure-Python one's cost. The two write the
+    same bytes for a document whose every string is printable ASCII. A
+    string they double-quote with escapes (non-ASCII or control
+    characters) past the 80-column width is folded at other points, so
+    such a document takes the pure-Python emitter."""
+    dumper = (getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+              if _printable_ascii(data) else yaml.SafeDumper)
+    return yaml.dump(data, Dumper=dumper, sort_keys=True,
+                     default_flow_style=False)
 
 
 def _printable_ascii(data: Any) -> bool:
-    """True when every string value in data (its keys are field names) is
-    printable ASCII."""
+    """True when every string in data, key or value, is printable
+    ASCII."""
     if isinstance(data, str):
         return data.isascii() and data.isprintable()
     if isinstance(data, dict):
-        return all(_printable_ascii(v) for v in data.values())
+        return all(_printable_ascii(k) and _printable_ascii(v)
+                   for k, v in data.items())
     if isinstance(data, list):
         return all(_printable_ascii(item) for item in data)
     return True
@@ -499,10 +503,35 @@ def parse_config(data: Any) -> RunConfig:
     return cfg
 
 
+def _document(fh: Any) -> Any:
+    """The YAML document in fh, as SafeLoader (pure Python) reads it.
+
+    libyaml's parser reads it instead when _dump writes its document
+    back as fh's text: that text is what the pure-Python emitter writes
+    for the document, which SafeLoader reads back as the document. Any
+    other text, libyaml's errors included, a file that cannot seek
+    (unread) and PyYAML without libyaml take SafeLoader, from the file,
+    so that each error it raises names the file.
+    """
+    loader = getattr(yaml, "CSafeLoader", None)
+    if loader is not None and fh.seekable():
+        try:
+            text = fh.read()
+            data = yaml.load(text, Loader=loader)
+            if _dump(data) == text:
+                return data
+        # a bad byte, libyaml's own error wording, a document the emitter
+        # cannot walk: SafeLoader reports each as it always has
+        except Exception:
+            pass
+        fh.seek(0)
+    return yaml.safe_load(fh)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = _document(fh)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:

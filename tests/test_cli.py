@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -1396,6 +1397,45 @@ def test_a_yaml_parse_error_prints_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {bad}:"), err
     assert "YAML parse error" in err[0]
+
+
+def _piped(tmp_path, text, call):
+    """call(path) with path a named pipe that a thread writes text to."""
+    fifo = tmp_path / "config.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,),
+                              daemon=True)
+    writer.start()
+    try:
+        return call(str(fifo)), str(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+def test_a_config_read_from_a_pipe_runs_as_its_file(tmp_path):
+    # a pipe cannot seek: its config is read once, by SafeLoader, here
+    # a text with a comment, which the echo does not write back
+    out = tmp_path / "run"
+    text = "# piped\n" + yaml.safe_dump(flow_data(out, t_max=0.5))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 0
+    summary = (out / "summary.json").read_bytes()
+    code, _ = _piped(tmp_path, text, lambda path: main(["run", path]))
+    assert code == 0
+    assert (out / "summary.json").read_bytes() == summary
+
+
+def test_a_pipe_with_a_bad_indent_exits_two_naming_it(tmp_path, capsys):
+    code, fifo = _piped(tmp_path, "problem:\n  name: quadratic\n dim: 4\n",
+                        lambda path: main(["run", path]))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {fifo}:3: YAML parse error: while parsing a block "
+        f"mapping in \"{fifo}\", line 1, column 1 expected <block end>, "
+        f"but found '<block mapping start>' in \"{fifo}\", line 3, "
+        f"column 2"]
 
 
 def test_a_missing_config_whose_path_holds_a_newline_prints_one_line(

@@ -23,6 +23,7 @@ from accelflow.control import (
     quasi_newton_flow_controller,
 )
 from accelflow.verify import run_checks
+from config_mutants import file_bytes, mutants, workload_texts
 
 
 def flow_config(**method_overrides):
@@ -430,6 +431,115 @@ def test_the_echo_takes_libyaml_for_printable_ascii(monkeypatch, label,
     assert dumpers[0] is (yaml.CSafeDumper if libyaml else yaml.SafeDumper)
 
 
+# ---------------------------------------------------------------------------
+# config loader: libyaml reads a file only where the echo writes it back
+# ---------------------------------------------------------------------------
+
+libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                             reason="PyYAML was built without libyaml")
+
+
+def _loaders(monkeypatch):
+    """The Loader of each yaml.load call from now on, in order."""
+    loaders = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    return loaders
+
+
+def _outcome(path):
+    """load_config's config, or the type and text of what it raised."""
+    try:
+        return load_config(str(path))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@libyaml
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_echo_configs())
+def test_an_echo_loads_to_its_config_by_either_parser(monkeypatch, tmp_path,
+                                                      cfg):
+    path = tmp_path / "echo.yaml"
+    loaders = _loaders(monkeypatch)
+    for text, last in ((cfg.to_yaml(), yaml.CSafeLoader),
+                       ("# a comment\n" + cfg.to_yaml(), yaml.SafeLoader)):
+        path.write_text(text, encoding="utf-8")
+        loaders.clear()
+        assert load_config(str(path)) == cfg
+        assert loaders[-1] is last
+        with monkeypatch.context() as m:
+            m.delattr(yaml, "CSafeLoader")
+            assert load_config(str(path)) == cfg
+
+
+@libyaml
+class TestLoaderChoice:
+    """libyaml's parser reads only a text the echo writes back; SafeLoader
+    reads every other, from the file, as it always has."""
+
+    TEXT = parse_config(dict(discrete_config(), label="baseline")).to_yaml()
+
+    def load(self, monkeypatch, tmp_path, text):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        loaders = _loaders(monkeypatch)
+        got, loader = _outcome(path), loaders[-1]
+        with monkeypatch.context() as m:
+            m.delattr(yaml, "CSafeLoader")
+            assert _outcome(path) == got
+        return loader, got
+
+    def test_the_echo_takes_libyaml(self, monkeypatch, tmp_path):
+        loader, cfg = self.load(monkeypatch, tmp_path, self.TEXT)
+        assert loader is yaml.CSafeLoader
+        assert cfg.label == "baseline"
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "# hand-written\n" + text,
+        lambda text: text.replace("  dim: 4\n  kappa: 10.0\n",
+                                  "  kappa: 10.0\n  dim: 4\n"),
+    ], ids=["comment", "keys swapped"])
+    def test_any_other_text_takes_safeloader(self, monkeypatch, tmp_path,
+                                             edit):
+        text = edit(self.TEXT)
+        assert text != self.TEXT
+        loader, _ = self.load(monkeypatch, tmp_path, text)
+        assert loader is yaml.SafeLoader
+
+    def test_a_block_scalar_header_is_safeloaders_parse_error(
+            self, monkeypatch, tmp_path):
+        # libyaml alone reads "|#5000" as an empty block scalar
+        text = self.TEXT.replace("max_iters: 100", "max_iters: |#5000")
+        loader, (kind, message) = self.load(monkeypatch, tmp_path, text)
+        assert loader is yaml.SafeLoader
+        assert kind is ConfigError
+        assert "YAML parse error: while scanning a block scalar" in message
+
+
+@libyaml
+def test_config_mutants_load_alike_by_either_parser(monkeypatch, tmp_path):
+    # 300 of the generator's mutants; the README gives a run of 20000
+    path = tmp_path / "mutant.yaml"
+    loaders = _loaders(monkeypatch)
+    fast = 0
+    for text in mutants(workload_texts(str(tmp_path)), 300, seed=0):
+        path.write_bytes(file_bytes(text))
+        loaders.clear()
+        got = _outcome(path)
+        fast += loaders[-1] is yaml.CSafeLoader
+        with monkeypatch.context() as m:
+            m.delattr(yaml, "CSafeLoader")
+            assert _outcome(path) == got, repr(text)
+    assert fast >= 50
+
+
 class TestLoadConfig:
     def test_loads_yaml_file(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -444,8 +554,12 @@ class TestLoadConfig:
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("problem:\n  name: quadratic\n   bad_indent: 1\n")
-        with pytest.raises(ConfigError, match="broken.yaml:"):
+        with pytest.raises(ConfigError) as raised:
             load_config(str(path))
+        # libyaml words this "... not allowed in this context"
+        assert str(raised.value) == (
+            f"{path}:3: YAML parse error: mapping values are not allowed "
+            f"here\n  in \"{path}\", line 3, column 14")
 
     def test_a_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
         path = tmp_path / "latin.yaml"

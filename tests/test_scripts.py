@@ -411,7 +411,7 @@ def test_law_cost_times_each_law_in_both_checkouts():
     assert [row[:22].strip() for row in rows[2:]] == [
         "polyak", "nesterov", "min_p_star inactive", "min_p_star active",
         "metric solve", "pointwise floor", "gradient", "trajectory text",
-        "record memory", "trajectory read", "read memory"]
+        "record memory", "trajectory read", "read memory", "config load"]
     for row in rows[2:]:
         base, head, ratio = map(float, row[22:].split())
         assert base > 0.0 and head > 0.0
@@ -464,6 +464,21 @@ def test_law_cost_exits_one_when_the_table_read_differs(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         "trajectory read: the checkouts give different bytes"]
+
+
+def test_law_cost_exits_one_when_a_loaded_config_differs(tmp_path):
+    # a head whose verify block defaults to another adjoint coefficient:
+    # the workloads' configs leave it out, so only their load differs
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    config = tmp_path / "src" / "accelflow" / "config.py"
+    text = config.read_text()
+    old = "adjoint_coeff: float = _field(_as_positive, 1e3)"
+    assert old in text
+    config.write_text(text.replace(old, old.replace("1e3", "1e4")))
+    proc = _law_cost(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "config load: the checkouts give different bytes"]
 
 
 def test_law_cost_exits_one_when_the_metric_solve_differs(tmp_path):
